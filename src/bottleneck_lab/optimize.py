@@ -16,9 +16,10 @@ Two families are searched, both with exactly prescribed mean:
   partition of one period.
 
 The mean constraint is enforced by Euclidean projection in level
-coordinates (clipped redistribution), never by penalty, so every evaluated
-waveform satisfies the constraint exactly and the benchmark comparison is
-fair at each point.
+coordinates (the exact sort-based simplex projection), never by penalty, so
+every evaluated waveform satisfies the constraint exactly and the benchmark
+comparison is fair at each point. Grids are evaluated as one batch of rows;
+coordinate descent is sequential and stays on the scalar kernel.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .signals import PiecewiseConstant, SignalError, SystemParams
-from .periodic import constant_benchmark, output_for_levels
+from .periodic import constant_benchmark, output_for_level_rows, output_for_levels
 
 __all__ = [
     "BangBang",
@@ -145,56 +145,47 @@ def constant_point(family: WaveformFamily, mean: float):
     return (mean,) * family.n_segments
 
 
-def _level_coordinates(family: WaveformFamily, point) -> np.ndarray:
-    """The level coordinates used for distances (duty excluded for BangBang)."""
-    if isinstance(family, BangBang):
-        return np.asarray(point[:2], dtype=float)
-    return np.asarray(point, dtype=float)
-
-
-def distance_to_constant(family: WaveformFamily, point, mean: float) -> float:
-    levels = _level_coordinates(family, point)
-    return float(np.linalg.norm(levels - mean))
-
-
 # ---------------------------------------------------------------------------
 # Mean projection
 # ---------------------------------------------------------------------------
+#
+# Euclidean projection onto {v >= 0, sum v = total} by sorting (Held, Wolfe &
+# Crowder 1974; Duchi et al. 2008). With u the values in descending order and
+# theta_i = (u_1 + ... + u_i - total) / i, let rho be the last i with
+# u_i > theta_i; the projection is max(v - theta_rho, 0). i = 1 qualifies
+# whenever total > 0 and is taken unconditionally, so total = 0 (and rounding
+# when u_1 >> total) still yields a shift. The row and scalar versions do the
+# same floating-point operations in the same order and agree bit for bit.
 
-def _project_levels(values: np.ndarray, target_sum: float) -> np.ndarray:
-    """Euclidean projection onto {v >= 0, sum v = target_sum}.
+def _project_simplex_rows(values: np.ndarray, total: float) -> np.ndarray:
+    """Project every row of an (N, k) array; see the comment above."""
+    n, k = values.shape
+    u = -np.sort(-values, axis=1)
+    theta = (np.cumsum(u, axis=1) - total) / np.arange(1, k + 1)
+    keep = u > theta
+    keep[:, 0] = True
+    rho = k - 1 - np.argmax(keep[:, ::-1], axis=1)
+    shift = theta[np.arange(n), rho]
+    return np.maximum(values - shift[:, None], 0.0)
 
-    Clipped redistribution: shift all free levels equally, clip at zero,
-    redistribute the deficit over the still-free levels, repeat to the
-    fixed point (at most len(values) rounds).
-    """
-    v = np.array(values, dtype=float)
-    free = np.ones(v.size, dtype=bool)
-    for _ in range(v.size + 1):
-        n_free = int(free.sum())
-        if n_free == 0:
-            break
-        shift = (target_sum - float(v[free].sum())) / n_free
-        v[free] += shift
-        clipped = free & (v < 0.0)
-        if not clipped.any():
-            return v
-        v[clipped] = 0.0
-        free &= ~clipped
-    # All levels clipped: only reachable sum is zero.
-    if target_sum > MEAN_TOL:
-        raise InfeasibleMeanError(
-            f"cannot reach mean sum {target_sum} with all levels clipped to zero"
-        )
-    return np.zeros_like(v)
+
+def _project_simplex(values: list[float], total: float) -> list[float]:
+    """Scalar twin of _project_simplex_rows for one short list of floats."""
+    css = 0.0
+    for i, u in enumerate(sorted(values, reverse=True), 1):
+        css += u
+        t = (css - total) / i
+        if i == 1 or u > t:
+            theta = t
+    return [max(v - theta, 0.0) for v in values]
 
 
 def project_to_mean(family: WaveformFamily, point, target_mean: float):
     """Nearest family point (Euclidean in level coordinates) with the target mean.
 
     For BangBang the duty is held fixed and only (p1, p2) move; for the free
-    piecewise family all levels move. Levels stay non-negative via clipped
-    redistribution.
+    piecewise family all levels move. Levels stay non-negative via the exact
+    sort-based simplex projection.
     """
     if target_mean < 0.0:
         raise InfeasibleMeanError(f"target mean must be non-negative, got {target_mean}")
@@ -215,9 +206,8 @@ def project_to_mean(family: WaveformFamily, point, target_mean: float):
         elif q1 > q2:
             q1 = q2 = target_mean
         return (q1, q2, duty)
-    k = family.n_segments
-    v = _project_levels(np.asarray(point, dtype=float), k * target_mean)
-    return tuple(float(x) for x in v)
+    levels = [float(c) for c in point]
+    return tuple(_project_simplex(levels, family.n_segments * target_mean))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +230,15 @@ class EvaluationLog:
         self.outputs: list[float] = []
 
     def record(self, point, mean: float, w: float) -> None:
-        self.points.append(tuple(point))
-        self.means.append(mean)
-        self.outputs.append(w)
+        self.points.append(tuple(float(c) for c in point))
+        self.means.append(float(mean))
+        self.outputs.append(float(w))
+
+    def extend(self, points: np.ndarray, means: np.ndarray, outputs: np.ndarray) -> None:
+        """Record a batch of evaluations in row order, one row of `points` each."""
+        self.points.extend(map(tuple, points.tolist()))
+        self.means.extend(means.tolist())
+        self.outputs.extend(outputs.tolist())
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -265,7 +261,7 @@ class EvaluationLog:
         try:
             fh.write(",".join(names) + ",mean,w,benchmark,gap\n")
             for point, mean, w in zip(self.points, self.means, self.outputs):
-                coords = ",".join(repr(float(c)) for c in point)
+                coords = ",".join(map(repr, point))
                 fh.write(
                     f"{coords},{mean!r},{w!r},{self.benchmark!r},"
                     f"{self.benchmark - w!r}\n"
@@ -313,12 +309,11 @@ class _Budget:
         return self.used >= self.limit
 
 
-def _evaluate(family, point, params, log: EvaluationLog, budget: _Budget | None) -> float:
+def _evaluate(family, point, params, log: EvaluationLog, budget: _Budget) -> float:
     levels, durations = _levels_durations(family, point)
     w = output_for_levels(levels, durations, params.lam)
     log.record(point, family_mean(family, point), w)
-    if budget is not None:
-        budget.used += 1
+    budget.used += 1
     return w
 
 
@@ -326,19 +321,46 @@ def _evaluate(family, point, params, log: EvaluationLog, budget: _Budget | None)
 # Grid search
 # ---------------------------------------------------------------------------
 
-def _grid_points(family: WaveformFamily, target_mean: float, resolution: int):
+# Rows evaluated per batch; bounds the (rows x k) temporaries on large grids.
+_GRID_CHUNK = 4096
+
+
+def _grid_array(family: WaveformFamily, target_mean: float, resolution: int) -> np.ndarray:
+    """All grid points, one row each, in itertools.product order.
+
+    BangBang rows are feasible (p1, p2, duty) points; free-family rows are raw
+    levels that still have to be projected onto the target mean.
+    """
     if isinstance(family, BangBang):
         duties = np.linspace(0.0, 1.0, resolution + 2)[1:-1]
         lows = np.linspace(0.0, target_mean, resolution)
-        for duty in duties:
-            for p1 in lows:
-                p2 = (target_mean - (1.0 - duty) * p1) / duty
-                # p2 >= p1 holds exactly for p1 <= mean; shave rounding dust
-                yield (float(p1), float(max(p1, p2)), float(duty))
+        duty, p1 = (a.ravel() for a in np.meshgrid(duties, lows, indexing="ij"))
+        p2 = (target_mean - (1.0 - duty) * p1) / duty
+        # p2 >= p1 holds exactly for p1 <= mean; shave rounding dust
+        return np.column_stack((p1, np.maximum(p1, p2), duty))
+    axis = np.linspace(0.0, family.n_segments * target_mean, resolution)
+    mesh = np.meshgrid(*[axis] * family.n_segments, indexing="ij")
+    return np.column_stack([a.ravel() for a in mesh])
+
+
+def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float, lam: float):
+    """(mean, w, distance to constant) of each row of feasible family points.
+
+    The distance is Euclidean in level coordinates (duty excluded for BangBang).
+    """
+    if isinstance(family, BangBang):
+        p1, p2, duty = rows.T
+        levels = np.column_stack((p2, p1))
+        durations = np.column_stack((duty, 1.0 - duty)) * family.period
+        means = duty * p2 + (1.0 - duty) * p1
+        dev = rows[:, :2] - target_mean
     else:
-        axis = np.linspace(0.0, family.n_segments * target_mean, resolution)
-        for raw in product(axis, repeat=family.n_segments):
-            yield project_to_mean(family, raw, target_mean)
+        levels = rows
+        durations = family.period / family.n_segments
+        means = rows.sum(axis=1) / family.n_segments
+        dev = rows - target_mean
+    w = output_for_level_rows(levels, durations, lam)
+    return means, w, np.sqrt(np.sum(dev * dev, axis=1))
 
 
 def grid_search(
@@ -350,8 +372,10 @@ def grid_search(
 ) -> OptimizationResult:
     """Evaluate a full grid of feasible family points and return the best.
 
-    Ties are broken toward the point closest (Euclidean, level coordinates)
-    to the constant waveform, keeping runs deterministic when the optimum is
+    The grid is evaluated as one batch of rows, in fixed-size chunks, and
+    every point is logged in grid order. Ties are broken toward the point
+    closest (Euclidean, level coordinates) to the constant waveform, then
+    toward the first point, keeping runs deterministic when the optimum is
     approached along a boundary.
     """
     if resolution < 2:
@@ -362,22 +386,27 @@ def grid_search(
     if log is None:
         log = EvaluationLog(family, target_mean, benchmark)
 
+    grid = _grid_array(family, target_mean, resolution)
     best_point = None
     best_w = -math.inf
     best_dist = math.inf
-    n_evals = 0
-    for point in _grid_points(family, target_mean, resolution):
-        w = _evaluate(family, point, params, log, None)
-        n_evals += 1
-        dist = distance_to_constant(family, point, target_mean)
-        if w > best_w or (w == best_w and dist < best_dist):
-            best_point, best_w, best_dist = point, w, dist
+    for start in range(0, len(grid), _GRID_CHUNK):
+        rows = grid[start:start + _GRID_CHUNK]
+        if isinstance(family, PiecewiseConstantFree):
+            rows = _project_simplex_rows(rows, family.n_segments * target_mean)
+        means, w, dist = _evaluate_rows(family, rows, target_mean, params.lam)
+        log.extend(rows, means, w)
+        top = np.flatnonzero(w == w.max())
+        i = top[np.argmin(dist[top])]
+        if w[i] > best_w or (w[i] == best_w and dist[i] < best_dist):
+            best_point = tuple(rows[i].tolist())
+            best_w, best_dist = float(w[i]), float(dist[i])
     return OptimizationResult(
         best_point=best_point,
         best_w=best_w,
         benchmark_w=benchmark,
         optimality_gap=benchmark - best_w,
-        evaluations=n_evals,
+        evaluations=len(grid),
         capped=False,
         log=log,
     )
@@ -415,14 +444,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def _line_search(f, lo, hi, budget: _Budget, rel_tol: float = 1e-9):
     """Maximize f on [lo, hi]: coarse scan to bracket, then golden section."""
     n_scan = 9
-    ss = np.linspace(lo, hi, n_scan)
+    ss = np.linspace(lo, hi, n_scan).tolist()
     best_i = 0
     best_v = -math.inf
     vals = []
     for i, s in enumerate(ss):
         if budget.exhausted:
             break
-        v = f(float(s))
+        v = f(s)
         vals.append(v)
         if v > best_v:
             best_i, best_v = i, v
@@ -449,7 +478,7 @@ def _line_search(f, lo, hi, budget: _Budget, rel_tol: float = 1e-9):
             f2 = f(x2)
             if f2 > best_v:
                 best_s, best_v = x2, f2
-    return float(best_s), best_v
+    return best_s, best_v
 
 
 def coordinate_descent(

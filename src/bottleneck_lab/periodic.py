@@ -30,7 +30,6 @@ looser (about 1e-5 at default grids).
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,6 +59,7 @@ __all__ = [
     "moment_identities",
     "period_states",
     "output_for_levels",
+    "output_for_level_rows",
     "segment_profile",
     "report_to_json_dict",
     "reports_to_csv",
@@ -257,6 +257,37 @@ def output_for_levels(levels, durations, lam: float) -> float:
     return lam * total / span
 
 
+def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
+    """Row-wise output_for_levels over an (N, k) array of candidate waveforms.
+
+    `durations` is (N, k) or broadcasts to it. Same recurrences in the same
+    order as the scalar kernel, run column by column (k passes of length N);
+    results agree with it to rounding (numpy's expm1 may differ in the last
+    bit from the C library's).
+    """
+    levels = np.asarray(levels, dtype=float)
+    c = np.ascontiguousarray(levels.T)
+    h = np.ascontiguousarray(np.broadcast_to(durations, levels.shape).T)
+    r = lam + c
+    x_inf = c / r
+    g = -np.expm1(-(r * h))
+    d = 1.0 - g
+    a = np.ones(levels.shape[0])
+    b = np.zeros(levels.shape[0])
+    for j in range(c.shape[0]):
+        b = x_inf[j] * g[j] + b * d[j]
+        a *= d[j]
+    x = b / (1.0 - a)
+    total = np.zeros(levels.shape[0])
+    span = np.zeros(levels.shape[0])
+    for j in range(c.shape[0]):
+        delta = x - x_inf[j]
+        total += x_inf[j] * h[j] + delta * g[j] / r[j]
+        span += h[j]
+        x = x_inf[j] + delta * d[j]
+    return lam * total / span
+
+
 def _closed_form_report(levels, durations, lam: float) -> PeriodicReport:
     period = math.fsum(durations)
     sigma_bar = math.fsum(c * h for c, h in zip(levels, durations)) / period
@@ -429,14 +460,6 @@ def report_to_json_dict(
             "moment_2": report.residual_m2,
         },
     }
-
-
-def report_json_string(signal, params, report, grid_step=None) -> str:
-    return json.dumps(
-        report_to_json_dict(signal, params, report, grid_step),
-        sort_keys=True,
-        indent=2,
-    )
 
 
 def reports_csv_string(rows) -> str:

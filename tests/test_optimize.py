@@ -1,5 +1,7 @@
 import csv
 import io
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bottleneck_lab.optimize import (
     perturbation_response,
     project_to_mean,
 )
+from bottleneck_lab.optimize import _project_simplex_rows
 from bottleneck_lab.periodic import averaged_output, constant_benchmark, output_for_levels
 from bottleneck_lab.signals import SystemParams
 
@@ -57,14 +60,27 @@ class TestProjection:
         for _ in range(200):
             k = int(rng.integers(1, 9))
             fam = PiecewiseConstantFree(period=1.0, n_segments=k)
-            raw = rng.uniform(-1.0, 5.0, k)  # raw points may be infeasible
-            raw = np.maximum(raw, 0.0)
+            raws = rng.uniform(-1.0, 5.0, (4, k))  # raw points may be infeasible
+            raws = np.maximum(raws, 0.0)
+            raws[0] = 0.0
             target = float(rng.uniform(0.0, 4.0))
-            got = np.asarray(project_to_mean(fam, raw, target))
-            oracle = simplex_projection(raw, k * target)
-            np.testing.assert_allclose(got, oracle, atol=1e-12)
-            assert np.all(got >= 0.0)
-            assert abs(got.mean() - target) <= 1e-12
+            rows = _project_simplex_rows(raws, k * target)
+            for raw, row in zip(raws, rows):
+                got = np.asarray(project_to_mean(fam, raw, target))
+                # the scalar and row projections do the same arithmetic
+                np.testing.assert_array_equal(got, row)
+                oracle = simplex_projection(raw, k * target)
+                np.testing.assert_allclose(got, oracle, atol=1e-12)
+                assert np.all(got >= 0.0)
+                assert abs(got.mean() - target) <= 1e-12
+
+    def test_zero_target_gives_all_zeros(self):
+        for k in (1, 3):
+            fam = PiecewiseConstantFree(period=1.0, n_segments=k)
+            raws = np.array([[0.0] * k, [2.0] * k, list(range(k))], dtype=float)
+            for raw in raws:
+                assert project_to_mean(fam, raw, 0.0) == (0.0,) * k
+            assert _project_simplex_rows(raws, 0.0).tolist() == [[0.0] * k] * 3
 
     def test_bang_bang_duty_held_fixed(self):
         p1, p2, duty = project_to_mean(BB, (0.2, 0.6, 0.25), 1.0)
@@ -141,9 +157,54 @@ class TestGridSearch:
         for mean in res.log.means:
             assert abs(mean - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("family, resolution", [
+        (BangBang(period=2.0), 5),
+        (PiecewiseConstantFree(period=2.0, n_segments=3), 5),
+    ])
+    def test_batch_matches_point_by_point_loop(self, family, resolution):
+        points, outputs, best_index = _reference_grid_search(family, 1.0, P1, resolution)
+        res = grid_search(family, 1.0, P1, resolution)
+        assert res.log.points == points
+        np.testing.assert_allclose(res.log.outputs, outputs, rtol=1e-14, atol=0.0)
+        assert res.evaluations == len(points)
+        assert res.best_point == points[best_index]
+        assert res.log.points.index(res.best_point) == best_index
+        # the best w is tied: on bang_bang the constant point is reached at
+        # every duty, at distance 0, and the first of those rows must win
+        assert outputs.count(outputs[best_index]) > 1
+
     def test_resolution_validated(self):
         with pytest.raises(Exception):
             grid_search(BB, 1.0, P1, 1)
+
+
+def _reference_grid_search(family, mean, params, resolution):
+    """(points, outputs, index of the best point): the grid point by point."""
+    if isinstance(family, BangBang):
+        duties = np.linspace(0.0, 1.0, resolution + 2)[1:-1].tolist()
+        lows = np.linspace(0.0, mean, resolution).tolist()
+        points = [(p1, max(p1, (mean - (1.0 - duty) * p1) / duty), duty)
+                  for duty, p1 in itertools.product(duties, lows)]
+    else:
+        axis = np.linspace(0.0, family.n_segments * mean, resolution).tolist()
+        points = [project_to_mean(family, raw, mean)
+                  for raw in itertools.product(axis, repeat=family.n_segments)]
+    outputs = []
+    best_index, best_w, best_dist = None, -math.inf, math.inf
+    for i, point in enumerate(points):
+        if isinstance(family, BangBang):
+            p1, p2, duty = point
+            levels = [p2, p1]
+            durations = [duty * family.period, (1.0 - duty) * family.period]
+        else:
+            levels = list(point)
+            durations = [family.period / family.n_segments] * family.n_segments
+        w = output_for_levels(levels, durations, params.lam)
+        dist = math.sqrt(sum((c - mean) ** 2 for c in levels))
+        outputs.append(w)
+        if w > best_w or (w == best_w and dist < best_dist):
+            best_index, best_w, best_dist = i, w, dist
+    return points, outputs, best_index
 
 
 class TestCoordinateDescent:
@@ -245,3 +306,17 @@ class TestEvaluationLog:
         assert log.max_excess <= 1e-9
         # the mean constraint holds for every evaluation, not just optima
         assert all(abs(m - 1.0) <= 1e-10 for m in log.means)
+
+    @pytest.mark.parametrize("family, start", [
+        (BB, (0.0, 2.0, 0.5)),
+        (K4, (0.0, 4.0, 0.0, 0.0)),
+    ])
+    def test_every_field_parses_as_float(self, family, start):
+        log = EvaluationLog(family, 1.0, constant_benchmark(1.0, P1))
+        grid_search(family, 1.0, P1, 4, log=log)
+        coordinate_descent(family, 1.0, P1, start, log=log)
+        rows = list(csv.reader(io.StringIO(log.csv_string())))[1:]
+        assert len(rows) == len(log)
+        for row in rows:
+            for field in row:
+                float(field)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -13,6 +14,8 @@ from bottleneck_lab.periodic import (
     constant_benchmark,
     gap_report,
     moment_identities,
+    output_for_level_rows,
+    output_for_levels,
     period_states,
     periodic_solution,
     poincare_map,
@@ -138,6 +141,22 @@ class TestAveragedOutput:
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
         w = averaged_output(sig, P1)
         assert 0.0 < w < 0.5
+
+    def test_row_kernel_matches_scalar_kernel(self):
+        rng = np.random.default_rng(17)
+        for lam, k in itertools.product((1e-3, 1e-1, 1.0, 1e1, 1e3), range(1, 9)):
+            levels = rng.uniform(0.0, 5.0, (64, k)) * 10.0 ** rng.uniform(-3, 3, (64, 1))
+            levels[rng.random((64, k)) < 0.2] = 0.0
+            levels[0] = 0.0
+            durations = rng.uniform(0.01, 2.0, (64, k))
+            got = output_for_level_rows(levels, durations, lam)
+            want = [output_for_levels(c, h, lam)
+                    for c, h in zip(levels.tolist(), durations.tolist())]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            # a duration shared by every segment broadcasts
+            got = output_for_level_rows(levels, 0.5, lam)
+            want = [output_for_levels(c, [0.5] * k, lam) for c in levels.tolist()]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestConstantBenchmark:
