@@ -36,16 +36,13 @@ from .dynamics import (
     average_x,
     default_step,
     simulate,
-    step_exact,
     trajectory_to_csv,
 )
 from .periodic import (
     PeriodicReport,
     PoincareMap,
-    averaged_output,
     constant_benchmark,
     gap_report,
-    moment_identities,
     periodic_solution,
     poincare_map,
 )
@@ -79,9 +76,9 @@ __all__ = [
     "SystemParams", "evaluate", "evaluate_array", "is_periodic", "max_level",
     "mean_over_period", "period_of", "signal_from_dict", "signal_to_dict",
     "DomainError", "StepSizeError", "Trajectory", "average_x", "default_step",
-    "simulate", "step_exact", "trajectory_to_csv",
-    "PeriodicReport", "PoincareMap", "averaged_output", "constant_benchmark",
-    "gap_report", "moment_identities", "periodic_solution", "poincare_map",
+    "simulate", "trajectory_to_csv",
+    "PeriodicReport", "PoincareMap", "constant_benchmark",
+    "gap_report", "periodic_solution", "poincare_map",
     "BoundCheck", "FiniteTauCertificate", "IndependenceCheck",
     "RunningAverages", "finite_horizon_certificates", "longrun_bound_check",
     "running_averages", "solution_independence_check",

@@ -32,7 +32,6 @@ by a homogeneous solution, so their running averages differ by at most
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +70,36 @@ CERTIFICATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RunningAverages:
-    """Running means of inflow and occupancy at increasing horizons.
+    """One forward pass recorded at increasing horizons, with its running means.
 
-    taus           increasing horizon grid
-    mean_input     (1/tau) int_0^tau sigma per horizon
-    mean_state     (1/tau) int_0^tau x per horizon, each in [0, 1]
-    window_start   index where the tail-max estimation window begins
-    sigma_bar_est  tail-max estimate of the limsup mean inflow
-    w_est          lam times the tail-max estimate of the limsup mean state
+    taus              increasing horizon grid
+    x0                initial occupancy of the pass
+    states            x(tau) per horizon
+    cumulative_x      int_0^tau x per horizon
+    cumulative_input  int_0^tau sigma per horizon
+    window_start      index where the tail-max estimation window begins
+    sigma_bar_est     tail-max estimate of the limsup mean inflow
+    w_est             lam times the tail-max estimate of the limsup mean state
     """
 
     taus: np.ndarray
-    mean_input: np.ndarray
-    mean_state: np.ndarray
+    x0: float
+    states: np.ndarray
+    cumulative_x: np.ndarray
+    cumulative_input: np.ndarray
     window_start: int
     sigma_bar_est: float
     w_est: float
+
+    @property
+    def mean_input(self) -> np.ndarray:
+        """(1/tau) int_0^tau sigma per horizon."""
+        return self.cumulative_input / self.taus
+
+    @property
+    def mean_state(self) -> np.ndarray:
+        """(1/tau) int_0^tau x per horizon, each in [0, 1]."""
+        return self.cumulative_x / self.taus
 
 
 @dataclass(frozen=True)
@@ -168,6 +181,8 @@ def running_averages(
     Checkpoints default to n_checkpoints log-spaced horizons on
     [tau_max/1000, tau_max]. The limsup estimates are the maxima of the
     running means over the last half of the checkpoint list (tail-max).
+    The bound check and the certificates read the returned pass instead of
+    walking again.
     """
     if tau_max <= 0.0:
         raise dynamics.DomainError(f"tau_max must be positive, got {tau_max}")
@@ -179,16 +194,17 @@ def running_averages(
         checkpoints = np.asarray(checkpoints, dtype=float)
         if checkpoints.size < 2 or np.any(np.diff(checkpoints) <= 0.0) or checkpoints[0] <= 0.0:
             raise dynamics.DomainError("checkpoints must be positive and increasing")
-    _, cum_x, cum_s = _pass(signal, params, x0, checkpoints, grid)
-    mean_state = cum_x / checkpoints
-    mean_input = cum_s / checkpoints
+    x0 = dynamics._check_occupancy(x0)
+    states, cum_x, cum_s = _pass(signal, params, x0, checkpoints, grid)
     window_start = checkpoints.size // 2
-    sigma_bar_est = float(np.max(mean_input[window_start:]))
-    w_est = params.lam * float(np.max(mean_state[window_start:]))
+    sigma_bar_est = float(np.max((cum_s / checkpoints)[window_start:]))
+    w_est = params.lam * float(np.max((cum_x / checkpoints)[window_start:]))
     return RunningAverages(
         taus=checkpoints,
-        mean_input=mean_input,
-        mean_state=mean_state,
+        x0=x0,
+        states=states,
+        cumulative_x=cum_x,
+        cumulative_input=cum_s,
         window_start=window_start,
         sigma_bar_est=sigma_bar_est,
         w_est=w_est,
@@ -198,20 +214,17 @@ def running_averages(
 def longrun_bound_check(
     signal: InputSignal,
     params: SystemParams,
-    x0: float,
-    tau_max: float | None = None,
-    n_checkpoints: int = DEFAULT_CHECKPOINTS,
+    ra: RunningAverages,
     grid: QuadratureSpec | None = None,
 ) -> BoundCheck:
-    """Estimate w and compare with the benchmark at the estimated mean inflow.
+    """Compare the estimated w of `ra` with the benchmark at its estimated mean inflow.
 
     A violation is flagged only when the margin is more negative than the
-    combined estimator slack (quadrature bound plus 2/(lam tau_max)), so
-    finite-horizon transients do not raise false alarms.
+    combined estimator slack (quadrature bound plus 2/(lam tau_max), with
+    tau_max the last horizon of `ra`), so finite-horizon transients do not
+    raise false alarms. `grid` must be the one `ra` was computed with.
     """
-    if tau_max is None:
-        tau_max = default_tau_max(signal, params)
-    ra = running_averages(signal, params, x0, tau_max, n_checkpoints, grid=grid)
+    tau_max = float(ra.taus[-1])
     step = (grid or QuadratureSpec()).resolve(dynamics.default_step(signal, params))
     slack = quadrature_slack(signal, params, step) + 2.0 / (params.lam * tau_max)
     bound = constant_benchmark(ra.sigma_bar_est, params)
@@ -229,35 +242,29 @@ def longrun_bound_check(
 def finite_horizon_certificates(
     signal: InputSignal,
     params: SystemParams,
-    x0: float,
-    taus,
+    ra: RunningAverages,
     sigma_bar: float | None = None,
-    grid: QuadratureSpec | None = None,
 ) -> list[FiniteTauCertificate]:
-    """Evaluate the pre-limit inequality at each horizon in `taus`.
+    """Evaluate the pre-limit inequality at each horizon of `ra`.
 
     The reference x_star is built from `sigma_bar` when given, from the
     exact period mean for periodic signals, or from the final running mean
     otherwise; the inequality holds for any choice, so this only affects
     how tight the certificates are.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.size == 0 or np.any(np.diff(taus) <= 0.0) or taus[0] <= 0.0:
-        raise dynamics.DomainError("taus must be positive and increasing")
     lam = params.lam
-    x0 = dynamics._check_occupancy(x0)
-    states, cum_x, cum_s = _pass(signal, params, x0, taus, grid)
+    x0 = ra.x0
     if sigma_bar is None:
         if is_periodic(signal):
             sigma_bar = mean_over_period(signal)
         else:
-            sigma_bar = float(cum_s[-1] / taus[-1])
+            sigma_bar = float(ra.cumulative_input[-1] / ra.taus[-1])
     x_star = sigma_bar / (lam + sigma_bar) if sigma_bar > 0.0 else 0.0
 
     certs = []
     one_minus_sq = (1.0 - x_star) ** 2
-    for tau, x_tau, ix, isig in zip(taus.tolist(), states.tolist(),
-                                    cum_x.tolist(), cum_s.tolist()):
+    for tau, x_tau, ix, isig in zip(ra.taus.tolist(), ra.states.tolist(),
+                                    ra.cumulative_x.tolist(), ra.cumulative_input.tolist()):
         lhs = lam * ix / tau
         correction = ((2.0 * x_star - 1.0) * (x_tau - x0)
                       - 0.5 * (x_tau * x_tau - x0 * x0)) / tau
@@ -292,7 +299,7 @@ def solution_independence_check(
 def averages_to_csv(
     ra: RunningAverages,
     certificates: list[FiniteTauCertificate] | None,
-    path_or_file,
+    fh,
 ) -> None:
     """Combined table: tau, mean_input, mean_state, lhs, rhs, slack.
 
@@ -302,23 +309,12 @@ def averages_to_csv(
     by_tau = {}
     if certificates:
         by_tau = {c.tau: c for c in certificates}
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
-    try:
-        fh.write("tau,mean_input,mean_state,lhs,rhs,slack\n")
-        for tau, mi, ms in zip(ra.taus.tolist(), ra.mean_input.tolist(),
-                               ra.mean_state.tolist()):
-            cert = by_tau.get(tau)
-            if cert is None:
-                fh.write(f"{tau!r},{mi!r},{ms!r},,,\n")
-            else:
-                fh.write(f"{tau!r},{mi!r},{ms!r},{cert.lhs!r},{cert.rhs!r},{cert.slack!r}\n")
-    finally:
-        if own:
-            fh.close()
+    fh.write("tau,mean_input,mean_state,lhs,rhs,slack\n")
+    for tau, mi, ms in zip(ra.taus.tolist(), ra.mean_input.tolist(),
+                           ra.mean_state.tolist()):
+        cert = by_tau.get(tau)
+        if cert is None:
+            fh.write(f"{tau!r},{mi!r},{ms!r},,,\n")
+        else:
+            fh.write(f"{tau!r},{mi!r},{ms!r},{cert.lhs!r},{cert.rhs!r},{cert.slack!r}\n")
 
-
-def averages_csv_string(ra, certificates=None) -> str:
-    buf = io.StringIO()
-    averages_to_csv(ra, certificates, buf)
-    return buf.getvalue()

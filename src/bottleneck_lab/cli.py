@@ -15,7 +15,9 @@ formatted with round-trip repr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -92,28 +94,39 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _positive_float(value, name: str) -> float:
+def _number(kind, value, name: str):
+    """`kind(value)` for a numeric config value; anything else is a ConfigError."""
     try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if value <= 0.0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
+def _positive_float(value, name: str) -> float:
+    value = _number(float, value, name)
+    if not (0.0 < value < math.inf):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
     return value
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _step(cfg: dict) -> QuadratureSpec | None:
+    step = cfg.get("step")
+    return None if step is None else QuadratureSpec(step=_positive_float(step, "step"))
+
+
+@contextlib.contextmanager
+def _open_output(path: str | None):
+    """The text stream for an `out` or `log` key: stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
-def _json_dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _write_json(path: str | None, data) -> None:
+    with _open_output(path) as fh:
+        fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +137,10 @@ def _cmd_simulate(cfg: dict) -> int:
     signal = _load_signal(_require(cfg, "signal", "simulate"), "simulate")
     params = SystemParams(lam=_positive_float(_require(cfg, "lambda", "simulate"), "lambda"))
     horizon = _positive_float(_require(cfg, "horizon", "simulate"), "horizon")
-    x0 = float(cfg.get("x0", 0.0))
-    step = cfg.get("step")
-    grid = QuadratureSpec(step=float(step)) if step is not None else None
-    traj = dynamics.simulate(signal, params, x0, horizon, grid)
-    _write_text(cfg.get("out"), dynamics.trajectory_csv_string(traj, signal))
+    x0 = _number(float, cfg.get("x0", 0.0), "x0")
+    traj = dynamics.simulate(signal, params, x0, horizon, _step(cfg))
+    with _open_output(cfg.get("out")) as fh:
+        dynamics.trajectory_to_csv(traj, signal, fh)
     print(f"simulated to t={horizon!r}: final x = {traj.final_state!r}", file=sys.stderr)
     return EXIT_OK
 
@@ -136,24 +148,24 @@ def _cmd_simulate(cfg: dict) -> int:
 def _cmd_periodic(cfg: dict) -> int:
     signal = _load_signal(_require(cfg, "signal", "periodic"), "periodic")
     params = SystemParams(lam=_positive_float(_require(cfg, "lambda", "periodic"), "lambda"))
-    step = cfg.get("step")
-    grid = QuadratureSpec(step=float(step)) if step is not None else None
-    report = periodic.gap_report(signal, params, grid)
+    grid = _step(cfg)
     fmt = cfg.get("format", "json")
-    if fmt == "json":
-        text = _json_dumps(periodic.report_to_json_dict(signal, params, report, step))
-    elif fmt == "csv":
-        text = periodic.reports_csv_string([(signal, params, report)])
-    else:
+    if fmt not in ("json", "csv"):
         raise ConfigError(f"periodic: unknown format {fmt!r} (expected json or csv)")
-    _write_text(cfg.get("out"), text)
+    report = periodic.gap_report(signal, params, grid)
+    if fmt == "json":
+        _write_json(cfg.get("out"), periodic.report_to_json_dict(
+            signal, params, report, cfg.get("step")))
+    else:
+        with _open_output(cfg.get("out")) as fh:
+            periodic.reports_to_csv([(signal, params, report)], fh)
     return EXIT_OK
 
 
 def _cmd_verify(cfg: dict) -> int:
-    seed = int(cfg.get("seed", 0))
-    n_signals = int(cfg.get("n_signals", 500))
-    n_asymptotic = int(cfg.get("n_asymptotic", 100))
+    seed = _number(int, cfg.get("seed", 0), "seed")
+    n_signals = _number(int, cfg.get("n_signals", 500), "n_signals")
+    n_asymptotic = _number(int, cfg.get("n_asymptotic", 100), "n_asymptotic")
     tolerances = suites.SuiteTolerances()
     if cfg.get("tolerance") is not None:
         tolerances = suites.SuiteTolerances(
@@ -178,7 +190,7 @@ def _cmd_verify(cfg: dict) -> int:
         n_asymptotic=n_asymptotic,
         cases=cases,
     )
-    _write_text(cfg.get("out"), _json_dumps(report.to_json_dict()))
+    _write_json(cfg.get("out"), report.to_json_dict())
     if not report.passed:
         print(
             f"verify: {len(report.failures)} case(s) out of tolerance "
@@ -192,15 +204,17 @@ def _cmd_verify(cfg: dict) -> int:
 def _cmd_asymptotic(cfg: dict) -> int:
     signal = _load_signal(_require(cfg, "signal", "asymptotic"), "asymptotic")
     params = SystemParams(lam=_positive_float(_require(cfg, "lambda", "asymptotic"), "lambda"))
-    x0 = float(cfg.get("x0", 0.0))
+    x0 = _number(float, cfg.get("x0", 0.0), "x0")
     tau_max = cfg.get("tau_max")
     tau_max = (asymptotic.default_tau_max(signal, params) if tau_max is None
                else _positive_float(tau_max, "tau_max"))
-    n_checkpoints = int(cfg.get("n_checkpoints", asymptotic.DEFAULT_CHECKPOINTS))
+    n_checkpoints = _number(int, cfg.get("n_checkpoints", asymptotic.DEFAULT_CHECKPOINTS),
+                            "n_checkpoints")
     ra = asymptotic.running_averages(signal, params, x0, tau_max, n_checkpoints)
-    certs = asymptotic.finite_horizon_certificates(signal, params, x0, ra.taus)
-    check = asymptotic.longrun_bound_check(signal, params, x0, tau_max, n_checkpoints)
-    _write_text(cfg.get("out"), asymptotic.averages_csv_string(ra, certs))
+    certs = asymptotic.finite_horizon_certificates(signal, params, ra)
+    check = asymptotic.longrun_bound_check(signal, params, ra)
+    with _open_output(cfg.get("out")) as fh:
+        asymptotic.averages_to_csv(ra, certs, fh)
     print(
         f"sigma_bar_est = {check.sigma_bar_est!r}, w_est = {check.w_est!r}, "
         f"bound = {check.bound!r}, margin = {check.margin!r} (slack {check.slack!r})",
@@ -228,7 +242,7 @@ def _family_from_dict(data, where: str):
             raise ConfigError(f"{where}: unknown family key(s): {sorted(unknown)}")
         return optimize.PiecewiseConstantFree(
             period=_positive_float(data.get("period", 1.0), "period"),
-            n_segments=int(data.get("n_segments", 4)),
+            n_segments=_number(int, data.get("n_segments", 4), "n_segments"),
         )
     raise ConfigError(f"{where}: unknown family kind {kind!r} "
                       "(expected bang_bang or piecewise_free)")
@@ -246,14 +260,13 @@ def _random_start(family, mean: float, rng: np.random.Generator):
 def _cmd_optimize(cfg: dict) -> int:
     family = _family_from_dict(_require(cfg, "family", "optimize"), "optimize")
     params = SystemParams(lam=_positive_float(_require(cfg, "lambda", "optimize"), "lambda"))
-    mean = _require(cfg, "mean", "optimize")
-    mean = float(mean)
-    if mean < 0.0:
-        raise ConfigError(f"optimize: mean must be non-negative, got {mean}")
-    resolution = int(cfg.get("resolution", 9))
-    n_starts = int(cfg.get("n_starts", 5))
-    seed = int(cfg.get("seed", 0))
-    max_evals = int(cfg.get("max_evals", optimize.DEFAULT_MAX_EVALS))
+    mean = _number(float, _require(cfg, "mean", "optimize"), "mean")
+    if not (0.0 <= mean < math.inf):
+        raise ConfigError(f"optimize: mean must be non-negative and finite, got {mean}")
+    resolution = _number(int, cfg.get("resolution", 9), "resolution")
+    n_starts = _number(int, cfg.get("n_starts", 5), "n_starts")
+    seed = _number(int, cfg.get("seed", 0), "seed")
+    max_evals = _number(int, cfg.get("max_evals", optimize.DEFAULT_MAX_EVALS), "max_evals")
     rng = np.random.default_rng(seed)
 
     benchmark = periodic.constant_benchmark(mean, params)
@@ -279,9 +292,10 @@ def _cmd_optimize(cfg: dict) -> int:
         "evaluations_total": len(log),
         "max_excess_over_benchmark": log.max_excess,
     }
-    _write_text(cfg.get("out"), _json_dumps(payload))
+    _write_json(cfg.get("out"), payload)
     if cfg.get("log") is not None:
-        log.to_csv(cfg["log"])
+        with _open_output(cfg["log"]) as fh:
+            log.to_csv(fh)
     if log.max_excess > BENCHMARK_EXCESS_TOL:
         print(
             f"optimize: an evaluation beat the constant benchmark by "

@@ -1,11 +1,11 @@
 """Forward solution of x'(t) = sigma(t) (1 - x(t)) - lam x(t).
 
-Two integration paths, chosen by waveform kind:
+Two integration paths, one per waveform kind:
 
-* Piecewise-constant inflow (Constant / PiecewiseConstant / Sampled) is
-  propagated exactly. On a segment with level c the equation is linear
-  with constant coefficients, attractor x_inf = c / (lam + c) and rate
-  r = lam + c, so
+* Piecewise-constant inflow (`PiecewiseConstant`, which is also what
+  `Constant` and `Sampled` return) is propagated exactly. On a segment
+  with level c the equation is linear with constant coefficients,
+  attractor x_inf = c / (lam + c) and rate r = lam + c, so
 
       x(t0 + h) = x_inf + (x(t0) - x_inf) e^{-r h},
       int_{t0}^{t0+h} x = x_inf h + (x(t0) - x_inf) (1 - e^{-r h}) / r.
@@ -29,7 +29,6 @@ over.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -37,13 +36,10 @@ import numpy as np
 
 from .signals import (
     ClippedSinusoidSum,
-    Constant,
     InputSignal,
     PiecewiseConstant,
     QuadratureSpec,
-    Sampled,
     SystemParams,
-    evaluate,
     evaluate_array,
     max_level,
     period_of,
@@ -53,7 +49,6 @@ __all__ = [
     "DomainError",
     "StepSizeError",
     "Trajectory",
-    "step_exact",
     "simulate",
     "average_x",
     "default_step",
@@ -113,31 +108,6 @@ def _check_occupancy(x0: float) -> float:
     return x0
 
 
-def step_exact(x0: float, level: float, h: float, params: SystemParams) -> tuple[float, float]:
-    """Advance one constant-inflow segment exactly.
-
-    Returns (x(t0+h), int_{t0}^{t0+h} x). `level` is the inflow on the
-    segment, `h` its duration. Exact up to rounding; the result is clamped
-    into [0, 1] only to absorb sub-ulp drift of the closed form.
-    """
-    x0 = _check_occupancy(x0)
-    if h <= 0.0:
-        raise DomainError(f"segment duration must be positive, got {h}")
-    if level < 0.0:
-        raise DomainError(f"inflow level must be non-negative, got {level}")
-    r = params.lam + level
-    x_inf = level / r
-    g = -math.expm1(-r * h)  # 1 - e^{-r h}, accurate for small r h
-    delta = x0 - x_inf
-    x1 = x_inf + delta * (1.0 - g)
-    integral = x_inf * h + delta * g / r
-    if x1 < 0.0:
-        x1 = 0.0
-    elif x1 > 1.0:
-        x1 = 1.0
-    return x1, integral
-
-
 def default_step(signal: InputSignal, params: SystemParams) -> float:
     """Fixed step for the numeric path, resolving the fastest time constant.
 
@@ -155,18 +125,8 @@ def default_step(signal: InputSignal, params: SystemParams) -> float:
 # Exact path: event walk over constant segments
 # ---------------------------------------------------------------------------
 
-def _as_piecewise(signal: InputSignal) -> PiecewiseConstant:
-    if isinstance(signal, Constant):
-        return PiecewiseConstant((0.0, signal.period), (signal.level,), periodic=True)
-    if isinstance(signal, Sampled):
-        return signal.as_piecewise()
-    if isinstance(signal, PiecewiseConstant):
-        return signal
-    raise TypeError(f"not a piecewise-constant signal: {signal!r}")
-
-
 def exact_pass(
-    signal: InputSignal,
+    signal: PiecewiseConstant,
     params: SystemParams,
     x0: float,
     record_times: np.ndarray,
@@ -178,17 +138,16 @@ def exact_pass(
     splits at every segment boundary and every record time, so all three
     outputs are closed-form exact.
     """
-    pw = _as_piecewise(signal)
     record_times = np.asarray(record_times, dtype=float)
     if record_times.size and record_times[0] < 0.0:
         raise DomainError("record times must be non-negative")
     x = _check_occupancy(x0)
     lam = params.lam
 
-    bps = pw.breakpoints
-    lvls = pw.levels
+    bps = signal.breakpoints
+    lvls = signal.levels
     n_seg = len(lvls)
-    period = pw.duration
+    period = signal.duration
 
     out_x = np.empty(record_times.size)
     out_ix = np.empty(record_times.size)
@@ -207,7 +166,7 @@ def exact_pass(
         k += 1
 
     while k < n_rec:
-        if pw.periodic:
+        if signal.periodic:
             boundary = cycle * period + bps[seg + 1]
         elif seg < n_seg - 1:
             boundary = bps[seg + 1]
@@ -233,7 +192,7 @@ def exact_pass(
         if boundary <= target:
             seg += 1
             if seg == n_seg:
-                if pw.periodic:
+                if signal.periodic:
                     seg = 0
                     cycle += 1
                 else:
@@ -402,9 +361,8 @@ def simulate(
         )
         return Trajectory(times, states, cumulative)
 
-    pw = _as_piecewise(signal)
     record_step = grid.resolve(horizon / _RECORD_POINTS)
-    times = _merge_record_grid(pw, horizon, record_step)
+    times = _merge_record_grid(signal, horizon, record_step)
     states, cum_x, _ = exact_pass(signal, params, x0, times)
     return Trajectory(times, states, cum_x)
 
@@ -438,26 +396,10 @@ def average_x(traj: Trajectory, t_from: float, t_to: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def trajectory_to_csv(
-    traj: Trajectory,
-    signal: InputSignal,
-    path_or_file,
-) -> None:
+def trajectory_to_csv(traj: Trajectory, signal: InputSignal, fh) -> None:
     """Write t, x, sigma, cumulative_x rows with full double round-trip formatting."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
-    try:
-        fh.write("t,x,sigma,cumulative_x\n")
-        for t, x, c in zip(traj.times.tolist(), traj.states.tolist(),
-                           traj.cumulative_x.tolist()):
-            s = evaluate(signal, t)
-            fh.write(f"{t!r},{x!r},{s!r},{c!r}\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def trajectory_csv_string(traj: Trajectory, signal: InputSignal) -> str:
-    buf = io.StringIO()
-    trajectory_to_csv(traj, signal, buf)
-    return buf.getvalue()
+    fh.write("t,x,sigma,cumulative_x\n")
+    sigma = evaluate_array(signal, traj.times).tolist()
+    for t, x, s, c in zip(traj.times.tolist(), traj.states.tolist(), sigma,
+                          traj.cumulative_x.tolist()):
+        fh.write(f"{t!r},{x!r},{s!r},{c!r}\n")

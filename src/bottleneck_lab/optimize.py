@@ -24,7 +24,6 @@ coordinate descent is sequential and stays on the scalar kernel.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -252,28 +251,13 @@ class EvaluationLog:
         """Largest amount by which any evaluation beat the benchmark."""
         return self.max_output - self.benchmark
 
-    def to_csv(self, path_or_file) -> None:
-        names = self.family.coordinate_names
-        own = (isinstance(path_or_file, (str, bytes))
-               or hasattr(path_or_file, "__fspath__"))
-        fh = (open(path_or_file, "w", encoding="utf-8", newline="")
-              if own else path_or_file)
-        try:
-            fh.write(",".join(names) + ",mean,w,benchmark,gap\n")
-            for point, mean, w in zip(self.points, self.means, self.outputs):
-                coords = ",".join(map(repr, point))
-                fh.write(
-                    f"{coords},{mean!r},{w!r},{self.benchmark!r},"
-                    f"{self.benchmark - w!r}\n"
-                )
-        finally:
-            if own:
-                fh.close()
-
-    def csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+    def to_csv(self, fh) -> None:
+        """Stream one row per evaluation to the open text file `fh`."""
+        fh.write(",".join(self.family.coordinate_names) + ",mean,w,benchmark,gap\n")
+        benchmark = repr(self.benchmark)
+        for point, mean, w in zip(self.points, self.means, self.outputs):
+            coords = ",".join(map(repr, point))
+            fh.write(f"{coords},{mean!r},{w!r},{benchmark},{self.benchmark - w!r}\n")
 
 
 @dataclass(frozen=True)

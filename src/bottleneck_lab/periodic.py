@@ -29,7 +29,6 @@ looser (about 1e-5 at default grids).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -39,6 +38,7 @@ from . import dynamics
 from .signals import (
     ClippedSinusoidSum,
     InputSignal,
+    PiecewiseConstant,
     QuadratureSpec,
     SignalError,
     SystemParams,
@@ -53,10 +53,8 @@ __all__ = [
     "PeriodicReport",
     "poincare_map",
     "periodic_solution",
-    "averaged_output",
     "constant_benchmark",
     "gap_report",
-    "moment_identities",
     "period_states",
     "output_for_levels",
     "output_for_level_rows",
@@ -98,11 +96,6 @@ class PoincareMap:
     def fixed_point(self) -> float:
         return self.b / (1.0 - self.a)
 
-    def apply(self, x: float, n: int = 1) -> float:
-        for _ in range(n):
-            x = self.a * x + self.b
-        return x
-
 
 @dataclass(frozen=True)
 class PeriodicReport:
@@ -128,12 +121,10 @@ class PeriodicReport:
     residual_m2: float
 
 
-def segment_profile(signal: InputSignal, params: SystemParams) -> tuple[list[float], list[float]]:
+def segment_profile(signal: PiecewiseConstant, params: SystemParams) -> tuple[list[float], list[float]]:
     """(levels, durations) covering exactly one period of a piecewise signal."""
-    pw = dynamics._as_piecewise(signal)
-    if not pw.periodic:
-        require_period(signal)  # raises with the standard message
-    return list(pw.levels), list(pw.durations)
+    require_period(signal)
+    return list(signal.levels), list(signal.durations)
 
 
 def _is_smooth(signal: InputSignal) -> bool:
@@ -188,20 +179,6 @@ def periodic_solution(
     period = require_period(signal)
     x_p0 = poincare_map(signal, params, grid).fixed_point
     return dynamics.simulate(signal, params, x_p0, period, grid)
-
-
-def averaged_output(
-    signal: InputSignal,
-    params: SystemParams,
-    grid: QuadratureSpec | None = None,
-) -> float:
-    """Time-averaged output lam * (1/T) int_0^T x_p of the periodic regime."""
-    period = require_period(signal)
-    if _is_smooth(signal):
-        traj = periodic_solution(signal, params, grid)
-        return params.lam * float(traj.cumulative_x[-1]) / period
-    levels, durations = segment_profile(signal, params)
-    return output_for_levels(levels, durations, params.lam)
 
 
 def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
@@ -375,16 +352,6 @@ def gap_report(
     return _closed_form_report(levels, durations, params.lam)
 
 
-def moment_identities(
-    signal: InputSignal,
-    params: SystemParams,
-    grid: QuadratureSpec | None = None,
-) -> tuple[float, float]:
-    """Residuals of the two weighted-moment identities of the periodic regime."""
-    report = gap_report(signal, params, grid)
-    return report.residual_m1, report.residual_m2
-
-
 def period_states(
     signal: InputSignal,
     params: SystemParams,
@@ -419,22 +386,16 @@ REPORT_CSV_HEADER = (
 )
 
 
-def reports_to_csv(rows, path_or_file) -> None:
+def reports_to_csv(rows, fh) -> None:
     """Write one CSV row per (signal, params, report) experiment."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
-    try:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        for signal, params, report in rows:
-            period = require_period(signal)
-            fh.write(
-                f"{params.lam!r},{period!r},{report.sigma_bar!r},{report.x_star!r},"
-                f"{report.w_sigma!r},{report.w_const!r},{report.gap!r},"
-                f"{report.residual_gap!r},{report.residual_m1!r},{report.residual_m2!r}\n"
-            )
-    finally:
-        if own:
-            fh.close()
+    fh.write(REPORT_CSV_HEADER + "\n")
+    for signal, params, report in rows:
+        period = require_period(signal)
+        fh.write(
+            f"{params.lam!r},{period!r},{report.sigma_bar!r},{report.x_star!r},"
+            f"{report.w_sigma!r},{report.w_const!r},{report.gap!r},"
+            f"{report.residual_gap!r},{report.residual_m1!r},{report.residual_m2!r}\n"
+        )
 
 
 def report_to_json_dict(
@@ -461,8 +422,3 @@ def report_to_json_dict(
         },
     }
 
-
-def reports_csv_string(rows) -> str:
-    buf = io.StringIO()
-    reports_to_csv(rows, buf)
-    return buf.getvalue()

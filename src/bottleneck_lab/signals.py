@@ -6,24 +6,29 @@ and drained proportionally to the occupancy:
 
     x'(t) = sigma(t) * (1 - x(t)) - lam * x(t),   lam > 0.
 
-This module owns the inflow side: four closed waveform representations,
-point evaluation, periodicity detection, and period averages (exact for
-piecewise-constant waveforms, composite trapezoid otherwise). Waveforms
-are immutable and fully validated at construction, so evaluation and the
-downstream integrators never re-check anything.
+This module owns the inflow side. There are two waveform kinds:
+`PiecewiseConstant`, which the downstream code propagates in closed form,
+and `ClippedSinusoidSum`, which it integrates numerically. `Constant` and
+`Sampled` are not kinds of their own: they build a `PiecewiseConstant`
+(one segment of nominal length `period`; one segment per sample on the
+breakpoints i * step). The module also provides point evaluation,
+periodicity detection and period averages (exact for piecewise-constant
+waveforms, composite trapezoid otherwise). Waveforms are immutable and
+fully validated at construction, so evaluation and the downstream
+integrators never re-check anything.
 
 Serialization: `signal_to_dict` / `signal_from_dict` define the on-disk
 schema consumed by the command line tools (a "kind" discriminator plus
-numeric fields; unknown keys are rejected).
+numeric fields; unknown keys are rejected). The schema keeps the
+`constant` and `sampled` kinds as input aliases; `signal_to_dict` writes
+them back as `piecewise_constant`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -69,7 +74,10 @@ class NonPeriodicSignalError(SignalError):
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise SignalError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise SignalError(f"{name} must be finite, got {value!r}")
     return value
@@ -103,28 +111,6 @@ class QuadratureSpec:
 
     def resolve(self, default: float) -> float:
         return default if self.step is None else self.step
-
-
-@dataclass(frozen=True)
-class Constant:
-    """Constant inflow at `level`.
-
-    A constant is periodic with any period; `period` fixes the nominal one
-    used by period-based analyses (Poincare maps, period averages).
-    """
-
-    level: float
-    period: float = 1.0
-
-    def __post_init__(self) -> None:
-        level = _require_finite("level", self.level)
-        period = _require_finite("period", self.period)
-        if level < 0.0:
-            raise SignalError(f"level must be non-negative, got {level}")
-        if period <= 0.0:
-            raise SignalError(f"period must be positive, got {period}")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "period", period)
 
 
 @dataclass(frozen=True)
@@ -216,39 +202,30 @@ class ClippedSinusoidSum:
         return 2.0 * math.pi * common / base
 
 
-@dataclass(frozen=True)
-class Sampled:
-    """Uniformly sampled inflow, held piecewise-constant-left per sample.
+def Constant(level: float, period: float = 1.0) -> PiecewiseConstant:
+    """Constant inflow at `level`, as one periodic segment of length `period`.
 
-    `values[i]` holds on [i*step, (i+1)*step); with `periodic` the pattern
-    repeats every len(values)*step. Equivalent to a PiecewiseConstant on a
-    uniform grid (see `as_piecewise`).
+    A constant is periodic with any period; `period` fixes the nominal one
+    used by period-based analyses (Poincare maps, period averages).
     """
-
-    step: float
-    values: tuple[float, ...]
-    periodic: bool = True
-
-    def __post_init__(self) -> None:
-        step = _require_finite("step", self.step)
-        if step <= 0.0:
-            raise SignalError(f"step must be positive, got {step}")
-        if len(self.values) == 0:
-            raise SignalError("need at least one sample")
-        vals = tuple(_require_finite("value", v) for v in self.values)
-        if any(v < 0.0 for v in vals):
-            raise SignalError("sample values must be non-negative")
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "periodic", bool(self.periodic))
-
-    def as_piecewise(self) -> PiecewiseConstant:
-        n = len(self.values)
-        breakpoints = tuple(i * self.step for i in range(n + 1))
-        return PiecewiseConstant(breakpoints, self.values, periodic=self.periodic)
+    return PiecewiseConstant((0.0, period), (level,), periodic=True)
 
 
-InputSignal = Union[Constant, PiecewiseConstant, ClippedSinusoidSum, Sampled]
+def Sampled(step: float, values, periodic: bool = True) -> PiecewiseConstant:
+    """Uniformly sampled inflow: `values[i]` holds on [i*step, (i+1)*step).
+
+    With `periodic` the pattern repeats every len(values)*step; otherwise
+    the last sample is held.
+    """
+    step = _require_finite("step", step)
+    if step <= 0.0:
+        raise SignalError(f"step must be positive, got {step}")
+    values = tuple(values)
+    breakpoints = tuple(i * step for i in range(len(values) + 1))
+    return PiecewiseConstant(breakpoints, values, periodic=periodic)
+
+
+InputSignal = PiecewiseConstant | ClippedSinusoidSum
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +234,9 @@ InputSignal = Union[Constant, PiecewiseConstant, ClippedSinusoidSum, Sampled]
 
 def period_of(signal: InputSignal) -> float | None:
     """Period of the signal, or None for aperiodic signals."""
-    if isinstance(signal, Constant):
-        return signal.period
     if isinstance(signal, PiecewiseConstant):
         return signal.duration if signal.periodic else None
-    if isinstance(signal, ClippedSinusoidSum):
-        return signal.period
-    if isinstance(signal, Sampled):
-        return len(signal.values) * signal.step if signal.periodic else None
-    raise TypeError(f"not an input signal: {signal!r}")
+    return signal.period
 
 
 def is_periodic(signal: InputSignal) -> bool:
@@ -284,15 +255,9 @@ def require_period(signal: InputSignal) -> float:
 
 def max_level(signal: InputSignal) -> float:
     """Upper bound on sigma(t); tight except for clipped sinusoid sums."""
-    if isinstance(signal, Constant):
-        return signal.level
     if isinstance(signal, PiecewiseConstant):
         return max(signal.levels)
-    if isinstance(signal, ClippedSinusoidSum):
-        return signal.mean + sum(abs(a) for a, _, _ in signal.terms)
-    if isinstance(signal, Sampled):
-        return max(signal.values)
-    raise TypeError(f"not an input signal: {signal!r}")
+    return signal.mean + sum(abs(a) for a, _, _ in signal.terms)
 
 
 def max_slope(signal: InputSignal) -> float:
@@ -302,59 +267,55 @@ def max_slope(signal: InputSignal) -> float:
     return 0.0
 
 
-def _piecewise_value(breakpoints: tuple[float, ...], levels: tuple[float, ...],
-                     periodic: bool, t: float) -> float:
-    end = breakpoints[-1]
-    if periodic:
-        t = math.fmod(t, end)
-    elif t >= end:
-        return levels[-1]
-    idx = bisect_right(breakpoints, t) - 1
-    if idx < 0:
-        idx = 0
-    elif idx >= len(levels):
-        idx = len(levels) - 1
-    return levels[idx]
+def _segment_index(signal: PiecewiseConstant, ts: np.ndarray) -> np.ndarray:
+    """Index of the segment that `dynamics.exact_pass` integrates at each time.
+
+    Segments are left-closed. The walk puts the boundaries of cycle c at
+    c*T + t_i (i = 1..k), so cycle c + 1 starts at c*T + t_k, which can
+    differ from (c + 1)*T in the last bit; reducing t modulo T misplaces
+    such times. Here each time is compared with the walk's own boundary
+    sums, starting from the cycle floor(t / T) and moving one cycle at a
+    time until the time lies inside it.
+    """
+    bps = np.asarray(signal.breakpoints)
+    if not signal.periodic:
+        return np.searchsorted(bps[1:-1], ts, side="right")
+    if not np.all(np.isfinite(ts)):
+        raise SignalError("evaluation times must be finite")
+    period = bps[-1]
+    k = bps.size - 1
+    cycle = np.floor(ts / period)
+    while True:
+        # Boundaries of the cycle at or below t, by bisection: the sums
+        # c*T + t_i do not decrease with i.
+        lo = np.zeros(ts.shape, dtype=np.intp)
+        hi = np.full(ts.shape, k)
+        for _ in range(k.bit_length()):
+            mid = (lo + hi) // 2
+            below = (lo < hi) & (cycle * period + bps[np.minimum(mid, k - 1) + 1] <= ts)
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        late = lo == k
+        early = (lo == 0) & (cycle > 0) & ((cycle - 1) * period + period > ts)
+        if not (late.any() or early.any()):
+            return lo
+        cycle = cycle + late - early
 
 
 def evaluate(signal: InputSignal, t: float) -> float:
     """Inflow rate sigma(t) at a single time t >= 0."""
-    if isinstance(signal, Constant):
-        return signal.level
-    if isinstance(signal, PiecewiseConstant):
-        return _piecewise_value(signal.breakpoints, signal.levels, signal.periodic, t)
-    if isinstance(signal, ClippedSinusoidSum):
-        s = signal.mean
-        for amp, omega, phase in signal.terms:
-            s += amp * math.sin(omega * t + phase)
-        return s if s > 0.0 else 0.0
-    if isinstance(signal, Sampled):
-        n = len(signal.values)
-        breakpoints = tuple(i * signal.step for i in range(n + 1))
-        return _piecewise_value(breakpoints, signal.values, signal.periodic, t)
-    raise TypeError(f"not an input signal: {signal!r}")
+    return float(evaluate_array(signal, t))
 
 
 def evaluate_array(signal: InputSignal, ts: np.ndarray) -> np.ndarray:
     """Vectorized sigma(t) over an array of times."""
     ts = np.asarray(ts, dtype=float)
-    if isinstance(signal, Constant):
-        return np.full_like(ts, signal.level)
-    if isinstance(signal, ClippedSinusoidSum):
-        s = np.full_like(ts, signal.mean)
-        for amp, omega, phase in signal.terms:
-            s += amp * np.sin(omega * ts + phase)
-        return np.maximum(s, 0.0)
-    if isinstance(signal, Sampled):
-        signal = signal.as_piecewise()
     if isinstance(signal, PiecewiseConstant):
-        bps = np.asarray(signal.breakpoints)
-        lvls = np.asarray(signal.levels)
-        tm = np.fmod(ts, signal.duration) if signal.periodic else ts
-        idx = np.searchsorted(bps, tm, side="right") - 1
-        idx = np.clip(idx, 0, len(lvls) - 1)
-        return lvls[idx]
-    raise TypeError(f"not an input signal: {signal!r}")
+        return np.asarray(signal.levels)[_segment_index(signal, ts)]
+    s = np.full_like(ts, signal.mean)
+    for amp, omega, phase in signal.terms:
+        s += amp * np.sin(omega * ts + phase)
+    return np.maximum(s, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +325,11 @@ def evaluate_array(signal: InputSignal, ts: np.ndarray) -> np.ndarray:
 def mean_over_period(signal: InputSignal, quad: QuadratureSpec | None = None) -> float:
     """Average inflow over one period.
 
-    Exact (no quadrature) for constant and piecewise-constant waveforms;
-    composite trapezoid for clipped sinusoid sums, which are never
-    integrated symbolically because the clip boundary is error-prone.
+    Exact (no quadrature) for piecewise-constant waveforms; composite
+    trapezoid for clipped sinusoid sums, which are never integrated
+    symbolically because the clip boundary is error-prone.
     """
     period = require_period(signal)
-    if isinstance(signal, Constant):
-        return signal.level
-    if isinstance(signal, Sampled):
-        signal = signal.as_piecewise()
     if isinstance(signal, PiecewiseConstant):
         total = 0.0
         for level, dt in zip(signal.levels, signal.durations):
@@ -391,8 +348,6 @@ def mean_over_period(signal: InputSignal, quad: QuadratureSpec | None = None) ->
 # ---------------------------------------------------------------------------
 
 def signal_to_dict(signal: InputSignal) -> dict:
-    if isinstance(signal, Constant):
-        return {"kind": "constant", "level": signal.level, "period": signal.period}
     if isinstance(signal, PiecewiseConstant):
         return {
             "kind": "piecewise_constant",
@@ -400,22 +355,13 @@ def signal_to_dict(signal: InputSignal) -> dict:
             "levels": list(signal.levels),
             "periodic": signal.periodic,
         }
-    if isinstance(signal, ClippedSinusoidSum):
-        return {
-            "kind": "clipped_sinusoid_sum",
-            "mean": signal.mean,
-            "terms": [
-                {"amplitude": a, "omega": w, "phase": p} for a, w, p in signal.terms
-            ],
-        }
-    if isinstance(signal, Sampled):
-        return {
-            "kind": "sampled",
-            "step": signal.step,
-            "values": list(signal.values),
-            "periodic": signal.periodic,
-        }
-    raise TypeError(f"not an input signal: {signal!r}")
+    return {
+        "kind": "clipped_sinusoid_sum",
+        "mean": signal.mean,
+        "terms": [
+            {"amplitude": a, "omega": w, "phase": p} for a, w, p in signal.terms
+        ],
+    }
 
 
 def _check_keys(data: dict, required: set[str], optional: set[str], where: str) -> None:

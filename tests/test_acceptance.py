@@ -13,6 +13,7 @@ import numpy as np
 from bottleneck_lab.asymptotic import (
     finite_horizon_certificates,
     longrun_bound_check,
+    running_averages,
     solution_independence_check,
 )
 from bottleneck_lab.dynamics import simulate
@@ -50,6 +51,11 @@ N_SUITE = 500
 def _suite_cases(n=N_SUITE, seed=SUITE_SEED):
     rng = np.random.default_rng(seed)
     return [(random_piecewise_signal(rng), random_system(rng)) for _ in range(n)]
+
+
+def _certificates(sig, params, x0, taus):
+    ra = running_averages(sig, params, x0, taus[-1], checkpoints=taus)
+    return finite_horizon_certificates(sig, params, ra)
 
 
 def record(name: str, ok: bool, detail: str) -> None:
@@ -142,13 +148,13 @@ def test_c6_finite_horizon_certificates_and_decay_rate():
     worst_slack = math.inf
     for sig, params in _suite_cases(n=100, seed=SUITE_SEED + 2):
         for x0 in (0.0, 1.0):
-            certs = finite_horizon_certificates(sig, params, x0, taus)
+            certs = _certificates(sig, params, x0, taus)
             worst_slack = min(worst_slack, min(c.slack for c in certs))
     # decay of the correction terms: two-level signal probed at whole
     # periods so the boundary state is phase-locked
     sig = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0))
     ns = np.unique(np.round(np.geomspace(5, 5000, 24)).astype(int))
-    certs = finite_horizon_certificates(sig, SystemParams(lam=1.0), 0.0, 2.0 * ns)
+    certs = _certificates(sig, SystemParams(lam=1.0), 0.0, 2.0 * ns)
     corr = np.array([abs(c.correction) for c in certs])
     slope = float(np.polyfit(np.log(2.0 * ns), np.log(corr), 1)[0])
     record(
@@ -232,7 +238,7 @@ def test_c9_quasiperiodic_longrun_bound():
         mean=1.0, terms=((0.5, 1.0, 0.0), (0.5, math.sqrt(2.0), 0.0))
     )
     params = SystemParams(lam=1.0)
-    chk = longrun_bound_check(sig, params, 0.0, tau_max=2000.0)
+    chk = longrun_bound_check(sig, params, running_averages(sig, params, 0.0, 2000.0))
     elapsed = time.perf_counter() - t0
     record(
         "criterion 9 (quasi-periodic long-run bound)",

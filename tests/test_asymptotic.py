@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bottleneck_lab.asymptotic import (
-    averages_csv_string,
+    averages_to_csv,
     default_tau_max,
     finite_horizon_certificates,
     longrun_bound_check,
@@ -15,7 +15,7 @@ from bottleneck_lab.asymptotic import (
     solution_independence_check,
 )
 from bottleneck_lab.dynamics import DomainError, default_step
-from bottleneck_lab.periodic import averaged_output, constant_benchmark
+from bottleneck_lab.periodic import constant_benchmark, gap_report
 from bottleneck_lab.signals import (
     ClippedSinusoidSum,
     Constant,
@@ -31,6 +31,18 @@ TWO_LEVEL = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0))
 TWO_TONE = ClippedSinusoidSum(
     mean=1.0, terms=((0.5, 1.0, 0.0), (0.5, math.sqrt(2.0), 0.0))
 )
+
+
+def certificates(signal, params, x0, taus, sigma_bar=None):
+    """Certificates at `taus`, from one pass recorded there."""
+    ra = running_averages(signal, params, x0, taus[-1], checkpoints=taus)
+    return finite_horizon_certificates(signal, params, ra, sigma_bar)
+
+
+def csv_text(ra, certs=None):
+    buf = io.StringIO()
+    averages_to_csv(ra, certs, buf)
+    return buf.getvalue()
 
 
 class TestRunningAverages:
@@ -88,7 +100,7 @@ class TestLongrunBound:
     def test_periodic_estimate_matches_exact_value(self):
         # checkpoints snapped to whole periods: the estimate converges to the
         # exact periodic output at the 1/(lam tau) rate
-        w_exact = averaged_output(TWO_LEVEL, P1)
+        w_exact = gap_report(TWO_LEVEL, P1).w_sigma
         taus = 2.0 * np.arange(1, 101)
         ra = running_averages(TWO_LEVEL, P1, 0.25, 200.0, checkpoints=taus)
         w_last = P1.lam * float(ra.mean_state[-1])
@@ -96,12 +108,13 @@ class TestLongrunBound:
         assert w_last <= constant_benchmark(1.0, P1) + 1e-9
 
     def test_constant_margin_collapses(self):
-        chk = longrun_bound_check(Constant(1.0), P1, 0.0, tau_max=2000.0)
+        chk = longrun_bound_check(
+            Constant(1.0), P1, running_averages(Constant(1.0), P1, 0.0, 2000.0))
         assert not chk.violated
         assert abs(chk.margin) <= chk.slack
 
     def test_two_tone_never_violates_beyond_slack(self):
-        chk = longrun_bound_check(TWO_TONE, P1, 0.0, tau_max=2000.0)
+        chk = longrun_bound_check(TWO_TONE, P1, running_averages(TWO_TONE, P1, 0.0, 2000.0))
         assert not chk.violated
         assert chk.margin >= 0.0  # comfortably inside the bound here
 
@@ -123,19 +136,20 @@ class TestLongrunBound:
 class TestFiniteHorizonCertificates:
     def test_constant_at_steady_state_is_tight(self):
         # sigma = 1, x0 = x* = 1/2: every correction vanishes and lhs = rhs
-        certs = finite_horizon_certificates(Constant(1.0), P1, 0.5, [1.0, 5.0, 50.0])
+        certs = certificates(Constant(1.0), P1, 0.5, [1.0, 5.0, 50.0])
         for c in certs:
             assert abs(c.slack) <= 1e-15
             assert abs(c.correction) <= 1e-16
 
     def test_two_level_positive_slack(self):
-        certs = finite_horizon_certificates(TWO_LEVEL, P1, 0.0, [2.0])
-        assert certs[0].slack > 0.01
+        certs = certificates(TWO_LEVEL, P1, 0.0, [1.0, 2.0])
+        assert certs[-1].tau == 2.0
+        assert certs[-1].slack > 0.01
 
     def test_correction_terms_decay_like_one_over_tau(self):
         ns = np.unique(np.round(np.geomspace(5, 5000, 24)).astype(int))
         taus = 2.0 * ns  # whole periods in [10, 10^4]
-        certs = finite_horizon_certificates(TWO_LEVEL, P1, 0.0, taus)
+        certs = certificates(TWO_LEVEL, P1, 0.0, taus)
         corr = np.array([abs(c.correction) for c in certs])
         slope = np.polyfit(np.log(taus), np.log(corr), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
@@ -147,22 +161,23 @@ class TestFiniteHorizonCertificates:
             sig = random_piecewise_signal(rng)
             params = random_system(rng)
             for x0 in (0.0, 1.0):
-                certs = finite_horizon_certificates(sig, params, x0, taus)
+                certs = certificates(sig, params, x0, taus)
                 assert min(c.slack for c in certs) >= -1e-9
 
     def test_any_reference_occupancy_is_valid(self):
         # the inequality is identity-plus-square for every x_star choice
         for sb in (0.2, 1.0, 4.0):
-            certs = finite_horizon_certificates(
-                TWO_LEVEL, P1, 0.0, [1.0, 10.0, 100.0], sigma_bar=sb
-            )
+            certs = certificates(TWO_LEVEL, P1, 0.0, [1.0, 10.0, 100.0], sigma_bar=sb)
             assert min(c.slack for c in certs) >= -1e-12
 
     def test_validation(self):
+        # the horizons are those of the pass, which validates them
         with pytest.raises(DomainError):
-            finite_horizon_certificates(TWO_LEVEL, P1, 0.0, [])
+            running_averages(TWO_LEVEL, P1, 0.0, 3.0, checkpoints=[])
         with pytest.raises(DomainError):
-            finite_horizon_certificates(TWO_LEVEL, P1, 0.0, [3.0, 1.0])
+            running_averages(TWO_LEVEL, P1, 0.0, 3.0, checkpoints=[3.0, 1.0])
+        with pytest.raises(DomainError):
+            running_averages(TWO_LEVEL, P1, 1.5, 3.0, checkpoints=[1.0, 3.0])
 
 
 class TestSolutionIndependence:
@@ -198,8 +213,8 @@ class TestSolutionIndependence:
 class TestExport:
     def test_combined_csv(self):
         ra = running_averages(TWO_LEVEL, P1, 0.0, 100.0, n_checkpoints=8)
-        certs = finite_horizon_certificates(TWO_LEVEL, P1, 0.0, ra.taus)
-        rows = list(csv.reader(io.StringIO(averages_csv_string(ra, certs))))
+        certs = finite_horizon_certificates(TWO_LEVEL, P1, ra)
+        rows = list(csv.reader(io.StringIO(csv_text(ra, certs))))
         assert rows[0] == ["tau", "mean_input", "mean_state", "lhs", "rhs", "slack"]
         assert len(rows) == 9
         tau, mi, ms, lhs, rhs, slack = map(float, rows[-1])
@@ -208,5 +223,5 @@ class TestExport:
 
     def test_csv_without_certificates(self):
         ra = running_averages(Constant(1.0), P1, 0.0, 10.0, n_checkpoints=4)
-        rows = list(csv.reader(io.StringIO(averages_csv_string(ra))))
+        rows = list(csv.reader(io.StringIO(csv_text(ra))))
         assert rows[1][3:] == ["", "", ""]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bottleneck_lab import dynamics
 from bottleneck_lab.cli import main
 
 CONSTANT_SIG = {"kind": "constant", "level": 1.0, "period": 1.0}
@@ -190,6 +191,37 @@ class TestAsymptoticCommand:
         assert all(float(r["slack"]) >= -1e-9 for r in rows)
 
 
+    @pytest.mark.parametrize("signal", [
+        TWO_LEVEL_SIG,
+        {"kind": "clipped_sinusoid_sum", "mean": 1.0,
+         "terms": [{"amplitude": 0.5, "omega": 1.0}, {"amplitude": 0.5, "omega": 2 ** 0.5}]},
+    ])
+    def test_one_forward_pass_per_run(self, tmp_path, monkeypatch, signal):
+        calls = []
+
+        def counted(walk):
+            def wrapper(*args, **kwargs):
+                calls.append(walk.__name__)
+                return walk(*args, **kwargs)
+            return wrapper
+
+        for name in ("exact_pass", "smooth_pass"):
+            monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+        cfg = write_json(tmp_path / "cfg.json", {
+            "signal": signal, "lambda": 1.0, "tau_max": 50.0, "out": str(tmp_path / "t.csv"),
+        })
+        assert main(["asymptotic", "--config", cfg]) == 0
+        assert len(calls) == 1
+
+    def test_stdout_gets_the_same_bytes_as_a_file(self, tmp_path, capsys):
+        base = {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "tau_max": 20.0, "n_checkpoints": 8}
+        cfg = write_json(tmp_path / "cfg.json", {**base, "out": str(tmp_path / "t.csv")})
+        assert main(["asymptotic", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["asymptotic", "--config", cfg, "--out", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "t.csv").read_text()
+
+
 class TestOptimizeCommand:
     def test_single_segment_family_gap_zero(self, tmp_path):
         out = tmp_path / "res.json"
@@ -234,6 +266,31 @@ class TestOptimizeCommand:
         })
         assert main(["optimize", "--config", cfg]) == 2
         assert "family kind" in capsys.readouterr().err
+
+
+class TestNonNumericConfig:
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("asymptotic", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "x0": "abc"}, "x0"),
+        ("asymptotic", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "n_checkpoints": "8x"},
+         "n_checkpoints"),
+        ("optimize", {"family": {"kind": "bang_bang"}, "lambda": 1.0, "mean": "x"}, "mean"),
+        ("optimize", {"family": {"kind": "bang_bang"}, "lambda": 1.0, "mean": 1.0,
+                      "resolution": "many"}, "resolution"),
+        ("optimize", {"family": {"kind": "piecewise_free", "n_segments": [2]},
+                      "lambda": 1.0, "mean": 1.0}, "n_segments"),
+        ("simulate", {"signal": CONSTANT_SIG, "lambda": 1.0, "horizon": 1.0, "step": "fine"},
+         "step"),
+        ("periodic", {"signal": CONSTANT_SIG, "lambda": 1.0, "step": {}}, "step"),
+        ("verify", {"seed": "zero"}, "seed"),
+        ("simulate", {"signal": {"kind": "constant", "level": "high"}, "lambda": 1.0,
+                      "horizon": 1.0}, "level"),
+    ])
+    def test_exits_2_and_names_the_key(self, tmp_path, capsys, command, cfg, key):
+        path = write_json(tmp_path / "cfg.json", {**cfg, "out": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

@@ -13,8 +13,7 @@ from bottleneck_lab.dynamics import (
     exact_pass,
     simulate,
     smooth_pass,
-    step_exact,
-    trajectory_csv_string,
+    trajectory_to_csv,
 )
 from bottleneck_lab.signals import (
     ClippedSinusoidSum,
@@ -22,7 +21,9 @@ from bottleneck_lab.signals import (
     PiecewiseConstant,
     QuadratureSpec,
     Sampled,
+    SignalError,
     SystemParams,
+    evaluate,
 )
 
 P1 = SystemParams(lam=1.0)
@@ -41,6 +42,12 @@ def rk4_constant(x0, c, lam, h, n):
         k4 = f(x + step * k3)
         x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     return x
+
+
+def step_exact(x0, level, h, params):
+    """One constant-inflow segment through the exact walk: (x(h), int_0^h x)."""
+    states, cum_x, _ = exact_pass(Constant(level, period=h), params, x0, np.asarray([h]))
+    return float(states[0]), float(cum_x[0])
 
 
 class TestStepExact:
@@ -75,9 +82,10 @@ class TestStepExact:
             step_exact(-0.1, 1.0, 1.0, P1)
         with pytest.raises(DomainError):
             step_exact(1.1, 1.0, 1.0, P1)
-        with pytest.raises(DomainError):
+        # a segment of zero length or negative inflow is not a signal
+        with pytest.raises(SignalError):
             step_exact(0.5, 1.0, 0.0, P1)
-        with pytest.raises(DomainError):
+        with pytest.raises(SignalError):
             step_exact(0.5, -1.0, 1.0, P1)
 
 
@@ -128,7 +136,7 @@ class TestSimulate:
         t = 0.0
         while t < 4.0 - 1e-12:
             seg = int(t / 0.5) % 3
-            x, _ = step_exact(x, sig.values[seg], 0.5, P1)
+            x, _ = step_exact(x, sig.levels[seg], 0.5, P1)
             t += 0.5
         assert traj.final_state == pytest.approx(x, abs=1e-12)
 
@@ -249,7 +257,9 @@ class TestAverageX:
 class TestCsvExport:
     def test_roundtrip_and_columns(self):
         traj = simulate(TWO_LEVEL, P1, 0.25, 3.0)
-        text = trajectory_csv_string(traj, TWO_LEVEL)
+        buf = io.StringIO()
+        trajectory_to_csv(traj, TWO_LEVEL, buf)
+        text = buf.getvalue()
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["t", "x", "sigma", "cumulative_x"]
         assert len(rows) == traj.times.size + 1
@@ -265,3 +275,20 @@ class TestCsvExport:
         assert by_t[0.0] == 0.0
         assert by_t[1.0] == 2.0
         assert by_t[2.0] == 0.0
+
+    def test_sigma_column_is_the_level_the_walk_integrates(self):
+        # Tiny period over a long horizon: the walk starts cycle c + 1 at
+        # c*T + T, which is not always the double nearest (c + 1)*T. Between
+        # consecutive rows the walk integrates one level, read back from the
+        # cumulative inflow; the sigma column must name that level.
+        sig = PiecewiseConstant((0.0, 1e-3, 2e-3), (3.0, 0.0))
+        traj = simulate(sig, P1, 0.0, 20.0)
+        buf = io.StringIO()
+        trajectory_to_csv(traj, sig, buf)
+        sigma = np.array([float(r[2]) for r in list(csv.reader(io.StringIO(buf.getvalue())))[1:]])
+        _, _, cum_s = exact_pass(sig, P1, 0.0, traj.times)
+        widths = np.diff(traj.times)
+        wide = widths > 1e-9
+        walked = np.diff(cum_s)[wide] / widths[wide]
+        np.testing.assert_allclose(sigma[:-1][wide], walked, rtol=0, atol=1e-3)
+        assert sigma[0] == 3.0 and evaluate(sig, 20.0) == sigma[-1]

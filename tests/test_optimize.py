@@ -21,12 +21,18 @@ from bottleneck_lab.optimize import (
     project_to_mean,
 )
 from bottleneck_lab.optimize import _project_simplex_rows
-from bottleneck_lab.periodic import averaged_output, constant_benchmark, output_for_levels
+from bottleneck_lab.periodic import constant_benchmark, gap_report, output_for_levels
 from bottleneck_lab.signals import SystemParams
 
 P1 = SystemParams(lam=1.0)
 BB = BangBang(period=2.0)
 K4 = PiecewiseConstantFree(period=2.0, n_segments=4)
+
+
+def csv_text(log):
+    buf = io.StringIO()
+    log.to_csv(buf)
+    return buf.getvalue()
 
 
 def simplex_projection(v, target_sum):
@@ -115,7 +121,7 @@ class TestFamilyPlumbing:
     def test_family_signal_output_matches_periodic_module(self):
         point = (0.25, 3.25, 0.25)
         w_direct = output_for_levels([3.25, 0.25], [0.5, 1.5], P1.lam)
-        w_module = averaged_output(family_signal(BB, point), P1)
+        w_module = gap_report(family_signal(BB, point), P1).w_sigma
         assert w_direct == pytest.approx(w_module, abs=1e-14)
 
 
@@ -291,7 +297,7 @@ class TestEvaluationLog:
     def test_csv_layout(self):
         log = EvaluationLog(BB, 1.0, constant_benchmark(1.0, P1))
         grid_search(BB, 1.0, P1, 3, log=log)
-        rows = list(csv.reader(io.StringIO(log.csv_string())))
+        rows = list(csv.reader(io.StringIO(csv_text(log))))
         assert rows[0] == ["p1", "p2", "duty", "mean", "w", "benchmark", "gap"]
         assert len(rows) == len(log) + 1
         gap = float(rows[1][6])
@@ -315,7 +321,7 @@ class TestEvaluationLog:
         log = EvaluationLog(family, 1.0, constant_benchmark(1.0, P1))
         grid_search(family, 1.0, P1, 4, log=log)
         coordinate_descent(family, 1.0, P1, start, log=log)
-        rows = list(csv.reader(io.StringIO(log.csv_string())))[1:]
+        rows = list(csv.reader(io.StringIO(csv_text(log))))[1:]
         assert len(rows) == len(log)
         for row in rows:
             for field in row:

@@ -10,17 +10,15 @@ import pytest
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate
 from bottleneck_lab.periodic import (
     PoincareMap,
-    averaged_output,
     constant_benchmark,
     gap_report,
-    moment_identities,
     output_for_level_rows,
     output_for_levels,
     period_states,
     periodic_solution,
     poincare_map,
     report_to_json_dict,
-    reports_csv_string,
+    reports_to_csv,
 )
 from bottleneck_lab.signals import (
     ClippedSinusoidSum,
@@ -46,6 +44,11 @@ TWO_LEVEL = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0))
 XP0_TWO_LEVEL = 0.6452942644799433
 W_TWO_LEVEL = 0.46930125702397496
 W_TWO_LEVEL_BRUTE = 0.4693012570231294
+
+
+def moment_residuals(signal, params, grid=None):
+    report = gap_report(signal, params, grid)
+    return report.residual_m1, report.residual_m2
 
 
 class TestPoincareMap:
@@ -120,26 +123,26 @@ class TestPeriodicSolution:
         states = period_states(TWO_LEVEL, P1, 0.2, 10)
         x = 0.2
         for n in range(1, 11):
-            x = pm.apply(x)
+            x = pm.a * x + pm.b
             assert states[n] == pytest.approx(x, abs=1e-13)
 
 
 class TestAveragedOutput:
     def test_unit_constant(self):
-        assert averaged_output(Constant(1.0), P1) == pytest.approx(0.5, abs=1e-15)
+        assert gap_report(Constant(1.0), P1).w_sigma == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_signal(self):
-        assert averaged_output(Constant(0.0), P1) == 0.0
+        assert gap_report(Constant(0.0), P1).w_sigma == 0.0
 
     def test_two_level_value_and_strict_loss(self):
-        w = averaged_output(TWO_LEVEL, P1)
+        w = gap_report(TWO_LEVEL, P1).w_sigma
         assert w == pytest.approx(W_TWO_LEVEL, abs=1e-14)
         assert w == pytest.approx(W_TWO_LEVEL_BRUTE, abs=1e-9)
         assert w < 0.5
 
     def test_smooth_output_below_benchmark(self):
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
-        w = averaged_output(sig, P1)
+        w = gap_report(sig, P1).w_sigma
         assert 0.0 < w < 0.5
 
     def test_row_kernel_matches_scalar_kernel(self):
@@ -242,18 +245,18 @@ class TestGapReport:
 
 class TestMomentIdentities:
     def test_constant_is_algebraic_identity(self):
-        r1, r2 = moment_identities(Constant(2.0, period=1.0), P1)
+        r1, r2 = moment_residuals(Constant(2.0, period=1.0), P1)
         assert r1 <= 1e-12
         assert r2 <= 1e-12
 
     def test_two_level_within_tolerance(self):
-        r1, r2 = moment_identities(TWO_LEVEL, P1)
+        r1, r2 = moment_residuals(TWO_LEVEL, P1)
         assert r1 <= 1e-8
         assert r2 <= 1e-8
 
     def test_clip_active_smooth_within_default_tolerance(self):
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
-        r1, r2 = moment_identities(sig, P1)
+        r1, r2 = moment_residuals(sig, P1)
         assert r1 <= 1e-5
         assert r2 <= 1e-5
 
@@ -262,8 +265,8 @@ class TestMomentIdentities:
         # so halving the grid step should cut the residuals about 4x
         sig = ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.0),))
         T = 2.0 * math.pi
-        r_coarse = moment_identities(sig, P1, QuadratureSpec(step=T / 200))
-        r_fine = moment_identities(sig, P1, QuadratureSpec(step=T / 400))
+        r_coarse = moment_residuals(sig, P1, QuadratureSpec(step=T / 200))
+        r_fine = moment_residuals(sig, P1, QuadratureSpec(step=T / 400))
         for coarse, fine in zip(r_coarse, r_fine):
             assert 2.5 <= coarse / fine <= 6.0
 
@@ -293,8 +296,9 @@ class TestRandomizedInvariants:
 class TestExport:
     def test_csv_row(self):
         rep = gap_report(TWO_LEVEL, P1)
-        text = reports_csv_string([(TWO_LEVEL, P1, rep)])
-        rows = list(csv.reader(io.StringIO(text)))
+        buf = io.StringIO()
+        reports_to_csv([(TWO_LEVEL, P1, rep)], buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0][:4] == ["lam", "period", "sigma_bar", "x_star"]
         assert float(rows[1][0]) == 1.0
         assert float(rows[1][4]) == rep.w_sigma

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from bottleneck_lab.signals import (
@@ -86,9 +88,24 @@ class TestEvaluate:
 
     def test_sampled_matches_piecewise_disguise(self):
         sig = Sampled(0.25, (1.0, 0.5, 2.0, 0.0))
-        pw = sig.as_piecewise()
+        pw = PiecewiseConstant((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 0.5, 2.0, 0.0))
+        assert sig == pw
         for t in np.linspace(0.0, 3.0, 121):
             assert evaluate(sig, float(t)) == evaluate(pw, float(t))
+
+    def test_level_at_the_walks_boundaries(self):
+        # The exact walk puts the boundaries of cycle c at c*T + t_i, and
+        # starts cycle c + 1 at c*T + t_k, which is not always the double
+        # nearest (c + 1)*T. At each boundary the level of the segment that
+        # starts there holds; just below it, the level of the one that ends.
+        sig = PiecewiseConstant((0.0, 1e-3, 2e-3), (3.0, 0.0))
+        T = sig.duration
+        at = np.array([c * T + b for c in range(10_000) for b in sig.breakpoints[1:]])
+        starting = np.tile([0.0, 3.0], 10_000)
+        np.testing.assert_array_equal(evaluate_array(sig, at), starting)
+        np.testing.assert_array_equal(evaluate_array(sig, np.nextafter(at, 0.0)),
+                                      np.tile([3.0, 0.0], 10_000))
+        assert [evaluate(sig, float(t)) for t in at[:200]] == starting[:200].tolist()
 
     def test_array_agrees_with_scalar(self):
         rng = np.random.default_rng(5)
@@ -234,3 +251,99 @@ class TestSerialization:
                 "mean": 1.0,
                 "terms": [{"amplitude": 1.0, "freq": 2.0}],
             })
+
+
+# ---------------------------------------------------------------------------
+# Property tests over the input schema
+# ---------------------------------------------------------------------------
+
+_widths = st.floats(1e-3, 10.0)
+_levels = st.floats(0.0, 1e3)
+
+
+@st.composite
+def piecewise_dicts(draw):
+    widths = draw(st.lists(_widths, min_size=1, max_size=6))
+    return {
+        "kind": "piecewise_constant",
+        "breakpoints": np.concatenate(([0.0], np.cumsum(widths))).tolist(),
+        "levels": draw(st.lists(_levels, min_size=len(widths), max_size=len(widths))),
+        "periodic": draw(st.booleans()),
+    }
+
+
+def constant_dicts():
+    return st.fixed_dictionaries({
+        "kind": st.just("constant"), "level": _levels, "period": st.floats(1e-3, 1e3),
+    })
+
+
+def sampled_dicts():
+    return st.fixed_dictionaries({
+        "kind": st.just("sampled"),
+        "step": _widths,
+        "values": st.lists(_levels, min_size=1, max_size=6),
+        "periodic": st.booleans(),
+    })
+
+
+def sinusoid_dicts():
+    term = st.fixed_dictionaries({
+        "amplitude": st.floats(-5.0, 5.0),
+        "omega": st.floats(1e-2, 1e2),
+        "phase": st.floats(-10.0, 10.0),
+    })
+    return st.fixed_dictionaries({
+        "kind": st.just("clipped_sinusoid_sum"),
+        "mean": st.floats(0.0, 10.0),
+        "terms": st.lists(term, min_size=1, max_size=3),
+    })
+
+
+any_signal_dict = st.one_of(piecewise_dicts(), constant_dicts(), sampled_dicts(),
+                            sinusoid_dicts())
+
+
+class TestSchemaProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(any_signal_dict)
+    def test_dict_roundtrip(self, data):
+        sig = signal_from_dict(data)
+        out = signal_to_dict(sig)
+        assert signal_from_dict(json.loads(json.dumps(out))) == sig
+        if data["kind"] in ("constant", "sampled"):
+            assert out["kind"] == "piecewise_constant"
+        else:
+            assert out == data
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.one_of(constant_dicts(), sampled_dicts()))
+    def test_aliases_build_their_piecewise_signal(self, data):
+        sig = signal_from_dict(data)
+        if data["kind"] == "constant":
+            want = PiecewiseConstant((0.0, data["period"]), (data["level"],))
+            assert sig == want == Constant(data["level"], data["period"])
+        else:
+            n = len(data["values"])
+            want = PiecewiseConstant(tuple(i * data["step"] for i in range(n + 1)),
+                                     tuple(data["values"]), data["periodic"])
+            assert sig == want == Sampled(data["step"], data["values"], data["periodic"])
+
+    @settings(derandomize=True, deadline=None)
+    @given(any_signal_dict, st.lists(st.floats(0.0, 1e4), min_size=1, max_size=20))
+    def test_scalar_and_array_evaluation_agree(self, data, ts):
+        sig = signal_from_dict(data)
+        arr = evaluate_array(sig, ts)
+        assert arr.shape == (len(ts),)
+        for t, value in zip(ts, arr.tolist()):
+            assert evaluate(sig, t) == evaluate_array(sig, [t])[0] == value
+
+    @settings(derandomize=True, deadline=None)
+    @given(piecewise_dicts(), st.integers(0, 9_999))
+    def test_level_at_each_boundary_of_the_walk(self, data, cycle):
+        sig = signal_from_dict({**data, "periodic": True})
+        T, k = sig.duration, len(sig.levels)
+        for i, b in enumerate(sig.breakpoints[1:], start=1):
+            t = cycle * T + b
+            assert evaluate(sig, t) == sig.levels[i % k]
+            assert evaluate(sig, float(np.nextafter(t, 0.0))) == sig.levels[i - 1]
