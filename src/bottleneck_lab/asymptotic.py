@@ -137,8 +137,8 @@ class IndependenceCheck:
 
 
 def _pass(signal, params, x0, times, grid: QuadratureSpec | None):
-    if isinstance(signal, ClippedSinusoidSum):
-        step = (grid or QuadratureSpec()).resolve(dynamics.default_step(signal, params))
+    step = dynamics.numeric_step(signal, params, grid)
+    if step is not None:
         return dynamics.smooth_pass(signal, params, x0, times, step)
     return dynamics.exact_pass(signal, params, x0, times)
 

@@ -155,7 +155,7 @@ def _cmd_periodic(cfg: dict) -> int:
     report = periodic.gap_report(signal, params, grid)
     if fmt == "json":
         _write_json(cfg.get("out"), periodic.report_to_json_dict(
-            signal, params, report, cfg.get("step")))
+            signal, params, report, dynamics.numeric_step(signal, params, grid)))
     else:
         with _open_output(cfg.get("out")) as fh:
             periodic.reports_to_csv([(signal, params, report)], fh)
@@ -173,6 +173,8 @@ def _cmd_verify(cfg: dict) -> int:
         )
     cases = None
     if cfg.get("cases") is not None:
+        if not isinstance(cfg["cases"], list):
+            raise ConfigError(f"verify: cases must be a list, got {cfg['cases']!r}")
         cases = []
         for i, case in enumerate(cfg["cases"]):
             if not isinstance(case, dict) or set(case) != {"signal", "lam"}:

@@ -1,6 +1,8 @@
 """Forward solution of x'(t) = sigma(t) (1 - x(t)) - lam x(t).
 
-Two integration paths, one per waveform kind:
+Every step of either integration path is an affine map x -> A x + B of
+the state, so both paths compose affine maps rather than step through
+them one at a time in Python.
 
 * Piecewise-constant inflow (`PiecewiseConstant`, which is also what
   `Constant` and `Sampled` return) is propagated exactly. On a segment
@@ -10,21 +12,24 @@ Two integration paths, one per waveform kind:
       x(t0 + h) = x_inf + (x(t0) - x_inf) e^{-r h},
       int_{t0}^{t0+h} x = x_inf h + (x(t0) - x_inf) (1 - e^{-r h}) / r.
 
-  Chaining these across segment boundaries and requested grid points gives
-  trajectories and running integrals that are exact up to rounding, which
-  is what makes the identity residuals downstream meaningful.
+  An event walk chains these across segment boundaries and requested grid
+  points. On a periodic signal it does not visit every period: from a
+  cycle start it jumps the whole cycles before the next record time in
+  closed form, through the one-period map x -> a x + b (`_PeriodJump`).
+  Trajectories and running integrals are exact up to rounding, which is
+  what makes the identity residuals downstream meaningful.
 
 * Smooth inflow (clipped sinusoid sums) uses classical fourth-order
   one-step integration on a fixed grid. Because the right-hand side is
-  affine in x, each step reduces to x <- A x + B with A, B computed
-  vectorized from the inflow samples; the sequential part is a trivial
-  recurrence. Running integrals of x and sigma accumulate by trapezoid
+  affine in x, each step reduces to x <- A_i x + B_i with A, B computed
+  vectorized from the inflow samples, and a prefix scan composes them
+  (`_affine_prefix`). Running integrals of x and sigma are trapezoid sums
   on the same grid.
 
-States live in [0, 1] by the model's premise. The numeric stepper clamps
+States live in [0, 1] by the model's premise. The numeric path clamps
 overshoots below OVERSHOOT_TOL (pure rounding) and aborts on anything
-larger, so an unstable step size fails loudly instead of being smoothed
-over.
+larger, or on a state that is not finite, so an unstable step size fails
+loudly instead of being smoothed over.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "simulate",
     "average_x",
     "default_step",
+    "numeric_step",
     "exact_pass",
     "smooth_pass",
     "trajectory_to_csv",
@@ -121,9 +127,83 @@ def default_step(signal: InputSignal, params: SystemParams) -> float:
     return min(candidates)
 
 
+def numeric_step(
+    signal: InputSignal, params: SystemParams, grid: QuadratureSpec | None = None
+) -> float | None:
+    """Step the numeric path takes on this input: `grid.step`, else `default_step`.
+
+    None for piecewise-constant input, which is propagated exactly.
+    """
+    if not isinstance(signal, ClippedSinusoidSum):
+        return None
+    return (grid or QuadratureSpec()).resolve(default_step(signal, params))
+
+
 # ---------------------------------------------------------------------------
-# Exact path: event walk over constant segments
+# Exact path: event walk over constant segments, whole periods in closed form
 # ---------------------------------------------------------------------------
+
+class _PeriodJump:
+    """Closed-form advance of a periodic piecewise walk by m whole cycles.
+
+    Over one period the flow is the affine contraction x -> a x + b with
+    a = e^{-R}, R = int_0^T (lam + sigma), and the period integral of x is
+    affine in the start state with slope p. Starting from x at a cycle
+    start, m cycles later
+
+        x_m     = x_p + (x - x_p) a^m,
+        int x   = m I_p + p (x - x_p) (1 - a^m) / (1 - a),
+        int sig = m S,
+
+    with x_p the periodic orbit's start, I_p its period integral and S the
+    period integral of sigma. 1 - a and 1 - a^m come from expm1, so they
+    keep full relative precision when the contraction is weak.
+    """
+
+    def __init__(self, signal: PiecewiseConstant, lam: float) -> None:
+        levels = signal.levels
+        durations = signal.durations
+        self.rate = math.fsum((lam + c) * h for c, h in zip(levels, durations))
+        # R is 0 only when every (lam + c) h underflows; the walk then sees
+        # no decay and b = 0, and the floor makes x_p = 0 and a^m = 1 agree.
+        self.one_minus_a = max(-math.expm1(-self.rate), math.ulp(0.0))
+        self.sigma_int = math.fsum(c * h for c, h in zip(levels, durations))
+        segments = []
+        for c, h in zip(levels, durations):
+            r = lam + c
+            segments.append((c / r, -math.expm1(-r * h), r, h))
+        b = 0.0         # image of 0, summed without cancellation when g is small
+        slope = 1.0     # d x(segment start) / d x(0)
+        self.p = 0.0    # d int_0^T x / d x(0)
+        for x_inf, g, r, _ in segments:
+            self.p += slope * g / r
+            slope *= 1.0 - g
+            b = x_inf * g + b * (1.0 - g)
+        self.x_p = b / self.one_minus_a
+        x = self.x_p
+        self.i_p = 0.0
+        for x_inf, g, r, h in segments:
+            delta = x - x_inf
+            self.i_p += x_inf * h + delta * g / r
+            x = x_inf + delta * (1.0 - g)
+
+    def advance(self, x: float, m: int) -> tuple[float, float, float]:
+        """(x_m, int x, int sigma) over m whole cycles from x at a cycle start."""
+        decay = math.exp(-m * self.rate)
+        delta = x - self.x_p
+        int_x = m * self.i_p + self.p * delta * (-math.expm1(-m * self.rate)) / self.one_minus_a
+        return min(max(self.x_p + delta * decay, 0.0), 1.0), int_x, m * self.sigma_int
+
+
+def _whole_cycles(cycle: int, period: float, target: float) -> int:
+    """Most cycles m from the start of `cycle` whose walk end (cycle+m-1)*T + T <= target."""
+    m = max(0, math.floor(target / period) - cycle)
+    while m > 0 and (cycle + m - 1) * period + period > target:
+        m -= 1
+    while (cycle + m) * period + period <= target:
+        m += 1
+    return m
+
 
 def exact_pass(
     signal: PiecewiseConstant,
@@ -136,7 +216,10 @@ def exact_pass(
     Returns (states, cumulative_x, cumulative_sigma) aligned with
     `record_times`, which must be non-decreasing and non-negative. The walk
     splits at every segment boundary and every record time, so all three
-    outputs are closed-form exact.
+    outputs are closed-form exact. On a periodic signal, when the walk sits
+    at a cycle start and at least two whole cycles end before the next
+    record time, it jumps over them in closed form (`_PeriodJump`); a
+    single cycle is walked, since building the jump costs as much.
     """
     record_times = np.asarray(record_times, dtype=float)
     if record_times.size and record_times[0] < 0.0:
@@ -158,6 +241,10 @@ def exact_pass(
     cum_s = 0.0
     cycle = 0
     seg = 0
+    # True while the walk sits exactly at the start of `cycle`; seg == 0
+    # alone does not say so, since a record time can fall inside segment 0.
+    at_cycle_start = signal.periodic
+    jump = None
     k = 0
     n_rec = record_times.size
     # Record anything scheduled at t = 0 before stepping.
@@ -166,13 +253,27 @@ def exact_pass(
         k += 1
 
     while k < n_rec:
+        target = record_times[k]
+        if at_cycle_start:
+            m = _whole_cycles(cycle, period, target)
+            if m >= 2:
+                if jump is None:
+                    jump = _PeriodJump(signal, lam)
+                x, dx, ds = jump.advance(x, m)
+                cum_x += dx
+                cum_s += ds
+                cycle += m
+                t = (cycle - 1) * period + period
+                while k < n_rec and record_times[k] <= t:
+                    out_x[k], out_ix[k], out_is[k] = x, cum_x, cum_s
+                    k += 1
+                continue
         if signal.periodic:
             boundary = cycle * period + bps[seg + 1]
         elif seg < n_seg - 1:
             boundary = bps[seg + 1]
         else:
             boundary = math.inf  # last level held beyond the final breakpoint
-        target = record_times[k]
         t_next = boundary if boundary < target else target
         level = lvls[seg]
         h = t_next - t
@@ -189,12 +290,14 @@ def exact_pass(
             elif x > 1.0:
                 x = 1.0
             t = t_next
+        at_cycle_start = False
         if boundary <= target:
             seg += 1
             if seg == n_seg:
                 if signal.periodic:
                     seg = 0
                     cycle += 1
+                    at_cycle_start = True
                 else:
                     seg = n_seg - 1  # hold last level
         while k < n_rec and record_times[k] <= t:
@@ -206,6 +309,11 @@ def exact_pass(
 # ---------------------------------------------------------------------------
 # Numeric path: affine one-step coefficients from inflow samples
 # ---------------------------------------------------------------------------
+
+# Steps per vectorized chunk of a smooth block; bounds the working arrays
+# of very long blocks (a few MB) while keeping the numpy calls large.
+_CHUNK_STEPS = 1 << 16
+
 
 def _affine_step_coeffs(s0, sm, s1, lam: float, h: float):
     """Coefficients (A, B) of one classical 4th-order step x <- A x + B.
@@ -230,6 +338,22 @@ def _affine_step_coeffs(s0, sm, s1, lam: float, h: float):
     return A, B
 
 
+def _affine_prefix(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix compositions of the maps x <- A[i] x + B[i], in place.
+
+    Returns (P, Q) with x_{i+1} = P[i] x_0 + Q[i], by Hillis-Steele
+    doubling: after the pass with offset d, entry i holds the composition
+    of steps i-2d+1 .. i, so log2(n) passes cover every prefix.
+    """
+    P, Q = A, B
+    d = 1
+    while d < P.size:
+        Q[d:] += P[d:] * Q[:-d]
+        P[d:] *= P[:-d]
+        d *= 2
+    return P, Q
+
+
 def _smooth_block(
     signal: InputSignal,
     lam: float,
@@ -242,35 +366,40 @@ def _smooth_block(
     """Integrate [t0, t1] in n_steps fixed steps; returns (x1, int_x, int_sigma).
 
     When states_out is given it receives the n_steps+1 states on the grid.
+    The steps' affine maps are composed by a prefix scan, one chunk of at
+    most _CHUNK_STEPS steps at a time. A state that leaves [0, 1] by
+    OVERSHOOT_TOL or more, or is not finite (an unstable step can overflow
+    the products), raises StepSizeError; smaller overshoots are rounding
+    and are clamped.
     """
     h = (t1 - t0) / n_steps
-    half_grid = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
-    sig = evaluate_array(signal, half_grid)
-    A, B = _affine_step_coeffs(sig[0:-2:2], sig[1:-1:2], sig[2::2], lam, h)
-    A = A.tolist()
-    B = B.tolist()
-    svals = sig[0::2].tolist()
-
     x = x0
     cum_x = 0.0
     cum_s = 0.0
     if states_out is not None:
         states_out[0] = x
-    for i in range(n_steps):
-        x_new = A[i] * x + B[i]
-        if x_new < 0.0 or x_new > 1.0:
-            over = -x_new if x_new < 0.0 else x_new - 1.0
-            if over >= OVERSHOOT_TOL:
-                raise StepSizeError(
-                    f"state left [0, 1] by {over:.3e} at t={t0 + (i + 1) * h:.6g}; "
-                    f"reduce the integration step (h={h:.3e})"
-                )
-            x_new = 0.0 if x_new < 0.0 else 1.0
-        cum_x += 0.5 * h * (x + x_new)
-        cum_s += 0.5 * h * (svals[i] + svals[i + 1])
-        x = x_new
+    for j0 in range(0, n_steps, _CHUNK_STEPS):
+        j1 = min(j0 + _CHUNK_STEPS, n_steps)
+        sig = evaluate_array(signal, t0 + 0.5 * h * np.arange(2 * j0, 2 * j1 + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            A, B = _affine_step_coeffs(sig[0:-2:2], sig[1:-1:2], sig[2::2], lam, h)
+            P, Q = _affine_prefix(A, B)
+            xs = P * x + Q
+        bad = ~((xs > -OVERSHOOT_TOL) & (xs < 1.0 + OVERSHOOT_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            over = max(-xs[i], xs[i] - 1.0)
+            raise StepSizeError(
+                f"state left [0, 1] by {over:.3e} at t={t0 + (j0 + i + 1) * h:.6g}; "
+                f"reduce the integration step (h={h:.3e})"
+            )
+        np.clip(xs, 0.0, 1.0, out=xs)
+        s = sig[0::2]
+        cum_x += h * (0.5 * (x + xs[-1]) + xs[:-1].sum())
+        cum_s += h * (0.5 * (s[0] + s[-1]) + s[1:-1].sum())
+        x = float(xs[-1])
         if states_out is not None:
-            states_out[i + 1] = x
+            states_out[j0 + 1:j1 + 1] = xs
     return x, cum_x, cum_s
 
 
@@ -311,24 +440,18 @@ def smooth_pass(
 # ---------------------------------------------------------------------------
 
 def _merge_record_grid(pw: PiecewiseConstant, horizon: float, record_step: float) -> np.ndarray:
-    """Union of segment boundaries and a uniform grid on [0, horizon]."""
+    """Union of segment boundaries and a uniform grid on [0, horizon].
+
+    Boundaries are the walk's own sums c*T + t_i; every cycle with
+    c*T < horizon is among the ceil(horizon / T) + 1 rows of the table.
+    """
     n = max(1, round(horizon / record_step))
     uniform = np.linspace(0.0, horizon, n + 1)
-    bounds = []
+    bounds = np.asarray(pw.breakpoints[1:])
     if pw.periodic:
-        period = pw.duration
-        cycle = 0
-        while cycle * period < horizon:
-            base = cycle * period
-            for b in pw.breakpoints[1:]:
-                tb = base + b
-                if tb < horizon:
-                    bounds.append(tb)
-            cycle += 1
-    else:
-        bounds = [b for b in pw.breakpoints[1:] if b < horizon]
-    grid = np.union1d(uniform, np.asarray(bounds))
-    return grid
+        cycles = np.arange(math.ceil(horizon / pw.duration) + 1)
+        bounds = np.add.outer(cycles * pw.duration, bounds).ravel()
+    return np.union1d(uniform, bounds[bounds < horizon])
 
 
 def simulate(
@@ -342,15 +465,15 @@ def simulate(
 
     Piecewise-constant inflow is propagated exactly through the union of
     segment boundaries and recording grid points; smooth inflow uses the
-    fixed-step numeric integrator (step from `grid` or `default_step`).
+    fixed-step numeric integrator (step from `numeric_step`).
     """
     x0 = _check_occupancy(x0)
     if horizon <= 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
     grid = grid or QuadratureSpec()
 
-    if isinstance(signal, ClippedSinusoidSum):
-        step = grid.resolve(default_step(signal, params))
+    step = numeric_step(signal, params, grid)
+    if step is not None:
         n = max(1, math.ceil(horizon / step))
         times = np.linspace(0.0, horizon, n + 1)
         states = np.empty(n + 1)

@@ -155,8 +155,8 @@ def poincare_map(
     """
     period = require_period(signal)
     ends = np.asarray([period])
-    if _is_smooth(signal):
-        step = (grid or QuadratureSpec()).resolve(dynamics.default_step(signal, params))
+    step = dynamics.numeric_step(signal, params, grid)
+    if step is not None:
         b = float(dynamics.smooth_pass(signal, params, 0.0, ends, step)[0][0])
         n = max(2, math.ceil(period / step))
         ts = np.linspace(0.0, period, n + 1)

@@ -365,6 +365,8 @@ def signal_to_dict(signal: InputSignal) -> dict:
 
 
 def _check_keys(data: dict, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(data, dict):
+        raise SignalError(f"{where} must be a mapping, got {data!r}")
     keys = set(data)
     unknown = keys - required - optional
     if unknown:
@@ -374,32 +376,40 @@ def _check_keys(data: dict, required: set[str], optional: set[str], where: str) 
         raise SignalError(f"missing key(s) in {where}: {sorted(missing)}")
 
 
+def _list(data: dict, key: str, where: str) -> tuple:
+    """`data[key]` as a tuple; it must be a JSON list (or a Python tuple)."""
+    value = data[key]
+    if not isinstance(value, (list, tuple)):
+        raise SignalError(f"{where}: {key} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def signal_from_dict(data: dict) -> InputSignal:
     """Build a signal from its dict form; unknown or missing keys are errors."""
     if not isinstance(data, dict):
         raise SignalError(f"signal description must be a mapping, got {type(data).__name__}")
     kind = data.get("kind")
+    where = f"{kind} signal"
     if kind == "constant":
-        _check_keys(data, {"kind", "level"}, {"period"}, "constant signal")
+        _check_keys(data, {"kind", "level"}, {"period"}, where)
         return Constant(level=data["level"], period=data.get("period", 1.0))
     if kind == "piecewise_constant":
-        _check_keys(data, {"kind", "breakpoints", "levels"}, {"periodic"},
-                    "piecewise_constant signal")
+        _check_keys(data, {"kind", "breakpoints", "levels"}, {"periodic"}, where)
         return PiecewiseConstant(
-            breakpoints=tuple(data["breakpoints"]),
-            levels=tuple(data["levels"]),
+            breakpoints=_list(data, "breakpoints", where),
+            levels=_list(data, "levels", where),
             periodic=data.get("periodic", True),
         )
     if kind == "clipped_sinusoid_sum":
-        _check_keys(data, {"kind", "mean", "terms"}, set(), "clipped_sinusoid_sum signal")
+        _check_keys(data, {"kind", "mean", "terms"}, set(), where)
         terms = []
-        for i, term in enumerate(data["terms"]):
+        for i, term in enumerate(_list(data, "terms", where)):
             _check_keys(term, {"amplitude", "omega"}, {"phase"}, f"terms[{i}]")
             terms.append((term["amplitude"], term["omega"], term.get("phase", 0.0)))
         return ClippedSinusoidSum(mean=data["mean"], terms=tuple(terms))
     if kind == "sampled":
-        _check_keys(data, {"kind", "step", "values"}, {"periodic"}, "sampled signal")
-        return Sampled(step=data["step"], values=tuple(data["values"]),
+        _check_keys(data, {"kind", "step", "values"}, {"periodic"}, where)
+        return Sampled(step=data["step"], values=_list(data, "values", where),
                        periodic=data.get("periodic", True))
     raise SignalError(
         f"unknown signal kind {kind!r}; expected one of constant, "

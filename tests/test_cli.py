@@ -6,6 +6,7 @@ import pytest
 
 from bottleneck_lab import dynamics
 from bottleneck_lab.cli import main
+from bottleneck_lab.signals import SystemParams, signal_from_dict
 
 CONSTANT_SIG = {"kind": "constant", "level": 1.0, "period": 1.0}
 TWO_LEVEL_SIG = {
@@ -13,6 +14,11 @@ TWO_LEVEL_SIG = {
     "breakpoints": [0.0, 1.0, 2.0],
     "levels": [0.0, 2.0],
     "periodic": True,
+}
+SMOOTH_SIG = {
+    "kind": "clipped_sinusoid_sum",
+    "mean": 1.0,
+    "terms": [{"amplitude": 0.5, "omega": 6.283185307179586, "phase": 0.0}],
 }
 
 
@@ -97,6 +103,21 @@ class TestPeriodicCommand:
         assert rep["sigma_bar"] == 1.0
         assert rep["w_sigma"] < rep["w_const"]
         assert rep["residuals"]["gap_identity"] <= 1e-8
+
+    @pytest.mark.parametrize("signal, step, expected", [
+        (TWO_LEVEL_SIG, None, None),
+        (TWO_LEVEL_SIG, 0.01, None),
+        (SMOOTH_SIG, None, dynamics.default_step(signal_from_dict(SMOOTH_SIG),
+                                                 SystemParams(lam=3.0))),
+        (SMOOTH_SIG, 2e-4, 2e-4),
+    ])
+    def test_grid_step_is_the_step_used(self, tmp_path, signal, step, expected):
+        # The numeric path's step, resolved; null where the walk is exact.
+        cfg = {"signal": signal, "lambda": 3.0, "out": str(tmp_path / "rep.json")}
+        if step is not None:
+            cfg["step"] = step
+        assert main(["periodic", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["grid_step"] == expected
 
     def test_csv_report(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -291,6 +312,33 @@ class TestNonNumericConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
+
+
+class TestNonListConfig:
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("periodic", {"signal": {**TWO_LEVEL_SIG, "breakpoints": 5}, "lambda": 1.0},
+         "breakpoints"),
+        ("periodic", {"signal": {**TWO_LEVEL_SIG, "levels": 2.0}, "lambda": 1.0}, "levels"),
+        ("simulate", {"signal": {"kind": "clipped_sinusoid_sum", "mean": 1.0, "terms": 3},
+                      "lambda": 1.0, "horizon": 1.0}, "terms"),
+        ("simulate", {"signal": {"kind": "sampled", "step": 0.5, "values": None},
+                      "lambda": 1.0, "horizon": 1.0}, "values"),
+        ("verify", {"cases": 5}, "cases"),
+    ])
+    def test_exits_2_and_names_the_key(self, tmp_path, capsys, command, cfg, key):
+        path = write_json(tmp_path / "cfg.json", {**cfg, "out": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be a list" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_term_that_is_not_a_mapping(self, tmp_path, capsys):
+        path = write_json(tmp_path / "cfg.json", {
+            "signal": {"kind": "clipped_sinusoid_sum", "mean": 1.0, "terms": [1.0]},
+            "lambda": 1.0, "horizon": 1.0,
+        })
+        assert main(["simulate", "--config", path]) == 2
+        assert "terms[0] must be a mapping" in capsys.readouterr().err
 
 
 class TestUsage:

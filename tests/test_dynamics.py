@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from bottleneck_lab.dynamics import (
+    OVERSHOOT_TOL,
     DomainError,
     StepSizeError,
+    _affine_step_coeffs,
     average_x,
     default_step,
     exact_pass,
@@ -24,6 +27,7 @@ from bottleneck_lab.signals import (
     SignalError,
     SystemParams,
     evaluate,
+    evaluate_array,
 )
 
 P1 = SystemParams(lam=1.0)
@@ -112,6 +116,24 @@ class TestSimulate:
         traj = simulate(TWO_LEVEL, P1, 0.0, 5.0)
         for b in (1.0, 2.0, 3.0, 4.0):
             assert b in traj.times
+
+    def test_grid_matches_the_per_cycle_loop_bit_for_bit(self):
+        def loop_grid(pw, horizon, record_step):
+            uniform = np.linspace(0.0, horizon, max(1, round(horizon / record_step)) + 1)
+            bounds = []
+            cycle = 0
+            while cycle * pw.duration < horizon:
+                for b in pw.breakpoints[1:]:
+                    if cycle * pw.duration + b < horizon:
+                        bounds.append(cycle * pw.duration + b)
+                cycle += 1
+            return np.union1d(uniform, np.asarray(bounds))
+
+        sig = PiecewiseConstant((0.0, 7e-4, 1.3e-3, 2e-3), (3.0, 0.0, 1.5))
+        for horizon in (20.0, 20.0 + 1e-3, 19.9993):
+            got = simulate(sig, P1, 0.0, horizon).times
+            want = loop_grid(sig, horizon, horizon / 1000)
+            assert got.tobytes() == want.tobytes()
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -292,3 +314,210 @@ class TestCsvExport:
         walked = np.diff(cum_s)[wide] / widths[wide]
         np.testing.assert_allclose(sigma[:-1][wide], walked, rtol=0, atol=1e-3)
         assert sigma[0] == 3.0 and evaluate(sig, 20.0) == sigma[-1]
+
+
+def walk_oracle(signal, lam, x0, record_times):
+    """The segment-by-segment walk exact_pass did before it jumped whole cycles."""
+    bps, lvls, n_seg, period = signal.breakpoints, signal.levels, len(signal.levels), signal.duration
+    out = np.empty((3, len(record_times)))
+    t = cum_x = cum_s = 0.0
+    x, cycle, seg, k = x0, 0, 0, 0
+    while k < len(record_times) and record_times[k] <= t:
+        out[:, k] = x, cum_x, cum_s
+        k += 1
+    while k < len(record_times):
+        if signal.periodic:
+            boundary = cycle * period + bps[seg + 1]
+        elif seg < n_seg - 1:
+            boundary = bps[seg + 1]
+        else:
+            boundary = math.inf
+        target = record_times[k]
+        t_next = min(boundary, target)
+        h = t_next - t
+        if h > 0.0:
+            level = lvls[seg]
+            r = lam + level
+            x_inf = level / r
+            g = -math.expm1(-r * h)
+            delta = x - x_inf
+            cum_x += x_inf * h + delta * g / r
+            cum_s += level * h
+            x = min(max(x_inf + delta * (1.0 - g), 0.0), 1.0)
+            t = t_next
+        if boundary <= target:
+            seg += 1
+            if seg == n_seg:
+                seg, cycle = (0, cycle + 1) if signal.periodic else (n_seg - 1, cycle)
+        while k < len(record_times) and record_times[k] <= t:
+            out[:, k] = x, cum_x, cum_s
+            k += 1
+    return out
+
+
+def rk4_loop_oracle(signal, lam, x0, t0, t1, n_steps):
+    """The step-by-step RK4 loop _smooth_block ran before the prefix scan."""
+    h = (t1 - t0) / n_steps
+    sig = evaluate_array(signal, t0 + 0.5 * h * np.arange(2 * n_steps + 1))
+    A, B = _affine_step_coeffs(sig[0:-2:2], sig[1:-1:2], sig[2::2], lam, h)
+    svals = sig[0::2]
+    states = [x0]
+    x, cum_x, cum_s = x0, 0.0, 0.0
+    for i in range(n_steps):
+        x_new = A[i] * x + B[i]
+        over = max(-x_new, x_new - 1.0)
+        if over > 0.0:
+            if over >= OVERSHOOT_TOL:
+                raise StepSizeError(f"overshoot {over} at step {i}")
+            x_new = min(max(x_new, 0.0), 1.0)
+        cum_x += 0.5 * h * (x + x_new)
+        cum_s += 0.5 * h * (svals[i] + svals[i + 1])
+        x = x_new
+        states.append(x)
+    return np.array(states), cum_x, cum_s
+
+
+class TestPeriodJumps:
+    """exact_pass jumps whole cycles in closed form; the walk is the oracle."""
+
+    @staticmethod
+    def random_signal(rng):
+        n = int(rng.integers(1, 6))
+        widths = rng.uniform(0.05, 1.0, n)
+        period = float(10.0 ** rng.uniform(-3, 1))
+        bps = np.concatenate(([0.0], np.cumsum(widths)))
+        bps = bps * (period / bps[-1])
+        bps[-1] = period
+        levels = rng.uniform(0.0, 5.0, n)
+        if n > 1 and rng.uniform() < 0.3:
+            levels[int(rng.integers(n))] = 0.0
+        return PiecewiseConstant(tuple(bps), tuple(levels))
+
+    @staticmethod
+    def record_times(rng, signal):
+        period = signal.duration
+        inner = signal.breakpoints[1:-1]
+        cycles = np.sort(rng.integers(0, 3000, 12)).astype(float)
+        times = [
+            float(cycles[0] * period),                      # on a cycle boundary
+            float(cycles[1] * period + 0.3 * signal.breakpoints[1]),  # inside segment 0
+            float((cycles[2] - 1) * period + period),       # the walk's own cycle end
+            float(cycles[3] * period + period * rng.uniform()),
+        ]
+        if inner:
+            times.append(float(cycles[4] * period + inner[0]))  # on an inner boundary
+        times += (cycles[5:] * period + period * rng.uniform(size=7)).tolist()
+        times.append(float(cycles[-1] + 40) * period)       # many periods apart
+        return np.unique(np.asarray(times))
+
+    @pytest.mark.parametrize("lam", [1e-9, 1.0, 1e9])
+    def test_jump_matches_walk(self, lam):
+        rng = np.random.default_rng(int(math.log10(lam)) + 40)
+        params = SystemParams(lam=lam)
+        for _ in range(20):
+            sig = self.random_signal(rng)
+            times = self.record_times(rng, sig)
+            x0 = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            got = np.array(exact_pass(sig, params, x0, times))
+            want = walk_oracle(sig, lam, x0, times)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_records_inside_segment_zero_keep_the_walk_in_phase(self):
+        # After a record inside segment 0 the walk is not at a cycle start
+        # although it is in segment 0; a jump from there would shift phase.
+        sig = PiecewiseConstant((0.0, 0.5, 1.0), (4.0, 0.0))
+        times = np.array([0.25, 50.25, 50.75, 300.0, 300.1, 2000.6])
+        got = np.array(exact_pass(sig, P1, 0.2, times))
+        np.testing.assert_allclose(got, walk_oracle(sig, 1.0, 0.2, times), rtol=1e-12, atol=0.0)
+
+    def test_weak_contraction_against_high_precision(self):
+        # Each segment moves x by a fraction g ~ 1e-9 of its distance to
+        # x_inf, so a cancelling form of the one-period image b loses about
+        # eps / g of it. Reference: the same closed form in 40 digits.
+        D = decimal.Decimal
+        sig = PiecewiseConstant((0.0, 4e-10, 1e-9), (2.0, 0.5))
+        lam, x0 = 1.0, 0.9
+        cycles = (10**3, 10**6, 10**9)
+        times = np.array([(m - 1) * 1e-9 + 1e-9 for m in cycles])
+        segs = [(D(c), D(h)) for c, h in zip(sig.levels, sig.durations)]
+
+        def walk(x):
+            integral = D(0)
+            for c, h in segs:
+                r = D(lam) + c
+                x_inf, d = c / r, (-r * h).exp()
+                integral += x_inf * h + (x - x_inf) * (1 - d) / r
+                x = x_inf + (x - x_inf) * d
+            return x, integral
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            a = (-sum((D(lam) + c) * h for c, h in segs)).exp()
+            x_p = walk(D(0))[0] / (1 - a)
+            i_p = walk(x_p)[1]
+            p = walk(x_p + 1)[1] - i_p
+            want_x = [x_p + (D(x0) - x_p) * a**m for m in cycles]
+            want_ix = [m * i_p + p * (D(x0) - x_p) * (1 - a**m) / (1 - a) for m in cycles]
+        got_x, got_ix, _ = exact_pass(sig, SystemParams(lam=lam), x0, times)
+        np.testing.assert_allclose(got_x, [float(v) for v in want_x], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got_ix, [float(v) for v in want_ix], rtol=1e-13, atol=0.0)
+
+    def test_decay_below_double_precision(self):
+        # lam * T underflows to 0: the jump sees a = 1 exactly, as the walk does.
+        sig = PiecewiseConstant((0.0, 1e-30, 2e-30), (0.0, 0.0))
+        times = np.array([1e-28, 3e-27])
+        got = np.array(exact_pass(sig, SystemParams(lam=1e-300), 0.5, times))
+        np.testing.assert_array_equal(got, walk_oracle(sig, 1e-300, 0.5, times))
+
+    def test_aperiodic_signal_holds_last_level(self):
+        sig = PiecewiseConstant((0.0, 0.5, 1.0), (4.0, 1.0), periodic=False)
+        times = np.array([0.2, 0.75, 30.0, 400.0])
+        got = np.array(exact_pass(sig, P1, 0.9, times))
+        np.testing.assert_allclose(got, walk_oracle(sig, 1.0, 0.9, times), rtol=1e-12, atol=0.0)
+
+
+class TestPrefixScan:
+    """_smooth_block composes the RK4 steps by a prefix scan; the loop is the oracle."""
+
+    SIGNALS = (
+        ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),)),
+        ClippedSinusoidSum(mean=0.7, terms=((1.2, 3.0, 0.4), (0.5, 3.0 * math.sqrt(2.0), 1.0))),
+    )
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    @pytest.mark.parametrize("lam", [0.3, 50.0])
+    def test_scan_matches_loop(self, signal, lam):
+        params = SystemParams(lam=lam)
+        step = default_step(signal, params)
+        horizon = 3000 * step
+        for x0 in (0.0, 0.45, 1.0):
+            traj = simulate(signal, params, x0, horizon)
+            states, _, _ = rk4_loop_oracle(signal, lam, x0, 0.0, horizon, traj.times.size - 1)
+            np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0.0)
+            got = smooth_pass(signal, params, x0, np.array([horizon / 3, horizon]), step)
+            n1 = math.ceil(horizon / 3 / step)
+            n2 = math.ceil((horizon - horizon / 3) / step)
+            part, cx1, cs1 = rk4_loop_oracle(signal, lam, x0, 0.0, horizon / 3, n1)
+            end, cx2, cs2 = rk4_loop_oracle(signal, lam, part[-1], horizon / 3, horizon, n2)
+            np.testing.assert_allclose(got[0], [part[-1], end[-1]], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got[1], [cx1, cx1 + cx2], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got[2], [cs1, cs1 + cs2], rtol=1e-12, atol=0.0)
+
+    def test_long_block_is_chunked_without_changing_the_states(self, monkeypatch):
+        import bottleneck_lab.dynamics as dynamics
+
+        signal, params = self.SIGNALS[1], SystemParams(lam=2.0)
+        whole = simulate(signal, params, 0.3, 5.0, QuadratureSpec(step=1e-3))
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
+        chunked = simulate(signal, params, 0.3, 5.0, QuadratureSpec(step=1e-3))
+        np.testing.assert_allclose(chunked.states, whole.states, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("lam, first_state", [(1e100, "inf"), (1e200, "nan")])
+    def test_unstable_step_to_inf_or_nan_raises(self, lam, first_state):
+        # At h (lam + sigma) ~ 1e97 the step coefficients overflow: the first
+        # state is inf at lam = 1e100 and NaN (inf - inf) at lam = 1e200.
+        # Neither may pass as a state; a NaN fails every comparison, so it
+        # is caught by requiring the state inside the band, not outside it.
+        sig = ClippedSinusoidSum(mean=0.5, terms=((0.1, 1.0, 0.0),))
+        with pytest.raises(StepSizeError, match=f"left \\[0, 1\\] by {first_state} at t=0.001;"):
+            smooth_pass(sig, SystemParams(lam=lam), 0.5, np.asarray([1e-2]), 1e-3)
