@@ -20,7 +20,6 @@ from .signals import (
     Sampled,
     SignalError,
     SystemParams,
-    evaluate,
     evaluate_array,
     is_periodic,
     max_level,
@@ -33,7 +32,6 @@ from .dynamics import (
     DomainError,
     StepSizeError,
     Trajectory,
-    average_x,
     default_step,
     simulate,
     trajectory_to_csv,
@@ -73,9 +71,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ClippedSinusoidSum", "Constant", "InputSignal", "NonPeriodicSignalError",
     "PiecewiseConstant", "QuadratureSpec", "Sampled", "SignalError",
-    "SystemParams", "evaluate", "evaluate_array", "is_periodic", "max_level",
+    "SystemParams", "evaluate_array", "is_periodic", "max_level",
     "mean_over_period", "period_of", "signal_from_dict", "signal_to_dict",
-    "DomainError", "StepSizeError", "Trajectory", "average_x", "default_step",
+    "DomainError", "StepSizeError", "Trajectory", "default_step",
     "simulate", "trajectory_to_csv",
     "PeriodicReport", "PoincareMap", "constant_benchmark",
     "gap_report", "periodic_solution", "poincare_map",

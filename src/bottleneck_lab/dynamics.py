@@ -10,14 +10,15 @@ them one at a time in Python.
   attractor x_inf = c / (lam + c) and rate r = lam + c, so
 
       x(t0 + h) = x_inf + (x(t0) - x_inf) e^{-r h},
-      int_{t0}^{t0+h} x = x_inf h + (x(t0) - x_inf) (1 - e^{-r h}) / r.
+      int_{t0}^{t0+h} x = x_inf h + (x(t0) - x_inf) h phi(r h),
 
-  An event walk chains these across segment boundaries and requested grid
-  points. On a periodic signal it does not visit every period: from a
-  cycle start it jumps the whole cycles before the next record time in
-  closed form, through the one-period map x -> a x + b (`_PeriodJump`).
-  Trajectories and running integrals are exact up to rounding, which is
-  what makes the identity residuals downstream meaningful.
+  with phi(z) = (1 - e^{-z}) / z and phi(0) = 1. An event walk chains
+  these across segment boundaries and requested grid points. On a
+  periodic signal it jumps the whole cycles before the next record time
+  through the one-period map x -> a x + b of `_PeriodJump`, the one
+  closed-form period kernel, which `periodic` reads too. Trajectories and
+  running integrals are exact up to rounding, which is what makes the
+  identity residuals downstream meaningful.
 
 * Smooth inflow (clipped sinusoid sums) uses classical fourth-order
   one-step integration on a fixed grid. Because the right-hand side is
@@ -55,7 +56,6 @@ __all__ = [
     "StepSizeError",
     "Trajectory",
     "simulate",
-    "average_x",
     "default_step",
     "numeric_step",
     "exact_pass",
@@ -144,54 +144,80 @@ def numeric_step(
 # ---------------------------------------------------------------------------
 
 class _PeriodJump:
-    """Closed-form advance of a periodic piecewise walk by m whole cycles.
+    """One period of piecewise-constant inflow, levels c and durations h.
 
-    Over one period the flow is the affine contraction x -> a x + b with
-    a = e^{-R}, R = int_0^T (lam + sigma), and the period integral of x is
-    affine in the start state with slope p. Starting from x at a cycle
+    The walk's cycle jumps and every closed-form quantity of `periodic`
+    read this kernel. Per segment r = lam + c, x_inf = c / r,
+    g = 1 - e^{-r h} and w = int_0^h e^{-r s} ds = h phi(r h). Over one
+    period the flow is x -> a x + b with a = e^{-R}, R = sum r h; b is
+    summed as b <- x_inf g + b (1 - g), which does not cancel when g is
+    small, and 1 - a = -expm1(-R), so x_p = b / (1 - a), the periodic
+    orbit's start, keeps full relative precision however weak the
+    contraction. The period integral of x has slope p in the start state;
+    I_p is the periodic orbit's and S that of sigma. From x at a cycle
     start, m cycles later
 
         x_m     = x_p + (x - x_p) a^m,
         int x   = m I_p + p (x - x_p) (1 - a^m) / (1 - a),
         int sig = m S,
 
-    with x_p the periodic orbit's start, I_p its period integral and S the
-    period integral of sigma. 1 - a and 1 - a^m come from expm1, so they
-    keep full relative precision when the contraction is weak.
+    where (1 - a^m) / (1 - a) is m when R underflows to 0.
     """
 
-    def __init__(self, signal: PiecewiseConstant, lam: float) -> None:
-        levels = signal.levels
-        durations = signal.durations
-        self.rate = math.fsum((lam + c) * h for c, h in zip(levels, durations))
-        # R is 0 only when every (lam + c) h underflows; the walk then sees
-        # no decay and b = 0, and the floor makes x_p = 0 and a^m = 1 agree.
-        self.one_minus_a = max(-math.expm1(-self.rate), math.ulp(0.0))
-        self.sigma_int = math.fsum(c * h for c, h in zip(levels, durations))
-        segments = []
+    # Slots and hand-written lazy properties, not functools.cached_property:
+    # before Python 3.12 its first read takes a lock, which costs the search
+    # loop's output_for_levels about a quarter of its time.
+    __slots__ = ("segments", "rate", "sigma_int", "b", "one_minus_a", "x_p", "_i_p", "_p")
+
+    def __init__(self, levels, durations, lam: float) -> None:
+        segments = []   # (x_inf, g, w, r, h) per segment
+        rate = sigma_int = b = 0.0
         for c, h in zip(levels, durations):
             r = lam + c
-            segments.append((c / r, -math.expm1(-r * h), r, h))
-        b = 0.0         # image of 0, summed without cancellation when g is small
-        slope = 1.0     # d x(segment start) / d x(0)
-        self.p = 0.0    # d int_0^T x / d x(0)
-        for x_inf, g, r, _ in segments:
-            self.p += slope * g / r
-            slope *= 1.0 - g
+            rh = r * h
+            g = -math.expm1(-rh)
+            x_inf = c / r
+            segments.append((x_inf, g, h * (g / rh) if rh else h, r, h))
+            rate += rh
+            sigma_int += c * h
             b = x_inf * g + b * (1.0 - g)
-        self.x_p = b / self.one_minus_a
-        x = self.x_p
-        self.i_p = 0.0
-        for x_inf, g, r, h in segments:
-            delta = x - x_inf
-            self.i_p += x_inf * h + delta * g / r
-            x = x_inf + delta * (1.0 - g)
+        self.segments, self.rate, self.sigma_int, self.b = segments, rate, sigma_int, b
+        self.one_minus_a = -math.expm1(-rate)
+        # R is 0 only when every r h underflows, and then b is 0 too.
+        self.x_p = b / self.one_minus_a if rate else 0.0
+        self._i_p = self._p = None
+
+    @property
+    def i_p(self) -> float:
+        """int_0^T x_p, the period integral of the periodic orbit."""
+        if self._i_p is None:
+            x = self.x_p
+            total = 0.0
+            for x_inf, g, w, _, h in self.segments:
+                delta = x - x_inf
+                total += x_inf * h + delta * w
+                x = x_inf + delta * (1.0 - g)
+            self._i_p = total
+        return self._i_p
+
+    @property
+    def p(self) -> float:
+        """d int_0^T x / d x(0)."""
+        if self._p is None:
+            slope = 1.0     # d x(segment start) / d x(0)
+            total = 0.0
+            for _, g, w, _, _ in self.segments:
+                total += slope * w
+                slope *= 1.0 - g
+            self._p = total
+        return self._p
 
     def advance(self, x: float, m: int) -> tuple[float, float, float]:
         """(x_m, int x, int sigma) over m whole cycles from x at a cycle start."""
         decay = math.exp(-m * self.rate)
         delta = x - self.x_p
-        int_x = m * self.i_p + self.p * delta * (-math.expm1(-m * self.rate)) / self.one_minus_a
+        ratio = -math.expm1(-m * self.rate) / self.one_minus_a if self.rate else m
+        int_x = m * self.i_p + self.p * delta * ratio
         return min(max(self.x_p + delta * decay, 0.0), 1.0), int_x, m * self.sigma_int
 
 
@@ -258,7 +284,7 @@ def exact_pass(
             m = _whole_cycles(cycle, period, target)
             if m >= 2:
                 if jump is None:
-                    jump = _PeriodJump(signal, lam)
+                    jump = _PeriodJump(lvls, signal.durations, lam)
                 x, dx, ds = jump.advance(x, m)
                 cum_x += dx
                 cum_s += ds
@@ -279,10 +305,11 @@ def exact_pass(
         h = t_next - t
         if h > 0.0:
             r = lam + level
+            rh = r * h
             x_inf = level / r
-            g = -math.expm1(-r * h)
+            g = -math.expm1(-rh)
             delta = x - x_inf
-            cum_x += x_inf * h + delta * g / r
+            cum_x += x_inf * h + delta * (h * (g / rh) if rh else h)  # w = h phi(r h)
             cum_s += level * h
             x = x_inf + delta * (1.0 - g)
             if x < 0.0:
@@ -488,35 +515,6 @@ def simulate(
     times = _merge_record_grid(signal, horizon, record_step)
     states, cum_x, _ = exact_pass(signal, params, x0, times)
     return Trajectory(times, states, cum_x)
-
-
-def average_x(traj: Trajectory, t_from: float, t_to: float) -> float:
-    """Time average of x over [t_from, t_to] from the stored running integral.
-
-    Exact at grid times; between samples the integral is completed by
-    trapezoid on linearly interpolated states.
-    """
-    lo, hi = traj.span
-    if not (t_from < t_to):
-        raise DomainError(f"need t_from < t_to, got [{t_from}, {t_to}]")
-    if t_from < lo or t_to > hi:
-        raise DomainError(
-            f"range [{t_from}, {t_to}] outside trajectory span [{lo}, {hi}]"
-        )
-
-    def cum_at(t: float) -> float:
-        idx = int(np.searchsorted(traj.times, t, side="left"))
-        if idx < traj.times.size and traj.times[idx] == t:
-            return float(traj.cumulative_x[idx])
-        i = idx - 1
-        t0, t1 = traj.times[i], traj.times[i + 1]
-        x0, x1 = traj.states[i], traj.states[i + 1]
-        xt = x0 + (x1 - x0) * (t - t0) / (t1 - t0)
-        return float(traj.cumulative_x[i] + 0.5 * (t - t0) * (x0 + xt))
-
-    value = (cum_at(t_to) - cum_at(t_from)) / (t_to - t_from)
-    # The mean of states in [0,1] is in [0,1]; shave rounding dust.
-    return min(1.0, max(0.0, value))
 
 
 def trajectory_to_csv(traj: Trajectory, signal: InputSignal, fh) -> None:

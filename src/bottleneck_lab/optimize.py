@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PiecewiseConstant, SignalError, SystemParams
+from .signals import SignalError, SystemParams
 from .periodic import constant_benchmark, output_for_level_rows, output_for_levels
 
 __all__ = [
@@ -41,9 +41,7 @@ __all__ = [
     "EvaluationLog",
     "OptimizationResult",
     "PerturbationFit",
-    "family_signal",
     "family_mean",
-    "constant_point",
     "project_to_mean",
     "grid_search",
     "coordinate_descent",
@@ -121,27 +119,11 @@ def _levels_durations(family: WaveformFamily, point) -> tuple[list[float], list[
     return levels, [h] * family.n_segments
 
 
-def family_signal(family: WaveformFamily, point) -> PiecewiseConstant:
-    """Materialize a family point as a periodic piecewise-constant signal."""
-    levels, durations = _levels_durations(family, point)
-    breakpoints = [0.0]
-    for h in durations:
-        breakpoints.append(breakpoints[-1] + h)
-    breakpoints[-1] = family.period  # kill rounding in the last edge
-    return PiecewiseConstant(tuple(breakpoints), tuple(levels), periodic=True)
-
-
 def family_mean(family: WaveformFamily, point) -> float:
     if isinstance(family, BangBang):
         p1, p2, duty = point
         return duty * p2 + (1.0 - duty) * p1
     return math.fsum(point) / family.n_segments
-
-
-def constant_point(family: WaveformFamily, mean: float):
-    if isinstance(family, BangBang):
-        return (mean, mean, 0.5)
-    return (mean,) * family.n_segments
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,15 @@ identities feed the same bookkeeping:
 
 On piecewise-constant inflow every integral above has a per-segment closed
 form (x_p is a known exponential on each segment), so the reported residuals
-measure rounding only. On smooth inflow the integrals fall back to trapezoid
-sums over the numeric grid and the residual tolerance is correspondingly
-looser (about 1e-5 at default grids).
+measure rounding only. All of them read one scalar kernel for the period,
+`dynamics._PeriodJump`: the map's exponent R = int_0^T (lam + sigma), its
+offset b, the fixed point x_p(0) = b / (1 - a) with 1 - a = -expm1(-R)
+(never 1 - e^{-R} by subtraction, which loses every digit once R is below
+double precision, as at nanosecond periods), and the per-segment integral
+weights. Only `output_for_level_rows`, the search's batch of candidate
+waveforms, restates the same formulas over numpy columns. On smooth inflow
+the integrals fall back to trapezoid sums over the numeric grid and the
+residual tolerance is correspondingly looser (about 1e-5 at default grids).
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ __all__ = [
     "period_states",
     "output_for_levels",
     "output_for_level_rows",
-    "segment_profile",
     "report_to_json_dict",
     "reports_to_csv",
     "REPORT_CSV_HEADER",
@@ -75,26 +80,32 @@ _GAP_FLOOR = -1e-12
 class PoincareMap:
     """One-period affine state map x(T) = a x(0) + b.
 
-    a is the homogeneous decay e^{-int_0^T (lam + sigma)} and is a strict
-    contraction; b is the image of x(0) = 0. The map sends [0, 1] into
-    itself, so b >= 0 and a + b <= 1.
+    rate is the decay exponent R = int_0^T (lam + sigma) > 0, and
+    a = e^{-R} is a strict contraction; b is the image of x(0) = 0. The
+    map sends [0, 1] into itself, so b >= 0 and a + b <= 1. 1 - a is
+    taken as -expm1(-R), so the fixed point keeps full relative precision
+    when the contraction is weak.
     """
 
-    a: float
+    rate: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a < 1.0):
-            raise SignalError(f"contraction factor out of (0, 1): a={self.a}")
-        if self.b < -_MAP_TOL or self.a + self.b > 1.0 + _MAP_TOL:
+        if not (0.0 < self.rate < math.inf):
+            raise SignalError(f"decay exponent must be positive and finite: rate={self.rate}")
+        one_minus_a = -math.expm1(-self.rate)
+        if self.b < -_MAP_TOL or self.b > one_minus_a + _MAP_TOL:
             raise SignalError(f"offset out of range: a={self.a}, b={self.b}")
         # Absorb sub-ulp rounding so the fixed point stays inside [0, 1].
-        b = min(max(self.b, 0.0), 1.0 - self.a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", min(max(self.b, 0.0), one_minus_a))
+
+    @property
+    def a(self) -> float:
+        return math.exp(-self.rate)
 
     @property
     def fixed_point(self) -> float:
-        return self.b / (1.0 - self.a)
+        return self.b / -math.expm1(-self.rate)
 
 
 @dataclass(frozen=True)
@@ -121,12 +132,6 @@ class PeriodicReport:
     residual_m2: float
 
 
-def segment_profile(signal: PiecewiseConstant, params: SystemParams) -> tuple[list[float], list[float]]:
-    """(levels, durations) covering exactly one period of a piecewise signal."""
-    require_period(signal)
-    return list(signal.levels), list(signal.durations)
-
-
 def _is_smooth(signal: InputSignal) -> bool:
     return isinstance(signal, ClippedSinusoidSum)
 
@@ -135,11 +140,6 @@ def _is_smooth(signal: InputSignal) -> bool:
 # Poincare map and periodic solution
 # ---------------------------------------------------------------------------
 
-# Floor for the contraction factor when e^{-int(lam+sigma)} underflows a
-# double; flooring only loosens (never tightens) the contraction bound.
-_A_FLOOR = 2.2250738585072014e-308
-
-
 def poincare_map(
     signal: InputSignal,
     params: SystemParams,
@@ -147,27 +147,22 @@ def poincare_map(
 ) -> PoincareMap:
     """Build the one-period map x(T) = a x(0) + b.
 
-    b is the image of x(0) = 0 under the flow. a equals the image spread
-    Phi(1) - Phi(0) but is computed from the homogeneous decay
-    e^{-int_0^T (lam + sigma)} directly: the subtraction form cancels to
-    zero once the contraction is stronger than double precision, while the
-    exponent form stays exact down to underflow.
+    On piecewise-constant inflow both R and b come from the closed-form
+    period kernel. On smooth inflow b is the numeric image of x(0) = 0 and
+    R the trapezoid integral of lam + sigma on the same grid. a is never
+    taken as the image spread Phi(1) - Phi(0): that subtraction cancels to
+    zero once the contraction is stronger than double precision.
     """
     period = require_period(signal)
-    ends = np.asarray([period])
     step = dynamics.numeric_step(signal, params, grid)
-    if step is not None:
-        b = float(dynamics.smooth_pass(signal, params, 0.0, ends, step)[0][0])
-        n = max(2, math.ceil(period / step))
-        ts = np.linspace(0.0, period, n + 1)
-        rate = params.lam + evaluate_array(signal, ts)
-        exponent = float(np.trapezoid(rate, ts))
-    else:
-        b = float(dynamics.exact_pass(signal, params, 0.0, ends)[0][0])
-        levels, durations = segment_profile(signal, params)
-        exponent = math.fsum((params.lam + c) * h for c, h in zip(levels, durations))
-    a = max(math.exp(-exponent), _A_FLOOR)
-    return PoincareMap(a=a, b=b)
+    if step is None:
+        kernel = dynamics._PeriodJump(signal.levels, signal.durations, params.lam)
+        return PoincareMap(rate=kernel.rate, b=kernel.b)
+    b = float(dynamics.smooth_pass(signal, params, 0.0, np.asarray([period]), step)[0][0])
+    n = max(2, math.ceil(period / step))
+    ts = np.linspace(0.0, period, n + 1)
+    rate = float(np.trapezoid(params.lam + evaluate_array(signal, ts), ts))
+    return PoincareMap(rate=rate, b=b)
 
 
 def periodic_solution(
@@ -194,99 +189,66 @@ def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
 # Closed-form period integrals (piecewise-constant inflow)
 # ---------------------------------------------------------------------------
 
-def _period_factors(levels, durations, lam):
-    """Per-segment (x_inf, g, g2, r, h) with g = 1-e^{-rh}, g2 = 1-e^{-2rh}."""
-    factors = []
-    for c, h in zip(levels, durations):
-        r = lam + c
-        rh = r * h
-        g = -math.expm1(-rh)
-        g2 = -math.expm1(-2.0 * rh)
-        factors.append((c / r, g, g2, r, h))
-    return factors
-
-
-def _fixed_point_from_factors(factors) -> float:
-    a = 1.0
-    b = 0.0
-    for x_inf, g, _, _, _ in factors:
-        d = 1.0 - g
-        b = x_inf * g + b * d
-        a *= d
-    return b / (1.0 - a)
-
-
 def output_for_levels(levels, durations, lam: float) -> float:
     """Averaged output for one period given segment levels and durations.
 
     Low-overhead kernel used by the waveform-search module, which evaluates
     it many thousands of times; plain floats, no signal objects.
     """
-    factors = _period_factors(levels, durations, lam)
-    x = _fixed_point_from_factors(factors)
-    total = 0.0
-    span = 0.0
-    for x_inf, g, _, r, h in factors:
-        delta = x - x_inf
-        total += x_inf * h + delta * g / r
-        span += h
-        x = x_inf + delta * (1.0 - g)
-    return lam * total / span
+    return lam * dynamics._PeriodJump(levels, durations, lam).i_p / sum(durations)
 
 
 def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
     """Row-wise output_for_levels over an (N, k) array of candidate waveforms.
 
-    `durations` is (N, k) or broadcasts to it. Same recurrences in the same
-    order as the scalar kernel, run column by column (k passes of length N);
-    results agree with it to rounding (numpy's expm1 may differ in the last
-    bit from the C library's).
+    `durations` is (N, k) or broadcasts to it. The same formulas as the
+    scalar kernel (1 - a from expm1, integral weights h phi(r h)), run
+    column by column (k passes of length N); results agree with it to
+    rounding (numpy's expm1 may differ in the last bit from the C
+    library's).
     """
     levels = np.asarray(levels, dtype=float)
     c = np.ascontiguousarray(levels.T)
     h = np.ascontiguousarray(np.broadcast_to(durations, levels.shape).T)
     r = lam + c
+    rh = r * h
     x_inf = c / r
-    g = -np.expm1(-(r * h))
+    g = -np.expm1(-rh)
+    w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)   # h phi(r h)
     d = 1.0 - g
-    a = np.ones(levels.shape[0])
     b = np.zeros(levels.shape[0])
     for j in range(c.shape[0]):
         b = x_inf[j] * g[j] + b * d[j]
-        a *= d[j]
-    x = b / (1.0 - a)
+    x = b / np.maximum(-np.expm1(-rh.sum(axis=0)), math.ulp(0.0))
     total = np.zeros(levels.shape[0])
-    span = np.zeros(levels.shape[0])
     for j in range(c.shape[0]):
         delta = x - x_inf[j]
-        total += x_inf[j] * h[j] + delta * g[j] / r[j]
-        span += h[j]
+        total += x_inf[j] * h[j] + delta * w[j]
         x = x_inf[j] + delta * d[j]
-    return lam * total / span
+    return lam * total / h.sum(axis=0)
 
 
 def _closed_form_report(levels, durations, lam: float) -> PeriodicReport:
+    kernel = dynamics._PeriodJump(levels, durations, lam)
     period = math.fsum(durations)
-    sigma_bar = math.fsum(c * h for c, h in zip(levels, durations)) / period
+    sigma_bar = kernel.sigma_int / period
     x_star = sigma_bar / (lam + sigma_bar) if sigma_bar > 0.0 else 0.0
     w_const = lam * x_star
 
-    factors = _period_factors(levels, durations, lam)
-    x = _fixed_point_from_factors(factors)
-    int_x = 0.0     # int x_p
+    x = kernel.x_p
     m1 = 0.0        # int (lam+sigma) x_p
     m2 = 0.0        # int (lam+sigma) x_p^2
     gap_int = 0.0   # int (lam+sigma) (x_p - x_star)^2
-    for x_inf, g, g2, r, h in factors:
+    for x_inf, g, _, r, h in kernel.segments:
         delta = x - x_inf
         dev = x_inf - x_star
-        int_x += x_inf * h + delta * g / r
+        half_g2 = 0.5 * g * (2.0 - g)   # (1 - e^{-2 r h}) / 2
         m1 += r * x_inf * h + delta * g
-        m2 += r * x_inf * x_inf * h + 2.0 * x_inf * delta * g + delta * delta * g2 * 0.5
-        gap_int += r * dev * dev * h + 2.0 * dev * delta * g + delta * delta * g2 * 0.5
+        m2 += r * x_inf * x_inf * h + 2.0 * x_inf * delta * g + delta * delta * half_g2
+        gap_int += r * dev * dev * h + 2.0 * dev * delta * g + delta * delta * half_g2
         x = x_inf + delta * (1.0 - g)
 
-    w_sigma = lam * int_x / period
+    w_sigma = lam * kernel.i_p / period
     gap = gap_int / period
     if gap < 0.0:
         if gap < _GAP_FLOOR:
@@ -348,8 +310,8 @@ def gap_report(
     """
     if _is_smooth(signal):
         return _quadrature_report(signal, params, grid)
-    levels, durations = segment_profile(signal, params)
-    return _closed_form_report(levels, durations, params.lam)
+    require_period(signal)
+    return _closed_form_report(signal.levels, signal.durations, params.lam)
 
 
 def period_states(
@@ -363,9 +325,9 @@ def period_states(
     Piecewise-constant inflow only; used to observe the geometric approach
     to the periodic orbit without going through the affine map itself.
     """
-    levels, durations = segment_profile(signal, params)
-    factors = _period_factors(levels, durations, params.lam)
-    steps = [(x_inf, 1.0 - g) for x_inf, g, _, _, _ in factors]
+    require_period(signal)
+    kernel = dynamics._PeriodJump(signal.levels, signal.durations, params.lam)
+    steps = [(x_inf, 1.0 - g) for x_inf, g, _, _, _ in kernel.segments]
     out = np.empty(n_periods + 1)
     x = dynamics._check_occupancy(x0)
     out[0] = x

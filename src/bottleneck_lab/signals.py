@@ -42,7 +42,6 @@ __all__ = [
     "ClippedSinusoidSum",
     "Sampled",
     "InputSignal",
-    "evaluate",
     "evaluate_array",
     "period_of",
     "is_periodic",
@@ -300,11 +299,6 @@ def _segment_index(signal: PiecewiseConstant, ts: np.ndarray) -> np.ndarray:
         if not (late.any() or early.any()):
             return lo
         cycle = cycle + late - early
-
-
-def evaluate(signal: InputSignal, t: float) -> float:
-    """Inflow rate sigma(t) at a single time t >= 0."""
-    return float(evaluate_array(signal, t))
 
 
 def evaluate_array(signal: InputSignal, ts: np.ndarray) -> np.ndarray:

@@ -366,3 +366,42 @@ class TestUsage:
         })
         assert main(["verify", "--config", cfg, "--horizon", "5.0"]) == 2
         assert "not applicable" in capsys.readouterr().err
+
+
+class TestTinyPeriods:
+    """Periods where 1 - a of the one-period map is far below double precision."""
+
+    NS_SIG = {"kind": "piecewise_constant", "breakpoints": [0.0, 4e-10, 1e-9],
+              "levels": [2.0, 0.5], "periodic": True}
+    PS_SIG = {"kind": "piecewise_constant", "breakpoints": [0.0, 5e-13, 1e-12],
+              "levels": [1e-5, 0.0], "periodic": True}
+
+    def test_optimize_never_beats_the_benchmark(self, tmp_path):
+        out = tmp_path / "res.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": {"kind": "bang_bang", "period": 1e-9},
+            "lambda": 1.0, "mean": 1.1, "out": str(out),
+        })
+        assert main(["optimize", "--config", cfg]) == 0
+        assert json.loads(out.read_text())["max_excess_over_benchmark"] <= 1e-9
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("periodic", {"signal": PS_SIG, "lambda": 1e-9}),
+        ("optimize", {"family": {"kind": "piecewise_free", "period": 1e-12, "n_segments": 2},
+                      "lambda": 1e-9, "mean": 5e-6}),
+    ])
+    def test_runs_at_a_picosecond_period(self, tmp_path, command, cfg):
+        cfg = write_json(tmp_path / "cfg.json", {**cfg, "out": str(tmp_path / "out.json")})
+        assert main([command, "--config", cfg]) == 0
+
+    def test_verify_reports_no_residual_or_benchmark_failure(self, tmp_path):
+        # The true gap is about 5e-21 (40-digit quadrature), below the
+        # suite's 1e-10 gap floor, so the gap-positivity failure is genuine.
+        out = tmp_path / "rep.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "cases": [{"signal": self.NS_SIG, "lam": 1.0}], "out": str(out),
+        })
+        assert main(["verify", "--config", cfg]) == 1
+        [case] = json.loads(out.read_text())["failures"]
+        assert any("not strictly positive" in f for f in case["failures"])
+        assert not [f for f in case["failures"] if "residual" in f or "benchmark" in f]

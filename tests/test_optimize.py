@@ -12,17 +12,15 @@ from bottleneck_lab.optimize import (
     EvaluationLog,
     InfeasibleMeanError,
     PiecewiseConstantFree,
-    constant_point,
     coordinate_descent,
     family_mean,
-    family_signal,
     grid_search,
     perturbation_response,
     project_to_mean,
 )
 from bottleneck_lab.optimize import _project_simplex_rows
 from bottleneck_lab.periodic import constant_benchmark, gap_report, output_for_levels
-from bottleneck_lab.signals import SystemParams
+from bottleneck_lab.signals import PiecewiseConstant, SystemParams
 
 P1 = SystemParams(lam=1.0)
 BB = BangBang(period=2.0)
@@ -109,19 +107,18 @@ class TestProjection:
 
 class TestFamilyPlumbing:
     def test_bang_bang_signal_layout(self):
-        sig = family_signal(BB, (0.5, 2.0, 0.25))
-        assert sig.breakpoints == (0.0, 0.5, 2.0)
-        assert sig.levels == (2.0, 0.5)  # high level first
-        assert family_mean(BB, (0.5, 2.0, 0.25)) == pytest.approx(0.875)
-
-    def test_constant_points(self):
-        assert constant_point(K4, 1.5) == (1.5, 1.5, 1.5, 1.5)
-        assert constant_point(BB, 2.0)[:2] == (2.0, 2.0)
+        # One evaluation of a family point: the logged output is that of the
+        # two-level signal with the high level first on [0, duty * T).
+        point = (0.5, 2.0, 0.25)
+        assert family_mean(BB, point) == pytest.approx(0.875)
+        res = coordinate_descent(BB, 0.875, P1, point, max_evals=1)
+        assert res.log.points == [point]
+        want = gap_report(PiecewiseConstant((0.0, 0.5, 2.0), (2.0, 0.5)), P1).w_sigma
+        assert res.log.outputs[0] == pytest.approx(want, abs=1e-14)
 
     def test_family_signal_output_matches_periodic_module(self):
-        point = (0.25, 3.25, 0.25)
         w_direct = output_for_levels([3.25, 0.25], [0.5, 1.5], P1.lam)
-        w_module = gap_report(family_signal(BB, point), P1).w_sigma
+        w_module = gap_report(PiecewiseConstant((0.0, 0.5, 2.0), (3.25, 0.25)), P1).w_sigma
         assert w_direct == pytest.approx(w_module, abs=1e-14)
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate
 from bottleneck_lab.periodic import (
@@ -83,12 +84,22 @@ class TestPoincareMap:
             assert pm.a == pytest.approx(phi1 - phi0, abs=1e-13)
 
     def test_invariants_enforced(self):
+        for rate in (0.0, -1.0, math.inf, math.nan):  # a = e^{-rate} not in (0, 1)
+            with pytest.raises(SignalError):
+                PoincareMap(rate=rate, b=0.0)
         with pytest.raises(SignalError):
-            PoincareMap(a=1.0, b=0.0)
+            PoincareMap(rate=math.log(2.0), b=0.6)
         with pytest.raises(SignalError):
-            PoincareMap(a=0.5, b=0.6)
-        with pytest.raises(SignalError):
-            PoincareMap(a=0.5, b=-0.1)
+            PoincareMap(rate=math.log(2.0), b=-0.1)
+
+    def test_piecewise_map_needs_no_walk(self, monkeypatch):
+        import bottleneck_lab.dynamics as dynamics
+
+        calls = []
+        monkeypatch.setattr(dynamics, "exact_pass", lambda *args: calls.append(args))
+        pm = poincare_map(TWO_LEVEL, P1)
+        assert calls == []
+        assert pm.fixed_point == pytest.approx(XP0_TWO_LEVEL, rel=1e-15)
 
     def test_smooth_signal_map(self):
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
@@ -291,6 +302,49 @@ class TestRandomizedInvariants:
             for n in range(1, 21):
                 assert (abs(states[n] - xp0)
                         <= pm.a ** n * abs(x0 - xp0) + 1e-10)
+
+
+@st.composite
+def extreme_piecewise_cases(draw):
+    """lam log-uniform on [1e-9, 1e9], period on [1e-12, 1e3], 1-8 segments,
+    levels 0 or log-uniform on [1e-3, 1e6]."""
+    lam = 10.0 ** draw(st.floats(-9.0, 9.0))
+    period = 10.0 ** draw(st.floats(-12.0, 3.0))
+    k = draw(st.integers(1, 8))
+    widths = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    level = st.one_of(st.just(0.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e))
+    levels = draw(st.lists(level, min_size=k, max_size=k))
+    bps = np.concatenate(([0.0], np.cumsum(widths))) * (period / widths.sum())
+    bps[-1] = period
+    return PiecewiseConstant(tuple(bps.tolist()), tuple(levels)), SystemParams(lam=lam)
+
+
+class TestClosedFormAtExtremeScales:
+    # At tiny periods 1 - a is far below double precision, so a fixed point
+    # from 1 - a by subtraction has no correct digits. The fixed examples
+    # are a nanosecond two-level signal, a nanosecond bang-bang point and a
+    # picosecond signal at lam = 1e-9.
+    @settings(derandomize=True, deadline=None)
+    @given(extreme_piecewise_cases())
+    @example((PiecewiseConstant((0.0, 4e-10, 1e-9), (2.0, 0.5)), P1))
+    @example((PiecewiseConstant((0.0, 9.4e-10, 1e-9), (1.165, 0.0775)), P1))
+    @example((PiecewiseConstant((0.0, 5e-13, 1e-12), (1e-5, 0.0)), SystemParams(lam=1e-9)))
+    def test_identities_hold_to_rounding(self, case):
+        sig, params = case
+        report = gap_report(sig, params)
+        tol = 1e-12 * max(report.sigma_bar, report.w_const)
+        assert report.w_sigma <= report.w_const + tol
+        assert report.residual_gap <= tol
+        assert report.residual_m1 <= tol
+        assert report.residual_m2 <= tol
+        # The orbit started at the map's fixed point has the report's output.
+        T = sig.duration
+        x_p = poincare_map(sig, params).fixed_point
+        int_x = exact_pass(sig, params, x_p, np.array([T]))[1][0]
+        assert abs(params.lam * int_x / T - report.w_sigma) <= tol
+        w = output_for_levels(sig.levels, sig.durations, params.lam)
+        rows = output_for_level_rows([sig.levels], [sig.durations], params.lam)
+        np.testing.assert_allclose(rows, [w], rtol=1e-14, atol=0.0)
 
 
 class TestExport:

@@ -15,7 +15,6 @@ from bottleneck_lab.signals import (
     Sampled,
     SignalError,
     SystemParams,
-    evaluate,
     evaluate_array,
     is_periodic,
     max_level,
@@ -72,26 +71,26 @@ class TestConstruction:
 
 class TestEvaluate:
     def test_constant_anywhere(self):
-        assert evaluate(Constant(1.0), 7.3) == 1.0
+        assert evaluate_array(Constant(1.0), [7.3])[0] == 1.0
 
     def test_periodic_wrap_hits_first_segment(self):
-        assert evaluate(TWO_LEVEL, 2.5) == 0.0
-        assert evaluate(TWO_LEVEL, 3.5) == 2.0
+        assert evaluate_array(TWO_LEVEL, [2.5])[0] == 0.0
+        assert evaluate_array(TWO_LEVEL, [3.5])[0] == 2.0
 
     def test_clip_forces_zero(self):
         sig = ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.0),))
-        assert evaluate(sig, 3.0 * math.pi / 2.0) == 0.0
+        assert evaluate_array(sig, [3.0 * math.pi / 2.0])[0] == 0.0
 
     def test_nonperiodic_holds_last_level(self):
         sig = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0), periodic=False)
-        assert evaluate(sig, 5.0) == 2.0
+        assert evaluate_array(sig, [5.0])[0] == 2.0
 
     def test_sampled_matches_piecewise_disguise(self):
         sig = Sampled(0.25, (1.0, 0.5, 2.0, 0.0))
         pw = PiecewiseConstant((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 0.5, 2.0, 0.0))
         assert sig == pw
-        for t in np.linspace(0.0, 3.0, 121):
-            assert evaluate(sig, float(t)) == evaluate(pw, float(t))
+        ts = np.linspace(0.0, 3.0, 121)
+        np.testing.assert_array_equal(evaluate_array(sig, ts), evaluate_array(pw, ts))
 
     def test_level_at_the_walks_boundaries(self):
         # The exact walk puts the boundaries of cycle c at c*T + t_i, and
@@ -105,20 +104,6 @@ class TestEvaluate:
         np.testing.assert_array_equal(evaluate_array(sig, at), starting)
         np.testing.assert_array_equal(evaluate_array(sig, np.nextafter(at, 0.0)),
                                       np.tile([3.0, 0.0], 10_000))
-        assert [evaluate(sig, float(t)) for t in at[:200]] == starting[:200].tolist()
-
-    def test_array_agrees_with_scalar(self):
-        rng = np.random.default_rng(5)
-        ts = rng.uniform(0.0, 10.0, 200)
-        for sig in (
-            Constant(0.7),
-            TWO_LEVEL,
-            ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.3), (0.5, 3.0, 1.0))),
-            Sampled(0.3, (0.0, 1.0, 0.5)),
-        ):
-            arr = evaluate_array(sig, ts)
-            scalars = np.array([evaluate(sig, float(t)) for t in ts])
-            np.testing.assert_allclose(arr, scalars, rtol=0, atol=1e-15)
 
     def test_non_negativity_random_probe(self):
         rng = np.random.default_rng(11)
@@ -129,24 +114,24 @@ class TestEvaluate:
             Constant(0.0),
         ]
         for sig in signals:
-            for t in rng.uniform(0.0, 100.0, 500):
-                assert evaluate(sig, float(t)) >= 0.0
+            assert np.all(evaluate_array(sig, rng.uniform(0.0, 100.0, 500)) >= 0.0)
 
 
 class TestPeriodicity:
     def test_piecewise_exact_periodicity(self):
         rng = np.random.default_rng(3)
         T = TWO_LEVEL.duration
-        for t in rng.uniform(0.0, 20.0, 200):
-            assert evaluate(TWO_LEVEL, float(t)) == evaluate(TWO_LEVEL, float(t) + T)
+        ts = rng.uniform(0.0, 20.0, 200)
+        np.testing.assert_array_equal(evaluate_array(TWO_LEVEL, ts), evaluate_array(TWO_LEVEL, ts + T))
 
     def test_commensurate_sum_periodicity(self):
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 1.0, 0.0), (0.25, 2.0, 0.7)))
         T = period_of(sig)
         assert T == pytest.approx(2.0 * math.pi, rel=1e-15)
         rng = np.random.default_rng(4)
-        for t in rng.uniform(0.0, 50.0, 200):
-            assert abs(evaluate(sig, float(t)) - evaluate(sig, float(t) + T)) <= 1e-12
+        ts = rng.uniform(0.0, 50.0, 200)
+        np.testing.assert_allclose(evaluate_array(sig, ts), evaluate_array(sig, ts + T),
+                                   rtol=0, atol=1e-12)
 
     def test_incommensurate_sum_is_aperiodic(self):
         sig = ClippedSinusoidSum(
@@ -336,7 +321,7 @@ class TestSchemaProperties:
         arr = evaluate_array(sig, ts)
         assert arr.shape == (len(ts),)
         for t, value in zip(ts, arr.tolist()):
-            assert evaluate(sig, t) == evaluate_array(sig, [t])[0] == value
+            assert evaluate_array(sig, [t])[0] == value
 
     @settings(derandomize=True, deadline=None)
     @given(piecewise_dicts(), st.integers(0, 9_999))
@@ -345,5 +330,5 @@ class TestSchemaProperties:
         T, k = sig.duration, len(sig.levels)
         for i, b in enumerate(sig.breakpoints[1:], start=1):
             t = cycle * T + b
-            assert evaluate(sig, t) == sig.levels[i % k]
-            assert evaluate(sig, float(np.nextafter(t, 0.0))) == sig.levels[i - 1]
+            assert evaluate_array(sig, [t])[0] == sig.levels[i % k]
+            assert evaluate_array(sig, [float(np.nextafter(t, 0.0))])[0] == sig.levels[i - 1]
