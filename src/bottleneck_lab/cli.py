@@ -269,6 +269,10 @@ def _cmd_optimize(cfg: dict) -> int:
     n_starts = _number(int, cfg.get("n_starts", 5), "n_starts")
     seed = _number(int, cfg.get("seed", 0), "seed")
     max_evals = _number(int, cfg.get("max_evals", optimize.DEFAULT_MAX_EVALS), "max_evals")
+    if n_starts < 0:
+        raise ConfigError(f"optimize: n_starts must be non-negative, got {n_starts}")
+    if max_evals < 1:
+        raise ConfigError(f"optimize: max_evals must be at least 1, got {max_evals}")
     rng = np.random.default_rng(seed)
 
     benchmark = periodic.constant_benchmark(mean, params)

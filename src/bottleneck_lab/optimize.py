@@ -195,38 +195,65 @@ def project_to_mean(family: WaveformFamily, point, target_mean: float):
 # Evaluation plumbing
 # ---------------------------------------------------------------------------
 
+# Rows per CSV chunk. The writer's temporaries (the chunk's float table, its
+# sorted bit patterns and their strings) scale with this, not with the log.
+_CSV_CHUNK = 512
+
+
 class EvaluationLog:
     """Append-only record of every waveform evaluation in one experiment.
 
     The never-beats-benchmark invariant is checked over this log, not just
-    over the returned optimum.
+    over the returned optimum. Rows are kept as float64 blocks of
+    (coordinates, mean, w); single records wait in a list until the next
+    block or the next read.
     """
 
     def __init__(self, family: WaveformFamily, target_mean: float, benchmark: float):
         self.family = family
         self.target_mean = target_mean
         self.benchmark = benchmark
-        self.points: list[tuple] = []
-        self.means: list[float] = []
-        self.outputs: list[float] = []
+        self.max_output = -math.inf
+        self._blocks: list[np.ndarray] = []
+        self._pending: list[tuple] = []
+        self._count = 0
 
     def record(self, point, mean: float, w: float) -> None:
-        self.points.append(tuple(float(c) for c in point))
-        self.means.append(float(mean))
-        self.outputs.append(float(w))
+        self._pending.append((*point, mean, w))
+        self._count += 1
+        if w > self.max_output:
+            self.max_output = float(w)
 
     def extend(self, points: np.ndarray, means: np.ndarray, outputs: np.ndarray) -> None:
         """Record a batch of evaluations in row order, one row of `points` each."""
-        self.points.extend(map(tuple, points.tolist()))
-        self.means.extend(means.tolist())
-        self.outputs.extend(outputs.tolist())
+        self._flush()
+        self._blocks.append(np.column_stack((points, means, outputs)))
+        self._count += len(outputs)
+        self.max_output = float(np.max(outputs, initial=self.max_output))
 
-    def __len__(self) -> int:
-        return len(self.outputs)
+    def _flush(self) -> list[np.ndarray]:
+        if self._pending:
+            self._blocks.append(np.array(self._pending, dtype=np.float64))
+            self._pending = []
+        return self._blocks
+
+    def _rows(self) -> list[list[float]]:
+        return [row for block in self._flush() for row in block.tolist()]
 
     @property
-    def max_output(self) -> float:
-        return max(self.outputs) if self.outputs else -math.inf
+    def points(self) -> list[tuple]:
+        return [tuple(row[:-2]) for row in self._rows()]
+
+    @property
+    def means(self) -> list[float]:
+        return [row[-2] for row in self._rows()]
+
+    @property
+    def outputs(self) -> list[float]:
+        return [row[-1] for row in self._rows()]
+
+    def __len__(self) -> int:
+        return self._count
 
     @property
     def max_excess(self) -> float:
@@ -234,12 +261,23 @@ class EvaluationLog:
         return self.max_output - self.benchmark
 
     def to_csv(self, fh) -> None:
-        """Stream one row per evaluation to the open text file `fh`."""
+        """Stream one row per evaluation to the open text file `fh`.
+
+        Every field is the round-trip `repr` of its float. Each chunk of rows
+        is formatted as one table: every distinct bit pattern in it (so -0.0
+        and 0.0 stay apart) is formatted once and the strings are gathered
+        back into place.
+        """
         fh.write(",".join(self.family.coordinate_names) + ",mean,w,benchmark,gap\n")
-        benchmark = repr(self.benchmark)
-        for point, mean, w in zip(self.points, self.means, self.outputs):
-            coords = ",".join(map(repr, point))
-            fh.write(f"{coords},{mean!r},{w!r},{benchmark},{self.benchmark - w!r}\n")
+        for block in self._flush():
+            for start in range(0, len(block), _CSV_CHUNK):
+                rows = block[start:start + _CSV_CHUNK]
+                table = np.column_stack(
+                    (rows, np.full(len(rows), self.benchmark), self.benchmark - rows[:, -1]))
+                bits, inverse = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+                text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+                lines = text[inverse].reshape(table.shape).tolist()
+                fh.write("\n".join(map(",".join, lines)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -275,9 +313,18 @@ class _Budget:
         return self.used >= self.limit
 
 
+def _non_finite(family: WaveformFamily, target_mean: float) -> SignalError:
+    return SignalError(
+        f"averaged output is not finite at mean {target_mean!r} on {family!r}: "
+        "the family's levels overflow double precision"
+    )
+
+
 def _evaluate(family, point, params, log: EvaluationLog, budget: _Budget) -> float:
     levels, durations = _levels_durations(family, point)
     w = output_for_levels(levels, durations, params.lam)
+    if not math.isfinite(w):
+        raise _non_finite(family, log.target_mean)
     log.record(point, family_mean(family, point), w)
     budget.used += 1
     return w
@@ -361,6 +408,8 @@ def grid_search(
         if isinstance(family, PiecewiseConstantFree):
             rows = _project_simplex_rows(rows, family.n_segments * target_mean)
         means, w, dist = _evaluate_rows(family, rows, target_mean, params.lam)
+        if not np.isfinite(w).all():
+            raise _non_finite(family, target_mean)
         log.extend(rows, means, w)
         top = np.flatnonzero(w == w.max())
         i = top[np.argmin(dist[top])]

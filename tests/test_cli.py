@@ -279,6 +279,36 @@ class TestOptimizeCommand:
         assert res["best"]["optimality_gap"] >= -1e-9
         assert res["max_excess_over_benchmark"] <= 1e-9
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family, name", [
+        ({"kind": "piecewise_free", "period": 1.0, "n_segments": 2}, "PiecewiseConstantFree"),
+        ({"kind": "bang_bang", "period": 1.0}, "BangBang"),
+    ])
+    def test_overflowing_mean_exits_2_before_writing(self, tmp_path, capsys, family, name):
+        # n_segments * mean, or mean / duty, overflows to inf and w to NaN
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": family, "lambda": 1.0, "mean": 1e308,
+            "out": str(tmp_path / "res.json"), "log": str(tmp_path / "log.csv"),
+        })
+        assert main(["optimize", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: averaged output is not finite at mean 1e+308 on " + name)
+        assert not (tmp_path / "res.json").exists()
+        assert not (tmp_path / "log.csv").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_starts", -2, "n_starts must be non-negative, got -2"),
+        ("max_evals", 0, "max_evals must be at least 1, got 0"),
+    ])
+    def test_search_counts_validated(self, tmp_path, capsys, key, value, message):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": {"kind": "bang_bang"}, "lambda": 1.0, "mean": 1.0, key: value,
+            "out": str(tmp_path / "res.json"),
+        })
+        assert main(["optimize", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "res.json").exists()
+
     def test_unknown_family_kind(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
             "family": {"kind": "triangle", "period": 1.0},

@@ -18,9 +18,9 @@ from bottleneck_lab.optimize import (
     perturbation_response,
     project_to_mean,
 )
-from bottleneck_lab.optimize import _project_simplex_rows
+from bottleneck_lab.optimize import _CSV_CHUNK, _project_simplex_rows
 from bottleneck_lab.periodic import constant_benchmark, gap_report, output_for_levels
-from bottleneck_lab.signals import PiecewiseConstant, SystemParams
+from bottleneck_lab.signals import PiecewiseConstant, SignalError, SystemParams
 
 P1 = SystemParams(lam=1.0)
 BB = BangBang(period=2.0)
@@ -31,6 +31,15 @@ def csv_text(log):
     buf = io.StringIO()
     log.to_csv(buf)
     return buf.getvalue()
+
+
+def per_row_csv(family, benchmark, rows):
+    """Reference writer: one f-string of field reprs per (point, mean, w) row."""
+    out = [",".join(family.coordinate_names) + ",mean,w,benchmark,gap\n"]
+    for point, mean, w in rows:
+        coords = ",".join(map(repr, point))
+        out.append(f"{coords},{mean!r},{w!r},{benchmark!r},{benchmark - w!r}\n")
+    return "".join(out)
 
 
 def simplex_projection(v, target_sum):
@@ -239,6 +248,14 @@ class TestCoordinateDescent:
         assert res.capped
         assert res.evaluations <= 40
 
+    def test_non_finite_output_raises_before_logging(self):
+        # the first line search reaches p2 = mean / duty = 2e308, which overflows
+        log = EvaluationLog(BB, 1e308, constant_benchmark(1e308, P1))
+        with pytest.raises(SignalError, match=r"not finite at mean 1e\+308 on BangBang"):
+            coordinate_descent(BB, 1e308, P1, (0.0, 1e308, 0.5), log=log)
+        assert len(log) >= 1
+        assert all(math.isfinite(w) for w in log.outputs)
+
 
 class TestScaleConsistency:
     def test_nondimensional_output_invariant(self):
@@ -323,3 +340,48 @@ class TestEvaluationLog:
         for row in rows:
             for field in row:
                 float(field)
+
+
+class TestCsvMatchesPerRowWriter:
+    # The free-family grid has 7**4 = 2401 rows, so its block spans five
+    # chunks; the descent rows after it form a block of their own.
+    @pytest.mark.parametrize("family, resolution, starts, min_chunks", [
+        (BB, 9, [(0.0, 2.0, 0.5), (0.9, 1.3, 0.2)], 0),
+        (K4, 7, [(0.0, 4.0, 0.0, 0.0), (2.0, 0.0, 1.5, 0.5)], 4),
+    ])
+    def test_grid_and_descents(self, family, resolution, starts, min_chunks):
+        log = EvaluationLog(family, 1.0, constant_benchmark(1.0, P1))
+        grid_search(family, 1.0, P1, resolution, log=log)
+        for start in starts:
+            coordinate_descent(family, 1.0, P1, start, log=log)
+        rows = list(zip(log.points, log.means, log.outputs))
+        assert len(rows) == len(log) > min_chunks * _CSV_CHUNK
+        assert log.max_output == max(log.outputs)
+        text = csv_text(log)
+        assert text == per_row_csv(family, log.benchmark, rows)
+        assert text.count("\n") == len(log) + 1
+
+    def test_hand_recorded_edge_values_in_order(self):
+        fam = PiecewiseConstantFree(period=1.0, n_segments=2)
+        rows = [
+            ((-0.0, 0.0), 0.0, -0.0),
+            ((5e-324, 1e16), 1e-5, 9999999999999998.0),
+            ((1e-5, -0.0), 5e-324, 1e16),
+            ((9999999999999998.0, 1e16), -0.0, 5e-324),
+            ((math.nan, math.inf), -math.inf, 1e-5),
+        ]
+        log = EvaluationLog(fam, 0.5, 1e-5)
+        log.record(*rows[0])
+        block = rows[1:3]
+        log.extend(np.array([p for p, _, _ in block]), np.array([m for _, m, _ in block]),
+                   np.array([w for _, _, w in block]))
+        for row in rows[3:]:
+            log.record(*row)
+        assert len(log) == len(rows)
+        assert log.max_output == 1e16
+        assert csv_text(log) == per_row_csv(fam, 1e-5, rows)
+
+    def test_empty_log_writes_the_header_only(self):
+        log = EvaluationLog(BB, 1.0, 0.5)
+        assert csv_text(log) == "p1,p2,duty,mean,w,benchmark,gap\n"
+        assert len(log) == 0 and log.points == [] and log.max_excess == -math.inf
