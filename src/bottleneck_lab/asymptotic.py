@@ -261,18 +261,25 @@ def finite_horizon_certificates(
             sigma_bar = float(ra.cumulative_input[-1] / ra.taus[-1])
     x_star = sigma_bar / (lam + sigma_bar) if sigma_bar > 0.0 else 0.0
 
-    certs = []
-    one_minus_sq = (1.0 - x_star) ** 2
-    for tau, x_tau, ix, isig in zip(ra.taus.tolist(), ra.states.tolist(),
-                                    ra.cumulative_x.tolist(), ra.cumulative_input.tolist()):
-        lhs = lam * ix / tau
-        correction = ((2.0 * x_star - 1.0) * (x_tau - x0)
-                      - 0.5 * (x_tau * x_tau - x0 * x0)) / tau
-        rhs = one_minus_sq * isig / tau + lam * x_star * x_star + correction
-        certs.append(FiniteTauCertificate(
-            tau=tau, lhs=lhs, rhs=rhs, slack=rhs - lhs, correction=correction,
-        ))
-    return certs
+    lhs, rhs, correction = _certificate_terms(
+        lam, x_star, x0, ra.taus, ra.states, ra.cumulative_x, ra.cumulative_input)
+    return [
+        FiniteTauCertificate(tau=tau, lhs=left, rhs=right, slack=right - left, correction=corr)
+        for tau, left, right, corr in zip(ra.taus.tolist(), lhs.tolist(), rhs.tolist(),
+                                          correction.tolist())
+    ]
+
+
+def _certificate_terms(lam, x_star, x0, taus, states, cumulative_x, cumulative_input):
+    """(lhs, rhs, correction) of the pre-limit inequality, elementwise.
+
+    Arguments broadcast, so one call serves one pass or rows of passes.
+    """
+    lhs = lam * cumulative_x / taus
+    correction = ((2.0 * x_star - 1.0) * (states - x0)
+                  - 0.5 * (states * states - x0 * x0)) / taus
+    rhs = (1.0 - x_star) ** 2 * cumulative_input / taus + lam * x_star * x_star + correction
+    return lhs, rhs, correction
 
 
 def solution_independence_check(

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import asymptotic, dynamics, optimize, periodic, suites
 from .signals import (
+    PiecewiseConstant,
     QuadratureSpec,
     SignalError,
     SystemParams,
@@ -166,6 +167,9 @@ def _cmd_verify(cfg: dict) -> int:
     seed = _number(int, cfg.get("seed", 0), "seed")
     n_signals = _number(int, cfg.get("n_signals", 500), "n_signals")
     n_asymptotic = _number(int, cfg.get("n_asymptotic", 100), "n_asymptotic")
+    for key, count in (("n_signals", n_signals), ("n_asymptotic", n_asymptotic)):
+        if count < 0:
+            raise ConfigError(f"verify: {key} must be non-negative, got {count}")
     tolerances = suites.SuiteTolerances()
     if cfg.get("tolerance") is not None:
         tolerances = suites.SuiteTolerances(
@@ -181,8 +185,13 @@ def _cmd_verify(cfg: dict) -> int:
                 raise ConfigError(
                     f"verify: cases[{i}] must have exactly the keys 'signal' and 'lam'"
                 )
+            signal = _load_signal(case["signal"], f"verify: cases[{i}]")
+            if not (isinstance(signal, PiecewiseConstant) and signal.periodic):
+                raise ConfigError(
+                    f"verify: cases[{i}] must be a periodic piecewise_constant signal"
+                )
             cases.append((
-                _load_signal(case["signal"], f"verify: cases[{i}]"),
+                signal,
                 SystemParams(lam=_positive_float(case["lam"], f"cases[{i}].lam")),
             ))
     report = suites.run_verification(

@@ -12,13 +12,13 @@ them one at a time in Python.
       x(t0 + h) = x_inf + (x(t0) - x_inf) e^{-r h},
       int_{t0}^{t0+h} x = x_inf h + (x(t0) - x_inf) h phi(r h),
 
-  with phi(z) = (1 - e^{-z}) / z and phi(0) = 1. An event walk chains
-  these across segment boundaries and requested grid points. On a
-  periodic signal it jumps the whole cycles before the next record time
-  through the one-period map x -> a x + b of `_PeriodJump`, the one
-  closed-form period kernel, which `periodic` reads too. Trajectories and
-  running integrals are exact up to rounding, which is what makes the
-  identity residuals downstream meaningful.
+  with phi(z) = (1 - e^{-z}) / z and phi(0) = 1. Nothing is walked: each
+  record time is served in closed form from the period kernel of
+  `periodic` (whole cycles), affine prefixes of the segment maps (whole
+  segments) and one partial step, for rows of signals at once
+  (`_exact_rows`). Trajectories and running integrals are exact up to
+  rounding, which is what makes the identity residuals downstream
+  meaningful.
 
 * Smooth inflow (clipped sinusoid sums) uses classical fourth-order
   one-step integration on a fixed grid. Because the right-hand side is
@@ -46,6 +46,8 @@ from .signals import (
     PiecewiseConstant,
     QuadratureSpec,
     SystemParams,
+    _pad_rows,
+    _segment_index,
     evaluate_array,
     max_level,
     period_of,
@@ -140,95 +142,94 @@ def numeric_step(
 
 
 # ---------------------------------------------------------------------------
-# Exact path: event walk over constant segments, whole periods in closed form
+# Exact path: closed form at every record time, rows of signals at once
 # ---------------------------------------------------------------------------
 
-class _PeriodJump:
-    """One period of piecewise-constant inflow, levels c and durations h.
+# Record times per block are capped so that the per-(row, cycle) prefix
+# arrays, segments x pairs, stay near this many entries (8 MB each).
+_BLOCK_ENTRIES = 1 << 20
 
-    The walk's cycle jumps and every closed-form quantity of `periodic`
-    read this kernel. Per segment r = lam + c, x_inf = c / r,
-    g = 1 - e^{-r h} and w = int_0^h e^{-r s} ds = h phi(r h). Over one
-    period the flow is x -> a x + b with a = e^{-R}, R = sum r h; b is
-    summed as b <- x_inf g + b (1 - g), which does not cancel when g is
-    small, and 1 - a = -expm1(-R), so x_p = b / (1 - a), the periodic
-    orbit's start, keeps full relative precision however weak the
-    contraction. The period integral of x has slope p in the start state;
-    I_p is the periodic orbit's and S that of sigma. From x at a cycle
-    start, m cycles later
 
-        x_m     = x_p + (x - x_p) a^m,
-        int x   = m I_p + p (x - x_p) (1 - a^m) / (1 - a),
-        int sig = m S,
+def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
+    """Exact states and running integrals of x and sigma at the record times.
 
-    where (1 - a^m) / (1 - a) is m when R underflows to 0.
+    Rows are padded signals (`signals._pad_rows`) with one lam and one x0
+    each; `record_times` is (M,), shared by the rows, or (N, M). Returns
+    (states, cumulative_x, cumulative_sigma), each (N, M). Nothing is
+    walked: t lies in segment i of cycle c (`signals._segment_index`), and
+    with the period kernel (`periodic._PeriodRows`) cycle c starts at
+
+        x_c = x_p + (x0 - x_p) a^c,   int x = c I_p + p (x0 - x_p) (1 - a^c) / (1 - a),
+
+    int sigma = c S, with (1 - a^c) / (1 - a) = c when R underflows to 0;
+    aperiodic rows have c = 0 and hold their last segment. Prefixes of the
+    segment maps x -> d x + x_inf g (`_affine_prefix`) and of the segment
+    integrals carry these to the start of segment i, and one partial step
+    of length t - (segment start) finishes them. Cycle c's segments span
+    the differences of its boundary sums c*T + t_i, which can differ from
+    the nominal durations in the last bit of c*T (it starts at (c-1)*T + T,
+    not c*T), so the prefixes are built per (row, cycle) pair over that
+    cycle's own widths: a time on a boundary sum starts the next segment
+    exactly. Each entry depends on its own record time only, so long
+    record lists are served in blocks.
     """
+    from .periodic import _PeriodRows, _Segments    # periodic builds on this module
 
-    # Slots and hand-written lazy properties, not functools.cached_property:
-    # before Python 3.12 its first read takes a lock, which costs the search
-    # loop's output_for_levels about a quarter of its time.
-    __slots__ = ("segments", "rate", "sigma_int", "b", "one_minus_a", "x_p", "_i_p", "_p")
+    record_times = np.asarray(record_times, dtype=float)
+    width = max(1, _BLOCK_ENTRIES // levels.size)
+    if record_times.shape[-1] > width:
+        blocks = [_exact_rows(levels, breakpoints, periodic, lam, x0,
+                              record_times[..., j:j + width])
+                  for j in range(0, record_times.shape[-1], width)]
+        return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
 
-    def __init__(self, levels, durations, lam: float) -> None:
-        segments = []   # (x_inf, g, w, r, h) per segment
-        rate = sigma_int = b = 0.0
-        for c, h in zip(levels, durations):
-            r = lam + c
-            rh = r * h
-            g = -math.expm1(-rh)
-            x_inf = c / r
-            segments.append((x_inf, g, h * (g / rh) if rh else h, r, h))
-            rate += rh
-            sigma_int += c * h
-            b = x_inf * g + b * (1.0 - g)
-        self.segments, self.rate, self.sigma_int, self.b = segments, rate, sigma_int, b
-        self.one_minus_a = -math.expm1(-rate)
-        # R is 0 only when every r h underflows, and then b is 0 too.
-        self.x_p = b / self.one_minus_a if rate else 0.0
-        self._i_p = self._p = None
+    lam = np.asarray(lam, dtype=float)
+    kernel = _PeriodRows(levels, np.diff(breakpoints, axis=1), lam)
+    cycle, seg = _segment_index(breakpoints, periodic, record_times)
+    x0 = np.asarray(x0, dtype=float)[:, None]
 
-    @property
-    def i_p(self) -> float:
-        """int_0^T x_p, the period integral of the periodic orbit."""
-        if self._i_p is None:
-            x = self.x_p
-            total = 0.0
-            for x_inf, g, w, _, h in self.segments:
-                delta = x - x_inf
-                total += x_inf * h + delta * w
-                x = x_inf + delta * (1.0 - g)
-            self._i_p = total
-        return self._i_p
+    # Pairs are runs of equal cycle along each row, one per cycle when the
+    # record times are sorted.
+    opens = np.ones(cycle.shape, dtype=bool)
+    opens[:, 1:] = cycle[:, 1:] != cycle[:, :-1]
+    pair = np.cumsum(opens).reshape(cycle.shape) - 1
+    prow, pcycle = np.nonzero(opens)[0], cycle[opens][:, None]
+    n_pairs = len(prow)
+    period = breakpoints[prow, -1:]
+    bounds = np.concatenate(
+        (np.where(pcycle > 0, (pcycle - 1) * period + period, 0.0),
+         pcycle * period + breakpoints[prow, 1:]), axis=1)
+    segs = _Segments(levels[prow], np.diff(bounds, axis=1), lam[prow])
 
-    @property
-    def p(self) -> float:
-        """d int_0^T x / d x(0)."""
-        if self._p is None:
-            slope = 1.0     # d x(segment start) / d x(0)
-            total = 0.0
-            for _, g, w, _, _ in self.segments:
-                total += slope * w
-                slope *= 1.0 - g
-            self._p = total
-        return self._p
+    def at_starts(prefix, first=0.0):     # (k + 1, pairs): values at segment starts
+        return np.concatenate((np.full((1, n_pairs), first), prefix))
 
-    def advance(self, x: float, m: int) -> tuple[float, float, float]:
-        """(x_m, int x, int sigma) over m whole cycles from x at a cycle start."""
-        decay = math.exp(-m * self.rate)
-        delta = x - self.x_p
-        ratio = -math.expm1(-m * self.rate) / self.one_minus_a if self.rate else m
-        int_x = m * self.i_p + self.p * delta * ratio
-        return min(max(self.x_p + delta * decay, 0.0), 1.0), int_x, m * self.sigma_int
+    P, Q = _affine_prefix(segs.d.copy(), segs.x_inf * segs.g)
+    P, Q = at_starts(P, 1.0), at_starts(Q)
+    U = at_starts(np.cumsum(segs.x_inf * segs.h + (Q[:-1] - segs.x_inf) * segs.w, axis=0))
+    V = at_starts(np.cumsum(P[:-1] * segs.w, axis=0))
+    S = at_starts(np.cumsum(segs.c * segs.h, axis=0))
 
+    rate = kernel.rate[:, None]
+    one_minus_a = kernel.one_minus_a[:, None]
+    delta = x0 - kernel.x_p[:, None]
+    ratio = np.divide(-np.expm1(-cycle * rate), one_minus_a, out=cycle.copy(),
+                      where=one_minus_a > 0.0)
+    x_c = np.where(cycle > 0, kernel.x_p[:, None] + delta * np.exp(-cycle * rate), x0)
+    x = P[seg, pair] * x_c + Q[seg, pair]
+    int_x = cycle * kernel.i_p[:, None] + kernel.p[:, None] * delta * ratio
+    int_x = int_x + U[seg, pair] + V[seg, pair] * x_c
+    int_s = cycle * kernel.s[:, None] + S[seg, pair]
 
-def _whole_cycles(cycle: int, period: float, target: float) -> int:
-    """Most cycles m from the start of `cycle` whose walk end (cycle+m-1)*T + T <= target."""
-    m = max(0, math.floor(target / period) - cycle)
-    while m > 0 and (cycle + m - 1) * period + period > target:
-        m -= 1
-    while (cycle + m) * period + period <= target:
-        m += 1
-    return m
+    span = record_times - bounds[pair, seg]
+    level, x_inf = segs.c[seg, pair], segs.x_inf[seg, pair]
+    rs = segs.r[seg, pair] * span
+    g = -np.expm1(-rs)
+    w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
+    int_x = int_x + x_inf * span + (x - x_inf) * w
+    int_s = int_s + level * span
+    x = np.clip(x_inf + (x - x_inf) * (1.0 - g), 0.0, 1.0)
+    return x, int_x, int_s
 
 
 def exact_pass(
@@ -240,97 +241,18 @@ def exact_pass(
     """Propagate exactly, recording at the given times.
 
     Returns (states, cumulative_x, cumulative_sigma) aligned with
-    `record_times`, which must be non-decreasing and non-negative. The walk
-    splits at every segment boundary and every record time, so all three
-    outputs are closed-form exact. On a periodic signal, when the walk sits
-    at a cycle start and at least two whole cycles end before the next
-    record time, it jumps over them in closed form (`_PeriodJump`); a
-    single cycle is walked, since building the jump costs as much.
+    `record_times`, which must be non-decreasing and non-negative. Every
+    entry is a closed form of its own record time (`_exact_rows` on one
+    row), so no error accumulates along the record list.
     """
     record_times = np.asarray(record_times, dtype=float)
     if record_times.size and record_times[0] < 0.0:
         raise DomainError("record times must be non-negative")
-    x = _check_occupancy(x0)
-    lam = params.lam
-
-    bps = signal.breakpoints
-    lvls = signal.levels
-    n_seg = len(lvls)
-    period = signal.duration
-
-    out_x = np.empty(record_times.size)
-    out_ix = np.empty(record_times.size)
-    out_is = np.empty(record_times.size)
-
-    t = 0.0
-    cum_x = 0.0
-    cum_s = 0.0
-    cycle = 0
-    seg = 0
-    # True while the walk sits exactly at the start of `cycle`; seg == 0
-    # alone does not say so, since a record time can fall inside segment 0.
-    at_cycle_start = signal.periodic
-    jump = None
-    k = 0
-    n_rec = record_times.size
-    # Record anything scheduled at t = 0 before stepping.
-    while k < n_rec and record_times[k] <= t:
-        out_x[k], out_ix[k], out_is[k] = x, cum_x, cum_s
-        k += 1
-
-    while k < n_rec:
-        target = record_times[k]
-        if at_cycle_start:
-            m = _whole_cycles(cycle, period, target)
-            if m >= 2:
-                if jump is None:
-                    jump = _PeriodJump(lvls, signal.durations, lam)
-                x, dx, ds = jump.advance(x, m)
-                cum_x += dx
-                cum_s += ds
-                cycle += m
-                t = (cycle - 1) * period + period
-                while k < n_rec and record_times[k] <= t:
-                    out_x[k], out_ix[k], out_is[k] = x, cum_x, cum_s
-                    k += 1
-                continue
-        if signal.periodic:
-            boundary = cycle * period + bps[seg + 1]
-        elif seg < n_seg - 1:
-            boundary = bps[seg + 1]
-        else:
-            boundary = math.inf  # last level held beyond the final breakpoint
-        t_next = boundary if boundary < target else target
-        level = lvls[seg]
-        h = t_next - t
-        if h > 0.0:
-            r = lam + level
-            rh = r * h
-            x_inf = level / r
-            g = -math.expm1(-rh)
-            delta = x - x_inf
-            cum_x += x_inf * h + delta * (h * (g / rh) if rh else h)  # w = h phi(r h)
-            cum_s += level * h
-            x = x_inf + delta * (1.0 - g)
-            if x < 0.0:
-                x = 0.0
-            elif x > 1.0:
-                x = 1.0
-            t = t_next
-        at_cycle_start = False
-        if boundary <= target:
-            seg += 1
-            if seg == n_seg:
-                if signal.periodic:
-                    seg = 0
-                    cycle += 1
-                    at_cycle_start = True
-                else:
-                    seg = n_seg - 1  # hold last level
-        while k < n_rec and record_times[k] <= t:
-            out_x[k], out_ix[k], out_is[k] = x, cum_x, cum_s
-            k += 1
-    return out_x, out_ix, out_is
+    x0 = _check_occupancy(x0)
+    levels, breakpoints, periodic = _pad_rows([signal])
+    rows = _exact_rows(levels, breakpoints, periodic, np.array([params.lam]),
+                       np.array([x0]), record_times)
+    return tuple(a[0] for a in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +290,14 @@ def _affine_step_coeffs(s0, sm, s1, lam: float, h: float):
 def _affine_prefix(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix compositions of the maps x <- A[i] x + B[i], in place.
 
-    Returns (P, Q) with x_{i+1} = P[i] x_0 + Q[i], by Hillis-Steele
+    Works along the first axis, so 2-D (k, N) input composes N columns at
+    once. Returns (P, Q) with x_{i+1} = P[i] x_0 + Q[i], by Hillis-Steele
     doubling: after the pass with offset d, entry i holds the composition
     of steps i-2d+1 .. i, so log2(n) passes cover every prefix.
     """
     P, Q = A, B
     d = 1
-    while d < P.size:
+    while d < len(P):
         Q[d:] += P[d:] * Q[:-d]
         P[d:] *= P[:-d]
         d *= 2
@@ -469,8 +392,9 @@ def smooth_pass(
 def _merge_record_grid(pw: PiecewiseConstant, horizon: float, record_step: float) -> np.ndarray:
     """Union of segment boundaries and a uniform grid on [0, horizon].
 
-    Boundaries are the walk's own sums c*T + t_i; every cycle with
-    c*T < horizon is among the ceil(horizon / T) + 1 rows of the table.
+    Boundaries are the sums c*T + t_i that `signals._segment_index` reads;
+    every cycle with c*T < horizon is among the ceil(horizon / T) + 1 rows
+    of the table.
     """
     n = max(1, round(horizon / record_step))
     uniform = np.linspace(0.0, horizon, n + 1)

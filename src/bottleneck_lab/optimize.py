@@ -359,7 +359,9 @@ def _grid_array(family: WaveformFamily, target_mean: float, resolution: int) -> 
 def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float, lam: float):
     """(mean, w, distance to constant) of each row of feasible family points.
 
-    The distance is Euclidean in level coordinates (duty excluded for BangBang).
+    The distance is Euclidean in level coordinates (duty excluded for
+    BangBang), in units of the target mean, so squaring cannot overflow for
+    huge means; dividing by a positive constant keeps the ranking.
     """
     if isinstance(family, BangBang):
         p1, p2, duty = rows.T
@@ -372,6 +374,8 @@ def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float,
         durations = family.period / family.n_segments
         means = rows.sum(axis=1) / family.n_segments
         dev = rows - target_mean
+    if target_mean > 0.0:
+        dev = dev / target_mean
     w = output_for_level_rows(levels, durations, lam)
     return means, w, np.sqrt(np.sum(dev * dev, axis=1))
 

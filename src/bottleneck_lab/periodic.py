@@ -22,15 +22,18 @@ identities feed the same bookkeeping:
 
 On piecewise-constant inflow every integral above has a per-segment closed
 form (x_p is a known exponential on each segment), so the reported residuals
-measure rounding only. All of them read one scalar kernel for the period,
-`dynamics._PeriodJump`: the map's exponent R = int_0^T (lam + sigma), its
-offset b, the fixed point x_p(0) = b / (1 - a) with 1 - a = -expm1(-R)
-(never 1 - e^{-R} by subtraction, which loses every digit once R is below
-double precision, as at nanosecond periods), and the per-segment integral
-weights. Only `output_for_level_rows`, the search's batch of candidate
-waveforms, restates the same formulas over numpy columns. On smooth inflow
-the integrals fall back to trapezoid sums over the numeric grid and the
-residual tolerance is correspondingly looser (about 1e-5 at default grids).
+measure rounding only. All of them read one period kernel over padded
+(N, k) rows of levels and durations, `_PeriodRows`: the map's exponent
+R = int_0^T (lam + sigma), its offset b, the fixed point x_p(0) = b / (1 - a)
+with 1 - a = -expm1(-R) (never 1 - e^{-R} by subtraction, which loses every
+digit once R is below double precision, as at nanosecond periods), the
+per-segment integral weights and, on request, the moment integrals. Reports,
+one-period maps, the search's batches of candidate waveforms, the
+verification suites and the exact path of `dynamics` are rows of it; only
+`output_for_levels`, the coordinate descent's one-point evaluation, keeps a
+scalar twin. On smooth inflow the integrals fall back to trapezoid sums over
+the numeric grid and the residual tolerance is correspondingly looser (about
+1e-5 at default grids).
 """
 
 from __future__ import annotations
@@ -156,8 +159,8 @@ def poincare_map(
     period = require_period(signal)
     step = dynamics.numeric_step(signal, params, grid)
     if step is None:
-        kernel = dynamics._PeriodJump(signal.levels, signal.durations, params.lam)
-        return PoincareMap(rate=kernel.rate, b=kernel.b)
+        kernel = _PeriodRows([signal.levels], [signal.durations], params.lam)
+        return PoincareMap(rate=float(kernel.rate[0]), b=float(kernel.b[0]))
     b = float(dynamics.smooth_pass(signal, params, 0.0, np.asarray([period]), step)[0][0])
     n = max(2, math.ceil(period / step))
     ts = np.linspace(0.0, period, n + 1)
@@ -189,81 +192,134 @@ def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
 # Closed-form period integrals (piecewise-constant inflow)
 # ---------------------------------------------------------------------------
 
+class _Segments:
+    """Per-segment terms of an (N, k) batch of levels c and durations h.
+
+    Padding segments (`signals._pad_rows`: level 0, width 0) are exact
+    identity maps. As (k, N) columns: r = lam + c, x_inf = c / r,
+    g = 1 - e^{-r h} = -expm1(-r h), d = 1 - g and w = h phi(r h), with
+    phi(z) = (1 - e^{-z}) / z and phi(0) = 1. `lam` is a scalar or per row.
+    """
+
+    def __init__(self, levels, durations, lam) -> None:
+        levels = np.asarray(levels, dtype=float)
+        self.c = c = np.ascontiguousarray(levels.T)
+        self.h = h = np.ascontiguousarray(np.broadcast_to(durations, levels.shape).T)
+        self.lam = lam = np.asarray(lam, dtype=float)
+        self.r = r = lam + c
+        self.rh = rh = r * h
+        self.x_inf = c / r
+        self.g = g = -np.expm1(-rh)
+        self.d = 1.0 - g
+        self.w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
+
+
+class _PeriodRows(_Segments):
+    """One period of each row: the period kernel of every closed form here.
+
+    Over one period the flow is x -> a x + b with a = e^{-R}, R = sum r h
+    (`rate`); b is summed as b <- x_inf g + b d, which does not cancel when
+    g is small, and 1 - a = -expm1(-R), so x_p = b / (1 - a), the periodic
+    orbit's start, keeps full relative precision however weak the
+    contraction. Per row: `i_p` = int_0^T x_p, `p` = d int_0^T x / d x(0),
+    `s` = int_0^T sigma and `period` = T. With `moments`, also
+    `x_star` = sigma_bar / (lam + sigma_bar) and the integrals of
+    (lam + sigma) times x_p (`m1`), x_p^2 (`m2`) and (x_p - x_star)^2
+    (`gap`). Every recurrence and sum runs column by column in segment
+    order, so a row's results depend neither on the other rows nor on its
+    padding.
+    """
+
+    def __init__(self, levels, durations, lam, moments: bool = False) -> None:
+        super().__init__(levels, durations, lam)
+        c, h, r, x_inf, g, d, w = self.c, self.h, self.r, self.x_inf, self.g, self.d, self.w
+        b, rate, s, period = (np.zeros(c.shape[1]) for _ in range(4))
+        for j in range(c.shape[0]):
+            b = x_inf[j] * g[j] + b * d[j]
+            rate += self.rh[j]
+            s += c[j] * h[j]
+            period += h[j]
+        self.b, self.rate, self.s, self.period = b, rate, s, period
+        self.one_minus_a = -np.expm1(-rate)
+        # R is 0 only when every r h underflows, and then b is 0 too.
+        self.x_p = x = b / np.maximum(self.one_minus_a, math.ulp(0.0))
+        i_p, p, slope = np.zeros(c.shape[1]), np.zeros(c.shape[1]), np.ones(c.shape[1])
+        delta = np.empty_like(c) if moments else None   # x_p(segment start) - x_inf
+        for j in range(c.shape[0]):
+            dx = x - x_inf[j]
+            i_p += x_inf[j] * h[j] + dx * w[j]
+            p += slope * w[j]           # slope = d x(segment start) / d x(0)
+            slope = slope * d[j]
+            x = x_inf[j] + dx * d[j]
+            if moments:
+                delta[j] = dx
+        self.i_p, self.p = i_p, p
+        if moments:
+            sigma_bar = self.s / self.period
+            self.x_star = x_star = sigma_bar / (self.lam + sigma_bar)
+            dev = x_inf - x_star
+            half_g2 = 0.5 * g * (2.0 - g)   # (1 - e^{-2 r h}) / 2
+            self.m1 = np.cumsum(r * x_inf * h + delta * g, axis=0)[-1]
+            self.m2 = np.cumsum(r * x_inf * x_inf * h + 2.0 * x_inf * delta * g
+                                + delta * delta * half_g2, axis=0)[-1]
+            self.gap = np.cumsum(r * dev * dev * h + 2.0 * dev * delta * g
+                                 + delta * delta * half_g2, axis=0)[-1]
+
+
 def output_for_levels(levels, durations, lam: float) -> float:
     """Averaged output for one period given segment levels and durations.
 
-    Low-overhead kernel used by the waveform-search module, which evaluates
-    it many thousands of times; plain floats, no signal objects.
+    Low-overhead scalar twin of `output_for_level_rows` for the waveform
+    search's coordinate descent, which evaluates it one point at a time
+    many thousands of times; plain floats, no signal objects or arrays.
     """
-    return lam * dynamics._PeriodJump(levels, durations, lam).i_p / sum(durations)
+    segments = []
+    rate = b = 0.0
+    for c, h in zip(levels, durations):
+        r = lam + c
+        rh = r * h
+        g = -math.expm1(-rh)
+        x_inf = c / r
+        segments.append((x_inf, g, h * (g / rh) if rh else h, h))
+        rate += rh
+        b = x_inf * g + b * (1.0 - g)
+    x = b / -math.expm1(-rate) if rate else 0.0
+    total = 0.0
+    for x_inf, g, w, h in segments:
+        delta = x - x_inf
+        total += x_inf * h + delta * w
+        x = x_inf + delta * (1.0 - g)
+    return lam * total / sum(durations)
 
 
 def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
     """Row-wise output_for_levels over an (N, k) array of candidate waveforms.
 
-    `durations` is (N, k) or broadcasts to it. The same formulas as the
-    scalar kernel (1 - a from expm1, integral weights h phi(r h)), run
-    column by column (k passes of length N); results agree with it to
-    rounding (numpy's expm1 may differ in the last bit from the C
-    library's).
+    `durations` is (N, k) or broadcasts to it. Results agree with the
+    scalar twin to rounding (numpy's expm1 may differ in the last bit from
+    the C library's).
     """
-    levels = np.asarray(levels, dtype=float)
-    c = np.ascontiguousarray(levels.T)
-    h = np.ascontiguousarray(np.broadcast_to(durations, levels.shape).T)
-    r = lam + c
-    rh = r * h
-    x_inf = c / r
-    g = -np.expm1(-rh)
-    w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)   # h phi(r h)
-    d = 1.0 - g
-    b = np.zeros(levels.shape[0])
-    for j in range(c.shape[0]):
-        b = x_inf[j] * g[j] + b * d[j]
-    x = b / np.maximum(-np.expm1(-rh.sum(axis=0)), math.ulp(0.0))
-    total = np.zeros(levels.shape[0])
-    for j in range(c.shape[0]):
-        delta = x - x_inf[j]
-        total += x_inf[j] * h[j] + delta * w[j]
-        x = x_inf[j] + delta * d[j]
-    return lam * total / h.sum(axis=0)
+    kernel = _PeriodRows(levels, durations, lam)
+    return lam * kernel.i_p / kernel.period
 
 
-def _closed_form_report(levels, durations, lam: float) -> PeriodicReport:
-    kernel = dynamics._PeriodJump(levels, durations, lam)
-    period = math.fsum(durations)
-    sigma_bar = kernel.sigma_int / period
-    x_star = sigma_bar / (lam + sigma_bar) if sigma_bar > 0.0 else 0.0
+def _closed_form_reports(kernel: _PeriodRows) -> list[PeriodicReport]:
+    """One report per row of a kernel built with `moments`."""
+    lam, period, x_star = kernel.lam, kernel.period, kernel.x_star
+    sigma_bar = kernel.s / period
     w_const = lam * x_star
-
-    x = kernel.x_p
-    m1 = 0.0        # int (lam+sigma) x_p
-    m2 = 0.0        # int (lam+sigma) x_p^2
-    gap_int = 0.0   # int (lam+sigma) (x_p - x_star)^2
-    for x_inf, g, _, r, h in kernel.segments:
-        delta = x - x_inf
-        dev = x_inf - x_star
-        half_g2 = 0.5 * g * (2.0 - g)   # (1 - e^{-2 r h}) / 2
-        m1 += r * x_inf * h + delta * g
-        m2 += r * x_inf * x_inf * h + 2.0 * x_inf * delta * g + delta * delta * half_g2
-        gap_int += r * dev * dev * h + 2.0 * dev * delta * g + delta * delta * half_g2
-        x = x_inf + delta * (1.0 - g)
-
     w_sigma = lam * kernel.i_p / period
-    gap = gap_int / period
-    if gap < 0.0:
-        if gap < _GAP_FLOOR:
-            raise AssertionError(f"gap integral went negative: {gap}")
-        gap = 0.0
-    return PeriodicReport(
-        sigma_bar=sigma_bar,
-        x_star=x_star,
-        w_sigma=w_sigma,
-        w_const=w_const,
-        gap=gap,
-        residual_gap=abs(w_const - w_sigma - gap),
-        residual_m1=abs(m1 / period - sigma_bar),
-        residual_m2=abs(m2 / period - (sigma_bar - w_sigma)),
+    gap = kernel.gap / period
+    if np.any(gap < _GAP_FLOOR):
+        raise AssertionError(f"gap integral went negative: {gap.min()}")
+    gap = np.where(gap < 0.0, 0.0, gap)
+    columns = (
+        sigma_bar, x_star, w_sigma, w_const, gap,
+        np.abs(w_const - w_sigma - gap),
+        np.abs(kernel.m1 / period - sigma_bar),
+        np.abs(kernel.m2 / period - (sigma_bar - w_sigma)),
     )
+    return [PeriodicReport(*row) for row in zip(*(v.tolist() for v in columns))]
 
 
 def _quadrature_report(
@@ -311,7 +367,8 @@ def gap_report(
     if _is_smooth(signal):
         return _quadrature_report(signal, params, grid)
     require_period(signal)
-    return _closed_form_report(signal.levels, signal.durations, params.lam)
+    kernel = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
+    return _closed_form_reports(kernel)[0]
 
 
 def period_states(
@@ -326,14 +383,27 @@ def period_states(
     to the periodic orbit without going through the affine map itself.
     """
     require_period(signal)
-    kernel = dynamics._PeriodJump(signal.levels, signal.durations, params.lam)
-    steps = [(x_inf, 1.0 - g) for x_inf, g, _, _, _ in kernel.segments]
-    out = np.empty(n_periods + 1)
-    x = dynamics._check_occupancy(x0)
-    out[0] = x
+    kernel = _PeriodRows([signal.levels], [signal.durations], params.lam)
+    return _period_states_rows(kernel, dynamics._check_occupancy(x0), n_periods)[:, 0]
+
+
+def _period_states_rows(kernel: _PeriodRows, x0, n_periods: int) -> np.ndarray:
+    """x at 0, T, ..., n_periods*T for every row of `kernel`, from x0.
+
+    x0 broadcasts against the rows, so starts of shape (2, 1) walk two
+    starts per row at once. A step-by-step walk, one column pass x <- d x + x_inf g
+    per segment per period, never the period map: it is what the
+    contraction check observes. Returns an (n_periods + 1,) + broadcast
+    shape array.
+    """
+    offset = kernel.x_inf * kernel.g
+    out = np.empty((n_periods + 1,) + np.broadcast(x0, kernel.b).shape)
+    out[0] = x0
+    x = out[0].copy()
     for n in range(1, n_periods + 1):
-        for x_inf, d in steps:
-            x = x_inf + (x - x_inf) * d
+        for d, b in zip(kernel.d, offset):
+            np.multiply(x, d, out=x)
+            np.add(x, b, out=x)
         out[n] = x
     return out
 

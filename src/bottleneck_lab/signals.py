@@ -27,6 +27,7 @@ them back as `piecewise_constant`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,18 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _finite_tuple(name: str, values) -> tuple[float, ...]:
+    """`_require_finite` over a sequence, failing on the same first entry."""
+    values = tuple(values)
+    try:
+        out = tuple(map(float, values))
+    except (TypeError, ValueError):
+        out = ()
+    if len(out) != len(values) or not all(map(math.isfinite, out)):
+        return tuple(_require_finite(name, v) for v in values)
+    return out
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Outflow rate constant of the model (the `lam` in w = lam * x)."""
@@ -126,19 +139,19 @@ class PiecewiseConstant:
     periodic: bool = True
 
     def __post_init__(self) -> None:
-        bps = tuple(_require_finite("breakpoint", b) for b in self.breakpoints)
-        lvls = tuple(_require_finite("level", c) for c in self.levels)
+        bps = _finite_tuple("breakpoint", self.breakpoints)
+        lvls = _finite_tuple("level", self.levels)
         if len(bps) < 2:
             raise SignalError("need at least two breakpoints")
         if bps[0] != 0.0:
             raise SignalError(f"breakpoints must start at 0, got {bps[0]}")
-        if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
+        if not all(map(operator.lt, bps, bps[1:])):
             raise SignalError(f"breakpoints must be strictly increasing: {bps}")
         if len(lvls) != len(bps) - 1:
             raise SignalError(
                 f"expected {len(bps) - 1} levels for {len(bps)} breakpoints, got {len(lvls)}"
             )
-        if any(c < 0.0 for c in lvls):
+        if min(lvls, default=0.0) < 0.0:
             raise SignalError(f"levels must be non-negative: {lvls}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "levels", lvls)
@@ -266,46 +279,73 @@ def max_slope(signal: InputSignal) -> float:
     return 0.0
 
 
-def _segment_index(signal: PiecewiseConstant, ts: np.ndarray) -> np.ndarray:
-    """Index of the segment that `dynamics.exact_pass` integrates at each time.
+def _pad_rows(signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Piecewise-constant signals as padded rows (levels, breakpoints, periodic).
 
-    Segments are left-closed. The walk puts the boundaries of cycle c at
-    c*T + t_i (i = 1..k), so cycle c + 1 starts at c*T + t_k, which can
-    differ from (c + 1)*T in the last bit; reducing t modulo T misplaces
-    such times. Here each time is compared with the walk's own boundary
-    sums, starting from the cycle floor(t / T) and moving one cycle at a
-    time until the time lies inside it.
+    levels is (N, K) and breakpoints (N, K + 1), K the most segments of any
+    signal. Row n holds signal n's segments, then segments of level 0 and
+    width 0 at its period, which every row operation treats as identity
+    maps.
     """
-    bps = np.asarray(signal.breakpoints)
-    if not signal.periodic:
-        return np.searchsorted(bps[1:-1], ts, side="right")
-    if not np.all(np.isfinite(ts)):
+    K = max(len(s.levels) for s in signals)
+    levels = np.zeros((len(signals), K))
+    bps = np.empty((len(signals), K + 1))
+    for n, s in enumerate(signals):
+        k = len(s.levels)
+        levels[n, :k] = s.levels
+        bps[n, :k + 1] = s.breakpoints
+        bps[n, k + 1:] = s.breakpoints[-1]
+    return levels, bps, np.array([s.periodic for s in signals])
+
+
+def _segment_index(
+    breakpoints: np.ndarray, periodic: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle and segment that hold each time, as `dynamics.exact_pass` reads them.
+
+    `breakpoints` and `periodic` are padded rows (`_pad_rows`); `ts` is
+    (N, M), or (M,) shared by every row. Segments are left-closed. The
+    boundaries of cycle c lie at the sums c*T + t_i (i = 1..k), so cycle
+    c + 1 starts at c*T + t_k, which can differ from (c + 1)*T in the last
+    bit; reducing t modulo T misplaces such times. Here each time is
+    compared with these boundary sums, starting from the cycle floor(t / T)
+    and moving one cycle at a time until the time lies inside it.
+    Aperiodic rows have cycle 0 and hold their last segment.
+    """
+    ts = np.broadcast_to(ts, (breakpoints.shape[0], np.shape(ts)[-1]))
+    if not np.all(np.isfinite(ts[periodic])):
         raise SignalError("evaluation times must be finite")
-    period = bps[-1]
-    k = bps.size - 1
-    cycle = np.floor(ts / period)
+    period = breakpoints[:, -1:]
+    K = breakpoints.shape[1] - 1
+    rows = np.arange(breakpoints.shape[0])[:, None]
+    cycle = np.where(periodic[:, None], np.floor(ts / period), 0.0)
     while True:
         # Boundaries of the cycle at or below t, by bisection: the sums
-        # c*T + t_i do not decrease with i.
+        # c*T + t_i do not decrease with i, padding included.
         lo = np.zeros(ts.shape, dtype=np.intp)
-        hi = np.full(ts.shape, k)
-        for _ in range(k.bit_length()):
+        hi = np.full(ts.shape, K)
+        for _ in range(K.bit_length()):
             mid = (lo + hi) // 2
-            below = (lo < hi) & (cycle * period + bps[np.minimum(mid, k - 1) + 1] <= ts)
+            edge = breakpoints[rows, np.minimum(mid, K - 1) + 1]
+            below = (lo < hi) & (cycle * period + edge <= ts)
             lo = np.where(below, mid + 1, lo)
             hi = np.where(below, hi, mid)
-        late = lo == k
+        late = (lo == K) & periodic[:, None]
         early = (lo == 0) & (cycle > 0) & ((cycle - 1) * period + period > ts)
         if not (late.any() or early.any()):
-            return lo
+            break
         cycle = cycle + late - early
+    last = np.count_nonzero(np.diff(breakpoints, axis=1) > 0.0, axis=1) - 1
+    return cycle, np.where(periodic[:, None], lo, np.minimum(lo, last[:, None]))
 
 
 def evaluate_array(signal: InputSignal, ts: np.ndarray) -> np.ndarray:
     """Vectorized sigma(t) over an array of times."""
     ts = np.asarray(ts, dtype=float)
     if isinstance(signal, PiecewiseConstant):
-        return np.asarray(signal.levels)[_segment_index(signal, ts)]
+        levels, bps, periodic = _pad_rows([signal])
+        _, index = _segment_index(bps, periodic, ts.reshape(1, -1))
+        return levels[0, index[0]].reshape(ts.shape)
     s = np.full_like(ts, signal.mean)
     for amp, omega, phase in signal.terms:
         s += amp * np.sin(omega * ts + phase)

@@ -6,7 +6,9 @@ signal: the identity residuals of the gap report, the benchmark inequality
 w[sigma] <= w[mean] plus strict gap positivity for genuinely two-valued
 signals, and the geometric contraction of the one-period map observed over
 20 periods. The asymptotic suite checks the solution-independence bound and
-the finite-horizon certificates on the same kind of signals.
+the finite-horizon certificates on the same kind of signals. Each suite
+runs all its cases at once, as padded rows (`signals._pad_rows`);
+`check_periodic_case` and `check_asymptotic_case` are its one-row form.
 
 "Genuinely two-valued" is interpreted numerically: two level values
 separated by at least DISTINCT_LEVEL_SEPARATION, each holding at least 1%
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotic, periodic
-from .signals import PiecewiseConstant, SystemParams, signal_to_dict
+from . import asymptotic, dynamics, periodic
+from .signals import PiecewiseConstant, SystemParams, _pad_rows, signal_to_dict
 
 __all__ = [
     "SuiteTolerances",
@@ -45,7 +47,7 @@ LAMBDA_RANGE = (0.1, 10.0)
 
 CONTRACTION_PERIODS = 20
 INDEPENDENCE_TAU = 100.0
-CERTIFICATE_TAUS = np.geomspace(1.0, 100.0, 16)
+CERTIFICATE_TAUS = np.geomspace(1.0, INDEPENDENCE_TAU, 16)   # last entry is exactly tau
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def random_piecewise_signal(rng: np.random.Generator, max_segments: int = 20) ->
     levels = rng.uniform(*LEVEL_RANGE, size=n)
     durations = rng.uniform(*DURATION_RANGE, size=n)
     breakpoints = np.concatenate(([0.0], np.cumsum(durations)))
-    return PiecewiseConstant(tuple(breakpoints), tuple(levels), periodic=True)
+    return PiecewiseConstant(tuple(breakpoints.tolist()), tuple(levels.tolist()), periodic=True)
 
 
 def random_system(rng: np.random.Generator) -> SystemParams:
@@ -132,15 +134,9 @@ def _all_levels_equal(signal: PiecewiseConstant, tol: float = 1e-4) -> bool:
     return max(signal.levels) - min(signal.levels) <= tol
 
 
-def check_periodic_case(
-    signal: PiecewiseConstant,
-    params: SystemParams,
-    tol: SuiteTolerances,
-) -> tuple[periodic.PeriodicReport, list[str]]:
-    """All periodic-regime checks for one signal; returns (report, failures)."""
+def _report_failures(signal: PiecewiseConstant, report: periodic.PeriodicReport,
+                     tol: SuiteTolerances) -> list[str]:
     failures = []
-    report = periodic.gap_report(signal, params)
-
     if report.residual_gap > tol.identity_residual:
         failures.append(f"gap identity residual {report.residual_gap:.3e}")
     if report.residual_m1 > tol.identity_residual:
@@ -159,22 +155,102 @@ def check_periodic_case(
         failures.append(
             f"vanishing gap {report.gap!r} for a signal with unequal levels"
         )
+    return failures
 
-    pm = periodic.poincare_map(signal, params)
-    x_p0 = pm.fixed_point
-    for x0 in (0.0, 1.0):
-        states = periodic.period_states(signal, params, x0, CONTRACTION_PERIODS)
-        dx0 = abs(x0 - x_p0)
-        decay = 1.0
-        for n in range(1, CONTRACTION_PERIODS + 1):
-            decay *= pm.a
-            if abs(states[n] - x_p0) > decay * dx0 + tol.contraction:
-                failures.append(
-                    f"contraction violated at period {n} from x0={x0}: "
-                    f"|x - x_p| = {abs(states[n] - x_p0):.3e} > "
-                    f"a^n dx0 + tol = {decay * dx0 + tol.contraction:.3e}"
+
+def _case_rows(cases):
+    """Padded rows (levels, breakpoints, periodic) and lam of the cases."""
+    levels, breakpoints, periodic_rows = _pad_rows([signal for signal, _ in cases])
+    return levels, breakpoints, periodic_rows, np.array([params.lam for _, params in cases])
+
+
+def _periodic_checks(cases, tol: SuiteTolerances):
+    """Periodic-regime checks of all cases at once: (reports, failures per case).
+
+    One period kernel serves the reports and the one-period maps; the
+    contraction is observed by one row walk from both starts.
+    """
+    if not cases:
+        return [], []
+    levels, breakpoints, _, lam = _case_rows(cases)
+    kernel = periodic._PeriodRows(levels, np.diff(breakpoints, axis=1), lam, moments=True)
+    reports = periodic._closed_form_reports(kernel)
+    maps = [periodic.PoincareMap(rate=rate, b=b)
+            for rate, b in zip(kernel.rate.tolist(), kernel.b.tolist())]
+    x_p0 = np.array([pm.fixed_point for pm in maps])
+    decay = np.cumprod(np.tile([pm.a for pm in maps], (CONTRACTION_PERIODS, 1)), axis=0)
+    starts = np.array([[0.0], [1.0]])
+    states = periodic._period_states_rows(kernel, starts, CONTRACTION_PERIODS)[1:]
+    distance = np.abs(states - x_p0)                                # (period, start, case)
+    limit = decay[:, None, :] * np.abs(starts - x_p0) + tol.contraction
+    violated = distance > limit
+    first = violated.argmax(axis=0).tolist()          # (start, case): first violation
+    failures = []
+    for i, ((signal, _), report) in enumerate(zip(cases, reports)):
+        found = _report_failures(signal, report, tol)
+        for j, x0 in enumerate(starts[:, 0].tolist()):
+            n = first[j][i]
+            if violated[n, j, i]:
+                found.append(
+                    f"contraction violated at period {n + 1} from x0={x0}: "
+                    f"|x - x_p| = {distance[n, j, i]:.3e} > "
+                    f"a^n dx0 + tol = {limit[n, j, i]:.3e}"
                 )
-                break
+        failures.append(found)
+    return reports, failures
+
+
+def _asymptotic_checks(cases, tol: SuiteTolerances) -> list[list[str]]:
+    """Solution-independence and certificate checks of all cases at once.
+
+    One exact row pass per start, recorded at CERTIFICATE_TAUS; its last
+    horizon is INDEPENDENCE_TAU, so the independence check reads the same
+    two passes.
+    """
+    if not cases:
+        return []
+    levels, breakpoints, periodic_rows, lam = _case_rows(cases)
+    starts = (0.0, 1.0)
+    passes = [dynamics._exact_rows(levels, breakpoints, periodic_rows, lam,
+                                   np.full(len(cases), x0), CERTIFICATE_TAUS)
+              for x0 in starts]
+    avg_diff = np.abs(passes[0][1][:, -1] - passes[1][1][:, -1]) / INDEPENDENCE_TAU
+    bound = abs(starts[0] - starts[1]) / (lam * INDEPENDENCE_TAU)
+    # The exact period mean, summed in the order of signals.mean_over_period.
+    sigma_bar = (np.cumsum(levels * np.diff(breakpoints, axis=1), axis=1)[:, -1]
+                 / breakpoints[:, -1])
+    x_star = sigma_bar / (lam + sigma_bar)
+    worst = []
+    for x0, (states, cum_x, cum_s) in zip(starts, passes):
+        lhs, rhs, _ = asymptotic._certificate_terms(
+            lam[:, None], x_star[:, None], x0, CERTIFICATE_TAUS, states, cum_x, cum_s)
+        worst.append((rhs - lhs).min(axis=1))
+    failures = []
+    for i in range(len(cases)):
+        found = []
+        if avg_diff[i] > bound[i] + tol.independence:
+            found.append(
+                f"independence bound violated: {avg_diff[i].item()!r} > {bound[i].item()!r}"
+            )
+        for x0, slack in zip(starts, worst):
+            if slack[i] < -tol.certificate:
+                found.append(f"certificate slack {slack[i]:.3e} from x0={x0}")
+        failures.append(found)
+    return failures
+
+
+def check_periodic_case(
+    signal: PiecewiseConstant,
+    params: SystemParams,
+    tol: SuiteTolerances,
+) -> tuple[periodic.PeriodicReport, list[str]]:
+    """All periodic-regime checks for one signal; returns (report, failures).
+
+    The identity residuals of the gap report, the benchmark inequality and
+    the gap's sign and strictness, and the contraction of the one-period
+    map observed over CONTRACTION_PERIODS periods from x0 = 0 and 1.
+    """
+    [report], [failures] = _periodic_checks([(signal, params)], tol)
     return report, failures
 
 
@@ -183,24 +259,8 @@ def check_asymptotic_case(
     params: SystemParams,
     tol: SuiteTolerances,
 ) -> list[str]:
-    """Solution-independence and certificate checks for one signal."""
-    failures = []
-    check = asymptotic.solution_independence_check(
-        signal, params, 0.0, 1.0, INDEPENDENCE_TAU
-    )
-    if check.avg_diff > check.bound + tol.independence:
-        failures.append(
-            f"independence bound violated: {check.avg_diff!r} > {check.bound!r}"
-        )
-    for x0 in (0.0, 1.0):
-        ra = asymptotic.running_averages(
-            signal, params, x0, CERTIFICATE_TAUS[-1], checkpoints=CERTIFICATE_TAUS
-        )
-        certs = asymptotic.finite_horizon_certificates(signal, params, ra)
-        worst = min(c.slack for c in certs)
-        if worst < -tol.certificate:
-            failures.append(f"certificate slack {worst:.3e} from x0={x0}")
-    return failures
+    """Solution-independence and certificate checks for one periodic signal."""
+    return _asymptotic_checks([(signal, params)], tol)[0]
 
 
 _HIST_EDGES = list(range(-18, 1))  # log10 residual buckets
@@ -238,29 +298,25 @@ def run_verification(
 
     residuals = []
     max_res = {"gap_identity": 0.0, "moment_1": 0.0, "moment_2": 0.0}
-    for signal, params in periodic_cases:
-        rep, failures = check_periodic_case(signal, params, tol)
+    reports, periodic_failures = _periodic_checks(periodic_cases, tol)
+    asymptotic_failures = _asymptotic_checks(asymptotic_cases, tol)
+    for rep in reports:
         residuals.extend((rep.residual_gap, rep.residual_m1, rep.residual_m2))
         max_res["gap_identity"] = max(max_res["gap_identity"], rep.residual_gap)
         max_res["moment_1"] = max(max_res["moment_1"], rep.residual_m1)
         max_res["moment_2"] = max(max_res["moment_2"], rep.residual_m2)
-        if failures:
-            report.failures.append({
-                "suite": "periodic",
-                "signal": signal_to_dict(signal),
-                "lam": params.lam,
-                "failures": failures,
-            })
-
-    for signal, params in asymptotic_cases:
-        failures = check_asymptotic_case(signal, params, tol)
-        if failures:
-            report.failures.append({
-                "suite": "asymptotic",
-                "signal": signal_to_dict(signal),
-                "lam": params.lam,
-                "failures": failures,
-            })
+    for suite, suite_cases, suite_failures in (
+        ("periodic", periodic_cases, periodic_failures),
+        ("asymptotic", asymptotic_cases, asymptotic_failures),
+    ):
+        for (signal, params), failures in zip(suite_cases, suite_failures):
+            if failures:
+                report.failures.append({
+                    "suite": suite,
+                    "signal": signal_to_dict(signal),
+                    "lam": params.lam,
+                    "failures": failures,
+                })
 
     log10 = np.log10(np.maximum(np.asarray(residuals), 1e-300))
     log10 = np.clip(log10, _HIST_EDGES[0], _HIST_EDGES[-1])

@@ -181,6 +181,29 @@ class TestVerify:
         b2 = (tmp_path / "replay2out.json").read_bytes()
         assert b1 == b2
 
+    @pytest.mark.parametrize("signal", [
+        SMOOTH_SIG,
+        {**TWO_LEVEL_SIG, "periodic": False},
+    ])
+    def test_case_that_is_not_periodic_piecewise_exits_2(self, tmp_path, capsys, signal):
+        out = tmp_path / "rep.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "cases": [{"signal": TWO_LEVEL_SIG, "lam": 1.0}, {"signal": signal, "lam": 1.0}],
+            "out": str(out),
+        })
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: verify: cases[1] must be a periodic piecewise_constant")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_signals", "n_asymptotic"])
+    def test_negative_count_exits_2(self, tmp_path, capsys, key):
+        out = tmp_path / "rep.json"
+        cfg = write_json(tmp_path / "cfg.json", {"seed": 0, key: -3, "out": str(out)})
+        assert main(["verify", "--config", cfg]) == 2
+        assert f"{key} must be non-negative, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identical_seed_identical_bytes(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bottleneck_lab.dynamics import (
     OVERSHOOT_TOL,
     DomainError,
     StepSizeError,
     _affine_step_coeffs,
+    _exact_rows,
     default_step,
     exact_pass,
     simulate,
@@ -25,8 +27,10 @@ from bottleneck_lab.signals import (
     Sampled,
     SignalError,
     SystemParams,
+    _pad_rows,
     evaluate_array,
 )
+from bottleneck_lab.periodic import _PeriodRows, _period_states_rows
 
 P1 = SystemParams(lam=1.0)
 TWO_LEVEL = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0))
@@ -471,6 +475,16 @@ class TestPeriodJumps:
         np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
         np.testing.assert_allclose(got[1], 0.5 * times, rtol=1e-15, atol=0.0)
 
+    def test_long_record_lists_are_blocked_without_changing_a_bit(self, monkeypatch):
+        import bottleneck_lab.dynamics as dynamics
+
+        sig = Sampled(1e-3, np.random.default_rng(0).uniform(0.0, 3.0, 50))
+        times = np.linspace(0.0, 40.0, 500)
+        whole = exact_pass(sig, SystemParams(lam=2.0), 0.3, times)
+        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 200)    # 4 record times a block
+        for got, want in zip(exact_pass(sig, SystemParams(lam=2.0), 0.3, times), whole):
+            np.testing.assert_array_equal(got, want)
+
     def test_aperiodic_signal_holds_last_level(self):
         sig = PiecewiseConstant((0.0, 0.5, 1.0), (4.0, 1.0), periodic=False)
         times = np.array([0.2, 0.75, 30.0, 400.0])
@@ -523,3 +537,93 @@ class TestPrefixScan:
         sig = ClippedSinusoidSum(mean=0.5, terms=((0.1, 1.0, 0.0),))
         with pytest.raises(StepSizeError, match=f"left \\[0, 1\\] by {first_state} at t=0.001;"):
             smooth_pass(sig, SystemParams(lam=lam), 0.5, np.asarray([1e-2]), 1e-3)
+
+
+@st.composite
+def exact_cases(draw, conditioned=False, max_segments=6):
+    """A signal (periodic or not, widths 1e-12..10), lam in [1e-9, 1e9], x0,
+    and record times on the walk's cycle ends, inside segment 0, on inner
+    boundaries and at random phases, over up to 100 cycles.
+
+    Widths are whole multiples of 2^-40, so every boundary sum c*T + t_i
+    the walk forms is exact: the walk then integrates the same segments in
+    every cycle, as the period jump does. (Otherwise each sum rounds to an
+    ulp of c*T, and at large lam that moves the walk's state by more than
+    1e-12.) Levels are 0 or 1e-3..10. With `conditioned`, every level lies
+    in [0.4, 100] lam, so x_inf >= 0.28, and x0 >= 0.25: every state then
+    stays above 0.25 and the walk's piece formula is accurate to a few ulp.
+    """
+    lam = 10.0 ** draw(st.floats(-9.0, 9.0))
+    k = draw(st.integers(1, max_segments))
+    quantum = 2.0 ** -40
+    widths = [max(1.0, round(10.0 ** e / quantum)) * quantum
+              for e in draw(st.lists(st.floats(-12.0, 1.0), min_size=k, max_size=k))]
+    if conditioned:
+        level = st.floats(-0.4, 2.0).map(lambda e: lam * 10.0 ** e)
+        start = st.floats(0.25, 1.0)
+    else:
+        level = st.one_of(st.just(0.0), st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
+        start = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    levels = draw(st.lists(level, min_size=k, max_size=k))
+    bps = np.concatenate(([0.0], np.cumsum(widths))).tolist()
+    signal = PiecewiseConstant(tuple(bps), tuple(levels), periodic=draw(st.booleans()))
+    x0 = draw(start)
+    period = signal.duration
+    cycles = draw(st.lists(st.integers(0, 100), min_size=1, max_size=4))
+    phases = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))
+    times = [float((c - 1) * period + period) for c in cycles if c > 0]
+    times += [c * period + 0.3 * bps[1] for c in cycles]
+    times += [c * period + b for c in cycles for b in bps[1:-1]]
+    times += [c * period + u * period for c, u in zip(cycles, phases)]
+    return signal, lam, x0, np.unique(np.asarray(times))
+
+
+class TestExactRowsProperties:
+    """The walk-free exact rows against the walk, and rows against batches.
+
+    The walk steps x_inf + (x - x_inf)(1 - g) piece by piece, which carries
+    an absolute error of about eps |x - x_inf| per piece: where a state is
+    far smaller than its change (decay toward 0 over a long piece, or a
+    short step up from x0 = 0) the walk itself has no 12 correct digits.
+    So the relative comparison runs where every state stays above 0.25,
+    and the full range is compared at 1e-12 of each quantity's scale:
+    1 for states and t for int_0^t x.
+    """
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(exact_cases(conditioned=True))
+    def test_matches_the_walk(self, case):
+        signal, lam, x0, times = case
+        got = np.array(exact_pass(signal, SystemParams(lam=lam), x0, times))
+        np.testing.assert_allclose(got, walk_oracle(signal, lam, x0, times), rtol=1e-12, atol=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(exact_cases())
+    def test_matches_the_walk_at_every_scale(self, case):
+        signal, lam, x0, times = case
+        states, int_x, int_s = exact_pass(signal, SystemParams(lam=lam), x0, times)
+        want = walk_oracle(signal, lam, x0, times)
+        np.testing.assert_allclose(states, want[0], rtol=1e-12, atol=1e-12)
+        assert np.all(np.abs(int_x - want[1]) <= 1e-12 * np.maximum(np.abs(want[1]), times))
+        np.testing.assert_allclose(int_s, want[2], rtol=1e-12, atol=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(exact_cases(max_segments=20), min_size=2, max_size=5))
+    def test_a_padded_batch_is_each_row_alone(self, cases):
+        signals = [signal for signal, _, _, _ in cases]
+        lam = np.array([lam for _, lam, _, _ in cases])
+        x0 = np.array([x0 for _, _, x0, _ in cases])
+        times = np.unique(np.concatenate([t for _, _, _, t in cases]))
+        padded = _pad_rows(signals)
+        batch = _exact_rows(*padded, lam, x0, times)
+        kernel = _PeriodRows(padded[0], np.diff(padded[1], axis=1), lam, moments=True)
+        states = _period_states_rows(kernel, x0, 3)
+        for n, signal in enumerate(signals):
+            levels, bps, periodic = _pad_rows([signal])
+            alone = _exact_rows(levels, bps, periodic, lam[n:n + 1], x0[n:n + 1], times)
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[n], want[0])
+            one = _PeriodRows(levels, np.diff(bps, axis=1), lam[n], moments=True)
+            for name in ("rate", "b", "x_p", "i_p", "p", "s", "period", "m1", "m2", "gap"):
+                assert getattr(kernel, name)[n] == getattr(one, name)[0], name
+            np.testing.assert_array_equal(states[:, n], _period_states_rows(one, x0[n], 3)[:, 0])

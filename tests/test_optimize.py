@@ -18,7 +18,7 @@ from bottleneck_lab.optimize import (
     perturbation_response,
     project_to_mean,
 )
-from bottleneck_lab.optimize import _CSV_CHUNK, _project_simplex_rows
+from bottleneck_lab.optimize import _CSV_CHUNK, _evaluate_rows, _project_simplex_rows
 from bottleneck_lab.periodic import constant_benchmark, gap_report, output_for_levels
 from bottleneck_lab.signals import PiecewiseConstant, SignalError, SystemParams
 
@@ -188,6 +188,19 @@ class TestGridSearch:
     def test_resolution_validated(self):
         with pytest.raises(Exception):
             grid_search(BB, 1.0, P1, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tie_break_at_a_huge_mean_prefers_the_closer_row(self):
+        # At mean 1e200 each level's x_inf rounds to 1, so every row without
+        # an empty segment has w = lam exactly. Squared deviations of about
+        # 1e400 overflowed to inf, and the tie-break could not rank them.
+        mean = 1e200
+        family = PiecewiseConstantFree(period=1.0, n_segments=3)
+        rows = np.array([[2.5, 0.25, 0.25], [1.2, 0.9, 0.9]]) * mean
+        _, w, dist = _evaluate_rows(family, rows, mean, 1.0)
+        assert w[0] == w[1] == 1.0
+        assert np.isfinite(dist).all() and np.argmin(dist) == 1
+        assert grid_search(family, mean, P1, 5).best_point == (mean, mean, mean)
 
 
 def _reference_grid_search(family, mean, params, resolution):

@@ -8,6 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bottleneck_lab.asymptotic import (
+    finite_horizon_certificates,
+    running_averages,
+    solution_independence_check,
+)
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate
 from bottleneck_lab.periodic import (
     PoincareMap,
@@ -31,9 +36,11 @@ from bottleneck_lab.signals import (
     SystemParams,
 )
 from bottleneck_lab.suites import (
+    check_asymptotic_case,
     check_periodic_case,
     random_piecewise_signal,
     random_system,
+    run_verification,
     SuiteTolerances,
 )
 
@@ -293,6 +300,50 @@ class TestRandomizedInvariants:
             assert not failures, failures
             assert report.w_sigma <= report.w_const + 1e-9
             assert report.gap >= 0.0
+
+    def test_a_batch_reports_what_each_case_reports_alone(self):
+        # The suites run all cases as one batch of rows; case by case and in
+        # order they must report what the one-case checks report. Every
+        # check but the contraction is made to fail; the contraction gets
+        # no slack, so rounding decides at which period, if any, each start
+        # first exceeds a^n dx0, and the per-period loop over the public
+        # one-signal path is the reference for those messages.
+        tol = SuiteTolerances(identity_residual=1e-17, contraction=0.0, gap_floor=0.05,
+                              independence=-1.0, certificate=-1e3)
+        rng = np.random.default_rng(12)
+        cases = [(random_piecewise_signal(rng), random_system(rng)) for _ in range(40)]
+        got = [(f["suite"], f["lam"], f["failures"])
+               for f in run_verification(tolerances=tol, cases=cases).failures]
+        want = [("periodic", p.lam, check_periodic_case(s, p, tol)[1]) for s, p in cases]
+        want += [("asymptotic", p.lam, check_asymptotic_case(s, p, tol)) for s, p in cases]
+        assert got == [case for case in want if case[2]]
+        periods = []
+        for (signal, params), (_, _, failures) in zip(cases, want[:40]):
+            pm = poincare_map(signal, params)
+            expected = []
+            for x0 in (0.0, 1.0):
+                states = period_states(signal, params, x0, 20)
+                decay = 1.0
+                for n in range(1, 21):
+                    decay *= pm.a
+                    limit = decay * abs(x0 - pm.fixed_point) + tol.contraction
+                    if abs(states[n] - pm.fixed_point) > limit:
+                        expected.append(f"contraction violated at period {n} from x0={x0}: "
+                                        f"|x - x_p| = {abs(states[n] - pm.fixed_point):.3e} > "
+                                        f"a^n dx0 + tol = {limit:.3e}")
+                        periods.append(n)
+                        break
+            assert [f for f in failures if f.startswith("contraction")] == expected
+        assert max(periods) > 1
+        for (signal, params), (_, _, failures) in zip(cases, want[40:]):
+            chk = solution_independence_check(signal, params, 0.0, 1.0, 100.0)
+            assert failures[0] == (f"independence bound violated: "
+                                   f"{chk.avg_diff!r} > {chk.bound!r}")
+            for x0, failure in zip((0.0, 1.0), failures[1:]):
+                taus = np.geomspace(1.0, 100.0, 16)
+                ra = running_averages(signal, params, x0, 100.0, checkpoints=taus)
+                worst = min(c.slack for c in finite_horizon_certificates(signal, params, ra))
+                assert failure == f"certificate slack {worst:.3e} from x0={x0}"
 
     def test_contraction_observed_directly(self):
         pm = poincare_map(TWO_LEVEL, P1)
