@@ -13,12 +13,11 @@ them one at a time in Python.
       int_{t0}^{t0+h} x = x_inf h + (x(t0) - x_inf) h phi(r h),
 
   with phi(z) = (1 - e^{-z}) / z and phi(0) = 1. Nothing is walked: each
-  record time is served in closed form from the period kernel of
-  `periodic` (whole cycles), affine prefixes of the segment maps (whole
-  segments) and one partial step, for rows of signals at once
-  (`_exact_rows`). Trajectories and running integrals are exact up to
-  rounding, which is what makes the identity residuals downstream
-  meaningful.
+  record time is a closed form of the period map (whole cycles), prefix
+  tables of the segment maps (whole segments) and one partial step,
+  vectorized over rows of signals, records and segments (`_exact_rows`).
+  Trajectories and running integrals are exact up to rounding, which is
+  what makes the identity residuals downstream meaningful.
 
 * Smooth inflow (clipped sinusoid sums) uses classical fourth-order
   one-step integration on a fixed grid. Because the right-hand side is
@@ -145,9 +144,52 @@ def numeric_step(
 # Exact path: closed form at every record time, rows of signals at once
 # ---------------------------------------------------------------------------
 
-# Record times per block are capped so that the per-(row, cycle) prefix
-# arrays, segments x pairs, stay near this many entries (8 MB each).
+# Tables of cycles after the first are built for at most this many entries,
+# segments x (row, cycle) pairs, at a time (8 MB per table).
 _BLOCK_ENTRIES = 1 << 20
+
+
+class _Segments:
+    """Per-segment terms of an (N, k) batch of levels c and durations h.
+
+    Padding segments (`signals._pad_rows`: level 0, width 0) are exact
+    identity maps. As (k, N) columns: r = lam + c, x_inf = c / r,
+    g = 1 - e^{-r h} = -expm1(-r h), d = 1 - g and w = h phi(r h), with
+    phi(z) = (1 - e^{-z}) / z and phi(0) = 1. `lam` is a scalar or per row.
+    """
+
+    def __init__(self, levels, durations, lam) -> None:
+        levels = np.asarray(levels, dtype=float)
+        self.c = c = np.ascontiguousarray(levels.T)
+        self.h = h = np.ascontiguousarray(np.broadcast_to(durations, levels.shape).T)
+        self.lam = lam = np.asarray(lam, dtype=float)
+        self.r = r = lam + c
+        self.rh = rh = r * h
+        self.x_inf = c / r
+        self.g = g = -np.expm1(-rh)
+        self.w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
+        self.d = 1.0 - g
+
+
+class _SegmentTables(_Segments):
+    """Segments with (k + 1, N) tables at the segment starts, from the row's
+    start: the state P x0 + Q (`_affine_prefix` of the maps x -> d x + x_inf g),
+    int x = U + V x0 and int sigma = S. Entry i reads segments 0..i-1 of its
+    own column only, so no padding leaks into a row's first k + 1 entries.
+    """
+
+    def __init__(self, levels, durations, lam) -> None:
+        super().__init__(levels, durations, lam)
+        n = self.c.shape[1]
+
+        def at_starts(prefix, first=0.0):
+            return np.concatenate((np.full((1, n), first), prefix))
+
+        P, Q = _affine_prefix(self.d.copy(), self.x_inf * self.g)
+        self.P, self.Q = P, Q = at_starts(P, 1.0), at_starts(Q)
+        self.U = at_starts(np.cumsum(self.x_inf * self.h + (Q[:-1] - self.x_inf) * self.w, axis=0))
+        self.V = at_starts(np.cumsum(P[:-1] * self.w, axis=0))
+        self.S = at_starts(np.cumsum(self.c * self.h, axis=0))
 
 
 def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
@@ -155,81 +197,69 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
 
     Rows are padded signals (`signals._pad_rows`) with one lam and one x0
     each; `record_times` is (M,), shared by the rows, or (N, M). Returns
-    (states, cumulative_x, cumulative_sigma), each (N, M). Nothing is
-    walked: t lies in segment i of cycle c (`signals._segment_index`), and
-    with the period kernel (`periodic._PeriodRows`) cycle c starts at
-
-        x_c = x_p + (x0 - x_p) a^c,   int x = c I_p + p (x0 - x_p) (1 - a^c) / (1 - a),
-
-    int sigma = c S, with (1 - a^c) / (1 - a) = c when R underflows to 0;
-    aperiodic rows have c = 0 and hold their last segment. Prefixes of the
-    segment maps x -> d x + x_inf g (`_affine_prefix`) and of the segment
-    integrals carry these to the start of segment i, and one partial step
-    of length t - (segment start) finishes them. Cycle c's segments span
-    the differences of its boundary sums c*T + t_i, which can differ from
-    the nominal durations in the last bit of c*T (it starts at (c-1)*T + T,
-    not c*T), so the prefixes are built per (row, cycle) pair over that
-    cycle's own widths: a time on a boundary sum starts the next segment
-    exactly. Each entry depends on its own record time only, so long
-    record lists are served in blocks.
+    (states, cumulative_x, cumulative_sigma), each (N, M). Time t lies in
+    segment i of cycle c (`signals._segment_index`; aperiodic rows have
+    c = 0). Cycle 0's tables give the period map x -> a x + b, a = e^{-R},
+    its fixed point x_p = b / (1 - a), 1 - a = -expm1(-R), the orbit's
+    integral I_p and the slope p of int_0^T x in x0: cycle c starts at
+    x_p + (x0 - x_p) a^c with int x = c I_p + p (x0 - x_p)(1 - a^c)/(1 - a)
+    and int sigma = c S. Tables carry that to segment i, one partial step
+    to t. Cycle c > 0 spans the differences of its boundary sums (c-1)*T + T,
+    c*T + t_i, so each (row, cycle) pair met gets tables of those widths.
     """
-    from .periodic import _PeriodRows, _Segments    # periodic builds on this module
-
-    record_times = np.asarray(record_times, dtype=float)
-    width = max(1, _BLOCK_ENTRIES // levels.size)
-    if record_times.shape[-1] > width:
-        blocks = [_exact_rows(levels, breakpoints, periodic, lam, x0,
-                              record_times[..., j:j + width])
-                  for j in range(0, record_times.shape[-1], width)]
-        return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
-
-    lam = np.asarray(lam, dtype=float)
-    kernel = _PeriodRows(levels, np.diff(breakpoints, axis=1), lam)
+    lam, x0 = np.asarray(lam, dtype=float), np.asarray(x0, dtype=float)
     cycle, seg = _segment_index(breakpoints, periodic, record_times)
-    x0 = np.asarray(x0, dtype=float)[:, None]
+    first = _SegmentTables(levels, np.diff(breakpoints, axis=1), lam)
+    end = np.count_nonzero(first.h > 0.0, axis=0), np.arange(len(levels))   # period ends
+    rate = np.cumsum(first.rh, axis=0)[-1]
+    one_minus_a = -np.expm1(-rate)
+    # R is 0 only when every r h underflows, and then b is 0 too.
+    x_p = first.Q[end] / np.maximum(one_minus_a, math.ulp(0.0))
+    p = first.V[end]
+    i_p = first.U[end] + p * x_p
 
-    # Pairs are runs of equal cycle along each row, one per cycle when the
-    # record times are sorted.
-    opens = np.ones(cycle.shape, dtype=bool)
-    opens[:, 1:] = cycle[:, 1:] != cycle[:, :-1]
-    pair = np.cumsum(opens).reshape(cycle.shape) - 1
-    prow, pcycle = np.nonzero(opens)[0], cycle[opens][:, None]
-    n_pairs = len(prow)
-    period = breakpoints[prow, -1:]
-    bounds = np.concatenate(
-        (np.where(pcycle > 0, (pcycle - 1) * period + period, 0.0),
-         pcycle * period + breakpoints[prow, 1:]), axis=1)
-    segs = _Segments(levels[prow], np.diff(bounds, axis=1), lam[prow])
+    c, i = cycle.ravel(), seg.ravel()
+    row = np.repeat(np.arange(len(levels)), cycle.shape[1])
+    t = np.broadcast_to(record_times, cycle.shape).ravel()
+    delta = (x0 - x_p)[row]
+    ratio = np.divide(-np.expm1(-c * rate[row]), one_minus_a[row], out=c.copy(),
+                      where=one_minus_a[row] > 0.0)
+    start_x = np.where(c > 0, x_p[row] + delta * np.exp(-c * rate[row]), x0[row])
+    start_ix = c * i_p[row] + p[row] * delta * ratio
+    start_is = c * first.S[end][row]
+    out = np.empty((3, c.size))
 
-    def at_starts(prefix, first=0.0):     # (k + 1, pairs): values at segment starts
-        return np.concatenate((np.full((1, n_pairs), first), prefix))
+    def finish(tab, bounds, col, e):     # entries e, by column col of the tables
+        ie, x_c = i[e], start_x[e]
+        x = tab.P[ie, col] * x_c + tab.Q[ie, col]
+        int_x = start_ix[e] + tab.U[ie, col] + tab.V[ie, col] * x_c
+        span = t[e] - bounds[col, ie]
+        x_inf = tab.x_inf[ie, col]
+        rs = tab.r[ie, col] * span
+        g = -np.expm1(-rs)
+        w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
+        out[0, e] = np.clip(x_inf + (x - x_inf) * (1.0 - g), 0.0, 1.0)
+        out[1, e] = int_x + x_inf * span + (x - x_inf) * w
+        out[2, e] = start_is[e] + tab.S[ie, col] + tab.c[ie, col] * span
 
-    P, Q = _affine_prefix(segs.d.copy(), segs.x_inf * segs.g)
-    P, Q = at_starts(P, 1.0), at_starts(Q)
-    U = at_starts(np.cumsum(segs.x_inf * segs.h + (Q[:-1] - segs.x_inf) * segs.w, axis=0))
-    V = at_starts(np.cumsum(P[:-1] * segs.w, axis=0))
-    S = at_starts(np.cumsum(segs.c * segs.h, axis=0))
-
-    rate = kernel.rate[:, None]
-    one_minus_a = kernel.one_minus_a[:, None]
-    delta = x0 - kernel.x_p[:, None]
-    ratio = np.divide(-np.expm1(-cycle * rate), one_minus_a, out=cycle.copy(),
-                      where=one_minus_a > 0.0)
-    x_c = np.where(cycle > 0, kernel.x_p[:, None] + delta * np.exp(-cycle * rate), x0)
-    x = P[seg, pair] * x_c + Q[seg, pair]
-    int_x = cycle * kernel.i_p[:, None] + kernel.p[:, None] * delta * ratio
-    int_x = int_x + U[seg, pair] + V[seg, pair] * x_c
-    int_s = cycle * kernel.s[:, None] + S[seg, pair]
-
-    span = record_times - bounds[pair, seg]
-    level, x_inf = segs.c[seg, pair], segs.x_inf[seg, pair]
-    rs = segs.r[seg, pair] * span
-    g = -np.expm1(-rs)
-    w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
-    int_x = int_x + x_inf * span + (x - x_inf) * w
-    int_s = int_s + level * span
-    x = np.clip(x_inf + (x - x_inf) * (1.0 - g), 0.0, 1.0)
-    return x, int_x, int_s
+    e = np.flatnonzero(c == 0)
+    finish(first, breakpoints, row[e], e)
+    # Later pairs are runs of equal (row, cycle): one per cycle met when
+    # the record times are sorted.
+    later = np.flatnonzero(c > 0)
+    opens = np.ones(later.size, dtype=bool)
+    opens[1:] = (row[later[1:]] != row[later[:-1]]) | (c[later[1:]] != c[later[:-1]])
+    starts = np.append(np.flatnonzero(opens), later.size)
+    chunk = max(1, _BLOCK_ENTRIES // (levels.shape[1] + 1))
+    for j in range(0, starts.size - 1, chunk):
+        run = slice(starts[j], starts[min(j + chunk, starts.size - 1)])
+        e, pair = later[run], np.cumsum(opens[run]) - 1
+        prow, pcycle = row[e][opens[run]], c[e][opens[run]][:, None]
+        period = breakpoints[prow, -1:]
+        bounds = np.concatenate(((pcycle - 1) * period + period,
+                                 pcycle * period + breakpoints[prow, 1:]), axis=1)
+        finish(_SegmentTables(levels[prow], np.diff(bounds, axis=1), lam[prow]), bounds, pair, e)
+    return tuple(a.reshape(cycle.shape) for a in out)
 
 
 def exact_pass(
@@ -248,10 +278,7 @@ def exact_pass(
     record_times = np.asarray(record_times, dtype=float)
     if record_times.size and record_times[0] < 0.0:
         raise DomainError("record times must be non-negative")
-    x0 = _check_occupancy(x0)
-    levels, breakpoints, periodic = _pad_rows([signal])
-    rows = _exact_rows(levels, breakpoints, periodic, np.array([params.lam]),
-                       np.array([x0]), record_times)
+    rows = _exact_rows(*_pad_rows([signal]), [params.lam], [_check_occupancy(x0)], record_times)
     return tuple(a[0] for a in rows)
 
 

@@ -375,9 +375,10 @@ def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float,
         means = rows.sum(axis=1) / family.n_segments
         dev = rows - target_mean
     if target_mean > 0.0:
-        dev = dev / target_mean
-    w = output_for_level_rows(levels, durations, lam)
-    return means, w, np.sqrt(np.sum(dev * dev, axis=1))
+        dev /= target_mean
+    distance = np.sqrt(np.sum(dev * dev, axis=1))
+    del dev     # not kept beside the kernel's working arrays
+    return means, output_for_level_rows(levels, durations, lam), distance
 
 
 def grid_search(

@@ -28,12 +28,12 @@ R = int_0^T (lam + sigma), its offset b, the fixed point x_p(0) = b / (1 - a)
 with 1 - a = -expm1(-R) (never 1 - e^{-R} by subtraction, which loses every
 digit once R is below double precision, as at nanosecond periods), the
 per-segment integral weights and, on request, the moment integrals. Reports,
-one-period maps, the search's batches of candidate waveforms, the
-verification suites and the exact path of `dynamics` are rows of it; only
-`output_for_levels`, the coordinate descent's one-point evaluation, keeps a
-scalar twin. On smooth inflow the integrals fall back to trapezoid sums over
-the numeric grid and the residual tolerance is correspondingly looser (about
-1e-5 at default grids).
+one-period maps, the search's batches of candidate waveforms and the
+verification suites are rows of it; only `output_for_levels`, the
+coordinate descent's one-point evaluation, keeps a scalar twin. On smooth
+inflow the integrals fall back to trapezoid sums over the numeric grid and
+the residual tolerance is correspondingly looser (about 1e-5 at default
+grids).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from . import dynamics
 from .signals import (
     ClippedSinusoidSum,
     InputSignal,
-    PiecewiseConstant,
     QuadratureSpec,
     SignalError,
     SystemParams,
@@ -135,10 +134,6 @@ class PeriodicReport:
     residual_m2: float
 
 
-def _is_smooth(signal: InputSignal) -> bool:
-    return isinstance(signal, ClippedSinusoidSum)
-
-
 # ---------------------------------------------------------------------------
 # Poincare map and periodic solution
 # ---------------------------------------------------------------------------
@@ -192,69 +187,52 @@ def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
 # Closed-form period integrals (piecewise-constant inflow)
 # ---------------------------------------------------------------------------
 
-class _Segments:
-    """Per-segment terms of an (N, k) batch of levels c and durations h.
-
-    Padding segments (`signals._pad_rows`: level 0, width 0) are exact
-    identity maps. As (k, N) columns: r = lam + c, x_inf = c / r,
-    g = 1 - e^{-r h} = -expm1(-r h), d = 1 - g and w = h phi(r h), with
-    phi(z) = (1 - e^{-z}) / z and phi(0) = 1. `lam` is a scalar or per row.
-    """
-
-    def __init__(self, levels, durations, lam) -> None:
-        levels = np.asarray(levels, dtype=float)
-        self.c = c = np.ascontiguousarray(levels.T)
-        self.h = h = np.ascontiguousarray(np.broadcast_to(durations, levels.shape).T)
-        self.lam = lam = np.asarray(lam, dtype=float)
-        self.r = r = lam + c
-        self.rh = rh = r * h
-        self.x_inf = c / r
-        self.g = g = -np.expm1(-rh)
-        self.d = 1.0 - g
-        self.w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
+def _segment_columns(*columns):
+    """Iterate (k, N) columns by segment; one row as Python floats, which run
+    the same IEEE operations as length-1 columns without numpy's call cost."""
+    if columns[0].shape[1] == 1:
+        return zip(*(col[:, 0].tolist() for col in columns))
+    return zip(*columns)
 
 
-class _PeriodRows(_Segments):
-    """One period of each row: the period kernel of every closed form here.
+class _PeriodRows(dynamics._Segments):
+    """One period of each row: the period kernel of the reports, maps and search.
 
     Over one period the flow is x -> a x + b with a = e^{-R}, R = sum r h
     (`rate`); b is summed as b <- x_inf g + b d, which does not cancel when
     g is small, and 1 - a = -expm1(-R), so x_p = b / (1 - a), the periodic
     orbit's start, keeps full relative precision however weak the
-    contraction. Per row: `i_p` = int_0^T x_p, `p` = d int_0^T x / d x(0),
-    `s` = int_0^T sigma and `period` = T. With `moments`, also
-    `x_star` = sigma_bar / (lam + sigma_bar) and the integrals of
-    (lam + sigma) times x_p (`m1`), x_p^2 (`m2`) and (x_p - x_star)^2
-    (`gap`). Every recurrence and sum runs column by column in segment
-    order, so a row's results depend neither on the other rows nor on its
-    padding.
+    contraction. Also `i_p` = int_0^T x_p and `period` = T; with `moments`,
+    `s` = int_0^T sigma, `x_star` and the integrals of (lam + sigma) times
+    x_p (`m1`), x_p^2 (`m2`) and (x_p - x_star)^2 (`gap`). Sums and
+    recurrences run in segment order, so no row depends on the batch or
+    its padding.
     """
 
     def __init__(self, levels, durations, lam, moments: bool = False) -> None:
         super().__init__(levels, durations, lam)
         c, h, r, x_inf, g, d, w = self.c, self.h, self.r, self.x_inf, self.g, self.d, self.w
-        b, rate, s, period = (np.zeros(c.shape[1]) for _ in range(4))
-        for j in range(c.shape[0]):
-            b = x_inf[j] * g[j] + b * d[j]
-            rate += self.rh[j]
-            s += c[j] * h[j]
-            period += h[j]
-        self.b, self.rate, self.s, self.period = b, rate, s, period
-        self.one_minus_a = -np.expm1(-rate)
-        # R is 0 only when every r h underflows, and then b is 0 too.
-        self.x_p = x = b / np.maximum(self.one_minus_a, math.ulp(0.0))
-        i_p, p, slope = np.zeros(c.shape[1]), np.zeros(c.shape[1]), np.ones(c.shape[1])
-        delta = np.empty_like(c) if moments else None   # x_p(segment start) - x_inf
-        for j in range(c.shape[0]):
-            dx = x - x_inf[j]
-            i_p += x_inf[j] * h[j] + dx * w[j]
-            p += slope * w[j]           # slope = d x(segment start) / d x(0)
-            slope = slope * d[j]
-            x = x_inf[j] + dx * d[j]
+        n = c.shape[1]
+        b = rate = 0.0
+        for x_inf_j, g_j, d_j, rh_j in _segment_columns(x_inf, g, d, self.rh):
+            b = x_inf_j * g_j + b * d_j
+            rate += rh_j
+        self.b, self.rate = np.reshape(b, n), np.reshape(rate, n)
+        # x_p; R is 0 only when every r h underflows, and then b is 0 too.
+        x = self.b / np.maximum(-np.expm1(-self.rate), math.ulp(0.0))
+        x, i_p, period = (x.item() if n == 1 else x), 0.0, 0.0
+        delta = []          # x_p(segment start) - x_inf, per segment, for the moments
+        for x_inf_j, h_j, w_j, d_j in _segment_columns(x_inf, h, w, d):
+            dx = x - x_inf_j
+            i_p += x_inf_j * h_j + dx * w_j
+            period += h_j
+            x = x_inf_j + dx * d_j
             if moments:
-                delta[j] = dx
-        self.i_p, self.p = i_p, p
+                delta.append(dx)
+        self.i_p, self.period = np.reshape(i_p, n), np.reshape(period, n)
         if moments:
+            delta = np.reshape(delta, c.shape)
+            self.s = np.cumsum(c * h, axis=0)[-1]
             sigma_bar = self.s / self.period
             self.x_star = x_star = sigma_bar / (self.lam + sigma_bar)
             dev = x_inf - x_star
@@ -364,7 +342,7 @@ def gap_report(
     averaged-output bookkeeping, so the residuals are genuine consistency
     checks, not algebraic rearrangements of each other.
     """
-    if _is_smooth(signal):
+    if isinstance(signal, ClippedSinusoidSum):
         return _quadrature_report(signal, params, grid)
     require_period(signal)
     kernel = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
@@ -396,14 +374,13 @@ def _period_states_rows(kernel: _PeriodRows, x0, n_periods: int) -> np.ndarray:
     contraction check observes. Returns an (n_periods + 1,) + broadcast
     shape array.
     """
-    offset = kernel.x_inf * kernel.g
+    steps = list(_segment_columns(kernel.d, kernel.x_inf * kernel.g))
     out = np.empty((n_periods + 1,) + np.broadcast(x0, kernel.b).shape)
     out[0] = x0
-    x = out[0].copy()
+    x = out[0].item() if out[0].size == 1 else out[0].copy()
     for n in range(1, n_periods + 1):
-        for d, b in zip(kernel.d, offset):
-            np.multiply(x, d, out=x)
-            np.add(x, b, out=x)
+        for d, b in steps:
+            x = x * d + b
         out[n] = x
     return out
 

@@ -27,7 +27,6 @@ them back as `piecewise_constant`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,18 +82,6 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _finite_tuple(name: str, values) -> tuple[float, ...]:
-    """`_require_finite` over a sequence, failing on the same first entry."""
-    values = tuple(values)
-    try:
-        out = tuple(map(float, values))
-    except (TypeError, ValueError):
-        out = ()
-    if len(out) != len(values) or not all(map(math.isfinite, out)):
-        return tuple(_require_finite(name, v) for v in values)
-    return out
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Outflow rate constant of the model (the `lam` in w = lam * x)."""
@@ -139,19 +126,19 @@ class PiecewiseConstant:
     periodic: bool = True
 
     def __post_init__(self) -> None:
-        bps = _finite_tuple("breakpoint", self.breakpoints)
-        lvls = _finite_tuple("level", self.levels)
+        bps = tuple(_require_finite("breakpoint", b) for b in self.breakpoints)
+        lvls = tuple(_require_finite("level", c) for c in self.levels)
         if len(bps) < 2:
             raise SignalError("need at least two breakpoints")
         if bps[0] != 0.0:
             raise SignalError(f"breakpoints must start at 0, got {bps[0]}")
-        if not all(map(operator.lt, bps, bps[1:])):
+        if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
             raise SignalError(f"breakpoints must be strictly increasing: {bps}")
         if len(lvls) != len(bps) - 1:
             raise SignalError(
                 f"expected {len(bps) - 1} levels for {len(bps)} breakpoints, got {len(lvls)}"
             )
-        if min(lvls, default=0.0) < 0.0:
+        if any(c < 0.0 for c in lvls):
             raise SignalError(f"levels must be non-negative: {lvls}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "levels", lvls)

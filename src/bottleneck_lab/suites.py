@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotic, dynamics, periodic
-from .signals import PiecewiseConstant, SystemParams, _pad_rows, signal_to_dict
+from .signals import (
+    NonPeriodicSignalError,
+    PiecewiseConstant,
+    SignalError,
+    SystemParams,
+    _pad_rows,
+    mean_over_period,
+    signal_to_dict,
+)
 
 __all__ = [
     "SuiteTolerances",
@@ -159,7 +167,19 @@ def _report_failures(signal: PiecewiseConstant, report: periodic.PeriodicReport,
 
 
 def _case_rows(cases):
-    """Padded rows (levels, breakpoints, periodic) and lam of the cases."""
+    """Padded rows (levels, breakpoints, periodic) and lam of the cases.
+
+    Both suites check periodic piecewise-constant inflow only; cases[i] of
+    any other kind raises SignalError, an aperiodic one its
+    NonPeriodicSignalError.
+    """
+    for i, (signal, _) in enumerate(cases):
+        if not isinstance(signal, PiecewiseConstant):
+            raise SignalError(f"cases[{i}] must be a periodic piecewise_constant signal, "
+                              f"got {signal_to_dict(signal)['kind']}")
+        if not signal.periodic:
+            raise NonPeriodicSignalError(
+                f"cases[{i}] must be a periodic piecewise_constant signal, got an aperiodic one")
     levels, breakpoints, periodic_rows = _pad_rows([signal for signal, _ in cases])
     return levels, breakpoints, periodic_rows, np.array([params.lam for _, params in cases])
 
@@ -216,9 +236,7 @@ def _asymptotic_checks(cases, tol: SuiteTolerances) -> list[list[str]]:
               for x0 in starts]
     avg_diff = np.abs(passes[0][1][:, -1] - passes[1][1][:, -1]) / INDEPENDENCE_TAU
     bound = abs(starts[0] - starts[1]) / (lam * INDEPENDENCE_TAU)
-    # The exact period mean, summed in the order of signals.mean_over_period.
-    sigma_bar = (np.cumsum(levels * np.diff(breakpoints, axis=1), axis=1)[:, -1]
-                 / breakpoints[:, -1])
+    sigma_bar = np.array([mean_over_period(signal) for signal, _ in cases])
     x_star = sigma_bar / (lam + sigma_bar)
     worst = []
     for x0, (states, cum_x, cum_s) in zip(starts, passes):

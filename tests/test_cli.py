@@ -193,7 +193,7 @@ class TestVerify:
         })
         assert main(["verify", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: verify: cases[1] must be a periodic piecewise_constant")
+        assert err.startswith("error: cases[1] must be a periodic piecewise_constant signal")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["n_signals", "n_asymptotic"])

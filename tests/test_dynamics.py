@@ -475,15 +475,27 @@ class TestPeriodJumps:
         np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
         np.testing.assert_allclose(got[1], 0.5 * times, rtol=1e-15, atol=0.0)
 
-    def test_long_record_lists_are_blocked_without_changing_a_bit(self, monkeypatch):
+    def test_cycle_tables_are_blocked_without_changing_a_bit(self, monkeypatch):
         import bottleneck_lab.dynamics as dynamics
 
         sig = Sampled(1e-3, np.random.default_rng(0).uniform(0.0, 3.0, 50))
         times = np.linspace(0.0, 40.0, 500)
         whole = exact_pass(sig, SystemParams(lam=2.0), 0.3, times)
-        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 200)    # 4 record times a block
+        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 200)    # 3 cycles a block
         for got, want in zip(exact_pass(sig, SystemParams(lam=2.0), 0.3, times), whole):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_ten_thousand_samples_match_the_walk(self, periodic):
+        # simulate records at every segment boundary, so a run over a
+        # signal with k samples has at least k record times; the exact
+        # path serves them all without a Python loop over the segments.
+        sig = Sampled(1e-2, np.random.default_rng(3).uniform(0.0, 5.0, 10_000), periodic)
+        traj = simulate(sig, SystemParams(lam=1.3), 0.2, 250.0)
+        assert traj.times.size > 10_000
+        want = walk_oracle(sig, 1.3, 0.2, traj.times)
+        np.testing.assert_allclose(traj.states, want[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.cumulative_x, want[1], rtol=1e-12, atol=0.0)
 
     def test_aperiodic_signal_holds_last_level(self):
         sig = PiecewiseConstant((0.0, 0.5, 1.0), (4.0, 1.0), periodic=False)
@@ -624,6 +636,6 @@ class TestExactRowsProperties:
             for got, want in zip(batch, alone):
                 np.testing.assert_array_equal(got[n], want[0])
             one = _PeriodRows(levels, np.diff(bps, axis=1), lam[n], moments=True)
-            for name in ("rate", "b", "x_p", "i_p", "p", "s", "period", "m1", "m2", "gap"):
+            for name in ("rate", "b", "i_p", "s", "period", "m1", "m2", "gap"):
                 assert getattr(kernel, name)[n] == getattr(one, name)[0], name
             np.testing.assert_array_equal(states[:, n], _period_states_rows(one, x0[n], 3)[:, 0])

@@ -301,6 +301,19 @@ class TestRandomizedInvariants:
             assert report.w_sigma <= report.w_const + 1e-9
             assert report.gap >= 0.0
 
+    @pytest.mark.parametrize("check", [check_periodic_case, check_asymptotic_case])
+    def test_checks_reject_inflow_that_does_not_repeat_piecewise(self, check):
+        # Neither suite has a meaning for these: an aperiodic signal has no
+        # orbit, and a smooth one has no closed form to check.
+        aperiodic = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0), periodic=False)
+        with pytest.raises(NonPeriodicSignalError, match=r"cases\[0\] must be a periodic"):
+            check(aperiodic, P1, SuiteTolerances())
+        smooth = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
+        with pytest.raises(SignalError, match="got clipped_sinusoid_sum"):
+            check(smooth, P1, SuiteTolerances())
+        with pytest.raises(NonPeriodicSignalError, match=r"cases\[1\]"):
+            run_verification(cases=[(TWO_LEVEL, P1), (aperiodic, P1)])
+
     def test_a_batch_reports_what_each_case_reports_alone(self):
         # The suites run all cases as one batch of rows; case by case and in
         # order they must report what the one-case checks report. Every
