@@ -262,6 +262,12 @@ def _random_start(family, mean: float, rng: np.random.Generator):
     return optimize.project_to_mean(family, raw, mean)
 
 
+def _beats_benchmark(log: optimize.EvaluationLog) -> bool:
+    """Whether some evaluation beat the benchmark by more than
+    BENCHMARK_EXCESS_TOL, relative to a benchmark below 1."""
+    return log.max_excess > BENCHMARK_EXCESS_TOL * min(1.0, log.benchmark)
+
+
 def _cmd_optimize(cfg: dict) -> int:
     family = _family_from_dict(_require(cfg, "family", "optimize"), "optimize")
     params = SystemParams(lam=_positive_float(_require(cfg, "lambda", "optimize"), "lambda"))
@@ -305,7 +311,7 @@ def _cmd_optimize(cfg: dict) -> int:
     if cfg.get("log") is not None:
         with _open_output(cfg["log"]) as fh:
             log.to_csv(fh)
-    if log.max_excess > BENCHMARK_EXCESS_TOL:
+    if _beats_benchmark(log):
         print(
             f"optimize: an evaluation beat the constant benchmark by "
             f"{log.max_excess!r}",
@@ -351,18 +357,11 @@ def main(argv=None) -> int:
         if args.config:
             cfg = _load_config(args.config, args.command)
         # Flags override config.
-        if args.lam is not None:
-            cfg["lambda"] = args.lam
-        if args.signal is not None:
-            cfg["signal"] = args.signal
-        if args.horizon is not None:
-            cfg["horizon"] = args.horizon
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.tolerance is not None:
-            cfg["tolerance"] = args.tolerance
-        if args.out is not None:
-            cfg["out"] = args.out
+        for key, value in (("lambda", args.lam), ("signal", args.signal),
+                           ("horizon", args.horizon), ("seed", args.seed),
+                           ("tolerance", args.tolerance), ("out", args.out)):
+            if value is not None:
+                cfg[key] = value
         unknown = set(cfg) - _ALLOWED_KEYS[args.command]
         if unknown:
             raise ConfigError(

@@ -154,8 +154,9 @@ class _Segments:
 
     Padding segments (`signals._pad_rows`: level 0, width 0) are exact
     identity maps. As (k, N) columns: r = lam + c, x_inf = c / r,
-    g = 1 - e^{-r h} = -expm1(-r h), d = 1 - g and w = h phi(r h), with
+    g = 1 - e^{-r h} = -expm1(-r h), d = e^{-r h} and w = h phi(r h), with
     phi(z) = (1 - e^{-z}) / z and phi(0) = 1. `lam` is a scalar or per row.
+    d is never 1 - g, whose absolute error of 1e-16 would spoil long decays.
     """
 
     def __init__(self, levels, durations, lam) -> None:
@@ -168,7 +169,7 @@ class _Segments:
         self.x_inf = c / r
         self.g = g = -np.expm1(-rh)
         self.w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
-        self.d = 1.0 - g
+        self.d = np.exp(-rh)
 
 
 class _SegmentTables(_Segments):
@@ -238,7 +239,7 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
         rs = tab.r[ie, col] * span
         g = -np.expm1(-rs)
         w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
-        out[0, e] = np.clip(x_inf + (x - x_inf) * (1.0 - g), 0.0, 1.0)
+        out[0, e] = np.clip(x_inf + (x - x_inf) * np.exp(-rs), 0.0, 1.0)
         out[1, e] = int_x + x_inf * span + (x - x_inf) * w
         out[2, e] = start_is[e] + tab.S[ie, col] + tab.c[ie, col] * span
 

@@ -4,9 +4,9 @@ The point of this module is falsification, not production optimization:
 constant inflow is provably the unique maximizer of averaged output at
 fixed mean inflow, so every search here is expected to crawl back to the
 constant waveform and never to beat the benchmark lam m / (lam + m). The
-searches are deliberately auditable (full grids, coordinate descent with
-projection, mandatory evaluation logs) so that a numerical disagreement
-with the theory would fail loudly and reproducibly.
+searches are deliberately auditable (full grids, projected-gradient descent
+stopped on its KKT residual, mandatory evaluation logs) so that a numerical
+disagreement with the theory would fail loudly and reproducibly.
 
 Two families are searched, both with exactly prescribed mean:
 
@@ -19,7 +19,8 @@ The mean constraint is enforced by Euclidean projection in level
 coordinates (the exact sort-based simplex projection), never by penalty, so
 every evaluated waveform satisfies the constraint exactly and the benchmark
 comparison is fair at each point. Grids are evaluated as one batch of rows;
-coordinate descent is sequential and stays on the scalar kernel.
+a descent evaluates one row per point, with the exact gradient of w from the
+kernel's reverse sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import SignalError, SystemParams
-from .periodic import constant_benchmark, output_for_level_rows, output_for_levels
+from .periodic import _PeriodRows, constant_benchmark, output_for_level_rows
 
 __all__ = [
     "BangBang",
@@ -93,30 +94,6 @@ class PiecewiseConstantFree:
 
 
 WaveformFamily = BangBang | PiecewiseConstantFree
-
-
-def _levels_durations(family: WaveformFamily, point) -> tuple[list[float], list[float]]:
-    if isinstance(family, BangBang):
-        p1, p2, duty = point
-        if not (0.0 <= p1 <= p2):
-            raise SignalError(f"need 0 <= p1 <= p2, got p1={p1}, p2={p2}")
-        if not (0.0 <= duty <= 1.0):
-            raise SignalError(f"duty must lie in [0, 1], got {duty}")
-        T = family.period
-        if duty <= 0.0:
-            return [p1], [T]
-        if duty >= 1.0:
-            return [p2], [T]
-        return [p2, p1], [duty * T, (1.0 - duty) * T]
-    levels = list(point)
-    if len(levels) != family.n_segments:
-        raise SignalError(
-            f"expected {family.n_segments} levels, got {len(levels)}"
-        )
-    if any(v < 0.0 for v in levels):
-        raise SignalError(f"levels must be non-negative: {levels}")
-    h = family.period / family.n_segments
-    return levels, [h] * family.n_segments
 
 
 def family_mean(family: WaveformFamily, point) -> float:
@@ -303,31 +280,11 @@ class OptimizationResult:
         }
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
-
-def _non_finite(family: WaveformFamily, target_mean: float) -> SignalError:
+def _non_finite(family: WaveformFamily, target_mean: float, what="averaged output") -> SignalError:
     return SignalError(
-        f"averaged output is not finite at mean {target_mean!r} on {family!r}: "
+        f"{what} is not finite at mean {target_mean!r} on {family!r}: "
         "the family's levels overflow double precision"
     )
-
-
-def _evaluate(family, point, params, log: EvaluationLog, budget: _Budget) -> float:
-    levels, durations = _levels_durations(family, point)
-    w = output_for_levels(levels, durations, params.lam)
-    if not math.isfinite(w):
-        raise _non_finite(family, log.target_mean)
-    log.record(point, family_mean(family, point), w)
-    budget.used += 1
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -433,72 +390,108 @@ def grid_search(
 
 
 # ---------------------------------------------------------------------------
-# Coordinate descent
+# Projected-gradient descent
 # ---------------------------------------------------------------------------
+#
+# A descent moves x: the free levels on the mean simplex, or BangBang's
+# (p1 / mean, duty) on [0, 1] x [_DUTY_MIN, 1 - _DUTY_MIN], p2 set by the mean.
+# Moves are measured in u = x / D (D = mean for levels, (1 / (1 - duty), 1)
+# for BangBang), free of the units of time and inflow. With g = dw/dx, the
+# move of length t is P(x + t D^2 g) - x, P the projection onto the feasible
+# set. Spectral (Barzilai-Borwein) lengths, halved until w rises by _ARMIJO
+# of the first-order gain up to rounding, give the steps; the KKT residual
+# is the largest u-move at t = 1 / size, 0 at a stationary point.
 
-def _coordinate_line(family, point, idx, target_mean):
-    """(lo, hi, rebuild) for line-searching coordinate idx under projection."""
-    if isinstance(family, BangBang):
-        p1, p2, duty = point
-        if idx == 0:
-            def rebuild(s):
-                q2 = (target_mean - (1.0 - duty) * s) / duty
-                return (s, max(s, q2), duty)
-            return 0.0, target_mean, rebuild
-        if idx == 1:
-            def rebuild(s):
-                return project_to_mean(family, (p1, p2, s), target_mean)
-            return _DUTY_MIN, 1.0 - _DUTY_MIN, rebuild
-        raise IndexError(idx)
-
-    def rebuild(s):
-        raw = list(point)
-        raw[idx] = s
-        return project_to_mean(family, raw, target_mean)
-    return 0.0, family.n_segments * target_mean, rebuild
+_ARMIJO = 1e-4
+_BACKTRACKS = 20
+_W_ROUNDING = 2.0 ** -44            # relative; a change of w below it is none
+_STEP_BOUNDS = (1e-10, 1e10)        # of t size, a step's largest u-move
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+class _Descent:
+    """A family's descent coordinates, and its logged, budgeted evaluations."""
 
+    def __init__(self, family: WaveformFamily, target_mean: float, lam: float,
+                 log: EvaluationLog, max_evals: int):
+        self.family, self.mean, self.lam, self.log = family, target_mean, lam, log
+        self.bang_bang = isinstance(family, BangBang)
+        self.max_evals, self.evaluations = max_evals, 0
 
-def _line_search(f, lo, hi, budget: _Budget, rel_tol: float = 1e-9):
-    """Maximize f on [lo, hi]: coarse scan to bracket, then golden section."""
-    n_scan = 9
-    ss = np.linspace(lo, hi, n_scan).tolist()
-    best_i = 0
-    best_v = -math.inf
-    vals = []
-    for i, s in enumerate(ss):
-        if budget.exhausted:
-            break
-        v = f(s)
-        vals.append(v)
-        if v > best_v:
-            best_i, best_v = i, v
-    if not vals:
-        return None, -math.inf
-    a = ss[max(best_i - 1, 0)]
-    b = ss[min(best_i + 1, len(vals) - 1)]
-    tol = rel_tol * max(1.0, hi - lo)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = f(x1) if not budget.exhausted else -math.inf
-    f2 = f(x2) if not budget.exhausted else -math.inf
-    best_s, best_v = (x1, f1) if f1 >= f2 else (x2, f2)
-    while (b - a) > tol and not budget.exhausted:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-            if f1 > best_v:
-                best_s, best_v = x1, f1
+    def scale(self, x: np.ndarray) -> np.ndarray:
+        """D at x; BangBang's 1 / (1 - duty) keeps the residual in step with the level error."""
+        if self.bang_bang:
+            return np.array([1.0 / (1.0 - x[1]), 1.0])
+        return np.full(x.size, self.mean)
+
+    def coords(self, point) -> np.ndarray:
+        if self.bang_bang:
+            return np.array([point[0] / self.mean if self.mean else 0.0, point[2]])
+        if len(point) != self.family.n_segments:
+            raise SignalError(f"expected {self.family.n_segments} levels, got {len(point)}")
+        return np.array(point, dtype=float)
+
+    def point(self, x: np.ndarray) -> tuple:
+        if self.bang_bang:
+            p1, duty = self.mean * float(x[0]), float(x[1])
+            return (p1, max(p1, (self.mean - (1.0 - duty) * p1) / duty), duty)
+        return tuple(x.tolist())
+
+    def move(self, x: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
+        scale = self.scale(x)
+        moved = x + scale * (t * (scale * grad))
+        if self.bang_bang:
+            return np.clip(moved, (0.0, _DUTY_MIN), (1.0, 1.0 - _DUTY_MIN)) - x
+        return np.array(_project_simplex(moved.tolist(), self.family.n_segments * self.mean)) - x
+
+    def residual(self, x: np.ndarray, grad: np.ndarray, size: float) -> float:
+        if not size:
+            return 0.0
+        return float(np.max(np.abs(self.move(x, grad, 1.0 / size)) / self.scale(x)))
+
+    def evaluate(self, point):
+        """(w, g, size) at a family point, logged. g is dw/dx less the mean of a
+        level gradient, which no move follows and which in g . move would scale
+        the rounding of the move's sum; size = max |mean dw/dc| > 0 at the optimum."""
+        T = self.family.period
+        if self.bang_bang:
+            p1, p2, duty = point
+            levels, durations = [p2, p1], [duty * T, (1.0 - duty) * T]
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-            if f2 > best_v:
-                best_s, best_v = x2, f2
-    return best_s, best_v
+            levels, durations = point, [T / len(point)] * len(point)
+        kernel = _PeriodRows([levels], [durations], self.lam, gradient=True)
+        w = float(self.lam * kernel.i_p[0] / kernel.period[0])
+        if not math.isfinite(w):
+            raise _non_finite(self.family, self.mean)
+        self.log.record(point, family_mean(self.family, point), w)
+        self.evaluations += 1
+        dw_dc, dw_dh = kernel.dw_dc[0], kernel.dw_dh[0]
+        size = float(np.max(np.abs(self.mean * dw_dc)))
+        if self.bang_bang:
+            grad = np.array([self.mean * (dw_dc[1] - dw_dc[0] * (1.0 - duty) / duty),
+                             dw_dc[0] * (p1 - p2) / duty + (dw_dh[0] - dw_dh[1]) * T])
+        else:
+            grad = dw_dc - dw_dc.mean()
+        if not (np.isfinite(grad).all() and math.isfinite(size)):
+            raise _non_finite(self.family, self.mean, "the gradient of the averaged output")
+        return w, grad, size
+
+    def backtrack(self, x: np.ndarray, w: float, grad: np.ndarray, step: np.ndarray):
+        """(alpha, point, w, g, size) at the first alpha = 1, 1/2, ..., 2^-_BACKTRACKS
+        whose step raises w by _ARMIJO of its first-order gain up to rounding, else
+        at the best one that raises w above rounding; None if none does in budget."""
+        gain, rounding, max_evals = float(grad @ step), _W_ROUNDING * abs(w), self.max_evals
+        alpha, best = 1.0, None
+        for _ in range(_BACKTRACKS + 1):
+            if gain <= 0.0 or self.evaluations >= max_evals:
+                break
+            point = self.point(x + alpha * step)
+            found = (alpha, point, *self.evaluate(point))
+            if found[2] >= w + _ARMIJO * alpha * gain - rounding:
+                return found
+            if found[2] > w + rounding and (best is None or found[2] > best[2]):
+                best = found
+            alpha *= 0.5
+        return best
 
 
 def coordinate_descent(
@@ -510,53 +503,49 @@ def coordinate_descent(
     max_evals: int = DEFAULT_MAX_EVALS,
     log: EvaluationLog | None = None,
 ) -> OptimizationResult:
-    """Cyclic one-coordinate line searches under mean projection.
+    """Projected-gradient ascent of w from `start` under the mean constraint.
 
-    Stops when a full sweep improves the output by less than `tol`, or when
-    the evaluation budget is exhausted (result flagged `capped`). The search
-    is local refinement; pair it with grid_search for coverage.
+    Spectral steps with an Armijo backtrack on the kernel's exact gradient
+    (see the comment above); stops when the KKT residual is at most `tol`.
+    A result that stops short of it, because the budget ran out or no
+    backtrack raised w above rounding, is flagged `capped`. Every evaluated
+    point is logged. The search is local refinement; pair it with
+    grid_search for coverage.
     """
     if target_mean < 0.0:
         raise InfeasibleMeanError(f"target mean must be non-negative, got {target_mean}")
     benchmark = constant_benchmark(target_mean, params)
     if log is None:
         log = EvaluationLog(family, target_mean, benchmark)
-    budget = _Budget(max_evals)
+    descent = _Descent(family, target_mean, params.lam, log, max_evals)
 
+    if descent.bang_bang:
+        start = (start[0], start[1], min(max(start[2], _DUTY_MIN), 1.0 - _DUTY_MIN))
     point = project_to_mean(family, start, target_mean)
-    if isinstance(family, BangBang):
-        p1, p2, duty = point
-        duty = min(max(duty, _DUTY_MIN), 1.0 - _DUTY_MIN)
-        point = project_to_mean(family, (p1, p2, duty), target_mean)
-    best_w = _evaluate(family, point, params, log, budget)
-    n_coords = 2 if isinstance(family, BangBang) else family.n_segments
-
-    capped = False
-    while True:
-        sweep_gain = 0.0
-        for idx in range(n_coords):
-            if budget.exhausted:
-                capped = True
-                break
-            lo, hi, rebuild = _coordinate_line(family, point, idx, target_mean)
-
-            def f(s):
-                return _evaluate(family, rebuild(s), params, log, budget)
-
-            s_best, w_line = _line_search(f, lo, hi, budget)
-            if s_best is not None and w_line > best_w:
-                sweep_gain += w_line - best_w
-                best_w = w_line
-                point = rebuild(s_best)
-        if capped or sweep_gain < tol:
+    x = descent.coords(point)
+    w, grad, size = descent.evaluate(point)
+    residual = descent.residual(x, grad, size)
+    t = 1.0 / size if size else 0.0
+    while residual > tol and descent.evaluations < max_evals:
+        step = descent.move(x, grad, t)
+        found = descent.backtrack(x, w, grad, step)
+        if found is None:
             break
+        alpha, point, w, grad_new, size = found
+        x = descent.coords(point)
+        scale = descent.scale(x)
+        s, y, grad = alpha * step / scale, (grad - grad_new) * scale, grad_new
+        residual = descent.residual(x, grad, size)
+        sy = float(s @ y)
+        t = float(s @ s) / sy if sy > 0.0 else 1.0 / size
+        t = min(max(t, _STEP_BOUNDS[0] / size), _STEP_BOUNDS[1] / size) if size else 0.0
     return OptimizationResult(
         best_point=point,
-        best_w=best_w,
+        best_w=w,
         benchmark_w=benchmark,
-        optimality_gap=benchmark - best_w,
-        evaluations=budget.used,
-        capped=capped,
+        optimality_gap=benchmark - w,
+        evaluations=descent.evaluations,
+        capped=residual > tol,
         log=log,
     )
 
@@ -603,47 +592,33 @@ def perturbation_response(
     if any(e <= 0.0 for e in epsilons):
         raise SignalError("epsilons must be positive")
 
-    most_negative = float(direction.min())
-    if most_negative < 0.0:
-        eps_max = signal_mean / (-most_negative)
-        too_big = [e for e in epsilons if e > eps_max]
-        if too_big:
-            raise ClippingActiveError(
-                f"epsilon {max(too_big)} drives levels negative; "
-                f"use epsilons below {eps_max:.6g}"
-            )
+    eps_max = signal_mean / -direction.min() if direction.min() < 0.0 else math.inf
+    if max(epsilons, default=0.0) > eps_max:
+        raise ClippingActiveError(f"epsilon {max(epsilons)} drives levels negative; "
+                                  f"use epsilons below {eps_max:.6g}")
 
-    k = direction.size
-    durations = [period / k] * k
-    benchmark = constant_benchmark(signal_mean, params)
-    deficits = []
-    for eps in epsilons:
-        levels = (signal_mean + eps * direction).tolist()
-        w = output_for_levels(levels, durations, params.lam)
-        deficits.append(benchmark - w)
+    eps = np.asarray(epsilons)
+    levels = signal_mean + np.multiply.outer(eps, direction)
+    w = output_for_level_rows(levels, period / direction.size, params.lam)
+    deficits = constant_benchmark(signal_mean, params) - w
 
-    positive = [(e, d) for e, d in zip(epsilons, deficits) if d > 0.0]
-    if len(positive) >= 2:
-        log_e = np.log([e for e, _ in positive])
-        log_d = np.log([d for _, d in positive])
+    slope = r_squared = math.nan
+    positive = deficits > 0.0
+    if np.count_nonzero(positive) >= 2:
+        log_e, log_d = np.log(eps[positive]), np.log(deficits[positive])
         slope, intercept = np.polyfit(log_e, log_d, 1)
-        fitted = slope * log_e + intercept
-        ss_res = float(np.sum((log_d - fitted) ** 2))
+        ss_res = float(np.sum((log_d - (slope * log_e + intercept)) ** 2))
         ss_tot = float(np.sum((log_d - log_d.mean()) ** 2))
         r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
         slope = float(slope)
-    else:
-        slope = math.nan
-        r_squared = math.nan
 
-    e2 = np.asarray(epsilons) ** 2
-    d = np.asarray(deficits)
+    e2 = eps ** 2
     denom = float(np.sum(e2 * e2))
-    kappa = float(np.sum(d * e2) / denom) if denom > 0.0 else 0.0
+    kappa = float(np.sum(deficits * e2) / denom) if denom > 0.0 else 0.0
     return PerturbationFit(
         kappa=kappa,
         loglog_slope=slope,
         r_squared=r_squared,
         epsilons=tuple(epsilons),
-        deficits=tuple(deficits),
+        deficits=tuple(deficits.tolist()),
     )

@@ -27,13 +27,12 @@ measure rounding only. All of them read one period kernel over padded
 R = int_0^T (lam + sigma), its offset b, the fixed point x_p(0) = b / (1 - a)
 with 1 - a = -expm1(-R) (never 1 - e^{-R} by subtraction, which loses every
 digit once R is below double precision, as at nanosecond periods), the
-per-segment integral weights and, on request, the moment integrals. Reports,
-one-period maps, the search's batches of candidate waveforms and the
-verification suites are rows of it; only `output_for_levels`, the
-coordinate descent's one-point evaluation, keeps a scalar twin. On smooth
-inflow the integrals fall back to trapezoid sums over the numeric grid and
-the residual tolerance is correspondingly looser (about 1e-5 at default
-grids).
+per-segment integral weights and, on request, the moment integrals or the
+gradient of w in the levels and durations. Reports, one-period maps, the
+search's candidate waveforms and the verification suites are rows of it.
+On smooth inflow the integrals fall back to trapezoid sums over the numeric
+grid and the residual tolerance is correspondingly looser (about 1e-5 at
+default grids).
 """
 
 from __future__ import annotations
@@ -204,32 +203,40 @@ class _PeriodRows(dynamics._Segments):
     orbit's start, keeps full relative precision however weak the
     contraction. Also `i_p` = int_0^T x_p and `period` = T; with `moments`,
     `s` = int_0^T sigma, `x_star` and the integrals of (lam + sigma) times
-    x_p (`m1`), x_p^2 (`m2`) and (x_p - x_star)^2 (`gap`). Sums and
-    recurrences run in segment order, so no row depends on the batch or
-    its padding.
+    x_p (`m1`), x_p^2 (`m2`) and (x_p - x_star)^2 (`gap`); with `gradient`,
+    `dw_dc` and `dw_dh`, the gradient of w = lam i_p / T in each row's levels
+    and durations. Sums and recurrences run in segment order, so no row
+    depends on the batch or its padding.
     """
 
-    def __init__(self, levels, durations, lam, moments: bool = False) -> None:
+    def __init__(self, levels, durations, lam, moments: bool = False,
+                 gradient: bool = False) -> None:
         super().__init__(levels, durations, lam)
         c, h, r, x_inf, g, d, w = self.c, self.h, self.r, self.x_inf, self.g, self.d, self.w
         n = c.shape[1]
         b = rate = 0.0
+        b_start = []        # b at each segment start, for the gradient
         for x_inf_j, g_j, d_j, rh_j in _segment_columns(x_inf, g, d, self.rh):
+            if gradient:
+                b_start.append(b)
             b = x_inf_j * g_j + b * d_j
             rate += rh_j
         self.b, self.rate = np.reshape(b, n), np.reshape(rate, n)
         # x_p; R is 0 only when every r h underflows, and then b is 0 too.
-        x = self.b / np.maximum(-np.expm1(-self.rate), math.ulp(0.0))
+        one_minus_a = np.maximum(-np.expm1(-self.rate), math.ulp(0.0))
+        x = x_p = self.b / one_minus_a
         x, i_p, period = (x.item() if n == 1 else x), 0.0, 0.0
-        delta = []          # x_p(segment start) - x_inf, per segment, for the moments
+        delta = []          # x_p(segment start) - x_inf, per segment, for moments and gradient
         for x_inf_j, h_j, w_j, d_j in _segment_columns(x_inf, h, w, d):
             dx = x - x_inf_j
             i_p += x_inf_j * h_j + dx * w_j
             period += h_j
             x = x_inf_j + dx * d_j
-            if moments:
+            if moments or gradient:
                 delta.append(dx)
         self.i_p, self.period = np.reshape(i_p, n), np.reshape(period, n)
+        if gradient:
+            self._adjoint(x_p, one_minus_a, delta, b_start)
         if moments:
             delta = np.reshape(delta, c.shape)
             self.s = np.cumsum(c * h, axis=0)[-1]
@@ -243,39 +250,57 @@ class _PeriodRows(dynamics._Segments):
             self.gap = np.cumsum(r * dev * dev * h + 2.0 * dev * delta * g
                                  + delta * delta * half_g2, axis=0)[-1]
 
+    def _adjoint(self, x_p, one_minus_a, delta, b_start) -> None:
+        """`dw_dc` and `dw_dh` by one reverse sweep of the value path, for
+        i_p / T and then times lam. `after` is the adjoint of the state after
+        a segment; `tail`, the product of the later d, carries that of b_k
+        back through b <- x_inf g + b d. Segments keep their terms without
+        the adjoints of b_k and R (a_*) and per unit of b_k's (b_*), as both
+        come from x_p = b_k / (1 - e^{-R}) after the sweep. Chain rules:
+        dg = d d(r h) = -dd, dw/dh = d, dw/dc = -h^2 psi(r h), dx_inf/dc = lam / r^2.
+        """
+        n = self.c.shape[1]
+        lam = self.lam.item() if n == 1 else self.lam
+        ibar = 1.0 / self.period                        # d(i_p / T) / d i_p
+        tbar = -(ibar * self.i_p) / self.period         # d(i_p / T) / dT
+        ibar, tbar = (ibar.item(), tbar.item()) if n == 1 else (ibar, tbar)
+        after, tail = 0.0, 1.0
+        a_c, b_c, a_h, b_h = [], [], [], []
+        # psi(z) = (1 - (1 + z) e^{-z}) / z^2 = (g / z - d) / z, and below
+        # z = 0.02, where that cancels, its series
+        z, s = np.maximum(self.rh, 0.02), np.minimum(self.rh, 0.02)
+        series = np.polyval([1 / 5760, -1 / 840, 1 / 144, -1 / 30, 1 / 8, -1 / 3, 0.5], s)
+        psi = np.where(self.rh < 0.02, series, (self.g / z - self.d) / z)
+        segments = list(_segment_columns(self.h, self.r, self.x_inf, self.g, self.d, self.w,
+                                         psi))[::-1]
+        for (h, r, x_inf, g, d, w, psi), dx, b0 in zip(segments, delta[::-1], b_start[::-1]):
+            slope = lam / r / r                         # dx_inf / dc
+            a_c.append((ibar * (h - w) + after * g) * slope - after * dx * d * h
+                       - ibar * dx * h * h * psi)
+            b_c.append(tail * (g * slope + (x_inf - b0) * d * h))
+            a_h.append(ibar * x_inf + tbar - after * dx * d * r + ibar * dx * d)
+            b_h.append(tail * (x_inf - b0) * d * r)
+            after = ibar * w + after * d
+            tail = tail * d
+        # `after` is now the adjoint of x_p
+        bbar = after / one_minus_a
+        rbar = -bbar * x_p * np.exp(-self.rate)
+        bbar, rbar = (bbar.item(), rbar.item()) if n == 1 else (bbar, rbar)
+        self.dw_dc = np.reshape([lam * (a + bbar * b + rbar * seg[0])
+                                 for a, b, seg in zip(a_c, b_c, segments)][::-1], self.c.shape).T
+        self.dw_dh = np.reshape([lam * (a + bbar * b + rbar * seg[1])
+                                 for a, b, seg in zip(a_h, b_h, segments)][::-1], self.c.shape).T
+
 
 def output_for_levels(levels, durations, lam: float) -> float:
-    """Averaged output for one period given segment levels and durations.
-
-    Low-overhead scalar twin of `output_for_level_rows` for the waveform
-    search's coordinate descent, which evaluates it one point at a time
-    many thousands of times; plain floats, no signal objects or arrays.
-    """
-    segments = []
-    rate = b = 0.0
-    for c, h in zip(levels, durations):
-        r = lam + c
-        rh = r * h
-        g = -math.expm1(-rh)
-        x_inf = c / r
-        segments.append((x_inf, g, h * (g / rh) if rh else h, h))
-        rate += rh
-        b = x_inf * g + b * (1.0 - g)
-    x = b / -math.expm1(-rate) if rate else 0.0
-    total = 0.0
-    for x_inf, g, w, h in segments:
-        delta = x - x_inf
-        total += x_inf * h + delta * w
-        x = x_inf + delta * (1.0 - g)
-    return lam * total / sum(durations)
+    """Averaged output for one period given segment levels and durations."""
+    return float(output_for_level_rows([levels], [durations], lam)[0])
 
 
 def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
-    """Row-wise output_for_levels over an (N, k) array of candidate waveforms.
+    """Averaged output of each row of an (N, k) array of candidate waveforms.
 
-    `durations` is (N, k) or broadcasts to it. Results agree with the
-    scalar twin to rounding (numpy's expm1 may differ in the last bit from
-    the C library's).
+    `durations` is (N, k) or broadcasts to it.
     """
     kernel = _PeriodRows(levels, durations, lam)
     return lam * kernel.i_p / kernel.period

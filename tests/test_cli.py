@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from bottleneck_lab import dynamics
-from bottleneck_lab.cli import main
+from bottleneck_lab import dynamics, optimize
+from bottleneck_lab.cli import _beats_benchmark, main
 from bottleneck_lab.signals import SystemParams, signal_from_dict
 
 CONSTANT_SIG = {"kind": "constant", "level": 1.0, "period": 1.0}
@@ -318,6 +318,40 @@ class TestOptimizeCommand:
         assert err.startswith("error: averaged output is not finite at mean 1e+308 on " + name)
         assert not (tmp_path / "res.json").exists()
         assert not (tmp_path / "log.csv").exists()
+
+    def test_excess_gate_is_relative_below_a_unit_benchmark(self):
+        family = optimize.BangBang(period=1.0)
+        log = optimize.EvaluationLog(family, 1e-300, 1e-300)
+        log.record((1e-300, 1e-300, 0.5), 1e-300, 1e-300)
+        assert not _beats_benchmark(log)
+        # an excess of the benchmark's own size, 1e-300, is far below 1e-9
+        log.record((0.0, 2e-300, 0.5), 1e-300, 2e-300)
+        assert _beats_benchmark(log)
+        # above a unit benchmark the tolerance stays absolute
+        log = optimize.EvaluationLog(family, 4.0, 2.0)
+        log.record((4.0, 4.0, 0.5), 4.0, 2.0 + 5e-10)
+        assert not _beats_benchmark(log)
+        log.record((4.0, 4.0, 0.5), 4.0, 2.0 + 2e-9)
+        assert _beats_benchmark(log)
+
+    @pytest.mark.parametrize("family, mean, seed", [
+        # the configs CI runs twice to compare bytes
+        ({"kind": "bang_bang", "period": 2.0}, 1.0, 42),
+        ({"kind": "piecewise_free", "period": 2.0, "n_segments": 4}, 1.0, 42),
+        ({"kind": "bang_bang", "period": 2.0}, 0.0, 0),
+        ({"kind": "piecewise_free", "period": 2.0, "n_segments": 4}, 0.0, 0),
+    ])
+    def test_honest_search_passes_the_gate(self, tmp_path, family, mean, seed):
+        out = tmp_path / "res.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": family, "lambda": 1.0, "mean": mean, "resolution": 9,
+            "n_starts": 3, "seed": seed, "out": str(out), "log": str(tmp_path / "log.csv"),
+        })
+        assert main(["optimize", "--config", cfg]) == 0
+        res = json.loads(out.read_text())
+        parts = res["grid"]["evaluations"] + sum(d["evaluations"] for d in res["descents"])
+        with open(tmp_path / "log.csv") as fh:
+            assert sum(1 for _ in fh) - 1 == res["evaluations_total"] == parts
 
     @pytest.mark.parametrize("key, value, message", [
         ("n_starts", -2, "n_starts must be non-negative, got -2"),

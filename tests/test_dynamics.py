@@ -75,6 +75,16 @@ class TestStepExact:
             x1, _ = step_exact(x0, 0.0, 0.7, P1)
             assert x1 == pytest.approx(x0 * math.exp(-0.7), abs=1e-15)
 
+    @pytest.mark.parametrize("breakpoints", [(0.0, 1.0), (0.0, 0.5, 2.0, 4.0)])
+    def test_decay_keeps_full_relative_precision(self, breakpoints):
+        # The decay factor is e^{-r s} itself, not 1 - (1 - e^{-r s}), whose
+        # absolute error of about 1e-16 left e^{-30} with 4 correct digits.
+        # One segment exercises the partial step, three the prefix tables.
+        times = np.array([10.0, 20.0, 30.0, 35.0])
+        zero = PiecewiseConstant(breakpoints, (0.0,) * (len(breakpoints) - 1), periodic=False)
+        states = exact_pass(zero, P1, 1.0, times)[0]
+        np.testing.assert_allclose(states, np.exp(-times), rtol=1e-13, atol=0.0)
+
     def test_integral_matches_fine_riemann(self):
         x0, c, h = 0.2, 3.0, 0.8
         _, integral = step_exact(x0, c, h, P1)
@@ -628,14 +638,18 @@ class TestExactRowsProperties:
         times = np.unique(np.concatenate([t for _, _, _, t in cases]))
         padded = _pad_rows(signals)
         batch = _exact_rows(*padded, lam, x0, times)
-        kernel = _PeriodRows(padded[0], np.diff(padded[1], axis=1), lam, moments=True)
+        kernel = _PeriodRows(padded[0], np.diff(padded[1], axis=1), lam, moments=True,
+                             gradient=True)
         states = _period_states_rows(kernel, x0, 3)
         for n, signal in enumerate(signals):
             levels, bps, periodic = _pad_rows([signal])
             alone = _exact_rows(levels, bps, periodic, lam[n:n + 1], x0[n:n + 1], times)
             for got, want in zip(batch, alone):
                 np.testing.assert_array_equal(got[n], want[0])
-            one = _PeriodRows(levels, np.diff(bps, axis=1), lam[n], moments=True)
+            one = _PeriodRows(levels, np.diff(bps, axis=1), lam[n], moments=True, gradient=True)
             for name in ("rate", "b", "i_p", "s", "period", "m1", "m2", "gap"):
                 assert getattr(kernel, name)[n] == getattr(one, name)[0], name
+            k = len(signal.levels)
+            for name in ("dw_dc", "dw_dh"):
+                np.testing.assert_array_equal(getattr(kernel, name)[n, :k], getattr(one, name)[0])
             np.testing.assert_array_equal(states[:, n], _period_states_rows(one, x0[n], 3)[:, 0])

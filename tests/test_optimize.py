@@ -19,7 +19,7 @@ from bottleneck_lab.optimize import (
     project_to_mean,
 )
 from bottleneck_lab.optimize import _CSV_CHUNK, _evaluate_rows, _project_simplex_rows
-from bottleneck_lab.periodic import constant_benchmark, gap_report, output_for_levels
+from bottleneck_lab.periodic import _PeriodRows, constant_benchmark, gap_report, output_for_levels
 from bottleneck_lab.signals import PiecewiseConstant, SignalError, SystemParams
 
 P1 = SystemParams(lam=1.0)
@@ -232,11 +232,42 @@ def _reference_grid_search(family, mean, params, resolution):
     return points, outputs, best_index
 
 
+def kkt_residual(family, mean, lam, point):
+    """The stop's residual at a family point, from the kernel's gradient.
+
+    Unit-free coordinates u = x / D: the levels over the mean on the mean
+    simplex, or (p1 / mean, duty) with D = (1 / (1 - duty), 1) on the box.
+    The residual is the largest u-move of the projected step D^2 g / size,
+    size = max |mean dw/dc|.
+    """
+    T = family.period
+    if isinstance(family, BangBang):
+        p1, p2, duty = point
+        levels, durations = [p2, p1], [duty * T, (1.0 - duty) * T]
+    else:
+        levels, durations = list(point), [T / family.n_segments] * family.n_segments
+    kernel = _PeriodRows([levels], [durations], lam, gradient=True)
+    dw_dc, dw_dh = kernel.dw_dc[0], kernel.dw_dh[0]
+    size = np.abs(mean * dw_dc).max()
+    if isinstance(family, BangBang):
+        v = np.array([p1 / mean, duty])
+        g = np.array([mean * (dw_dc[1] - dw_dc[0] * (1.0 - duty) / duty),
+                      dw_dc[0] * (p1 - p2) / duty + (dw_dh[0] - dw_dh[1]) * family.period])
+        scale = np.array([1.0 / (1.0 - duty), 1.0])
+        moved = v + scale * scale * g / size
+        lo, hi = np.array([0.0, 1e-3]), np.array([1.0, 1.0 - 1e-3])
+        return np.max(np.abs(np.clip(moved, lo, hi) - v) / scale)
+    c = np.array(point)
+    moved = simplex_projection(c + mean * mean * dw_dc / size, family.n_segments * mean)
+    return np.max(np.abs(moved - c)) / mean
+
+
 class TestCoordinateDescent:
     def test_constant_start_terminates_immediately(self):
         res = coordinate_descent(K4, 1.0, P1, (1.0, 1.0, 1.0, 1.0))
         assert abs(res.optimality_gap) <= 1e-12
         assert not res.capped
+        assert res.evaluations == 1
         np.testing.assert_allclose(res.best_point, 1.0, atol=1e-9)
 
     def test_two_level_start_converges_to_constant(self):
@@ -257,17 +288,52 @@ class TestCoordinateDescent:
             assert res.log.max_excess <= 1e-9
 
     def test_budget_cap_flagged(self):
-        res = coordinate_descent(K4, 1.0, P1, (0.0, 4.0, 0.0, 0.0), max_evals=40)
+        # K4 from (0, 4, 0, 0) converges well inside 40 evaluations; eight
+        # levels from one pulse need more
+        family = PiecewiseConstantFree(period=2.0, n_segments=8)
+        start = (0.0,) * 7 + (8.0,)
+        full = coordinate_descent(family, 1.0, P1, start)
+        assert not full.capped and full.evaluations > 40
+        res = coordinate_descent(family, 1.0, P1, start, max_evals=40)
         assert res.capped
-        assert res.evaluations <= 40
+        assert res.evaluations == len(res.log) == 40
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_output_raises_before_logging(self):
-        # the first line search reaches p2 = mean / duty = 2e308, which overflows
-        log = EvaluationLog(BB, 1e308, constant_benchmark(1e308, P1))
-        with pytest.raises(SignalError, match=r"not finite at mean 1e\+308 on BangBang"):
-            coordinate_descent(BB, 1e308, P1, (0.0, 1e308, 0.5), log=log)
+        # At the start w is finite; toward the constant lam * int_0^T x_p
+        # passes 1.8e308 and w overflows
+        params = SystemParams(lam=2e307)
+        family = BangBang(period=40.0)
+        log = EvaluationLog(family, 2e307, constant_benchmark(2e307, params))
+        with pytest.raises(SignalError, match=r"not finite at mean 2e\+307 on BangBang"):
+            coordinate_descent(family, 2e307, params, (0.0, 1e308, 0.2), log=log)
         assert len(log) >= 1
         assert all(math.isfinite(w) for w in log.outputs)
+
+    @pytest.mark.parametrize("family", [BB, K4, PiecewiseConstantFree(period=0.5, n_segments=7)])
+    def test_returns_a_kkt_point_or_capped(self, family):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            lam = float(10.0 ** rng.uniform(-2, 2))
+            mean = float(10.0 ** rng.uniform(-2, 2))
+            params = SystemParams(lam=lam)
+            if isinstance(family, BangBang):
+                raw = (rng.uniform(0, 2 * mean), rng.uniform(0, 2 * mean), rng.uniform(0.05, 0.95))
+            else:
+                raw = tuple(rng.uniform(0.0, 2.0 * mean, family.n_segments))
+            for max_evals in (5, 10_000):
+                res = coordinate_descent(family, mean, params, project_to_mean(family, raw, mean),
+                                         max_evals=max_evals)
+                residual = kkt_residual(family, mean, lam, res.best_point)
+                assert residual <= 1e-10 or res.capped, (lam, mean, residual)
+                assert res.evaluations == len(res.log) <= max_evals
+                assert res.best_w == res.log.outputs[res.log.points.index(res.best_point)]
+                assert res.log.max_excess <= 1e-9 * min(1.0, res.benchmark_w)
+
+    def test_mean_zero_is_one_evaluation(self):
+        for family, start in ((BB, (0.0, 0.0, 0.5)), (K4, (0.0,) * 4)):
+            res = coordinate_descent(family, 0.0, P1, start)
+            assert res.evaluations == 1 and not res.capped and res.best_w == 0.0
 
 
 class TestScaleConsistency:
@@ -334,8 +400,11 @@ class TestEvaluationLog:
         log = EvaluationLog(K4, 1.0, constant_benchmark(1.0, P1))
         grid_search(K4, 1.0, P1, 3, log=log)
         n_grid = len(log)
-        coordinate_descent(K4, 1.0, P1, (0.0, 4.0, 0.0, 0.0), log=log)
+        descents = [coordinate_descent(K4, 1.0, P1, start, log=log)
+                    for start in ((0.0, 4.0, 0.0, 0.0), (2.0, 0.0, 1.5, 0.5))]
         assert len(log) > n_grid
+        # every evaluation is logged, and only once
+        assert len(log) == n_grid + sum(r.evaluations for r in descents)
         assert log.max_excess <= 1e-9
         # the mean constraint holds for every evaluation, not just optima
         assert all(abs(m - 1.0) <= 1e-10 for m in log.means)

@@ -15,6 +15,7 @@ from bottleneck_lab.asymptotic import (
 )
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate
 from bottleneck_lab.periodic import (
+    _PeriodRows,
     PoincareMap,
     constant_benchmark,
     gap_report,
@@ -170,14 +171,64 @@ class TestAveragedOutput:
             levels[rng.random((64, k)) < 0.2] = 0.0
             levels[0] = 0.0
             durations = rng.uniform(0.01, 2.0, (64, k))
+            # output_for_levels is the one-row call: a row's bits do not
+            # depend on its batch
             got = output_for_level_rows(levels, durations, lam)
             want = [output_for_levels(c, h, lam)
                     for c, h in zip(levels.tolist(), durations.tolist())]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(got, want)
             # a duration shared by every segment broadcasts
             got = output_for_level_rows(levels, 0.5, lam)
             want = [output_for_levels(c, [0.5] * k, lam) for c in levels.tolist()]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(got, want)
+
+
+def central_difference(f, x, j, step):
+    """Fourth-order central difference of f in coordinate j of the array x."""
+    def at(m):
+        v = x.copy()
+        v[j] += m * step
+        return f(v)
+    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * step)
+
+
+class TestGradient:
+    def test_adjoint_matches_central_differences(self):
+        # Differences are scaled to the row: dw/dc to its largest entry,
+        # dw/dh to w / T (with one segment, w does not depend on h at all).
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            k = int(rng.integers(1, 13))
+            lam = float(10.0 ** rng.uniform(-3, 3))
+            c = rng.uniform(0.01, 3.0, k) * 10.0 ** rng.uniform(-2, 2)
+            h = rng.uniform(0.1, 1.0, k) * 10.0 ** rng.uniform(-2, 1)
+            kernel = _PeriodRows([c], [h], lam, gradient=True)
+            fd_c = [central_difference(lambda v: output_for_levels(v, h, lam), c, j, 1e-3 * c[j])
+                    for j in range(k)]
+            fd_h = [central_difference(lambda v: output_for_levels(c, v, lam), h, j, 1e-3 * h[j])
+                    for j in range(k)]
+            w = lam * kernel.i_p[0] / kernel.period[0]
+            np.testing.assert_allclose(kernel.dw_dc[0], fd_c, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd_c).max())
+            np.testing.assert_allclose(kernel.dw_dh[0], fd_h, rtol=1e-6, atol=1e-6 * w / h.sum())
+
+    def test_gradient_leaves_the_values_unchanged(self):
+        rng = np.random.default_rng(29)
+        levels = rng.uniform(0.0, 4.0, (16, 5))
+        durations = rng.uniform(0.1, 2.0, (16, 5))
+        plain = _PeriodRows(levels, durations, 0.7, moments=True)
+        both = _PeriodRows(levels, durations, 0.7, moments=True, gradient=True)
+        for name in ("rate", "b", "i_p", "period", "s", "m1", "m2", "gap"):
+            np.testing.assert_array_equal(getattr(both, name), getattr(plain, name))
+
+    def test_constant_gradient_is_the_benchmark_slope(self):
+        # At constant inflow m, w = lam m / (lam + m) for any durations, so
+        # dw/dc_j = (lam / (lam + m))^2 h_j / T and dw/dh = 0.
+        h = np.array([0.3, 1.1, 0.6])
+        kernel = _PeriodRows([[2.0] * 3], [h], 1.5, gradient=True)
+        np.testing.assert_allclose(kernel.dw_dc[0], (1.5 / 3.5) ** 2 * h / h.sum(),
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(kernel.dw_dh[0], 0.0, rtol=0.0, atol=1e-15)
 
 
 class TestConstantBenchmark:
