@@ -153,11 +153,11 @@ def default_tau_max(signal: InputSignal, params: SystemParams) -> float:
     return tau
 
 
-def quadrature_slack(signal: InputSignal, params: SystemParams, step: float) -> float:
+def quadrature_slack(signal: InputSignal, params: SystemParams, step: float | None) -> float:
     """Crude trapezoid error bound per unit time for the mean-state integral.
 
     Zero on piecewise-constant inflow, where the running integrals are
-    closed-form exact.
+    closed-form exact and `step` may be None (`dynamics.numeric_step`).
     """
     if not isinstance(signal, ClippedSinusoidSum):
         return 0.0
@@ -225,7 +225,7 @@ def longrun_bound_check(
     raise false alarms. `grid` must be the one `ra` was computed with.
     """
     tau_max = float(ra.taus[-1])
-    step = (grid or QuadratureSpec()).resolve(dynamics.default_step(signal, params))
+    step = dynamics.numeric_step(signal, params, grid)
     slack = quadrature_slack(signal, params, step) + 2.0 / (params.lam * tau_max)
     bound = constant_benchmark(ra.sigma_bar_est, params)
     margin = bound - ra.w_est

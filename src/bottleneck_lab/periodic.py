@@ -30,27 +30,26 @@ digit once R is below double precision, as at nanosecond periods), the
 per-segment integral weights and, on request, the moment integrals or the
 gradient of w in the levels and durations. Reports, one-period maps, the
 search's candidate waveforms and the verification suites are rows of it.
-On smooth inflow the integrals fall back to trapezoid sums over the numeric
-grid and the residual tolerance is correspondingly looser (about 1e-5 at
-default grids).
+On smooth inflow one RK4 scan of the period from 0 (`_smooth_period`) gives
+the map, the orbit and sigma at the same nodes, and every integral, sigma_bar
+too, is a trapezoid sum on them; the residual tolerance is correspondingly
+looser (about 1e-5 at default grids).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import dynamics
 from .signals import (
-    ClippedSinusoidSum,
     InputSignal,
     QuadratureSpec,
     SignalError,
     SystemParams,
-    evaluate_array,
-    mean_over_period,
     require_period,
     signal_to_dict,
 )
@@ -145,21 +144,14 @@ def poincare_map(
     """Build the one-period map x(T) = a x(0) + b.
 
     On piecewise-constant inflow both R and b come from the closed-form
-    period kernel. On smooth inflow b is the numeric image of x(0) = 0 and
-    R the trapezoid integral of lam + sigma on the same grid. a is never
-    taken as the image spread Phi(1) - Phi(0): that subtraction cancels to
-    zero once the contraction is stronger than double precision.
+    period kernel; on smooth inflow both come from one scan (`_smooth_period`).
     """
     period = require_period(signal)
     step = dynamics.numeric_step(signal, params, grid)
     if step is None:
         kernel = _PeriodRows([signal.levels], [signal.durations], params.lam)
         return PoincareMap(rate=float(kernel.rate[0]), b=float(kernel.b[0]))
-    b = float(dynamics.smooth_pass(signal, params, 0.0, np.asarray([period]), step)[0][0])
-    n = max(2, math.ceil(period / step))
-    ts = np.linspace(0.0, period, n + 1)
-    rate = float(np.trapezoid(params.lam + evaluate_array(signal, ts), ts))
-    return PoincareMap(rate=rate, b=b)
+    return _smooth_period(signal, params, period, step)[0]
 
 
 def periodic_solution(
@@ -169,17 +161,40 @@ def periodic_solution(
 ) -> dynamics.Trajectory:
     """One period of the unique periodic solution, starting at its fixed point."""
     period = require_period(signal)
-    x_p0 = poincare_map(signal, params, grid).fixed_point
-    return dynamics.simulate(signal, params, x_p0, period, grid)
+    step = dynamics.numeric_step(signal, params, grid)
+    if step is None:
+        x_p0 = poincare_map(signal, params).fixed_point
+        return dynamics.simulate(signal, params, x_p0, period, grid)
+    return _smooth_period(signal, params, period, step, dense=True)[1]
+
+
+def _smooth_period(signal, params: SystemParams, period: float, step: float, dense=False):
+    """One RK4 scan over [0, T] from x(0) = 0: (map, orbit, scan). b is its end
+    state, R = lam T + its trapezoid integral of sigma: not the step factors'
+    product, which underflows once R > 745, nor its -log, which loses
+    precision when r h is tiny. The orbit is x + p x_p, at T or (`dense`) at
+    every node."""
+    scan = dynamics._smooth_scan(signal, params.lam, 0.0, [period], step, dense)
+    pmap = PoincareMap(rate=params.lam * period + float(scan.int_sigma[-1]), b=float(scan.x[-1]))
+    x_p = pmap.fixed_point
+    states = dynamics._clip_states(scan.x + scan.p * x_p, scan.t, np.diff(scan.t, prepend=0.0))
+    return pmap, dynamics.Trajectory(scan.t, states, scan.int_x + scan.int_p * x_p), scan
 
 
 def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
-    """Averaged output of constant inflow at rate sigma_bar: lam s / (lam + s)."""
+    """Averaged output of constant inflow at rate sigma_bar: lam s / (lam + s),
+    or lam (s / (lam + s)) where lam s overflows; SignalError if lam + s does."""
     if sigma_bar < 0.0:
         raise dynamics.DomainError(f"mean inflow must be non-negative, got {sigma_bar}")
     if sigma_bar == 0.0:
         return 0.0
-    return params.lam * sigma_bar / (params.lam + sigma_bar)
+    lam = params.lam
+    if not math.isfinite(lam + sigma_bar):
+        raise SignalError(f"lam + mean inflow overflows: lam={lam!r}, mean={sigma_bar!r}")
+    product = lam * sigma_bar
+    if math.isfinite(product):
+        return product / (lam + sigma_bar)
+    return lam * (sigma_bar / (lam + sigma_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -306,54 +321,24 @@ def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
     return lam * kernel.i_p / kernel.period
 
 
-def _closed_form_reports(kernel: _PeriodRows) -> list[PeriodicReport]:
-    """One report per row of a kernel built with `moments`."""
-    lam, period, x_star = kernel.lam, kernel.period, kernel.x_star
-    sigma_bar = kernel.s / period
+def _reports(sums) -> list[PeriodicReport]:
+    """One report per row of period integrals: a `_PeriodRows` built with
+    `moments`, or the trapezoid sums of a smooth `gap_report`."""
+    lam, period, x_star = sums.lam, sums.period, sums.x_star
+    sigma_bar = sums.s / period
     w_const = lam * x_star
-    w_sigma = lam * kernel.i_p / period
-    gap = kernel.gap / period
+    w_sigma = lam * sums.i_p / period
+    gap = sums.gap / period
     if np.any(gap < _GAP_FLOOR):
         raise AssertionError(f"gap integral went negative: {gap.min()}")
     gap = np.where(gap < 0.0, 0.0, gap)
     columns = (
         sigma_bar, x_star, w_sigma, w_const, gap,
         np.abs(w_const - w_sigma - gap),
-        np.abs(kernel.m1 / period - sigma_bar),
-        np.abs(kernel.m2 / period - (sigma_bar - w_sigma)),
+        np.abs(sums.m1 / period - sigma_bar),
+        np.abs(sums.m2 / period - (sigma_bar - w_sigma)),
     )
     return [PeriodicReport(*row) for row in zip(*(v.tolist() for v in columns))]
-
-
-def _quadrature_report(
-    signal: InputSignal, params: SystemParams, grid: QuadratureSpec | None
-) -> PeriodicReport:
-    lam = params.lam
-    period = require_period(signal)
-    sigma_bar = mean_over_period(signal, grid)
-    x_star = sigma_bar / (lam + sigma_bar) if sigma_bar > 0.0 else 0.0
-    w_const = lam * x_star
-
-    traj = periodic_solution(signal, params, grid)
-    ts = traj.times
-    xp = traj.states
-    sig = evaluate_array(signal, ts)
-    rate = lam + sig
-    w_sigma = lam * float(traj.cumulative_x[-1]) / period
-    m1 = float(np.trapezoid(rate * xp, ts)) / period
-    m2 = float(np.trapezoid(rate * xp * xp, ts)) / period
-    dev = xp - x_star
-    gap = float(np.trapezoid(rate * dev * dev, ts)) / period
-    return PeriodicReport(
-        sigma_bar=sigma_bar,
-        x_star=x_star,
-        w_sigma=w_sigma,
-        w_const=w_const,
-        gap=gap,
-        residual_gap=abs(w_const - w_sigma - gap),
-        residual_m1=abs(m1 - sigma_bar),
-        residual_m2=abs(m2 - (sigma_bar - w_sigma)),
-    )
 
 
 def gap_report(
@@ -365,13 +350,22 @@ def gap_report(
 
     The gap and both moment integrals are evaluated independently of the
     averaged-output bookkeeping, so the residuals are genuine consistency
-    checks, not algebraic rearrangements of each other.
+    checks, not algebraic rearrangements of each other. On smooth inflow
+    every integral, sigma_bar too, is a trapezoid sum on the one scan of the
+    period.
     """
-    if isinstance(signal, ClippedSinusoidSum):
-        return _quadrature_report(signal, params, grid)
-    require_period(signal)
-    kernel = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
-    return _closed_form_reports(kernel)[0]
+    period = require_period(signal)
+    step = dynamics.numeric_step(signal, params, grid)
+    if step is None:
+        kernel = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
+        return _reports(kernel)[0]
+    _, traj, scan = _smooth_period(signal, params, period, step, dense=True)
+    lam, ts, xp, s = params.lam, traj.times, traj.states, scan.int_sigma[-1:]
+    rate, x_star = lam + scan.sigma, (s / period) / (lam + s / period)
+    dev = xp - x_star
+    m1, m2, gap = (np.trapezoid(y, ts)[None] for y in (rate * xp, rate * xp * xp, rate * dev * dev))
+    return _reports(SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
+                                    i_p=traj.cumulative_x[-1:], m1=m1, m2=m2, gap=gap))[0]
 
 
 def period_states(

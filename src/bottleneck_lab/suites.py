@@ -194,7 +194,7 @@ def _periodic_checks(cases, tol: SuiteTolerances):
         return [], []
     levels, breakpoints, _, lam = _case_rows(cases)
     kernel = periodic._PeriodRows(levels, np.diff(breakpoints, axis=1), lam, moments=True)
-    reports = periodic._closed_form_reports(kernel)
+    reports = periodic._reports(kernel)
     maps = [periodic.PoincareMap(rate=rate, b=b)
             for rate, b in zip(kernel.rate.tolist(), kernel.b.tolist())]
     x_p0 = np.array([pm.fixed_point for pm in maps])

@@ -119,6 +119,15 @@ class TestPeriodicCommand:
         assert main(["periodic", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 0
         assert json.loads((tmp_path / "rep.json").read_text())["grid_step"] == expected
 
+    def test_overflowing_rate_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "signal": {"kind": "constant", "level": 1.7e308}, "lambda": 1e308,
+            "out": str(tmp_path / "rep.json"),
+        })
+        assert main(["periodic", "--config", cfg]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_csv_report(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
             "signal": TWO_LEVEL_SIG,

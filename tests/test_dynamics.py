@@ -93,6 +93,11 @@ class TestStepExact:
         xs = x_inf + (x0 - x_inf) * np.exp(-(1.0 + c) * ts)
         assert integral == pytest.approx(float(np.trapezoid(xs, ts)), abs=1e-11)
 
+    def test_overflowing_rate_raises(self):
+        # lam + c overflows to inf; the states would come out NaN
+        with pytest.raises(SignalError, match="overflows"):
+            exact_pass(Constant(1.5e308), SystemParams(lam=5e307), 0.5, np.asarray([0.5, 2.0]))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             step_exact(-0.1, 1.0, 1.0, P1)
@@ -368,7 +373,7 @@ def walk_oracle(signal, lam, x0, record_times):
 
 
 def rk4_loop_oracle(signal, lam, x0, t0, t1, n_steps):
-    """The step-by-step RK4 loop _smooth_block ran before the prefix scan."""
+    """The step-by-step RK4 loop the smooth path ran before the prefix scan."""
     h = (t1 - t0) / n_steps
     sig = evaluate_array(signal, t0 + 0.5 * h * np.arange(2 * n_steps + 1))
     A, B = _affine_step_coeffs(sig[0:-2:2], sig[1:-1:2], sig[2::2], lam, h)
@@ -514,8 +519,22 @@ class TestPeriodJumps:
         np.testing.assert_allclose(got, walk_oracle(sig, 1.0, 0.9, times), rtol=1e-12, atol=0.0)
 
 
+def rk4_records_oracle(signal, lam, x0, record_times, step):
+    """smooth_pass as it ran before the one scan: the loop oracle restarted on
+    each record interval, max(1, ceil(gap / step)) steps per positive gap."""
+    t, x, cum_x, cum_s = 0.0, x0, 0.0, 0.0
+    out = []
+    for target in record_times:
+        if target > t:
+            states, dx, ds = rk4_loop_oracle(signal, lam, x, t, target,
+                                             max(1, math.ceil((target - t) / step)))
+            t, x, cum_x, cum_s = target, states[-1], cum_x + dx, cum_s + ds
+        out.append((x, cum_x, cum_s))
+    return np.array(out).T
+
+
 class TestPrefixScan:
-    """_smooth_block composes the RK4 steps by a prefix scan; the loop is the oracle."""
+    """One chunked prefix scan steps the smooth path; the loop is the oracle."""
 
     SIGNALS = (
         ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),)),
@@ -528,18 +547,20 @@ class TestPrefixScan:
         params = SystemParams(lam=lam)
         step = default_step(signal, params)
         horizon = 3000 * step
+        record_lists = (
+            np.array([horizon / 3, horizon]),
+            np.geomspace(horizon / 1000, horizon, 64),      # as running_averages passes
+            np.array([horizon / 2, horizon / 2 + 0.3 * step, horizon]),   # gap below a step
+            np.array([horizon / 4, horizon / 4, horizon]),  # a repeated record time
+        )
         for x0 in (0.0, 0.45, 1.0):
             traj = simulate(signal, params, x0, horizon)
             states, _, _ = rk4_loop_oracle(signal, lam, x0, 0.0, horizon, traj.times.size - 1)
             np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0.0)
-            got = smooth_pass(signal, params, x0, np.array([horizon / 3, horizon]), step)
-            n1 = math.ceil(horizon / 3 / step)
-            n2 = math.ceil((horizon - horizon / 3) / step)
-            part, cx1, cs1 = rk4_loop_oracle(signal, lam, x0, 0.0, horizon / 3, n1)
-            end, cx2, cs2 = rk4_loop_oracle(signal, lam, part[-1], horizon / 3, horizon, n2)
-            np.testing.assert_allclose(got[0], [part[-1], end[-1]], rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(got[1], [cx1, cx1 + cx2], rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(got[2], [cs1, cs1 + cs2], rtol=1e-12, atol=0.0)
+            for records in record_lists:
+                got = smooth_pass(signal, params, x0, records, step)
+                want = rk4_records_oracle(signal, lam, x0, records, step)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_long_block_is_chunked_without_changing_the_states(self, monkeypatch):
         import bottleneck_lab.dynamics as dynamics
@@ -549,6 +570,23 @@ class TestPrefixScan:
         monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
         chunked = simulate(signal, params, 0.3, 5.0, QuadratureSpec(step=1e-3))
         np.testing.assert_allclose(chunked.states, whole.states, rtol=1e-13, atol=0.0)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 2^20 steps and 64 records: the whole grid would take hundreds of
+        # chunk-sized arrays; the scan holds a few dozen at any time.
+        import tracemalloc
+
+        import bottleneck_lab.dynamics as dynamics
+
+        step = 1e-3
+        records = np.geomspace(2 ** 20 * step / 1000, 2 ** 20 * step, 64)
+        tracemalloc.start()
+        try:
+            smooth_pass(self.SIGNALS[1], P1, 0.3, records, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 8 * dynamics._CHUNK_STEPS
 
     @pytest.mark.parametrize("lam, first_state", [(1e100, "inf"), (1e200, "nan")])
     def test_unstable_step_to_inf_or_nan_raises(self, lam, first_state):

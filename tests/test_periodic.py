@@ -132,6 +132,36 @@ class TestPeriodicSolution:
         assert abs(traj.states[-1] - traj.states[0]) <= 1e-10
         assert traj.states[0] == pytest.approx(XP0_TWO_LEVEL, abs=1e-14)
 
+    @pytest.mark.parametrize("signal, lam", [
+        (ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),)), 1.0),
+        (ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.0),)), 0.5),          # clip active
+        (ClippedSinusoidSum(mean=2e4, terms=((1.5e4, 2.0 * math.pi / 0.012, 0.0),)), 1e4),
+    ])
+    def test_smooth_orbit_is_one_scan(self, signal, lam):
+        # One scan from 0 gives the map and the orbit x + p x_p; the two-pass
+        # construction, forward from the map's fixed point, is the oracle.
+        params = SystemParams(lam=lam)
+        traj = periodic_solution(signal, params)
+        assert abs(traj.states[-1] - traj.states[0]) <= 1e-12
+        oracle = simulate(signal, params, poincare_map(signal, params).fixed_point, signal.period)
+        np.testing.assert_array_equal(traj.times, oracle.times)
+        np.testing.assert_allclose(traj.states, oracle.states, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.cumulative_x, oracle.cumulative_x, rtol=1e-12, atol=0.0)
+
+    def test_smooth_period_of_many_chunks(self, monkeypatch):
+        import bottleneck_lab.dynamics as dynamics
+
+        signal = ClippedSinusoidSum(mean=0.7, terms=((1.2, 3.0, 0.4), (0.5, 6.0, 1.0)))
+        params, grid = SystemParams(lam=2.0), QuadratureSpec(step=2e-3)
+        whole = poincare_map(signal, params, grid), periodic_solution(signal, params, grid)
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
+        chunked = poincare_map(signal, params, grid), periodic_solution(signal, params, grid)
+        assert chunked[0].rate == pytest.approx(whole[0].rate, rel=1e-13, abs=0.0)
+        assert chunked[0].b == pytest.approx(whole[0].b, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(chunked[1].states, whole[1].states, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(chunked[1].cumulative_x, whole[1].cumulative_x,
+                                   rtol=1e-13, atol=0.0)
+
     def test_burn_in_converges_to_same_cycle(self):
         # oracle: 50 periods of plain forward simulation from x0 = 0.5
         states = period_states(TWO_LEVEL, P1, 0.5, 50)
@@ -255,6 +285,21 @@ class TestConstantBenchmark:
     def test_negative_mean_rejected(self):
         with pytest.raises(DomainError):
             constant_benchmark(-0.1, P1)
+
+    def test_overflowing_product_and_sum(self):
+        # lam s is kept bit for bit while finite; past that, lam (s / (lam + s)).
+        for s, lam in ((0.3, 1.7), (1e150, 1e150), (3e-300, 2e10)):
+            assert constant_benchmark(s, SystemParams(lam=lam)) == lam * s / (lam + s)
+        assert constant_benchmark(1e300, SystemParams(lam=1e9)) == pytest.approx(1e9, rel=1e-15)
+        with pytest.raises(SignalError, match="overflows"):
+            constant_benchmark(1.7e308, SystemParams(lam=1e308))
+
+    def test_overflowing_rate_raises(self):
+        # lam + c overflows, so x_inf = c / r would read 0 and w come out 0.0
+        with pytest.raises(SignalError, match="overflows"):
+            output_for_levels([1.5e308], [1.0], 5e307)
+        with pytest.raises(SignalError, match="overflows"):
+            gap_report(Constant(1.7e308), SystemParams(lam=1e308))
 
 
 class TestGapReport:
