@@ -18,6 +18,8 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -116,12 +118,22 @@ def _step(cfg: dict) -> QuadratureSpec | None:
 
 @contextlib.contextmanager
 def _open_output(path: str | None):
-    """The text stream for an `out` or `log` key: stdout for None or "-"."""
+    """The text stream for an `out` or `log` key: stdout for None or "-".
+
+    A file is rewritten in place and cut at the end of the new text. Opening
+    with O_TRUNC instead makes ext4 (auto_da_alloc) flush the old data, so
+    rewrites of one path stall. Keeping the inode keeps links and modes.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        try:
             yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # ftruncate fails on pipes and devices
+                fh.truncate()
 
 
 def _write_json(path: str | None, data) -> None:

@@ -373,9 +373,16 @@ def _smooth_scan(signal: InputSignal, lam: float, x0: float, record_times, step:
     trapezoid sums. Returns values at the record times or, with `dense`, at
     every node; unless `dense`, memory is bounded by _CHUNK_STEPS.
     """
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step!r}")
     ends = np.fmax.accumulate(np.concatenate(([0.0], np.asarray(record_times, dtype=float))))
     gaps = np.diff(ends)
-    counts = np.where(gaps > 0.0, np.maximum(1.0, np.ceil(gaps / step)), 0.0).astype(np.int64)
+    with np.errstate(over="ignore"):
+        counts = np.where(gaps > 0.0, np.maximum(1.0, np.ceil(gaps / step)), 0.0)
+    if not counts.sum() < 2.0 ** 63:    # the int64 node index would wrap
+        raise DomainError(f"step {step!r} needs {counts.sum():.3g} steps to reach "
+                          f"t={float(ends[-1])!r}, more than int64 holds")
+    counts = counts.astype(np.int64)
     first = np.concatenate(([0], np.cumsum(counts)))           # node index of each end
     widths = np.append(np.divide(gaps, counts, out=np.zeros_like(gaps), where=counts > 0), 0.0)
     n = int(first[-1])

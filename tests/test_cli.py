@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
+import stat
+import threading
 
 import pytest
 
 from bottleneck_lab import dynamics, optimize
-from bottleneck_lab.cli import _beats_benchmark, main
+from bottleneck_lab.cli import _beats_benchmark, _open_output, main
 from bottleneck_lab.signals import SystemParams, signal_from_dict
 
 CONSTANT_SIG = {"kind": "constant", "level": 1.0, "period": 1.0}
@@ -501,3 +504,102 @@ class TestTinyPeriods:
         [case] = json.loads(out.read_text())["failures"]
         assert any("not strictly positive" in f for f in case["failures"])
         assert not [f for f in case["failures"] if "residual" in f or "benchmark" in f]
+
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place: no O_TRUNC on open, cut at the end."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        sig = write_json(tmp_path / "sig.json", TWO_LEVEL_SIG)
+
+        def simulate(out, horizon=2.0):
+            return main(["simulate", "--signal", sig, "--lambda", "1.0",
+                         "--horizon", repr(horizon), "--out", str(out)])
+        return simulate
+
+    @pytest.fixture
+    def fresh(self, tmp_path, run):
+        """Bytes of a short run written to a path that did not exist."""
+        assert run(tmp_path / "fresh.csv") == 0
+        return (tmp_path / "fresh.csv").read_bytes()
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, run, fresh):
+        out = tmp_path / "out.csv"
+        assert run(out, horizon=50.0) == 0
+        assert out.stat().st_size > len(fresh)
+        for _ in range(2):
+            assert run(out) == 0
+            assert out.read_bytes() == fresh
+
+    def test_symlink_stays_a_link_and_its_target_is_rewritten(self, tmp_path, run, fresh):
+        target, out = tmp_path / "target.csv", tmp_path / "out.csv"
+        target.write_text("old\n" * 10_000)
+        out.symlink_to(target)
+        assert run(out) == 0
+        assert out.is_symlink()
+        assert target.read_bytes() == fresh
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path, run, fresh):
+        out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+        assert run(out, horizon=50.0) == 0
+        os.link(out, other)
+        assert run(out) == 0
+        assert other.read_bytes() == fresh
+
+    def test_mode_is_kept(self, tmp_path, run, fresh):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        assert run(out) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes() == fresh
+
+    def test_dev_null_is_not_truncated(self, run):
+        assert run(os.devnull) == 0
+
+    def test_fifo_drained_by_a_reader(self, tmp_path, run, fresh):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(fifo) == 0
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert got == [fresh]
+
+    def test_exception_mid_write_leaves_no_stale_tail(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("old\n" * 10_000)
+        with pytest.raises(RuntimeError):
+            with _open_output(str(out)) as fh:
+                fh.write("new\n")
+                raise RuntimeError("interrupted")
+        assert out.read_text() == "new\n"
+
+    def test_missing_directory_exits_2(self, tmp_path, run, capsys):
+        assert run(tmp_path / "missing" / "out.csv") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        # Reopening a truncated file can stall on ext4 (auto_da_alloc), so
+        # the open flags, not a timing, pin the fast path.
+        flags = {}
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags[os.fspath(path)] = flag
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        out, log = str(tmp_path / "res.json"), str(tmp_path / "log.csv")
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": {"kind": "bang_bang", "period": 2.0}, "lambda": 1.0, "mean": 1.0,
+            "resolution": 5, "n_starts": 1, "out": out, "log": log,
+        })
+        for _ in range(2):
+            assert main(["optimize", "--config", cfg]) == 0
+        assert set(flags) >= {out, log}
+        assert not any(flag & os.O_TRUNC for flag in flags.values())

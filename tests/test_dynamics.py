@@ -588,6 +588,17 @@ class TestPrefixScan:
             tracemalloc.stop()
         assert peak < 64 * 8 * dynamics._CHUNK_STEPS
 
+    @pytest.mark.parametrize("step, message", [
+        (0.0, "step must be positive and finite, got 0.0"),
+        (-1e-3, "step must be positive and finite, got -0.001"),
+        (math.nan, "step must be positive and finite, got nan"),
+        (math.inf, "step must be positive and finite, got inf"),
+        (1e-300, "step 1e-300 needs 1e\\+300 steps to reach t=1.0, more than int64 holds"),
+    ])
+    def test_unusable_step_is_a_domain_error(self, step, message):
+        with pytest.raises(DomainError, match=message):
+            smooth_pass(self.SIGNALS[0], P1, 0.3, np.asarray([1.0]), step)
+
     @pytest.mark.parametrize("lam, first_state", [(1e100, "inf"), (1e200, "nan")])
     def test_unstable_step_to_inf_or_nan_raises(self, lam, first_state):
         # At h (lam + sigma) ~ 1e97 the step coefficients overflow: the first
@@ -691,3 +702,38 @@ class TestExactRowsProperties:
             for name in ("dw_dc", "dw_dh"):
                 np.testing.assert_array_equal(getattr(kernel, name)[n, :k], getattr(one, name)[0])
             np.testing.assert_array_equal(states[:, n], _period_states_rows(one, x0[n], 3)[:, 0])
+
+
+class TestSegmentCountGuard:
+    """The exact path builds segment tables a fixed number of times, however
+    many segments the signal has: a per-segment Python loop would show here
+    as a count that grows with the samples, where a timing might not."""
+
+    @pytest.mark.parametrize("periodic, expected", [(True, 2), (False, 1)])
+    @pytest.mark.parametrize("run", ["simulate", "running_averages"])
+    def test_tables_built_independently_of_the_sample_count(self, monkeypatch, run,
+                                                             periodic, expected):
+        import bottleneck_lab.dynamics as dynamics
+        from bottleneck_lab.asymptotic import running_averages
+
+        calls = []
+        init = dynamics._SegmentTables.__init__
+
+        def counting_init(self, *args):
+            calls.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(dynamics._SegmentTables, "__init__", counting_init)
+        counts = []
+        for n in (10, 10_000):
+            values = np.random.default_rng(n).uniform(0.0, 2.0, n)
+            signal = Sampled(1.0 / n, values, periodic=periodic)
+            calls.clear()
+            if run == "simulate":
+                traj = simulate(signal, P1, 0.2, 30.0)    # 30 periods
+                assert np.all(np.isfinite(traj.states))
+            else:
+                ra = running_averages(signal, P1, 0.2, 100.0)
+                assert np.all(np.isfinite(ra.cumulative_x))
+            counts.append(len(calls))
+        assert counts == [expected, expected]

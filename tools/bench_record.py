@@ -1,7 +1,7 @@
 """Record the benchmark of a parent checkout against a change checkout.
 
     python3 tools/bench_record.py --parent DIR --change DIR --workload search \
-        --pairs 10 --seed 7711 --out BENCH_7.json [--trace]
+        --pairs 10 --seed 7711 --out BENCH_7.json [--trace] [--name KEY]
 
 Runs each checkout's own `perfbench/run.py --trace 0`, for the `run_seconds`
 of the change's BENCHMARK.json, in alternating pairs: pair i runs both sides
@@ -14,8 +14,10 @@ change wins at least nine tenths of the pairs and the medians differ by more
 than the parent's quartile spread. `--trace` adds one `--trace 1` run per side
 on seed `seed + pairs`, whose per-layer metrics are stored as they come.
 
-Results are merged into `--out` under `workloads.<name>`, so one file can
-hold several workloads recorded one at a time. Standard library only.
+Results are merged into `--out` under `workloads.<KEY>`, the workload's name
+unless `--name` gives another, so one file can hold several workloads (and,
+say, an A/A series run with one checkout on both sides) recorded one at a
+time. Standard library only.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--name", help="key under `workloads` (default: the workload)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
             for side in ("parent", "change")}}
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    data["workloads"][args.workload] = record
+    data["workloads"][args.name or args.workload] = record
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 
