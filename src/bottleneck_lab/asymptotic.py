@@ -32,6 +32,7 @@ by a homogeneous solution, so their running averages differ by at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ from .signals import (
     QuadratureSpec,
     SystemParams,
     is_periodic,
+    max_frequency,
     max_level,
-    max_slope,
     mean_over_period,
     period_of,
 )
@@ -153,18 +154,33 @@ def default_tau_max(signal: InputSignal, params: SystemParams) -> float:
     return tau
 
 
+# Stirling numbers S(7, k), k = 1..7: d^7/dt^7 exp(c (e^{w t} - 1)) at 0 is
+# w^7 sum_k S(7, k) c^k.
+_STIRLING_7 = (1, 63, 301, 350, 140, 21, 1)
+
+
 def quadrature_slack(signal: InputSignal, params: SystemParams, step: float | None) -> float:
-    """Crude trapezoid error bound per unit time for the mean-state integral.
+    """Bound on the numeric path's error in lam (1/tau) int_0^tau x, at any tau.
 
     Zero on piecewise-constant inflow, where the running integrals are
     closed-form exact and `step` may be None (`dynamics.numeric_step`).
+    On a step of at most h the six-node interpolant of G = sigma e^S errs by
+    at most eps_G = 6!/12! h^6 max|G^(6)|. Since |sigma^(k)| <= s w^k
+    (s = max sigma, w = omega_max), G^(6) = (e^S)^(7) is bounded by
+    e^{s h} sum_k S(7, k) s^k w^(7-k). Each step adds at most h eps_G to the
+    state, and the step maps contract by e^{-lam h}, so states stay within
+    h eps_G / (1 - e^{-lam h}) <= eps_G (1/lam + h), node states within
+    h eps_G more, and lam (1/tau) int x within eps_G (1 + 2 lam h).
+    Rounding is not included.
     """
     if not isinstance(signal, ClippedSinusoidSum):
         return 0.0
-    smax = max_level(signal)
-    rate = params.lam + smax
-    curvature = max_slope(signal) + rate * (params.lam + smax)
-    return step * step * curvature / 12.0
+    h = min(step, dynamics._step_bound(signal, params.lam, 1.0))
+    s_h, w_h = max_level(signal) * h, max_frequency(signal) * h
+    g6_h7 = math.exp(s_h) * sum(c * s_h ** k * w_h ** (7 - k)
+                                for k, c in enumerate(_STIRLING_7, start=1))
+    eps_g = math.factorial(6) / math.factorial(12) * g6_h7 / h
+    return eps_g * (1.0 + 2.0 * params.lam * h)
 
 
 def running_averages(

@@ -19,19 +19,36 @@ them one at a time in Python.
   Trajectories and running integrals are exact up to rounding, which is
   what makes the identity residuals downstream meaningful.
 
-* Smooth inflow (clipped sinusoid sums) uses classical fourth-order
-  one-step integration on a fixed grid. Because the right-hand side is
-  affine in x, each step reduces to x <- A_i x + B_i with A, B computed
-  vectorized from the inflow samples. One chunked prefix scan of those maps
-  (`_smooth_scan`) steps the smooth path for `smooth_pass`, `simulate` and
-  the periodic module. It carries the state and its slope in x0, so one
-  scan from 0 gives every start's solution, and takes the running integrals
-  of x and sigma as trapezoid sums on the same nodes.
+* Smooth inflow (clipped sinusoid sums) is integrated numerically, on
+  steps split at every clip point of sigma = max(0, f), so that sigma is
+  smooth on each step. On a step [a, a + h] the equation is scalar and
+  linear, so its solution is one exponential integral (the Magnus series
+  stops at its first term):
 
-States live in [0, 1] by the model's premise. The numeric path clamps
-overshoots below OVERSHOOT_TOL (pure rounding) and aborts on anything
-larger, or on a state that is not finite, so an unstable step size fails
-loudly instead of being smoothed over.
+      x(a + u h) = e^{-lam h u - S(u)} x(a)
+                   + h e^{-S(u)} int_0^u e^{-lam h (u - s)} G(s) ds,
+
+  with S(u) = int_a^{a+uh} sigma in closed form and G = sigma e^S. G is
+  interpolated at six Gauss-Legendre nodes and the stiff kernel is
+  integrated exactly against the interpolant (exponential quadrature), so
+  the decay is exact and only the smooth G is approximated. The same
+  fitted weights give the state at each node and at the step end, each an
+  affine map of x(a). One chunked prefix scan of the end maps
+  (`_smooth_scan`) steps the smooth path for `smooth_pass`, `simulate` and
+  the periodic module; it carries the state and its slope in x0, so one
+  scan from 0 gives every start's solution. int sigma is exact; int x and
+  int p are Gauss sums of the node states.
+
+  The step is set by accuracy: `default_step` is
+  min(0.1/omega_max, 0.1/max sigma, 1/lam). A user step splits each gap
+  between record times into equal steps no larger than it, and no larger
+  than min(1/omega_max, 1/max sigma, 1/lam) either: the 1/lam cap keeps
+  lam h <= 1, where the six fitted end weights are positive (they turn
+  negative past lam h of about 8), and the other two keep the interpolated
+  forcing accurate to rounding. `numeric_step` reports that step.
+
+States live in [0, 1] by the model's premise. The numeric path keeps them
+there up to rounding and clamps that rounding (`_clamp`).
 """
 
 from __future__ import annotations
@@ -43,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
+    CLIP_SEARCH_RADIANS,
     ClippedSinusoidSum,
     InputSignal,
     PiecewiseConstant,
@@ -50,15 +68,18 @@ from .signals import (
     SignalError,
     SystemParams,
     _pad_rows,
+    _clip_points,
+    _merged,
     _segment_index,
+    _unclipped,
+    _unclipped_integral,
     evaluate_array,
+    max_frequency,
     max_level,
-    period_of,
 )
 
 __all__ = [
     "DomainError",
-    "StepSizeError",
     "Trajectory",
     "simulate",
     "default_step",
@@ -69,8 +90,8 @@ __all__ = [
     "OVERSHOOT_TOL",
 ]
 
-# Overshoot beyond [0, 1] below this is attributed to rounding and clamped;
-# anything larger aborts the run.
+# Numeric-path states are clamped to [0, 1] (`_clamp`); the scheme keeps
+# them there up to rounding, and the clamp moves none by this much.
 OVERSHOOT_TOL = 1e-12
 
 # Dense recording default: about this many rows per simulate() call.
@@ -79,10 +100,6 @@ _RECORD_POINTS = 1000
 
 class DomainError(ValueError):
     """An input left the model's domain (occupancy outside [0, 1], bad range)."""
-
-
-class StepSizeError(RuntimeError):
-    """The numeric stepper produced an overshoot too large to be rounding."""
 
 
 @dataclass(frozen=True)
@@ -120,28 +137,41 @@ def _check_occupancy(x0: float) -> float:
 
 
 def default_step(signal: InputSignal, params: SystemParams) -> float:
-    """Fixed step for the numeric path, resolving the fastest time constant.
+    """Step of the numeric path, set by accuracy: min(0.1/omega_max, 0.1/max sigma, 1/lam).
 
-    min(0.01 / lam, 0.01 / (1 + max sigma), T / 1e4) with the period term
-    dropped for aperiodic signals.
+    A step resolves a tenth of a radian of the fastest term and moves int sigma
+    by at most 0.1, where six nodes interpolate the forcing to rounding; the
+    1/lam term keeps lam h <= 1, where the fitted weights are positive.
     """
-    candidates = [0.01 / params.lam, 0.01 / (1.0 + max_level(signal))]
-    period = period_of(signal)
-    if period is not None:
-        candidates.append(period / 1e4)
-    return min(candidates)
+    return _step_bound(signal, params.lam, 0.1)
+
+
+def _step_bound(signal: InputSignal, lam: float, fraction: float) -> float:
+    """min(fraction / rate, 1 / lam), rate = max(omega_max, max sigma).
+
+    `fraction` 0.1 is `default_step`; 1 is the cap on any step the scan
+    takes, a user's too: there omega h <= 1, int sigma <= 1 and lam h <= 1.
+    """
+    rate = max_level(signal)
+    if isinstance(signal, ClippedSinusoidSum):
+        rate = max(rate, max_frequency(signal))
+    return min(fraction / rate, 1.0 / lam) if rate > 0.0 else 1.0 / lam
 
 
 def numeric_step(
     signal: InputSignal, params: SystemParams, grid: QuadratureSpec | None = None
 ) -> float | None:
-    """Step the numeric path takes on this input: `grid.step`, else `default_step`.
+    """Largest step the numeric path takes on this input: `grid.step` capped
+    at `_step_bound(..., 1)`, else `default_step`; steps are further cut at
+    clip points.
 
     None for piecewise-constant input, which is propagated exactly.
     """
     if not isinstance(signal, ClippedSinusoidSum):
         return None
-    return (grid or QuadratureSpec()).resolve(default_step(signal, params))
+    if grid is None or grid.step is None:
+        return default_step(signal, params)
+    return min(grid.step, _step_bound(signal, params.lam, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +323,108 @@ def exact_pass(
 
 
 # ---------------------------------------------------------------------------
-# Numeric path: affine one-step coefficients from inflow samples
+# Numeric path: exact decay, exponentially fitted Gauss-Legendre forcing
 # ---------------------------------------------------------------------------
 
-# Steps per vectorized chunk of a smooth scan. Its few dozen working arrays
-# (about 0.6 MB) stay in cache: on a 2-vCPU AMD EPYC VM, 2^11 ran the
-# benchmark's smooth ops faster than 2^10 or 2^16, and within 15% of the
-# fastest, 2^12, at a lower peak RSS.
+# Steps per vectorized chunk of a smooth scan; memory is bounded by it.
 _CHUNK_STEPS = 1 << 11
 
 
-def _affine_step_coeffs(s0, sm, s1, lam: float, h):
-    """Coefficients (A, B) of one classical 4th-order step x <- A x + B.
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]: Newton
+    steps on P_m from cos(pi (i - 1/4) / (m + 1/2)), and weights
+    1 / ((1 - x^2) P_m'(x)^2) at the nodes x on [-1, 1]."""
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x         # P_m and P_m' by the three-term recurrence
+        for n in range(2, m + 1):
+            p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
+        slope = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)
 
-    s0, sm, s1 are sigma at the step start, midpoint and end. Works on
-    scalars or arrays, h too. Derived by propagating k = u + v x through the
-    four stage evaluations of the affine right-hand side f = sigma - (lam+sigma) x.
+
+# Gauss-Legendre nodes c_j and weights b_j on [0, 1]. States are formed at
+# the points u_i: the six nodes, then the step end.
+_NODES, _WEIGHTS = _gauss_legendre(6)
+_POINTS = np.append(_NODES, 1.0)
+
+# Terms of the fitted weights' series in z = lam h <= 1; the first term
+# left out is below 1/20! = 4e-19 of the weights' scale.
+_SERIES_TERMS = 20
+
+
+def _fitted_moments() -> np.ndarray:
+    """M[k, i, j] = int_0^{u_i} (u_i - s)^k / k! l_j(s) ds, l_j the Lagrange
+    basis on the nodes, by a 16-point Gauss rule (exact to degree 31; these
+    are of degree k + 5). sum_k (-z)^k M[k, i, j] = int_0^{u_i} e^{-z (u_i - s)} l_j(s) ds,
+    and M[0, 6] holds the weights b_j."""
+    y, v = _gauss_legendre(16)
+    s = _POINTS[:, None] * y
+    basis = np.ones(s.shape + _NODES.shape)
+    for j, c in enumerate(_NODES):
+        for other in np.delete(_NODES, j):
+            basis[..., j] *= (s - other) / (c - other)
+    k = np.arange(_SERIES_TERMS)[:, None, None]
+    factorial = np.cumprod(np.maximum(k, 1), axis=0)
+    kernel = (_POINTS[:, None] - s) ** k / factorial * (_POINTS[:, None] * v)
+    return np.einsum("kiq,iqj->kij", kernel, basis)
+
+
+_MOMENTS = _fitted_moments()
+
+# Steps per block of the weight gather in `_fitted_integrals`, whose
+# (block, 6, 7) copy of the weights stays small.
+_GATHER_BLOCK = 256
+
+
+def _fitted_integrals(G: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """int_0^{u_i} e^{-z (u_i - s)} p(s) ds for each step, p the polynomial
+    through its node values G: (n, 7) from (n, 6). Steps of one z, as the
+    steps of one record gap, share one weight set sum_k (-z)^k M[k]."""
+    values, which = np.unique(z, return_inverse=True)
+    weights = np.einsum("uk,kij->uji", np.power(-values[:, None], np.arange(_SERIES_TERMS)),
+                        _MOMENTS)
+    out = np.empty((len(G), _POINTS.size))
+    for i in range(0, len(G), _GATHER_BLOCK):
+        rows = slice(i, i + _GATHER_BLOCK)
+        np.einsum("nj,nji->ni", G[rows], weights[which[rows]], out=out[rows])
+    return out
+
+
+def _fitted_steps(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.ndarray):
+    """Affine maps of the steps between the boundaries `tb`, with no clip point inside a step.
+
+    On a step [a, a + h], with S(u) = int_a^{a+uh} sigma and z = lam h,
+
+        x(a + u h) = e^{-z u - S(u)} x(a) + h e^{-S(u)} int_0^u e^{-z (u - s)} G(s) ds,
+
+    G = sigma e^S. S is exact (`signals._unclipped_integral`; 0 on a clipped
+    step). G is interpolated at the nodes and the kernel integrated exactly
+    against the interpolant, so x(a + u_i h) = decay_i x(a) + drive_i at the
+    nodes and the end. `z` is lam h as the scan means it, equal for the
+    steps of one record gap (`tb` rounds their widths apart). Returns (h,
+    decay, drive, sigma at the nodes, S at the points); decay and drive are
+    (n, 7).
     """
-    r0 = lam + s0
-    rm = lam + sm
-    r1 = lam + s1
-    u1 = s0
-    v1 = -r0
-    u2 = sm - 0.5 * h * rm * u1
-    v2 = -rm * (1.0 + 0.5 * h * v1)
-    u3 = sm - 0.5 * h * rm * u2
-    v3 = -rm * (1.0 + 0.5 * h * v2)
-    u4 = s1 - h * r1 * u3
-    v4 = -r1 * (1.0 + h * v3)
-    B = (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
-    A = 1.0 + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return A, B
+    a, h = tb[:-1, None], np.diff(tb)[:, None]
+    S = _unclipped_integral(signal, a, h * _POINTS)
+    opened = S[:, -1:] > 0.0                    # sigma = f > 0 inside the step
+    S *= opened
+    sigma = _unclipped(signal, a + h * _NODES)
+    np.maximum(sigma, 0.0, out=sigma)
+    sigma *= opened
+    G = np.exp(S[:, :-1])
+    G *= sigma
+    drive = _fitted_integrals(G, z)
+    del G
+    decay = np.negative(S)
+    np.exp(decay, out=decay)
+    drive *= decay
+    drive *= h
+    rate = (lam * h) * _POINTS
+    decay *= np.exp(np.negative(rate, out=rate), out=rate)
+    return h[:, 0], decay, drive, sigma, S
 
 
 def _affine_prefix(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,38 +444,48 @@ def _affine_prefix(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return P, Q
 
 
-# `_smooth_scan` at its kept nodes: the state x from x0, its slope p in x0
-# (the product of the step factors), sigma and their running integrals from 0.
-_Scan = namedtuple("_Scan", "t x p sigma int_x int_p int_sigma")
+# `_smooth_scan` at its kept points: the state x from x0, its slope p in x0
+# (the product of the step factors), sigma, their running integrals from 0,
+# and each point's weight in the Gauss rule over the scan (0 at boundaries).
+_Scan = namedtuple("_Scan", "t x p sigma int_x int_p int_sigma weight")
 
 
-def _clip_states(xs: np.ndarray, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Clamp states to [0, 1]; StepSizeError, naming the time t[i] and step h[i],
-    for a state off by OVERSHOOT_TOL or more or not finite."""
-    bad = ~((xs > -OVERSHOOT_TOL) & (xs < 1.0 + OVERSHOOT_TOL))
-    if bad.any():
-        i = int(np.argmax(bad))
-        over = max(-xs[i], xs[i] - 1.0)
-        raise StepSizeError(
-            f"state left [0, 1] by {over:.3e} at t={t[i]:.6g}; "
-            f"reduce the integration step (h={h[i]:.3e})"
-        )
-    return np.clip(xs, 0.0, 1.0)
+def _clamp(states: np.ndarray) -> np.ndarray:
+    """Numeric-path states clamped to [0, 1]. The scheme keeps them there
+    up to rounding, so this moves none by OVERSHOOT_TOL."""
+    return np.clip(states, 0.0, 1.0)
 
 
-def _smooth_scan(signal: InputSignal, lam: float, x0: float, record_times, step: float,
-                 dense: bool = False) -> _Scan:
-    """The one RK4 integrator: a chunked prefix scan from t = 0 through the record times.
+def _with_clip_points(signal: ClippedSinusoidSum, base: np.ndarray):
+    """Step boundaries: the sorted `base` with the clip points between its
+    entries, searched on a grid of at most h/2 and CLIP_SEARCH_RADIANS; and
+    the index of each base entry among them."""
+    if base.size < 2:
+        return base, np.arange(base.size)
+    h = np.diff(base)
+    q = max(2, math.ceil(float(h.max()) * max_frequency(signal) / CLIP_SEARCH_RADIANS))
+    grid = np.append((base[:-1, None] + h[:, None] * (np.arange(q) / q)).ravel(), base[-1])
+    tb = _merged(base, _clip_points(signal, grid))
+    return tb, np.searchsorted(tb, base)
 
-    Each gap between record times (from 0) takes max(1, ceil(gap / step))
-    equal steps, a repeated record time none. sigma is evaluated once at
-    each node and midpoint; `_affine_prefix` composes the steps' maps one
-    chunk of at most _CHUNK_STEPS at a time, carrying x and p. Integrals are
-    trapezoid sums. Returns values at the record times or, with `dense`, at
-    every node; unless `dense`, memory is bounded by _CHUNK_STEPS.
+
+def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times,
+                 step: float, dense: bool = False) -> _Scan:
+    """The one numeric integrator: a chunked prefix scan from t = 0 through the record times.
+
+    Each gap between record times (from 0) takes max(1, ceil(gap / h))
+    equal steps, h = min(step, `_step_bound(..., 1)`), and a repeated
+    record time none; clip points split steps further (`_with_clip_points`).
+    `_fitted_steps` gives each step's map and `_affine_prefix` composes them
+    one chunk of at most _CHUNK_STEPS base steps at a time, carrying x and p.
+    int sigma is exact; int x and int p are Gauss sums of the node states.
+    States are clamped to [0, 1], which acts at rounding level only. Returns
+    values at the record times or, with `dense`, at every step boundary and
+    node, in time order; unless `dense`, memory is bounded by _CHUNK_STEPS.
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step!r}")
+    step = min(step, _step_bound(signal, lam, 1.0))
     ends = np.fmax.accumulate(np.concatenate(([0.0], np.asarray(record_times, dtype=float))))
     gaps = np.diff(ends)
     with np.errstate(over="ignore"):
@@ -386,32 +497,64 @@ def _smooth_scan(signal: InputSignal, lam: float, x0: float, record_times, step:
     first = np.concatenate(([0], np.cumsum(counts)))           # node index of each end
     widths = np.append(np.divide(gaps, counts, out=np.zeros_like(gaps), where=counts > 0), 0.0)
     n = int(first[-1])
-    keep = np.arange(n + 1) if dense else first[1:]
-    out = np.empty((7, keep.size))
-    x, p, carry = x0, 1.0, np.zeros((3, 1))
+    records, out, pieces = first[1:], np.zeros((8, gaps.size)), []
+    x, p, carry = x0, 1.0, np.zeros(3)
     # With no step at all, one empty chunk still records the start node.
     for i0 in range(0, max(n, 1), _CHUNK_STEPS):
         i1 = min(i0 + _CHUNK_STEPS, n)
         node = np.arange(i0, i1 + 1)
         k = np.searchsorted(first, node, side="right") - 1
-        j, h = node - first[k], widths[k]
-        samples = np.empty(2 * node.size - 1)
-        samples[0::2] = t = ends[k] + j * h
-        samples[1::2] = ends[k[:-1]] + (j[:-1] + 0.5) * h[:-1]
-        sig = evaluate_array(signal, samples)
-        s, h = sig[0::2], h[:-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            A, B = _affine_step_coeffs(s[:-1], sig[1::2], s[1:], lam, h)
-            P, Q = _affine_prefix(A, B)
-            xs = P * x + Q
-        ys = np.vstack((t, np.r_[x, _clip_states(xs, t[1:], h)], np.r_[p, P * p], s))
-        steps = np.cumsum(0.5 * h * (ys[1:, :-1] + ys[1:, 1:]), axis=1)
-        ints = np.concatenate((carry, carry + steps), axis=1)
-        lo, hi = np.searchsorted(keep, [i0, i1 + 1])
-        at = keep[lo:hi] - i0
-        out[:4, lo:hi], out[4:, lo:hi] = ys[:, at], ints[:, at]
-        x, p, carry = ys[1, -1], ys[2, -1], ints[:, -1:]
+        tb, at = _with_clip_points(signal, ends[k] + (node - first[k]) * widths[k])
+        z = lam * np.diff(tb)
+        whole = np.diff(at) == 1                    # base steps that no clip point cut
+        z[at[:-1][whole]] = lam * widths[k[:-1][whole]]
+        del node, k, whole
+        xb, pb, ints, piece = _scan_chunk(signal, lam, tb, z, x, p, carry, dense)
+        lo, hi = np.searchsorted(records, [i0, i1 + 1])
+        kept = at[records[lo:hi] - i0]
+        out[:7, lo:hi] = (tb[kept], xb[kept], pb[kept], evaluate_array(signal, tb[kept]),
+                          *ints[:, kept])
+        pieces.append(piece)
+        x, p, carry, t_end = xb[-1], pb[-1], ints[:, -1].copy(), tb[-1]
+        del tb, at, z, xb, pb, ints, piece     # before the next chunk's arrays exist
+    if dense:
+        end = [[t_end], [x], [p], evaluate_array(signal, [t_end]), *carry[:, None], [0.0]]
+        return _Scan(*np.column_stack(pieces + [np.array(end)]))
     return _Scan(*out)
+
+
+def _scan_chunk(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.ndarray,
+                x: float, p: float, carry: np.ndarray, dense: bool):
+    """One chunk of `_smooth_scan`, from x, p and the running integrals
+    `carry` at tb[0]: the states, slopes and (3, n + 1) running integrals at
+    the boundaries `tb`, and with `dense` the (8, 7 n) `_Scan` columns of
+    each step's start and nodes, in time order (else None)."""
+    h, decay, drive, sigma, S = _fitted_steps(signal, lam, tb, z)
+    P, Q = _affine_prefix(decay[:, -1].copy(), drive[:, -1].copy())
+    xb = _clamp(np.append(x, P * x + Q))
+    pb = np.append(p, P * p)
+    # The Gauss sum of a step's node states is alpha x(a) + beta.
+    alpha, beta = h * (decay[:, :-1] @ _WEIGHTS), h * (drive[:, :-1] @ _WEIGHTS)
+    ints = np.empty((3, tb.size))
+    ints[:, 0] = carry
+    np.cumsum(np.vstack((alpha * xb[:-1] + beta, alpha * pb[:-1], S[:, -1])),
+              axis=1, out=ints[:, 1:])
+    ints[:, 1:] += carry[:, None]
+    if not dense:
+        return xb, pb, ints, None
+    piece = np.empty((8, len(h), 1 + _NODES.size))
+    start, nodes = piece[:, :, 0], piece[:, :, 1:]
+    start[:4] = tb[:-1], xb[:-1], pb[:-1], evaluate_array(signal, tb[:-1])
+    start[4:7], start[7] = ints[:, :-1], 0.0
+    nodes[0] = tb[:-1, None] + h[:, None] * _NODES
+    nodes[1] = _clamp(decay[:, :-1] * xb[:-1, None] + drive[:, :-1])
+    nodes[2] = decay[:, :-1] * pb[:-1, None]
+    nodes[3] = sigma
+    # int_a^{a + c_i h} of the interpolant through the node values
+    nodes[4:6] = ints[:2, :-1, None] + h[:, None] * (nodes[1:3] @ _MOMENTS[0, :-1].T)
+    nodes[6] = ints[2, :-1, None] + S[:, :-1]
+    nodes[7] = h[:, None] * _WEIGHTS
+    return xb, pb, ints, piece.reshape(8, -1)
 
 
 def smooth_pass(
@@ -423,8 +566,9 @@ def smooth_pass(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numeric counterpart of exact_pass for smooth inflow.
 
-    Each interval between consecutive record times is integrated with a
-    locally uniform step no larger than `step`, in one `_smooth_scan`.
+    Each interval between consecutive record times is split into equal
+    steps no larger than `step` (nor than the cap of `_step_bound`), and
+    those at the clip points of sigma, in one `_smooth_scan`.
     """
     scan = _smooth_scan(signal, params.lam, _check_occupancy(x0), record_times, step)
     return scan.x, scan.int_x, scan.int_sigma

@@ -30,10 +30,10 @@ digit once R is below double precision, as at nanosecond periods), the
 per-segment integral weights and, on request, the moment integrals or the
 gradient of w in the levels and durations. Reports, one-period maps, the
 search's candidate waveforms and the verification suites are rows of it.
-On smooth inflow one RK4 scan of the period from 0 (`_smooth_period`) gives
-the map, the orbit and sigma at the same nodes, and every integral, sigma_bar
-too, is a trapezoid sum on them; the residual tolerance is correspondingly
-looser (about 1e-5 at default grids).
+On smooth inflow one scan of the period from 0 (`_smooth_period`) gives the
+map, the orbit and sigma at the Gauss nodes of every step; int sigma, and so
+sigma_bar, is exact, and every other integral is the Gauss sum on those
+nodes, so the residuals stay at rounding level there too.
 """
 
 from __future__ import annotations
@@ -169,15 +169,15 @@ def periodic_solution(
 
 
 def _smooth_period(signal, params: SystemParams, period: float, step: float, dense=False):
-    """One RK4 scan over [0, T] from x(0) = 0: (map, orbit, scan). b is its end
-    state, R = lam T + its trapezoid integral of sigma: not the step factors'
+    """One scan over [0, T] from x(0) = 0: (map, orbit, scan). b is its end
+    state, R = lam T + its exact integral of sigma: not the step factors'
     product, which underflows once R > 745, nor its -log, which loses
     precision when r h is tiny. The orbit is x + p x_p, at T or (`dense`) at
-    every node."""
+    every step boundary and node."""
     scan = dynamics._smooth_scan(signal, params.lam, 0.0, [period], step, dense)
     pmap = PoincareMap(rate=params.lam * period + float(scan.int_sigma[-1]), b=float(scan.x[-1]))
     x_p = pmap.fixed_point
-    states = dynamics._clip_states(scan.x + scan.p * x_p, scan.t, np.diff(scan.t, prepend=0.0))
+    states = dynamics._clamp(scan.x + scan.p * x_p)
     return pmap, dynamics.Trajectory(scan.t, states, scan.int_x + scan.int_p * x_p), scan
 
 
@@ -323,7 +323,7 @@ def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
 
 def _reports(sums) -> list[PeriodicReport]:
     """One report per row of period integrals: a `_PeriodRows` built with
-    `moments`, or the trapezoid sums of a smooth `gap_report`."""
+    `moments`, or the Gauss sums of a smooth `gap_report`."""
     lam, period, x_star = sums.lam, sums.period, sums.x_star
     sigma_bar = sums.s / period
     w_const = lam * x_star
@@ -351,8 +351,8 @@ def gap_report(
     The gap and both moment integrals are evaluated independently of the
     averaged-output bookkeeping, so the residuals are genuine consistency
     checks, not algebraic rearrangements of each other. On smooth inflow
-    every integral, sigma_bar too, is a trapezoid sum on the one scan of the
-    period.
+    they are Gauss sums over the nodes of the one scan of the period, and
+    sigma_bar is its exact int sigma.
     """
     period = require_period(signal)
     step = dynamics.numeric_step(signal, params, grid)
@@ -360,10 +360,11 @@ def gap_report(
         kernel = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
         return _reports(kernel)[0]
     _, traj, scan = _smooth_period(signal, params, period, step, dense=True)
-    lam, ts, xp, s = params.lam, traj.times, traj.states, scan.int_sigma[-1:]
-    rate, x_star = lam + scan.sigma, (s / period) / (lam + s / period)
+    lam, xp, s = params.lam, traj.states, scan.int_sigma[-1:]
+    x_star = (s / period) / (lam + s / period)
+    rate_w = (lam + scan.sigma) * scan.weight          # Gauss weights, 0 at step boundaries
     dev = xp - x_star
-    m1, m2, gap = (np.trapezoid(y, ts)[None] for y in (rate * xp, rate * xp * xp, rate * dev * dev))
+    m1, m2, gap = (np.dot(rate_w, y)[None] for y in (xp, xp * xp, dev * dev))
     return _reports(SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
                                     i_p=traj.cumulative_x[-1:], m1=m1, m2=m2, gap=gap))[0]
 

@@ -12,10 +12,12 @@ and `ClippedSinusoidSum`, which it integrates numerically. `Constant` and
 `Sampled` are not kinds of their own: they build a `PiecewiseConstant`
 (one segment of nominal length `period`; one segment per sample on the
 breakpoints i * step). The module also provides point evaluation,
-periodicity detection and period averages (exact for piecewise-constant
-waveforms, composite trapezoid otherwise). Waveforms are immutable and
-fully validated at construction, so evaluation and the downstream
-integrators never re-check anything.
+periodicity detection and exact period averages. A clipped sum is smooth
+between its clip points, the zeros of f = mean + sum A sin(omega t + phi):
+`_clip_points` finds them and `_unclipped_integral` integrates f in closed
+form, so the period mean and the numeric path's inflow integrals read the
+same pieces. Waveforms are immutable and fully validated at construction,
+so evaluation and the downstream integrators never re-check anything.
 
 Serialization: `signal_to_dict` / `signal_from_dict` define the on-disk
 schema consumed by the command line tools (a "kind" discriminator plus
@@ -56,8 +58,13 @@ __all__ = [
 _MAX_RATIO_DENOMINATOR = 1000
 _RATIO_TOL = 1e-9
 
-# Default quadrature resolution: one period is split into this many steps.
-PERIOD_QUADRATURE_STEPS = 10_000
+# Clip points are searched on grids no coarser than this many radians of the
+# fastest term, so that a cell holds at most one extremum of f.
+CLIP_SEARCH_RADIANS = 0.05
+
+# Cap on the safeguarded Newton iterations that refine a clip point; a
+# simple zero takes about four, a near-double one up to about 55 halvings.
+_MAX_ITERATIONS = 64
 
 
 class SignalError(ValueError):
@@ -259,11 +266,9 @@ def max_level(signal: InputSignal) -> float:
     return signal.mean + sum(abs(a) for a, _, _ in signal.terms)
 
 
-def max_slope(signal: InputSignal) -> float:
-    """Upper bound on |sigma'(t)| away from switching points."""
-    if isinstance(signal, ClippedSinusoidSum):
-        return sum(abs(a) * w for a, w, _ in signal.terms)
-    return 0.0
+def max_frequency(signal: ClippedSinusoidSum) -> float:
+    """Largest angular frequency of the sum's terms."""
+    return max(w for _, w, _ in signal.terms)
 
 
 def _pad_rows(signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,22 +338,120 @@ def evaluate_array(signal: InputSignal, ts: np.ndarray) -> np.ndarray:
         levels, bps, periodic = _pad_rows([signal])
         _, index = _segment_index(bps, periodic, ts.reshape(1, -1))
         return levels[0, index[0]].reshape(ts.shape)
-    s = np.full_like(ts, signal.mean)
+    return np.maximum(_unclipped(signal, ts), 0.0)
+
+
+def _unclipped(signal: ClippedSinusoidSum, ts, order: int = 0) -> np.ndarray:
+    """f(t) = mean + sum A sin(omega t + phi) before the clip, or its derivative of `order`."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.full_like(ts, 0.0 if order else signal.mean)
     for amp, omega, phase in signal.terms:
-        s += amp * np.sin(omega * ts + phase)
-    return np.maximum(s, 0.0)
+        arg = omega * ts
+        arg += phase + 0.5 * math.pi * order
+        np.sin(arg, out=arg)
+        arg *= amp * omega ** order
+        out += arg
+    return out
+
+
+def _unclipped_integral(signal: ClippedSinusoidSum, a, width) -> np.ndarray:
+    """int_a^{a+w} f = mean w + sum (2A/omega) sin(omega (a + w/2) + phi) sin(omega w/2).
+
+    The product form keeps full relative precision on short pieces, where
+    the difference of an antiderivative at a + w and at a cancels. On a
+    piece with no clip point inside, f keeps one sign, so the integral of
+    sigma there is max(0, this).
+    """
+    out = signal.mean * np.asarray(width, dtype=float)
+    for amp, omega, phase in signal.terms:
+        arg = 0.5 * width
+        arg += a
+        arg *= omega
+        arg += phase
+        half = (0.5 * omega) * width
+        arg = np.sin(arg, out=arg)
+        arg *= np.sin(half, out=half)
+        arg *= 2.0 * amp / omega
+        out += arg
+    return out
+
+
+def _clip_points(signal: ClippedSinusoidSum, ts: np.ndarray) -> np.ndarray:
+    """Zeros of f between the points of the sorted grid `ts`, sorted; a zero
+    within rounding of a grid point may come out as that point.
+
+    A cell whose ends differ in sign brackets one zero. A cell with one sign
+    at both ends and |f| <= max|f'| width there may hold a pair: where f'
+    changes sign inside, f near that extremum (a secant and a Newton step on
+    f') decides, and a dip across 0 brackets two zeros. A tangent touch
+    crosses nothing and is no clip point. Each bracket is refined from its
+    secant point by Newton steps kept inside it. Cells wider than
+    CLIP_SEARCH_RADIANS of the fastest term may hide a pair.
+    """
+    f = _unclipped(signal, ts)
+    lo, hi, f_lo, f_hi = ts[:-1], ts[1:], f[:-1], f[1:]
+    product = f_lo * f_hi
+    starts, ends = [lo[product < 0.0]], [hi[product < 0.0]]
+    near = np.abs(f) <= sum(abs(a) * w for a, w, _ in signal.terms) * np.diff(ts).max(initial=0.0)
+    pair = np.flatnonzero(near[:-1] & near[1:] & (product >= 0.0) & (f_lo + f_hi != 0.0))
+    if pair.size:
+        a, b, side = lo[pair], hi[pair], np.sign(f_lo[pair] + f_hi[pair])
+        da, db = side * _unclipped(signal, a, 1), side * _unclipped(signal, b, 1)
+        turn = (da < 0.0) & (db > 0.0)
+        a, b, da, db, side = a[turn], b[turn], da[turn], db[turn], side[turn]
+        t = a + (b - a) * (da / (da - db))
+        t = np.clip(t - _ratio(_unclipped(signal, t, 1), _unclipped(signal, t, 2)), a, b)
+        dip = side * _unclipped(signal, t) < 0.0
+        starts += [a[dip], t[dip]]
+        ends += [t[dip], b[dip]]
+    lo, hi = np.concatenate(starts), np.concatenate(ends)
+    if lo.size == 0:
+        return lo
+    return np.sort(_refine(signal, lo, hi))
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two arrays of times, each time once."""
+    times = np.sort(np.concatenate((a, b)))
+    return times[np.append(True, times[1:] > times[:-1])]
+
+
+def _refine(signal: ClippedSinusoidSum, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The zero of f in each bracket [lo, hi] (f(hi) != 0, f(lo) of the other
+    sign or 0): from the secant point, Newton steps, or halvings where Newton
+    would leave the shrinking bracket, until no iterate moves by more than
+    2 ulp."""
+    f_lo, f_hi = _unclipped(signal, lo), _unclipped(signal, hi)
+    sign_hi = np.sign(f_hi)
+    t = lo - f_lo * _ratio(hi - lo, f_hi - f_lo)
+    for _ in range(_MAX_ITERATIONS):
+        ft = _unclipped(signal, t)
+        above = sign_hi * ft > 0.0
+        lo, hi = np.where(above, lo, t), np.where(above, t, hi)
+        newton = t - _ratio(ft, _unclipped(signal, t, 1))
+        step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi)) - t
+        t = t + step
+        if np.all(np.abs(step) <= 2.0 * np.spacing(t)):
+            break
+    return t
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Period averages
 # ---------------------------------------------------------------------------
 
-def mean_over_period(signal: InputSignal, quad: QuadratureSpec | None = None) -> float:
-    """Average inflow over one period.
+def mean_over_period(signal: InputSignal) -> float:
+    """Average inflow over one period, exact up to rounding.
 
-    Exact (no quadrature) for piecewise-constant waveforms; composite
-    trapezoid for clipped sinusoid sums, which are never integrated
-    symbolically because the clip boundary is error-prone.
+    Piecewise-constant waveforms sum their segments. A clipped sinusoid sum
+    is cut at its clip points in [0, T] (`_clip_points`, on a grid of
+    CLIP_SEARCH_RADIANS), and each piece adds max(0, int f) in closed form
+    (`_unclipped_integral`), as the numeric path does.
     """
     period = require_period(signal)
     if isinstance(signal, PiecewiseConstant):
@@ -356,12 +459,11 @@ def mean_over_period(signal: InputSignal, quad: QuadratureSpec | None = None) ->
         for level, dt in zip(signal.levels, signal.durations):
             total += level * dt
         return total / period
-    quad = quad or QuadratureSpec()
-    step = quad.resolve(period / PERIOD_QUADRATURE_STEPS)
-    n = max(2, math.ceil(period / step))
-    ts = np.linspace(0.0, period, n + 1)
-    vals = evaluate_array(signal, ts)
-    return float(np.trapezoid(vals, dx=period / n)) / period
+    cells = max(2, math.ceil(period * max_frequency(signal) / CLIP_SEARCH_RADIANS))
+    ts = np.linspace(0.0, period, cells + 1)
+    ends = _merged(ts, _clip_points(signal, ts))
+    pieces = _unclipped_integral(signal, ends[:-1], np.diff(ends))
+    return float(np.maximum(pieces, 0.0).sum()) / period
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from bottleneck_lab.signals import (
     ClippedSinusoidSum,
     Constant,
     PiecewiseConstant,
+    QuadratureSpec,
     SystemParams,
     evaluate_array,
 )
@@ -127,6 +128,18 @@ class TestLongrunBound:
                 continue
             bound = constant_benchmark(float(mi), P1)
             assert P1.lam * ms <= bound + quad + 2.0 / (P1.lam * tau)
+
+    def test_quadrature_slack_bounds_the_error_and_is_below_the_trapezoid_bound(self):
+        # C9's pass at the default step against one at an eighth of it, at
+        # every checkpoint; and the bound is below the trapezoid bound of the
+        # former RK4 path, h^2 (max|sigma'| + (lam + max sigma)^2) / 12 at
+        # h = min(0.01/lam, 0.01/(1 + max sigma)) = 1/300.
+        step = default_step(TWO_TONE, P1)
+        ra = running_averages(TWO_TONE, P1, 0.0, 2000.0)
+        fine = running_averages(TWO_TONE, P1, 0.0, 2000.0, grid=QuadratureSpec(step=step / 8))
+        slack = quadrature_slack(TWO_TONE, P1, step)
+        assert P1.lam * np.max(np.abs(ra.mean_state - fine.mean_state)) <= slack
+        assert slack <= (1.0 / 300.0) ** 2 * (0.5 + 0.5 * math.sqrt(2.0) + 9.0) / 12.0
 
     def test_quadrature_slack_zero_for_piecewise(self):
         assert quadrature_slack(TWO_LEVEL, P1, 0.01) == 0.0

@@ -110,8 +110,9 @@ class TestPeriodicCommand:
     @pytest.mark.parametrize("signal, step, expected", [
         (TWO_LEVEL_SIG, None, None),
         (TWO_LEVEL_SIG, 0.01, None),
-        (SMOOTH_SIG, None, dynamics.default_step(signal_from_dict(SMOOTH_SIG),
-                                                 SystemParams(lam=3.0))),
+        pytest.param(SMOOTH_SIG, None, dynamics.default_step(signal_from_dict(SMOOTH_SIG),
+                                                             SystemParams(lam=3.0)),
+                     id="signal2-None-default"),
         (SMOOTH_SIG, 2e-4, 2e-4),
     ])
     def test_grid_step_is_the_step_used(self, tmp_path, signal, step, expected):
@@ -465,6 +466,41 @@ class TestUsage:
         })
         assert main(["verify", "--config", cfg, "--horizon", "5.0"]) == 2
         assert "not applicable" in capsys.readouterr().err
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        import argparse
+
+        from bottleneck_lab import cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "bottleneck-lab":     # not the subcommand parsers
+                built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        try:
+            sim = write_json(tmp_path / "sim.json", {
+                "signal": CONSTANT_SIG, "lambda": 1.0, "horizon": 1.0,
+                "out": str(tmp_path / "t.csv")})
+            per = write_json(tmp_path / "per.json", {
+                "signal": CONSTANT_SIG, "lambda": 1.0, "out": str(tmp_path / "r.json")})
+            assert main(["simulate", "--config", sim]) == 0
+            assert main(["periodic", "--config", per]) == 0
+            assert built == [1]
+            with pytest.raises(SystemExit) as exc:      # usage errors still exit 2
+                main(["simulate", "--no-such-flag"])
+            assert exc.value.code == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert "bottleneck-lab" in capsys.readouterr().out
+            assert built == [1]
+        finally:
+            cli._build_parser.cache_clear()
 
 
 class TestTinyPeriods:

@@ -2,18 +2,19 @@ import csv
 import decimal
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bottleneck_lab.dynamics as dynamics
 from bottleneck_lab.dynamics import (
     OVERSHOOT_TOL,
     DomainError,
-    StepSizeError,
-    _affine_step_coeffs,
     _exact_rows,
     default_step,
+    numeric_step,
     exact_pass,
     simulate,
     smooth_pass,
@@ -29,6 +30,7 @@ from bottleneck_lab.signals import (
     SystemParams,
     _pad_rows,
     evaluate_array,
+    mean_over_period,
 )
 from bottleneck_lab.periodic import _PeriodRows, _period_states_rows
 
@@ -213,34 +215,45 @@ class TestInvariants:
             xs_b, _, _ = exact_pass(TWO_LEVEL, P1, float(b), times)
             assert np.all(xs_a <= xs_b + 1e-15)
 
-    def test_numeric_path_is_fourth_order(self):
-        # Smooth (clip inactive) sinusoid; halving the step should cut the
-        # final-state error against a step-1e-6 reference by about 16x.
+    def test_numeric_path_order(self):
+        # One fitted step's end state against a 30-digit Taylor solution of
+        # the ODE: the Gauss interpolant of the forcing, integrated against
+        # the exact kernel, errs by O(h^13) locally, so halving a coarse
+        # step from 0.4 cuts the error by about 2^13 (measured 6.1e3).
+        mpmath = pytest.importorskip("mpmath")
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
-        horizon = 1.0
-        ref = smooth_pass(sig, P1, 0.2, np.asarray([horizon]), 1e-6)[0][0]
-        err = []
-        for step in (0.02, 0.01):
-            got = smooth_pass(sig, P1, 0.2, np.asarray([horizon]), step)[0][0]
-            err.append(abs(got - ref))
-        ratio = err[0] / err[1]
-        assert 11.0 <= ratio <= 22.0
+        errors = []
+        with mpmath.workdps(30):
+            exact = mpmath.odefun(lambda t, x: (1 + 0.5 * mpmath.sin(2 * mpmath.pi * t)) * (1 - x)
+                                  - x, 0, mpmath.mpf("0.2"))
+            for h in (0.4, 0.2):
+                _, decay, drive, _, _ = dynamics._fitted_steps(sig, 1.0, np.array([0.0, h]),
+                                                               np.array([h]))
+                errors.append(abs(decay[0, -1] * 0.2 + drive[0, -1] - float(exact(h))))
+        assert 2.0 ** 12 <= errors[0] / errors[1] <= 2.0 ** 14
 
-    def test_unstable_step_aborts_loudly(self):
+    def test_step_past_the_lam_cap_is_split(self):
+        # lam h = 10 is past where the fitted end weights stay positive, so
+        # the scan takes steps of 1/lam: the states stay in [0, 1] and match
+        # a run at an eighth of that step.
         stiff = SystemParams(lam=200.0)
         sig = ClippedSinusoidSum(mean=0.5, terms=((0.1, 1.0, 0.0),))
-        with pytest.raises(StepSizeError, match="step"):
-            smooth_pass(sig, stiff, 1.0, np.asarray([1.0]), 0.05)
+        assert numeric_step(sig, stiff, QuadratureSpec(step=0.05)) == 1.0 / 200.0
+        times = np.linspace(0.01, 1.0, 12)
+        got = np.array(smooth_pass(sig, stiff, 1.0, times, 0.05))
+        want = np.array(smooth_pass(sig, stiff, 1.0, times, 1.0 / 1600.0))
+        assert np.all((got[0] >= 0.0) & (got[0] <= 1.0))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_default_step_resolves_fastest_scale(self):
         sig = ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.0),))
-        step = default_step(sig, SystemParams(lam=0.5))
-        # min(0.01/0.5, 0.01/4, T/1e4) with T = 2 pi
-        assert step == pytest.approx(2.0 * math.pi / 1e4)
+        # min(0.1/omega_max, 0.1/max sigma, 1/lam) = min(0.1, 0.1/3, 2)
+        assert default_step(sig, SystemParams(lam=0.5)) == pytest.approx(0.1 / 3.0)
         aperiodic = ClippedSinusoidSum(
             mean=1.0, terms=((0.5, 1.0, 0.0), (0.5, math.sqrt(2.0), 0.0))
         )
-        assert default_step(aperiodic, P1) == pytest.approx(0.01 / 3.0)
+        assert default_step(aperiodic, P1) == pytest.approx(0.05)
+        assert default_step(aperiodic, SystemParams(lam=1e4)) == pytest.approx(1e-4)
 
 
 def mean_x(traj, t_from, t_to):
@@ -372,26 +385,36 @@ def walk_oracle(signal, lam, x0, record_times):
     return out
 
 
-def rk4_loop_oracle(signal, lam, x0, t0, t1, n_steps):
-    """The step-by-step RK4 loop the smooth path ran before the prefix scan."""
-    h = (t1 - t0) / n_steps
-    sig = evaluate_array(signal, t0 + 0.5 * h * np.arange(2 * n_steps + 1))
-    A, B = _affine_step_coeffs(sig[0:-2:2], sig[1:-1:2], sig[2::2], lam, h)
-    svals = sig[0::2]
-    states = [x0]
-    x, cum_x, cum_s = x0, 0.0, 0.0
-    for i in range(n_steps):
-        x_new = A[i] * x + B[i]
-        over = max(-x_new, x_new - 1.0)
-        if over > 0.0:
-            if over >= OVERSHOOT_TOL:
-                raise StepSizeError(f"overshoot {over} at step {i}")
-            x_new = min(max(x_new, 0.0), 1.0)
-        cum_x += 0.5 * h * (x + x_new)
-        cum_s += 0.5 * h * (svals[i] + svals[i + 1])
-        x = x_new
-        states.append(x)
-    return np.array(states), cum_x, cum_s
+def ivp_oracle(signal, lam, x0, times):
+    """(x, int_0^t x, int_0^t sigma) at the sorted `times`, piece by piece
+    between the clip points of sigma (sign changes of f on a fine grid,
+    refined by brentq) and the times: closed-form decay where sigma is 0,
+    else scipy's DOP853 at rtol 1e-13 and atol 1e-30."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    def f(t):
+        return signal.mean + sum(a * math.sin(w * t + p) for a, w, p in signal.terms)
+
+    horizon = float(times[-1])
+    grid = np.linspace(0.0, horizon, 20 * math.ceil(horizon * max(w for _, w, _ in signal.terms)) + 2)
+    values = [f(t) for t in grid]
+    clips = [brentq(f, a, b, xtol=1e-16)
+             for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]) if fa * fb < 0.0]
+    cuts = np.union1d(np.union1d([0.0], clips), times)
+
+    def rhs(t, y):
+        s = max(0.0, f(t))
+        return [s * (1.0 - y[0]) - lam * y[0], y[0], s]
+
+    y, out = np.array([x0, 0.0, 0.0]), {0.0: (x0, 0.0, 0.0)}
+    for a, b in zip(cuts, cuts[1:]):
+        if f(0.5 * (a + b)) < 0.0:      # sigma = 0: pure decay, in closed form
+            y = y + [y[0] * math.expm1(-lam * (b - a)), -y[0] * math.expm1(-lam * (b - a)) / lam, 0.0]
+        else:                           # relative error control, down to tiny states
+            y = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-30).y[:, -1]
+        out[b] = tuple(y)
+    return np.array([out[t] for t in times]).T
 
 
 class TestPeriodJumps:
@@ -519,22 +542,9 @@ class TestPeriodJumps:
         np.testing.assert_allclose(got, walk_oracle(sig, 1.0, 0.9, times), rtol=1e-12, atol=0.0)
 
 
-def rk4_records_oracle(signal, lam, x0, record_times, step):
-    """smooth_pass as it ran before the one scan: the loop oracle restarted on
-    each record interval, max(1, ceil(gap / step)) steps per positive gap."""
-    t, x, cum_x, cum_s = 0.0, x0, 0.0, 0.0
-    out = []
-    for target in record_times:
-        if target > t:
-            states, dx, ds = rk4_loop_oracle(signal, lam, x, t, target,
-                                             max(1, math.ceil((target - t) / step)))
-            t, x, cum_x, cum_s = target, states[-1], cum_x + dx, cum_s + ds
-        out.append((x, cum_x, cum_s))
-    return np.array(out).T
-
-
 class TestPrefixScan:
-    """One chunked prefix scan steps the smooth path; the loop is the oracle."""
+    """One chunked prefix scan steps the smooth path; a loop of an
+    independent integrator over the record intervals is the oracle."""
 
     SIGNALS = (
         ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),)),
@@ -546,7 +556,7 @@ class TestPrefixScan:
     def test_scan_matches_loop(self, signal, lam):
         params = SystemParams(lam=lam)
         step = default_step(signal, params)
-        horizon = 3000 * step
+        horizon = 300 * step
         record_lists = (
             np.array([horizon / 3, horizon]),
             np.geomspace(horizon / 1000, horizon, 64),      # as running_averages passes
@@ -555,12 +565,17 @@ class TestPrefixScan:
         )
         for x0 in (0.0, 0.45, 1.0):
             traj = simulate(signal, params, x0, horizon)
-            states, _, _ = rk4_loop_oracle(signal, lam, x0, 0.0, horizon, traj.times.size - 1)
-            np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0.0)
+            states = ivp_oracle(signal, lam, x0, traj.times)[0]
+            # The scheme's error is absolute, about 1e-17 here: a state of
+            # 1e-15 (deep in a clipped stretch at lam = 50, or at a node just
+            # after a clip point) has no 12 relative digits, hence the floor.
+            np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-15)
             for records in record_lists:
                 got = smooth_pass(signal, params, x0, records, step)
-                want = rk4_records_oracle(signal, lam, x0, records, step)
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                want = ivp_oracle(signal, lam, x0, np.unique(records))
+                want = want[:, np.searchsorted(np.unique(records), records)]
+                np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0.0)
 
     def test_long_block_is_chunked_without_changing_the_states(self, monkeypatch):
         import bottleneck_lab.dynamics as dynamics
@@ -599,15 +614,95 @@ class TestPrefixScan:
         with pytest.raises(DomainError, match=message):
             smooth_pass(self.SIGNALS[0], P1, 0.3, np.asarray([1.0]), step)
 
-    @pytest.mark.parametrize("lam, first_state", [(1e100, "inf"), (1e200, "nan")])
-    def test_unstable_step_to_inf_or_nan_raises(self, lam, first_state):
-        # At h (lam + sigma) ~ 1e97 the step coefficients overflow: the first
-        # state is inf at lam = 1e100 and NaN (inf - inf) at lam = 1e200.
-        # Neither may pass as a state; a NaN fails every comparison, so it
-        # is caught by requiring the state inside the band, not outside it.
+    @pytest.mark.parametrize("lam", [1e100, 1e200])
+    def test_huge_lam_step_count_is_a_domain_error(self, lam):
+        # A step of 1e-3 at lam = 1e100 is split to the lam h <= 1 cap, and
+        # that many steps fail loudly (exit 2) before any state is formed.
         sig = ClippedSinusoidSum(mean=0.5, terms=((0.1, 1.0, 0.0),))
-        with pytest.raises(StepSizeError, match=f"left \\[0, 1\\] by {first_state} at t=0.001;"):
+        steps = re.escape(f"{1e-2 * lam:.3g}")
+        with pytest.raises(DomainError, match=f"needs {steps} steps to reach t=0.01"):
             smooth_pass(sig, SystemParams(lam=lam), 0.5, np.asarray([1e-2]), 1e-3)
+
+
+class TestFittedScheme:
+    """The exact-decay Gauss scheme: stiff transients, clip points, large steps."""
+
+    def test_stiff_transient_matches_a_refined_run(self):
+        # lam = 1e4 from x0 = 1 on quasi-periodic inflow: the transient lasts
+        # about 1e-4, one default step. Running means at the default step
+        # match a run at a sixteenth of it.
+        sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 1.0, 0.0), (0.5, math.sqrt(2.0), 0.3)))
+        params = SystemParams(lam=1e4)
+        taus = np.geomspace(1e-5, 0.1, 40)
+        step = default_step(sig, params)
+        got = np.array(smooth_pass(sig, params, 1.0, taus, step)) / taus
+        want = np.array(smooth_pass(sig, params, 1.0, taus, step / 16.0)) / taus
+        np.testing.assert_allclose(got[1:], want[1:], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got[0] * taus, want[0] * taus, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def dense_times(sig, lam=1.0, horizon=2.0 * math.pi):
+        return dynamics._smooth_scan(sig, lam, 0.0, [horizon], default_step(sig, SystemParams(lam)),
+                                     dense=True).t
+
+    def test_tangent_touch_is_not_a_step_boundary(self):
+        # 1 + sin t touches 0 at 3 pi / 2 without crossing: sigma stays
+        # smooth there, so no step is cut, and the run matches a finer one.
+        sig = ClippedSinusoidSum(mean=1.0, terms=((1.0, 1.0, 0.0),))
+        step = default_step(sig, P1)
+        n = math.ceil(2.0 * math.pi / step)
+        assert self.dense_times(sig).size == 7 * n + 1
+        assert mean_over_period(sig) == pytest.approx(1.0, abs=1e-15)
+        got = smooth_pass(sig, P1, 0.3, np.asarray([2.0 * math.pi]), step)
+        want = smooth_pass(sig, P1, 0.3, np.asarray([2.0 * math.pi]), step / 8.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_two_clip_points_inside_one_base_step(self):
+        # 1 + a sin t with a = 1 + 1e-4 dips below 0 for 0.028, less than a
+        # default step of 0.05: both clip points become step boundaries.
+        a = 1.0 + 1e-4
+        sig = ClippedSinusoidSum(mean=1.0, terms=((a, 1.0, 0.0),))
+        clips = [math.pi + math.asin(1.0 / a), 2.0 * math.pi - math.asin(1.0 / a)]
+        base = np.linspace(0.0, 2.0 * math.pi, math.ceil(2.0 * math.pi / default_step(sig, P1)) + 1)
+        assert np.searchsorted(base, clips[0]) == np.searchsorted(base, clips[1])
+        times = self.dense_times(sig)
+        nearest = [times[np.argmin(np.abs(times - c))] for c in clips]
+        np.testing.assert_allclose(nearest, clips, rtol=0.0, atol=1e-13)
+        # int sigma over the period is pi + 2 asin(1/a) + 2 sqrt(a^2 - 1)
+        exact = math.pi + 2.0 * math.asin(1.0 / a) + 2.0 * math.sqrt(a * a - 1.0)
+        _, _, int_s = smooth_pass(sig, P1, 0.3, np.asarray([2.0 * math.pi]), 1.0)
+        assert int_s[0] == pytest.approx(exact, rel=1e-14)
+        assert mean_over_period(sig) == pytest.approx(exact / (2.0 * math.pi), rel=1e-14)
+        got = smooth_pass(sig, P1, 0.3, np.asarray([2.0 * math.pi]), 1.0)
+        want = smooth_pass(sig, P1, 0.3, np.asarray([2.0 * math.pi]), default_step(sig, P1) / 8)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("lam, sig", [
+        (1e4, ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0 * math.pi / 0.012, 0.3),))),
+        (1.0, ClippedSinusoidSum(mean=0.7, terms=((1.2, 3.0, 0.4), (0.5, 3.0 * math.sqrt(2.0), 1.0)))),
+    ])
+    def test_user_step_far_above_the_default(self, monkeypatch, lam, sig):
+        # A step 100x the default is split to min(1/omega, 1/max sigma,
+        # 1/lam); the states then stay in [0, 1] up to rounding, and the
+        # run matches one at the default step.
+        params = SystemParams(lam=lam)
+        step = 100.0 * default_step(sig, params)
+        assert numeric_step(sig, params, QuadratureSpec(step=step)) < step
+        overshoot = []
+        clamp = dynamics._clamp
+
+        def recording_clamp(states):
+            overshoot.append(max(0.0, -states.min(), states.max() - 1.0))
+            return clamp(states)
+
+        monkeypatch.setattr(dynamics, "_clamp", recording_clamp)
+        times = np.linspace(0.0, 2000 * default_step(sig, params), 7)[1:]
+        traj = simulate(sig, params, 1.0, float(times[-1]), QuadratureSpec(step=step))
+        assert max(overshoot) <= OVERSHOOT_TOL
+        assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
+        got = smooth_pass(sig, params, 1.0, times, step)
+        want = smooth_pass(sig, params, 1.0, times, default_step(sig, params))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from bottleneck_lab.asymptotic import (
     running_averages,
     solution_independence_check,
 )
+import bottleneck_lab.dynamics as dynamics
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate
 from bottleneck_lab.periodic import (
     _PeriodRows,
@@ -35,6 +36,7 @@ from bottleneck_lab.signals import (
     QuadratureSpec,
     SignalError,
     SystemParams,
+    mean_over_period,
 )
 from bottleneck_lab.suites import (
     check_asymptotic_case,
@@ -374,15 +376,33 @@ class TestMomentIdentities:
         assert r1 <= 1e-5
         assert r2 <= 1e-5
 
-    def test_residual_shrinks_at_quadrature_order(self):
-        # clip active -> kinked integrand -> trapezoid is genuinely O(h^2),
-        # so halving the grid step should cut the residuals about 4x
+    @pytest.mark.parametrize("step", [None, 2.0 * math.pi / 200, 2.0 * math.pi / 400],
+                             ids=["default", "T/200", "T/400"])
+    def test_clip_active_residuals_at_rounding_at_any_step(self, step):
+        # The clip points are step boundaries and int sigma is exact, so the
+        # kink costs nothing: the identities hold to rounding at the default
+        # step and at finer ones alike.
         sig = ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.0),))
-        T = 2.0 * math.pi
-        r_coarse = moment_residuals(sig, P1, QuadratureSpec(step=T / 200))
-        r_fine = moment_residuals(sig, P1, QuadratureSpec(step=T / 400))
-        for coarse, fine in zip(r_coarse, r_fine):
-            assert 2.5 <= coarse / fine <= 6.0
+        rep = gap_report(sig, P1, None if step is None else QuadratureSpec(step=step))
+        assert max(rep.residual_gap, rep.residual_m1, rep.residual_m2) <= 1e-12
+        assert rep.sigma_bar == pytest.approx(2.0 / 3.0 + math.sqrt(3.0) / math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("signal", [
+        ClippedSinusoidSum(mean=0.0, terms=((1.0, 2.0 * math.pi, 0.0),)),       # f(0) = 0 exactly
+        ClippedSinusoidSum(mean=0.5, terms=((1.0, 2.0 * math.pi, -math.pi / 6.0),)),  # f(0) ~ 1e-17
+    ])
+    def test_clip_point_at_the_period_boundary(self, signal):
+        # A clip point at t = 0 is also one at t = T. The period map, orbit
+        # and report match the same scan at an eighth of the step.
+        lam = SystemParams(lam=3.0)
+        rep = gap_report(signal, lam)
+        assert max(rep.residual_gap, rep.residual_m1, rep.residual_m2) <= 1e-12
+        assert rep.sigma_bar == pytest.approx(mean_over_period(signal), rel=1e-14)
+        fine = gap_report(signal, lam, QuadratureSpec(step=dynamics.default_step(signal, lam) / 8))
+        assert rep.w_sigma == pytest.approx(fine.w_sigma, rel=1e-13)
+        assert rep.gap == pytest.approx(fine.gap, rel=1e-11)
+        orbit = periodic_solution(signal, lam)
+        assert abs(orbit.states[-1] - orbit.states[0]) <= 1e-14
 
 
 class TestRandomizedInvariants:
