@@ -30,6 +30,7 @@ from .signals import (
 )
 from .dynamics import (
     DomainError,
+    StepSizeError,
     Trajectory,
     default_step,
     simulate,
@@ -72,7 +73,7 @@ __all__ = [
     "PiecewiseConstant", "QuadratureSpec", "Sampled", "SignalError",
     "SystemParams", "evaluate_array", "is_periodic", "max_level",
     "mean_over_period", "period_of", "signal_from_dict", "signal_to_dict",
-    "DomainError", "Trajectory", "default_step",
+    "DomainError", "StepSizeError", "Trajectory", "default_step",
     "simulate", "trajectory_to_csv",
     "PeriodicReport", "PoincareMap", "constant_benchmark",
     "gap_report", "periodic_solution", "poincare_map",

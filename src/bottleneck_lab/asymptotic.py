@@ -175,7 +175,7 @@ def quadrature_slack(signal: InputSignal, params: SystemParams, step: float | No
     """
     if not isinstance(signal, ClippedSinusoidSum):
         return 0.0
-    h = min(step, dynamics._step_bound(signal, params.lam, 1.0))
+    h = min(step, dynamics.default_step(signal, params))
     s_h, w_h = max_level(signal) * h, max_frequency(signal) * h
     g6_h7 = math.exp(s_h) * sum(c * s_h ** k * w_h ** (7 - k)
                                 for k, c in enumerate(_STIRLING_7, start=1))

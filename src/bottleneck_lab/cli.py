@@ -388,6 +388,9 @@ def main(argv=None) -> int:
             optimize.InfeasibleMeanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except dynamics.StepSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -40,15 +40,19 @@ them one at a time in Python.
   int p are Gauss sums of the node states.
 
   The step is set by accuracy: `default_step` is
-  min(0.1/omega_max, 0.1/max sigma, 1/lam). A user step splits each gap
-  between record times into equal steps no larger than it, and no larger
-  than min(1/omega_max, 1/max sigma, 1/lam) either: the 1/lam cap keeps
-  lam h <= 1, where the six fitted end weights are positive (they turn
-  negative past lam h of about 8), and the other two keep the interpolated
-  forcing accurate to rounding. `numeric_step` reports that step.
+  min(0.1/omega_max, 0.1/max sigma, 1/lam), and it caps every step, so a
+  user step only refines it: each gap between record times is split into
+  equal steps no larger than either. The 1/lam term keeps lam h <= 1,
+  where the six fitted end weights are positive (they turn negative past
+  lam h of about 8). The other two keep the interpolated forcing accurate
+  to rounding at the nodes too: a node state is the interpolant integrated
+  over only part of the step, so it errs by O(h^7), not the O(h^13) of the
+  step end, and at ten times the default step a state near 1 overshoots
+  it by up to 1e-7. `numeric_step` reports the step taken.
 
 States live in [0, 1] by the model's premise. The numeric path keeps them
-there up to rounding and clamps that rounding (`_clamp`).
+there up to rounding and clamps that rounding (`_clamp`); a larger
+excursion raises StepSizeError.
 """
 
 from __future__ import annotations
@@ -60,16 +64,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
-    CLIP_SEARCH_RADIANS,
     ClippedSinusoidSum,
     InputSignal,
     PiecewiseConstant,
     QuadratureSpec,
     SignalError,
     SystemParams,
+    _cut_at_clip_points,
     _pad_rows,
-    _clip_points,
-    _merged,
     _segment_index,
     _unclipped,
     _unclipped_integral,
@@ -80,6 +82,7 @@ from .signals import (
 
 __all__ = [
     "DomainError",
+    "StepSizeError",
     "Trajectory",
     "simulate",
     "default_step",
@@ -90,8 +93,8 @@ __all__ = [
     "OVERSHOOT_TOL",
 ]
 
-# Numeric-path states are clamped to [0, 1] (`_clamp`); the scheme keeps
-# them there up to rounding, and the clamp moves none by this much.
+# Numeric-path states off [0, 1] by less than this are rounding and clamped
+# (`_clamp`); anything larger aborts the run.
 OVERSHOOT_TOL = 1e-12
 
 # Dense recording default: about this many rows per simulate() call.
@@ -100,6 +103,10 @@ _RECORD_POINTS = 1000
 
 class DomainError(ValueError):
     """An input left the model's domain (occupancy outside [0, 1], bad range)."""
+
+
+class StepSizeError(RuntimeError):
+    """The numeric path produced a state off [0, 1] by more than rounding."""
 
 
 @dataclass(frozen=True)
@@ -139,39 +146,35 @@ def _check_occupancy(x0: float) -> float:
 def default_step(signal: InputSignal, params: SystemParams) -> float:
     """Step of the numeric path, set by accuracy: min(0.1/omega_max, 0.1/max sigma, 1/lam).
 
-    A step resolves a tenth of a radian of the fastest term and moves int sigma
-    by at most 0.1, where six nodes interpolate the forcing to rounding; the
-    1/lam term keeps lam h <= 1, where the fitted weights are positive.
+    It is also the largest step the path takes, a user's too. A step resolves
+    a tenth of a radian of the fastest term and moves int sigma by at most
+    0.1, where six nodes interpolate the forcing to rounding at the nodes as
+    well as at the step end; the 1/lam term keeps lam h <= 1, where the
+    fitted weights are positive.
     """
-    return _step_bound(signal, params.lam, 0.1)
+    return _step_bound(signal, params.lam)
 
 
-def _step_bound(signal: InputSignal, lam: float, fraction: float) -> float:
-    """min(fraction / rate, 1 / lam), rate = max(omega_max, max sigma).
-
-    `fraction` 0.1 is `default_step`; 1 is the cap on any step the scan
-    takes, a user's too: there omega h <= 1, int sigma <= 1 and lam h <= 1.
-    """
+def _step_bound(signal: InputSignal, lam: float) -> float:
+    """`default_step` by lam: min(0.1 / rate, 1 / lam), rate = max(omega_max, max sigma)."""
     rate = max_level(signal)
     if isinstance(signal, ClippedSinusoidSum):
         rate = max(rate, max_frequency(signal))
-    return min(fraction / rate, 1.0 / lam) if rate > 0.0 else 1.0 / lam
+    return min(0.1 / rate, 1.0 / lam) if rate > 0.0 else 1.0 / lam
 
 
 def numeric_step(
     signal: InputSignal, params: SystemParams, grid: QuadratureSpec | None = None
 ) -> float | None:
-    """Largest step the numeric path takes on this input: `grid.step` capped
-    at `_step_bound(..., 1)`, else `default_step`; steps are further cut at
-    clip points.
+    """Largest step the numeric path takes on this input: `default_step`, or
+    `grid.step` where that is smaller; steps are further cut at clip points.
 
     None for piecewise-constant input, which is propagated exactly.
     """
     if not isinstance(signal, ClippedSinusoidSum):
         return None
-    if grid is None or grid.step is None:
-        return default_step(signal, params)
-    return min(grid.step, _step_bound(signal, params.lam, 1.0))
+    step = default_step(signal, params)
+    return step if grid is None or grid.step is None else min(grid.step, step)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +334,9 @@ _CHUNK_STEPS = 1 << 11
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]: Newton
-    steps on P_m from cos(pi (i - 1/4) / (m + 1/2)), and weights
-    1 / ((1 - x^2) P_m'(x)^2) at the nodes x on [-1, 1]."""
-    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
-    for _ in range(8):
-        p0, p1 = np.ones_like(x), x         # P_m and P_m' by the three-term recurrence
-        for n in range(2, m + 1):
-            p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
-        slope = m * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / slope
-    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # Gauss-Legendre nodes c_j and weights b_j on [0, 1]. States are formed at
@@ -451,22 +446,13 @@ _Scan = namedtuple("_Scan", "t x p sigma int_x int_p int_sigma weight")
 
 
 def _clamp(states: np.ndarray) -> np.ndarray:
-    """Numeric-path states clamped to [0, 1]. The scheme keeps them there
-    up to rounding, so this moves none by OVERSHOOT_TOL."""
+    """Numeric-path states clamped to [0, 1]. The step cap keeps them there
+    up to rounding; a state off by OVERSHOOT_TOL or more, or not finite,
+    raises StepSizeError."""
+    off = np.fmax(-states, states - 1.0).max(initial=0.0)
+    if not off < OVERSHOOT_TOL:
+        raise StepSizeError(f"a numeric state left [0, 1] by {off:.3e}")
     return np.clip(states, 0.0, 1.0)
-
-
-def _with_clip_points(signal: ClippedSinusoidSum, base: np.ndarray):
-    """Step boundaries: the sorted `base` with the clip points between its
-    entries, searched on a grid of at most h/2 and CLIP_SEARCH_RADIANS; and
-    the index of each base entry among them."""
-    if base.size < 2:
-        return base, np.arange(base.size)
-    h = np.diff(base)
-    q = max(2, math.ceil(float(h.max()) * max_frequency(signal) / CLIP_SEARCH_RADIANS))
-    grid = np.append((base[:-1, None] + h[:, None] * (np.arange(q) / q)).ravel(), base[-1])
-    tb = _merged(base, _clip_points(signal, grid))
-    return tb, np.searchsorted(tb, base)
 
 
 def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times,
@@ -474,8 +460,8 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
     """The one numeric integrator: a chunked prefix scan from t = 0 through the record times.
 
     Each gap between record times (from 0) takes max(1, ceil(gap / h))
-    equal steps, h = min(step, `_step_bound(..., 1)`), and a repeated
-    record time none; clip points split steps further (`_with_clip_points`).
+    equal steps, h = min(step, `default_step`), and a repeated record time
+    none; clip points split steps further (`signals._cut_at_clip_points`).
     `_fitted_steps` gives each step's map and `_affine_prefix` composes them
     one chunk of at most _CHUNK_STEPS base steps at a time, carrying x and p.
     int sigma is exact; int x and int p are Gauss sums of the node states.
@@ -485,7 +471,7 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step!r}")
-    step = min(step, _step_bound(signal, lam, 1.0))
+    step = min(step, _step_bound(signal, lam))
     ends = np.fmax.accumulate(np.concatenate(([0.0], np.asarray(record_times, dtype=float))))
     gaps = np.diff(ends)
     with np.errstate(over="ignore"):
@@ -504,11 +490,13 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
         i1 = min(i0 + _CHUNK_STEPS, n)
         node = np.arange(i0, i1 + 1)
         k = np.searchsorted(first, node, side="right") - 1
-        tb, at = _with_clip_points(signal, ends[k] + (node - first[k]) * widths[k])
+        base = ends[k] + (node - first[k]) * widths[k]
+        tb = _cut_at_clip_points(signal, base)
+        at = np.searchsorted(tb, base)
         z = lam * np.diff(tb)
         whole = np.diff(at) == 1                    # base steps that no clip point cut
         z[at[:-1][whole]] = lam * widths[k[:-1][whole]]
-        del node, k, whole
+        del node, k, base, whole
         xb, pb, ints, piece = _scan_chunk(signal, lam, tb, z, x, p, carry, dense)
         lo, hi = np.searchsorted(records, [i0, i1 + 1])
         kept = at[records[lo:hi] - i0]
@@ -567,7 +555,7 @@ def smooth_pass(
     """Numeric counterpart of exact_pass for smooth inflow.
 
     Each interval between consecutive record times is split into equal
-    steps no larger than `step` (nor than the cap of `_step_bound`), and
+    steps no larger than `step` (nor than `default_step`), and
     those at the clip points of sigma, in one `_smooth_scan`.
     """
     scan = _smooth_scan(signal, params.lam, _check_occupancy(x0), record_times, step)

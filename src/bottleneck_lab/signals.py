@@ -14,10 +14,11 @@ and `ClippedSinusoidSum`, which it integrates numerically. `Constant` and
 breakpoints i * step). The module also provides point evaluation,
 periodicity detection and exact period averages. A clipped sum is smooth
 between its clip points, the zeros of f = mean + sum A sin(omega t + phi):
-`_clip_points` finds them and `_unclipped_integral` integrates f in closed
-form, so the period mean and the numeric path's inflow integrals read the
-same pieces. Waveforms are immutable and fully validated at construction,
-so evaluation and the downstream integrators never re-check anything.
+`_cut_at_clip_points` cuts time at them and `_unclipped_integral`
+integrates f in closed form, so the period mean and the numeric path's
+inflow integrals read the same pieces. Waveforms are immutable and fully
+validated at construction, so evaluation and the downstream integrators
+never re-check anything.
 
 Serialization: `signal_to_dict` / `signal_from_dict` define the on-disk
 schema consumed by the command line tools (a "kind" discriminator plus
@@ -410,9 +411,16 @@ def _clip_points(signal: ClippedSinusoidSum, ts: np.ndarray) -> np.ndarray:
     return np.sort(_refine(signal, lo, hi))
 
 
-def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted union of two arrays of times, each time once."""
-    times = np.sort(np.concatenate((a, b)))
+def _cut_at_clip_points(signal: ClippedSinusoidSum, base: np.ndarray) -> np.ndarray:
+    """The sorted times `base` with the clip points between its entries, each
+    time once. Each base cell is searched (`_clip_points`) on a grid of at most
+    half the cell and at most CLIP_SEARCH_RADIANS of the fastest term."""
+    if base.size < 2:
+        return base
+    h = np.diff(base)
+    q = max(2, math.ceil(float(h.max()) * max_frequency(signal) / CLIP_SEARCH_RADIANS))
+    grid = np.append((base[:-1, None] + h[:, None] * (np.arange(q) / q)).ravel(), base[-1])
+    times = np.sort(np.concatenate((base, _clip_points(signal, grid))))
     return times[np.append(True, times[1:] > times[:-1])]
 
 
@@ -449,9 +457,9 @@ def mean_over_period(signal: InputSignal) -> float:
     """Average inflow over one period, exact up to rounding.
 
     Piecewise-constant waveforms sum their segments. A clipped sinusoid sum
-    is cut at its clip points in [0, T] (`_clip_points`, on a grid of
-    CLIP_SEARCH_RADIANS), and each piece adds max(0, int f) in closed form
-    (`_unclipped_integral`), as the numeric path does.
+    is cut at its clip points in [0, T] (`_cut_at_clip_points`), and each
+    piece adds max(0, int f) in closed form (`_unclipped_integral`), as the
+    numeric path does.
     """
     period = require_period(signal)
     if isinstance(signal, PiecewiseConstant):
@@ -459,9 +467,7 @@ def mean_over_period(signal: InputSignal) -> float:
         for level, dt in zip(signal.levels, signal.durations):
             total += level * dt
         return total / period
-    cells = max(2, math.ceil(period * max_frequency(signal) / CLIP_SEARCH_RADIANS))
-    ts = np.linspace(0.0, period, cells + 1)
-    ends = _merged(ts, _clip_points(signal, ts))
+    ends = _cut_at_clip_points(signal, np.array([0.0, period]))
     pieces = _unclipped_integral(signal, ends[:-1], np.diff(ends))
     return float(np.maximum(pieces, 0.0).sum()) / period
 

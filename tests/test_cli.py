@@ -57,6 +57,16 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert float(rows[-1]["x"]) == pytest.approx(math.exp(-6.0), abs=1e-10)
 
+    def test_numeric_overshoot_exits_1(self, tmp_path, monkeypatch, capsys):
+        # The step cap keeps numeric states within rounding of [0, 1]; with
+        # no overshoot tolerated the guard fires, and the run is a violation.
+        monkeypatch.setattr(dynamics, "OVERSHOOT_TOL", 0.0)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "signal": SMOOTH_SIG, "lambda": 3.0, "x0": 1.0, "horizon": 1.0,
+            "out": str(tmp_path / "traj.csv")})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "numeric state left [0, 1]" in capsys.readouterr().err
+
     def test_signal_file_flag(self, tmp_path):
         sig = write_json(tmp_path / "sig.json", CONSTANT_SIG)
         out = tmp_path / "t.csv"

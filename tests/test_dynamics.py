@@ -216,20 +216,19 @@ class TestInvariants:
             assert np.all(xs_a <= xs_b + 1e-15)
 
     def test_numeric_path_order(self):
-        # One fitted step's end state against a 30-digit Taylor solution of
-        # the ODE: the Gauss interpolant of the forcing, integrated against
-        # the exact kernel, errs by O(h^13) locally, so halving a coarse
-        # step from 0.4 cuts the error by about 2^13 (measured 6.1e3).
-        mpmath = pytest.importorskip("mpmath")
+        # One fitted step's end state against `ivp_oracle`: the Gauss
+        # interpolant of the forcing, integrated against the exact kernel,
+        # errs by O(h^13) locally, so halving a coarse step from 0.4 cuts the
+        # error by about 2^13. The errors, 3.0e-10 and 5.0e-14, sit 70 times
+        # above the oracle's own (7e-16, against a 30-digit Taylor solution),
+        # which moves the measured ratio of 6.1e3 by under 2%.
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
         errors = []
-        with mpmath.workdps(30):
-            exact = mpmath.odefun(lambda t, x: (1 + 0.5 * mpmath.sin(2 * mpmath.pi * t)) * (1 - x)
-                                  - x, 0, mpmath.mpf("0.2"))
-            for h in (0.4, 0.2):
-                _, decay, drive, _, _ = dynamics._fitted_steps(sig, 1.0, np.array([0.0, h]),
-                                                               np.array([h]))
-                errors.append(abs(decay[0, -1] * 0.2 + drive[0, -1] - float(exact(h))))
+        for h in (0.4, 0.2):
+            _, decay, drive, _, _ = dynamics._fitted_steps(sig, 1.0, np.array([0.0, h]),
+                                                           np.array([h]))
+            exact = ivp_oracle(sig, 1.0, 0.2, np.array([h]))[0, 0]
+            errors.append(abs(decay[0, -1] * 0.2 + drive[0, -1] - exact))
         assert 2.0 ** 12 <= errors[0] / errors[1] <= 2.0 ** 14
 
     def test_step_past_the_lam_cap_is_split(self):
@@ -412,7 +411,9 @@ def ivp_oracle(signal, lam, x0, times):
         if f(0.5 * (a + b)) < 0.0:      # sigma = 0: pure decay, in closed form
             y = y + [y[0] * math.expm1(-lam * (b - a)), -y[0] * math.expm1(-lam * (b - a)) / lam, 0.0]
         else:                           # relative error control, down to tiny states
-            y = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-30).y[:, -1]
+            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-30)
+            assert sol.success, f"oracle failed on [{a!r}, {b!r}]: {sol.message}"
+            y = sol.y[:, -1]
         out[b] = tuple(y)
     return np.array([out[t] for t in times]).T
 
@@ -566,9 +567,11 @@ class TestPrefixScan:
         for x0 in (0.0, 0.45, 1.0):
             traj = simulate(signal, params, x0, horizon)
             states = ivp_oracle(signal, lam, x0, traj.times)[0]
-            # The scheme's error is absolute, about 1e-17 here: a state of
-            # 1e-15 (deep in a clipped stretch at lam = 50, or at a node just
-            # after a clip point) has no 12 relative digits, hence the floor.
+            # The scheme's error scales with the forcing, not with the state:
+            # at lam = 50 on the two-term signal, states of 5e-8 to 3e-4 just
+            # after a clip point err by up to 3.6e-16 (a run at a sixteenth
+            # of the step matches the oracle there to 2e-17), hence the
+            # absolute floor on states.
             np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-15)
             for records in record_lists:
                 got = smooth_pass(signal, params, x0, records, step)
@@ -578,13 +581,26 @@ class TestPrefixScan:
                 np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0.0)
 
     def test_long_block_is_chunked_without_changing_the_states(self, monkeypatch):
+        # Every column the scan carries across a chunk boundary (x, p and
+        # the running integrals of x, p and sigma), densely and at records.
         import bottleneck_lab.dynamics as dynamics
 
-        signal, params = self.SIGNALS[1], SystemParams(lam=2.0)
-        whole = simulate(signal, params, 0.3, 5.0, QuadratureSpec(step=1e-3))
+        signal, lam = self.SIGNALS[1], 2.0
+        records = np.geomspace(5e-3, 5.0, 64)
+
+        def scans():
+            return (dynamics._smooth_scan(signal, lam, 0.3, [5.0], 1e-3, dense=True),
+                    dynamics._smooth_scan(signal, lam, 0.3, records, 1e-3))
+
+        whole = scans()
         monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
-        chunked = simulate(signal, params, 0.3, 5.0, QuadratureSpec(step=1e-3))
-        np.testing.assert_allclose(chunked.states, whole.states, rtol=1e-13, atol=0.0)
+        chunked = scans()
+        for got, want in zip(chunked, whole):
+            np.testing.assert_array_equal(got.t, want.t)
+            np.testing.assert_array_equal(got.weight, want.weight)
+            for field in ("x", "p", "sigma", "int_x", "int_p", "int_sigma"):
+                np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                           rtol=1e-13, atol=0.0, err_msg=field)
 
     def test_memory_is_bounded_by_the_chunk(self):
         # 2^20 steps and 64 records: the whole grid would take hundreds of
@@ -680,14 +696,17 @@ class TestFittedScheme:
     @pytest.mark.parametrize("lam, sig", [
         (1e4, ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0 * math.pi / 0.012, 0.3),))),
         (1.0, ClippedSinusoidSum(mean=0.7, terms=((1.2, 3.0, 0.4), (0.5, 3.0 * math.sqrt(2.0), 1.0)))),
+        # x near 1, where a node state at ten times the default step
+        # overshot 1 by 8.8e-8
+        (1e-9, ClippedSinusoidSum(mean=1.0, terms=((0.5, 1.0, 0.0),))),
     ])
     def test_user_step_far_above_the_default(self, monkeypatch, lam, sig):
-        # A step 100x the default is split to min(1/omega, 1/max sigma,
-        # 1/lam); the states then stay in [0, 1] up to rounding, and the
-        # run matches one at the default step.
+        # A step 100x the default is cut to the default; every state, at
+        # the nodes too, then stays in [0, 1] up to rounding, and the run is
+        # the one at the default step.
         params = SystemParams(lam=lam)
         step = 100.0 * default_step(sig, params)
-        assert numeric_step(sig, params, QuadratureSpec(step=step)) < step
+        assert numeric_step(sig, params, QuadratureSpec(step=step)) == default_step(sig, params)
         overshoot = []
         clamp = dynamics._clamp
 
@@ -702,7 +721,15 @@ class TestFittedScheme:
         assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
         got = smooth_pass(sig, params, 1.0, times, step)
         want = smooth_pass(sig, params, 1.0, times, default_step(sig, params))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("off", [OVERSHOOT_TOL, -OVERSHOOT_TOL, math.nan, math.inf])
+    def test_overshoot_beyond_rounding_fails_loudly(self, off):
+        states = np.array([0.5, 1.0 + off if off > 0.0 or math.isnan(off) else off])
+        with pytest.raises(dynamics.StepSizeError, match="left \\[0, 1\\] by"):
+            dynamics._clamp(states)
+        np.testing.assert_array_equal(dynamics._clamp(np.array([-1e-13, 0.5, 1.0 + 1e-13])),
+                                      [0.0, 0.5, 1.0])
 
 
 @st.composite

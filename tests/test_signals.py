@@ -171,17 +171,17 @@ class TestMeanOverPeriod:
         assert got == pytest.approx(1.0, abs=1e-11)
 
     def test_clip_active_mean_against_quadrature(self):
-        # max(0, 1 + 2 sin t) has mean 2/3 + sqrt(3)/pi; 50-digit mpmath
-        # quadrature of the clipped integrand, split at its kinks, is the
-        # independent route.
-        mpmath = pytest.importorskip("mpmath")
+        # max(0, 1 + 2 sin t) has mean 2/3 + sqrt(3)/pi. scipy's adaptive
+        # quadrature of the clipped integrand, split at its kinks 7 pi / 6
+        # and 11 pi / 6, is the independent route to the same value.
+        from scipy.integrate import quad
+
         sig = ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.0),))
-        with mpmath.workdps(50):
-            kinks = [0, 7 * mpmath.pi / 6, 11 * mpmath.pi / 6, 2 * mpmath.pi]
-            oracle = mpmath.quad(lambda t: max(0, 1 + 2 * mpmath.sin(t)), kinks) / (2 * mpmath.pi)
-            assert abs(oracle - (mpmath.mpf(2) / 3 + mpmath.sqrt(3) / mpmath.pi)) < 1e-45
-            oracle = float(oracle)
-        assert mean_over_period(sig) == pytest.approx(oracle, rel=1e-15, abs=1e-15)
+        closed = 2.0 / 3.0 + math.sqrt(3.0) / math.pi
+        kinks = [7.0 * math.pi / 6.0, 11.0 * math.pi / 6.0]
+        area, _ = quad(lambda t: max(0.0, 1.0 + 2.0 * math.sin(t)), 0.0, 2.0 * math.pi, points=kinks)
+        assert area / (2.0 * math.pi) == pytest.approx(closed, rel=1e-15, abs=1e-15)
+        assert mean_over_period(sig) == pytest.approx(closed, rel=1e-15, abs=1e-15)
 
     def test_scaling_is_linear_on_piecewise(self):
         rng = np.random.default_rng(9)
