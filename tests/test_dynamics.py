@@ -656,6 +656,13 @@ class TestFittedScheme:
         np.testing.assert_allclose(got[1:], want[1:], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got[0] * taus, want[0] * taus, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("m", [6, 16])
+    def test_gauss_rule_matches_numpy(self, m):
+        nodes, weights = dynamics._gauss_legendre(m)
+        x, w = np.polynomial.legendre.leggauss(m)
+        np.testing.assert_allclose(nodes, 0.5 * (x + 1.0), rtol=0.0, atol=4e-16)
+        np.testing.assert_allclose(weights, 0.5 * w, rtol=0.0, atol=4e-16)
+
     @staticmethod
     def dense_times(sig, lam=1.0, horizon=2.0 * math.pi):
         return dynamics._smooth_scan(sig, lam, 0.0, [horizon], default_step(sig, SystemParams(lam)),
