@@ -461,9 +461,9 @@ def _clamp(states: np.ndarray) -> np.ndarray:
     """Numeric-path states clamped to [0, 1]. The step cap keeps them there
     up to rounding; a state off by OVERSHOOT_TOL or more, or not finite,
     raises StepSizeError."""
-    off = np.fmax(-states, states - 1.0).max(initial=0.0)
-    if not off < OVERSHOOT_TOL:
-        raise StepSizeError(f"a numeric state left [0, 1] by {off:.3e}")
+    lo, hi = states.min(initial=0.0), states.max(initial=1.0)
+    if not (lo > -OVERSHOOT_TOL and hi < 1.0 + OVERSHOOT_TOL):
+        raise StepSizeError(f"a numeric state left [0, 1] by {max(-lo, hi - 1.0):.3e}")
     return np.clip(states, 0.0, 1.0)
 
 
