@@ -9,9 +9,14 @@ output are defined through limit-superior running averages,
 and the bound w <= lam sigma_bar / (lam + sigma_bar) still holds. A limsup
 is not computable from finite data; this module estimates it by the maximum
 of running means over the tail half of a logarithmically spaced checkpoint
-grid, and reports that window explicitly. The estimator is conservative for
-the direction of the inequality being tested and its slack is combined from
-the quadrature error bound and the 2/(lam tau_max) transient term.
+grid, and reports that window explicitly. The bound check's slack is
+proven, not a heuristic transient allowance: with s the running mean inflow
+at the checkpoint tau* where the estimate of w is attained and
+x* = s / (lam + s), the certificate below gives
+lam <x>_tau* - B(s) <= correction(tau*), and B increases in s, so the
+margin B(sigma_bar_est) - w_est is at least -max(0, correction(tau*)), less
+the quadrature error bound on the numeric path and CERTIFICATE_TOL for
+rounding.
 
 The finite-horizon certificate is the pre-limit form of the bound: for any
 horizon tau and any reference occupancy x_star,
@@ -236,13 +241,20 @@ def longrun_bound_check(
     """Compare the estimated w of `ra` with the benchmark at its estimated mean inflow.
 
     A violation is flagged only when the margin is more negative than the
-    combined estimator slack (quadrature bound plus 2/(lam tau_max), with
-    tau_max the last horizon of `ra`), so finite-horizon transients do not
-    raise false alarms. `grid` must be the one `ra` was computed with.
+    slack max(0, correction(tau*)) + quadrature bound + CERTIFICATE_TOL,
+    which bounds the margin from below (module docstring): tau* is the
+    checkpoint where w_est is attained, and the certificate's correction
+    there uses x* = s / (lam + s), s the running mean inflow at tau*.
+    `grid` must be the one `ra` was computed with.
     """
-    tau_max = float(ra.taus[-1])
+    lam = params.lam
+    j = ra.window_start + int(np.argmax(ra.mean_state[ra.window_start:]))
+    s = float(ra.cumulative_input[j] / ra.taus[j])
+    correction = _certificate_terms(lam, s / (lam + s), ra.x0, ra.taus[j], ra.states[j],
+                                    ra.cumulative_x[j], ra.cumulative_input[j])[2]
     step = dynamics.numeric_step(signal, params, grid)
-    slack = quadrature_slack(signal, params, step) + 2.0 / (params.lam * tau_max)
+    slack = (max(0.0, float(correction)) + quadrature_slack(signal, params, step)
+             + CERTIFICATE_TOL)
     bound = constant_benchmark(ra.sigma_bar_est, params)
     margin = bound - ra.w_est
     return BoundCheck(

@@ -181,11 +181,6 @@ def numeric_step(
 # Exact path: closed form at every record time, rows of signals at once
 # ---------------------------------------------------------------------------
 
-# Tables of cycles after the first are built for at most this many entries,
-# segments x (row, cycle) pairs, at a time (8 MB per table).
-_BLOCK_ENTRIES = 1 << 20
-
-
 class _Segments:
     """Per-segment terms of an (N, k) batch of levels c and durations h.
 
@@ -241,67 +236,42 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
     Rows are padded signals (`signals._pad_rows`) with one lam and one x0
     each; `record_times` is (M,), shared by the rows, or (N, M). Returns
     (states, cumulative_x, cumulative_sigma), each (N, M). Time t lies in
-    segment i of cycle c (`signals._segment_index`; aperiodic rows have
-    c = 0). Cycle 0's tables give the period map x -> a x + b, a = e^{-R},
-    its fixed point x_p = b / (1 - a), 1 - a = -expm1(-R), the orbit's
-    integral I_p and the slope p of int_0^T x in x0: cycle c starts at
-    x_p + (x0 - x_p) a^c with int x = c I_p + p (x0 - x_p)(1 - a^c)/(1 - a)
-    and int sigma = c S. Tables carry that to segment i, one partial step
-    to t. Cycle c > 0 spans the differences of its boundary sums (c-1)*T + T,
-    c*T + t_i, so each (row, cycle) pair met gets tables of those widths.
+    segment i of cycle c at the exact phase t - c*T (`signals._segment_index`;
+    aperiodic rows have c = 0 and phase t), and every cycle has the nominal
+    widths, so one set of first-cycle tables serves every record. They give
+    the period map x -> a x + b, a = e^{-R}, its fixed point x_p = b / (1 - a),
+    1 - a = -expm1(-R), the orbit's integral I_p and the slope p of
+    int_0^T x in x0: cycle c starts at x_p + (x0 - x_p) a^c with
+    int x = c I_p + p (x0 - x_p)(1 - a^c)/(1 - a) and int sigma = c S. The
+    tables carry that to segment i, and one partial step of phase - t_i to t.
     """
     lam, x0 = np.asarray(lam, dtype=float), np.asarray(x0, dtype=float)
-    cycle, seg = _segment_index(breakpoints, periodic, record_times)
-    first = _SegmentTables(levels, np.diff(breakpoints, axis=1), lam)
-    end = np.count_nonzero(first.h > 0.0, axis=0), np.arange(len(levels))   # period ends
-    rate = np.cumsum(first.rh, axis=0)[-1]
+    cycle, seg, phase = _segment_index(breakpoints, periodic, record_times)
+    tab = _SegmentTables(levels, np.diff(breakpoints, axis=1), lam)
+    end = np.count_nonzero(tab.h > 0.0, axis=0), np.arange(len(levels))   # period ends
+    rate = np.cumsum(tab.rh, axis=0)[-1]
     one_minus_a = -np.expm1(-rate)
     # R is 0 only when every r h underflows, and then b is 0 too.
-    x_p = first.Q[end] / np.maximum(one_minus_a, math.ulp(0.0))
-    p = first.V[end]
-    i_p = first.U[end] + p * x_p
+    x_p = tab.Q[end] / np.maximum(one_minus_a, math.ulp(0.0))
+    p = tab.V[end]
+    i_p = tab.U[end] + p * x_p
 
     c, i = cycle.ravel(), seg.ravel()
     row = np.repeat(np.arange(len(levels)), cycle.shape[1])
-    t = np.broadcast_to(record_times, cycle.shape).ravel()
     delta = (x0 - x_p)[row]
     ratio = np.divide(-np.expm1(-c * rate[row]), one_minus_a[row], out=c.copy(),
                       where=one_minus_a[row] > 0.0)
     start_x = np.where(c > 0, x_p[row] + delta * np.exp(-c * rate[row]), x0[row])
-    start_ix = c * i_p[row] + p[row] * delta * ratio
-    start_is = c * first.S[end][row]
-    out = np.empty((3, c.size))
-
-    def finish(tab, bounds, col, e):     # entries e, by column col of the tables
-        ie, x_c = i[e], start_x[e]
-        x = tab.P[ie, col] * x_c + tab.Q[ie, col]
-        int_x = start_ix[e] + tab.U[ie, col] + tab.V[ie, col] * x_c
-        span = t[e] - bounds[col, ie]
-        x_inf = tab.x_inf[ie, col]
-        rs = tab.r[ie, col] * span
-        g = -np.expm1(-rs)
-        w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
-        out[0, e] = np.clip(x_inf + (x - x_inf) * np.exp(-rs), 0.0, 1.0)
-        out[1, e] = int_x + x_inf * span + (x - x_inf) * w
-        out[2, e] = start_is[e] + tab.S[ie, col] + tab.c[ie, col] * span
-
-    e = np.flatnonzero(c == 0)
-    finish(first, breakpoints, row[e], e)
-    # Later pairs are runs of equal (row, cycle): one per cycle met when
-    # the record times are sorted.
-    later = np.flatnonzero(c > 0)
-    opens = np.ones(later.size, dtype=bool)
-    opens[1:] = (row[later[1:]] != row[later[:-1]]) | (c[later[1:]] != c[later[:-1]])
-    starts = np.append(np.flatnonzero(opens), later.size)
-    chunk = max(1, _BLOCK_ENTRIES // (levels.shape[1] + 1))
-    for j in range(0, starts.size - 1, chunk):
-        run = slice(starts[j], starts[min(j + chunk, starts.size - 1)])
-        e, pair = later[run], np.cumsum(opens[run]) - 1
-        prow, pcycle = row[e][opens[run]], c[e][opens[run]][:, None]
-        period = breakpoints[prow, -1:]
-        bounds = np.concatenate(((pcycle - 1) * period + period,
-                                 pcycle * period + breakpoints[prow, 1:]), axis=1)
-        finish(_SegmentTables(levels[prow], np.diff(bounds, axis=1), lam[prow]), bounds, pair, e)
+    x = tab.P[i, row] * start_x + tab.Q[i, row]
+    int_x = c * i_p[row] + p[row] * delta * ratio + tab.U[i, row] + tab.V[i, row] * start_x
+    span = phase.ravel() - breakpoints[row, i]
+    x_inf = tab.x_inf[i, row]
+    rs = tab.r[i, row] * span
+    g = -np.expm1(-rs)
+    w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
+    out = (np.clip(x_inf + (x - x_inf) * np.exp(-rs), 0.0, 1.0),
+           int_x + x_inf * span + (x - x_inf) * w,
+           c * tab.S[end][row] + tab.S[i, row] + tab.c[i, row] * span)
     return tuple(a.reshape(cycle.shape) for a in out)
 
 
@@ -581,16 +551,28 @@ def smooth_pass(
 def _merge_record_grid(pw: PiecewiseConstant, horizon: float, record_step: float) -> np.ndarray:
     """Union of segment boundaries and a uniform grid on [0, horizon].
 
-    Boundaries are the sums c*T + t_i that `signals._segment_index` reads;
-    every cycle with c*T < horizon is among the ceil(horizon / T) + 1 rows
-    of the table.
+    Each boundary c*T + t_i is the first double that `signals._segment_index`
+    places in the segment starting there. The rounded sum is within an ulp
+    of it, so one step up (where the sum is placed in the segment before)
+    and one step down (where the double below is not) find it. Every cycle
+    with c*T < horizon is among the ceil(horizon / T) + 1 rows of the table.
     """
     n = max(1, round(horizon / record_step))
     uniform = np.linspace(0.0, horizon, n + 1)
     bounds = np.asarray(pw.breakpoints[1:])
     if pw.periodic:
         cycles = np.arange(math.ceil(horizon / pw.duration) + 1)
-        bounds = np.add.outer(cycles * pw.duration, bounds).ravel()
+        bounds = np.add.outer(cycles * pw.duration, bounds)
+        rows = _pad_rows([pw])[1:]
+
+        def early(t):       # placed before the segment that starts at its boundary
+            cycle, _, phase = _segment_index(*rows, t.reshape(1, -1))
+            return ((cycle.reshape(t.shape) == cycles[:, None])
+                    & (phase.reshape(t.shape) < pw.breakpoints[1:]))
+
+        bounds = np.where(early(bounds), np.nextafter(bounds, math.inf), bounds)
+        below = np.nextafter(bounds, -math.inf)
+        bounds = np.where(early(below), bounds, below).ravel()
     return np.union1d(uniform, bounds[bounds < horizon])
 
 

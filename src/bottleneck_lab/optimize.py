@@ -301,16 +301,21 @@ def _grid_array(family: WaveformFamily, target_mean: float, resolution: int) -> 
     BangBang rows are feasible (p1, p2, duty) points; free-family rows are raw
     levels that still have to be projected onto the target mean.
     """
-    if isinstance(family, BangBang):
-        duties = np.linspace(0.0, 1.0, resolution + 2)[1:-1]
-        lows = np.linspace(0.0, target_mean, resolution)
-        duty, p1 = (a.ravel() for a in np.meshgrid(duties, lows, indexing="ij"))
-        p2 = (target_mean - (1.0 - duty) * p1) / duty
-        # p2 >= p1 holds exactly for p1 <= mean; shave rounding dust
-        return np.column_stack((p1, np.maximum(p1, p2), duty))
-    axis = np.linspace(0.0, family.n_segments * target_mean, resolution)
-    mesh = np.meshgrid(*[axis] * family.n_segments, indexing="ij")
-    return np.column_stack([a.ravel() for a in mesh])
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow is caught below
+        if isinstance(family, BangBang):
+            duties = np.linspace(0.0, 1.0, resolution + 2)[1:-1]
+            lows = np.linspace(0.0, target_mean, resolution)
+            duty, p1 = (a.ravel() for a in np.meshgrid(duties, lows, indexing="ij"))
+            p2 = (target_mean - (1.0 - duty) * p1) / duty
+            # p2 >= p1 holds exactly for p1 <= mean; shave rounding dust
+            grid = np.column_stack((p1, np.maximum(p1, p2), duty))
+        else:
+            axis = np.linspace(0.0, family.n_segments * target_mean, resolution)
+            mesh = np.meshgrid(*[axis] * family.n_segments, indexing="ij")
+            grid = np.column_stack([a.ravel() for a in mesh])
+    if not np.isfinite(grid).all():
+        raise _non_finite(family, target_mean)
+    return grid
 
 
 def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float, lam: float):

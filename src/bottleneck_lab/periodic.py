@@ -364,7 +364,7 @@ def gap_report(
     x_star = (s / period) / (lam + s / period)
     rate_w = (lam + scan.sigma) * scan.weight          # Gauss weights, 0 at step boundaries
     dev = xp - x_star
-    m1, m2, gap = (np.dot(rate_w, y)[None] for y in (xp, xp * xp, dev * dev))
+    m1, m2, gap = ((rate_w @ y)[None] for y in (xp, xp * xp, dev * dev))
     return _reports(SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
                                     i_p=traj.cumulative_x[-1:], m1=m1, m2=m2, gap=gap))[0]
 

@@ -12,7 +12,10 @@ and `ClippedSinusoidSum`, which it integrates numerically. `Constant` and
 `Sampled` are not kinds of their own: they build a `PiecewiseConstant`
 (one segment of nominal length `period`; one segment per sample on the
 breakpoints i * step). The module also provides point evaluation,
-periodicity detection and exact period averages. A clipped sum is smooth
+periodicity detection and exact period averages. A periodic
+`PiecewiseConstant` places each time once, as a whole cycle plus its exact
+phase (`_segment_index`), so every cycle has the nominal segment widths,
+however far out in time it lies. A clipped sum is smooth
 between its clip points, the zeros of f = mean + sum A sin(omega t + phi):
 `_cut_at_clip_points` cuts time at them and `_unclipped_integral`
 integrates f in closed form, so the period mean and the numeric path's
@@ -293,43 +296,34 @@ def _pad_rows(signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _segment_index(
     breakpoints: np.ndarray, periodic: np.ndarray, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle and segment that hold each time, as `dynamics.exact_pass` reads them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycle, segment and phase of each time, as `dynamics.exact_pass` reads them.
 
     `breakpoints` and `periodic` are padded rows (`_pad_rows`); `ts` is
-    (N, M), or (M,) shared by every row. Segments are left-closed. The
-    boundaries of cycle c lie at the sums c*T + t_i (i = 1..k), so cycle
-    c + 1 starts at c*T + t_k, which can differ from (c + 1)*T in the last
-    bit; reducing t modulo T misplaces such times. Here each time is
-    compared with these boundary sums, starting from the cycle floor(t / T)
-    and moving one cycle at a time until the time lies inside it.
-    Aperiodic rows have cycle 0 and hold their last segment.
+    (N, M), or (M,) shared by every row. A periodic row places t >= 0 once,
+    as a whole cycle c and the exact phase t - c*T in [0, T): `np.divmod`
+    takes the phase from fmod, which is exact in IEEE arithmetic, and c from
+    the exact multiple t - phase. The phase is bisected against the row's
+    own breakpoints, so every cycle has the nominal widths; segments are
+    left-closed. Aperiodic rows have cycle 0, phase t, and hold their last
+    segment.
     """
     ts = np.broadcast_to(ts, (breakpoints.shape[0], np.shape(ts)[-1]))
     if not np.all(np.isfinite(ts[periodic])):
         raise SignalError("evaluation times must be finite")
-    period = breakpoints[:, -1:]
+    cycle, phase = np.divmod(np.where(periodic[:, None], ts, 0.0), breakpoints[:, -1:])
+    phase = np.where(periodic[:, None], phase, ts)
     K = breakpoints.shape[1] - 1
     rows = np.arange(breakpoints.shape[0])[:, None]
-    cycle = np.where(periodic[:, None], np.floor(ts / period), 0.0)
-    while True:
-        # Boundaries of the cycle at or below t, by bisection: the sums
-        # c*T + t_i do not decrease with i, padding included.
-        lo = np.zeros(ts.shape, dtype=np.intp)
-        hi = np.full(ts.shape, K)
-        for _ in range(K.bit_length()):
-            mid = (lo + hi) // 2
-            edge = breakpoints[rows, np.minimum(mid, K - 1) + 1]
-            below = (lo < hi) & (cycle * period + edge <= ts)
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(below, hi, mid)
-        late = (lo == K) & periodic[:, None]
-        early = (lo == 0) & (cycle > 0) & ((cycle - 1) * period + period > ts)
-        if not (late.any() or early.any()):
-            break
-        cycle = cycle + late - early
+    lo = np.zeros(ts.shape, dtype=np.intp)
+    hi = np.full(ts.shape, K)
+    for _ in range(K.bit_length()):
+        mid = (lo + hi) // 2
+        below = (lo < hi) & (breakpoints[rows, np.minimum(mid, K - 1) + 1] <= phase)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
     last = np.count_nonzero(np.diff(breakpoints, axis=1) > 0.0, axis=1) - 1
-    return cycle, np.where(periodic[:, None], lo, np.minimum(lo, last[:, None]))
+    return cycle, np.minimum(lo, last[:, None]), phase
 
 
 def evaluate_array(signal: InputSignal, ts: np.ndarray) -> np.ndarray:
@@ -337,7 +331,7 @@ def evaluate_array(signal: InputSignal, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if isinstance(signal, PiecewiseConstant):
         levels, bps, periodic = _pad_rows([signal])
-        _, index = _segment_index(bps, periodic, ts.reshape(1, -1))
+        index = _segment_index(bps, periodic, ts.reshape(1, -1))[1]
         return levels[0, index[0]].reshape(ts.shape)
     return np.maximum(_unclipped(signal, ts), 0.0)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bottleneck_lab.asymptotic import (
+    CERTIFICATE_TOL,
     averages_to_csv,
     default_tau_max,
     finite_horizon_certificates,
@@ -109,10 +110,46 @@ class TestLongrunBound:
         assert w_last <= constant_benchmark(1.0, P1) + 1e-9
 
     def test_constant_margin_collapses(self):
-        chk = longrun_bound_check(
-            Constant(1.0), P1, running_averages(Constant(1.0), P1, 0.0, 2000.0))
+        # From x0 = 0, below x* = 1/2, the transient only lowers lam <x>: the
+        # margin is positive and at most |x0 - x*| / tau_max.
+        ra = running_averages(Constant(1.0), P1, 0.0, 2000.0)
+        chk = longrun_bound_check(Constant(1.0), P1, ra)
         assert not chk.violated
-        assert abs(chk.margin) <= chk.slack
+        assert 0.0 <= chk.margin <= abs(0.0 - 0.5) / ra.taus[-1]
+
+    @pytest.mark.parametrize("signal, lam", [
+        (Constant(0.0), 100.0),
+        (Constant(0.0), 1.0),
+        (PiecewiseConstant((0.0, 1.0), (0.0,)), 5.0),
+        (TWO_LEVEL, 1.0),
+        (PiecewiseConstant((0.0, 0.5, 3.0), (4.0, 0.0), periodic=False), 2.0),
+        (TWO_TONE, 1.0),
+    ])
+    def test_start_above_the_orbit_is_within_the_proven_slack(self, signal, lam):
+        # From x0 = 1 the transient raises lam <x>_tau by about 1/tau at
+        # every lam, far above a 2/(lam tau_max) allowance. The slack is
+        # max(0, correction(tau*)) + quadrature bound + CERTIFICATE_TOL, with
+        # tau* the checkpoint where w_est is attained.
+        params = SystemParams(lam=lam)
+        ra = running_averages(signal, params, 1.0, default_tau_max(signal, params))
+        chk = longrun_bound_check(signal, params, ra)
+        j = ra.window_start + int(np.argmax(ra.mean_state[ra.window_start:]))
+        s = ra.mean_input[j]
+        cert = finite_horizon_certificates(signal, params, ra, sigma_bar=s)[j]
+        step = default_step(signal, params) if isinstance(signal, ClippedSinusoidSum) else None
+        want = max(0.0, cert.correction) + quadrature_slack(signal, params, step) + CERTIFICATE_TOL
+        assert chk.slack == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert not chk.violated
+        assert -chk.slack <= chk.margin
+
+    def test_start_on_the_fixed_point_is_not_a_violation(self):
+        # x0 = x* = 2/3 under constant inflow 2: the margin is rounding,
+        # -1.1e-16, and the correction is 0, so CERTIFICATE_TOL carries it.
+        params = SystemParams(lam=1.0)
+        ra = running_averages(Constant(2.0), params, 2.0 / 3.0, 1000.0)
+        chk = longrun_bound_check(Constant(2.0), params, ra)
+        assert chk.margin < 0.0
+        assert not chk.violated
 
     def test_two_tone_never_violates_beyond_slack(self):
         chk = longrun_bound_check(TWO_TONE, P1, running_averages(TWO_TONE, P1, 0.0, 2000.0))

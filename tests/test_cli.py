@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import stat
 import threading
 
@@ -289,6 +290,26 @@ class TestAsymptoticCommand:
         assert capsys.readouterr().out == (tmp_path / "t.csv").read_text()
 
 
+    @pytest.mark.parametrize("config", [
+        {"signal": {"kind": "constant", "level": 0.0}, "lambda": 100.0, "x0": 1.0},
+        {"signal": {"kind": "constant", "level": 0.0}, "lambda": 1.0, "x0": 1.0},
+        {"signal": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0], "levels": [0.0]},
+         "lambda": 5.0, "x0": 1.0},
+        # x0 = x* = s / (lam + s): the margin is rounding, below 0
+        {"signal": {"kind": "constant", "level": 2.0}, "lambda": 1.0, "x0": 2.0 / 3.0},
+    ])
+    def test_inputs_that_meet_the_bound_exit_0(self, tmp_path, capsys, config):
+        # The long-run w of each is the bound; a start above the orbit adds
+        # a transient of about 1/tau to w_est at any lam.
+        cfg = write_json(tmp_path / "cfg.json", {**config, "out": str(tmp_path / "t.csv")})
+        assert main(["asymptotic", "--config", cfg]) == 0
+        summary = re.fullmatch(
+            r"sigma_bar_est = \S+, w_est = \S+, bound = \S+, margin = (\S+) \(slack (\S+)\)\n",
+            capsys.readouterr().err)
+        margin, slack = (float(v) for v in summary.groups())
+        assert margin + slack >= 0.0
+
+
 class TestOptimizeCommand:
     def test_single_segment_family_gap_zero(self, tmp_path):
         out = tmp_path / "res.json"
@@ -325,13 +346,14 @@ class TestOptimizeCommand:
         assert res["best"]["optimality_gap"] >= -1e-9
         assert res["max_excess_over_benchmark"] <= 1e-9
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family, name", [
         ({"kind": "piecewise_free", "period": 1.0, "n_segments": 2}, "PiecewiseConstantFree"),
         ({"kind": "bang_bang", "period": 1.0}, "BangBang"),
     ])
     def test_overflowing_mean_exits_2_before_writing(self, tmp_path, capsys, family, name):
-        # n_segments * mean, or mean / duty, overflows to inf and w to NaN
+        # n_segments * mean, or mean / duty, overflows to inf: the grid is
+        # refused before numpy warns about it, so stderr is the error line.
         cfg = write_json(tmp_path / "cfg.json", {
             "family": family, "lambda": 1.0, "mean": 1e308,
             "out": str(tmp_path / "res.json"), "log": str(tmp_path / "log.csv"),
@@ -339,6 +361,7 @@ class TestOptimizeCommand:
         assert main(["optimize", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: averaged output is not finite at mean 1e+308 on " + name)
+        assert err.count("\n") == 1
         assert not (tmp_path / "res.json").exists()
         assert not (tmp_path / "log.csv").exists()
 

@@ -1,5 +1,7 @@
+import bisect
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,13 @@ from bottleneck_lab.signals import (
 )
 
 TWO_LEVEL = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0))
+
+
+def rational_level(sig, t):
+    """The level at t by exact rational placement: the phase Fraction(t) mod T,
+    looked up among the breakpoints (segments are left-closed)."""
+    phase = Fraction(t) % Fraction(sig.duration)
+    return sig.levels[bisect.bisect_right(sig.breakpoints, phase) - 1]
 
 
 class TestConstruction:
@@ -92,17 +101,17 @@ class TestEvaluate:
         np.testing.assert_array_equal(evaluate_array(sig, ts), evaluate_array(pw, ts))
 
     def test_level_at_the_walks_boundaries(self):
-        # The exact walk puts the boundaries of cycle c at c*T + t_i, and
-        # starts cycle c + 1 at c*T + t_k, which is not always the double
-        # nearest (c + 1)*T. At each boundary the level of the segment that
-        # starts there holds; just below it, the level of the one that ends.
+        # The boundary sums c*T + t_i round to an ulp of c*T, so a sum, or
+        # the double just below it, can lie on either side of the boundary
+        # it names. Each time holds the level of the segment that its exact
+        # phase t mod T lies in, and both levels occur on both sides.
         sig = PiecewiseConstant((0.0, 1e-3, 2e-3), (3.0, 0.0))
         T = sig.duration
         at = np.array([c * T + b for c in range(10_000) for b in sig.breakpoints[1:]])
-        starting = np.tile([0.0, 3.0], 10_000)
-        np.testing.assert_array_equal(evaluate_array(sig, at), starting)
-        np.testing.assert_array_equal(evaluate_array(sig, np.nextafter(at, 0.0)),
-                                      np.tile([3.0, 0.0], 10_000))
+        for ts in (at, np.nextafter(at, 0.0)):
+            got = evaluate_array(sig, ts)
+            np.testing.assert_array_equal(got, [rational_level(sig, t) for t in ts.tolist()])
+            assert set(got.tolist()) == {0.0, 3.0}
 
     def test_non_negativity_random_probe(self):
         rng = np.random.default_rng(11)
@@ -327,8 +336,8 @@ class TestSchemaProperties:
     @given(piecewise_dicts(), st.integers(0, 9_999))
     def test_level_at_each_boundary_of_the_walk(self, data, cycle):
         sig = signal_from_dict({**data, "periodic": True})
-        T, k = sig.duration, len(sig.levels)
-        for i, b in enumerate(sig.breakpoints[1:], start=1):
+        T = sig.duration
+        for b in sig.breakpoints[1:]:
             t = cycle * T + b
-            assert evaluate_array(sig, [t])[0] == sig.levels[i % k]
-            assert evaluate_array(sig, [float(np.nextafter(t, 0.0))])[0] == sig.levels[i - 1]
+            for s in (t, float(np.nextafter(t, 0.0))):
+                assert evaluate_array(sig, [s])[0] == rational_level(sig, s)
