@@ -16,7 +16,6 @@ from .signals import (
     InputSignal,
     NonPeriodicSignalError,
     PiecewiseConstant,
-    QuadratureSpec,
     Sampled,
     SignalError,
     SystemParams,
@@ -70,9 +69,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClippedSinusoidSum", "Constant", "InputSignal", "NonPeriodicSignalError",
-    "PiecewiseConstant", "QuadratureSpec", "Sampled", "SignalError",
-    "SystemParams", "evaluate_array", "is_periodic", "max_level",
-    "mean_over_period", "period_of", "signal_from_dict", "signal_to_dict",
+    "PiecewiseConstant", "Sampled", "SignalError", "SystemParams",
+    "evaluate_array", "is_periodic", "max_level", "mean_over_period",
+    "period_of", "signal_from_dict", "signal_to_dict",
     "DomainError", "StepSizeError", "Trajectory", "default_step",
     "simulate", "trajectory_to_csv",
     "PeriodicReport", "PoincareMap", "constant_benchmark",

@@ -46,7 +46,6 @@ from . import dynamics
 from .signals import (
     ClippedSinusoidSum,
     InputSignal,
-    QuadratureSpec,
     SystemParams,
     is_periodic,
     max_frequency,
@@ -142,8 +141,8 @@ class IndependenceCheck:
     bound: float
 
 
-def _pass(signal, params, x0, times, grid: QuadratureSpec | None):
-    step = dynamics.numeric_step(signal, params, grid)
+def _pass(signal, params, x0, times):
+    step = dynamics.numeric_step(signal, params)
     if step is not None:
         return dynamics.smooth_pass(signal, params, x0, times, step)
     return dynamics.exact_pass(signal, params, x0, times)
@@ -164,23 +163,23 @@ def default_tau_max(signal: InputSignal, params: SystemParams) -> float:
 _STIRLING_7 = (1, 63, 301, 350, 140, 21, 1)
 
 
-def quadrature_slack(signal: InputSignal, params: SystemParams, step: float | None) -> float:
+def quadrature_slack(signal: InputSignal, params: SystemParams) -> float:
     """Bound on the numeric path's error in lam (1/tau) int_0^tau x, at any tau.
 
     Zero on piecewise-constant inflow, where the running integrals are
-    closed-form exact and `step` may be None (`dynamics.numeric_step`).
-    On a step of at most h the six-node interpolant of G = sigma e^S errs by
-    at most eps_G = 6!/12! h^6 max|G^(6)|. Since |sigma^(k)| <= s w^k
-    (s = max sigma, w = omega_max), G^(6) = (e^S)^(7) is bounded by
-    e^{s h} sum_k S(7, k) s^k w^(7-k). Each step adds at most h eps_G to the
-    state, and the step maps contract by e^{-lam h}, so states stay within
-    h eps_G / (1 - e^{-lam h}) <= eps_G (1/lam + h), node states within
-    h eps_G more, and lam (1/tau) int x within eps_G (1 + 2 lam h).
-    Rounding is not included.
+    closed-form exact. Every pass of this module takes steps of at most
+    h = `dynamics.default_step`, on which the six-node interpolant of
+    G = sigma e^S errs by at most eps_G = 6!/12! h^6 max|G^(6)|. Since
+    |sigma^(k)| <= s w^k (s = max sigma, w = omega_max), G^(6) = (e^S)^(7)
+    is bounded by e^{s h} sum_k S(7, k) s^k w^(7-k). Each step adds at most
+    h eps_G to the state, and the step maps contract by e^{-lam h}, so
+    states stay within h eps_G / (1 - e^{-lam h}) <= eps_G (1/lam + h), node
+    states within h eps_G more, and lam (1/tau) int x within
+    eps_G (1 + 2 lam h). Rounding is not included.
     """
     if not isinstance(signal, ClippedSinusoidSum):
         return 0.0
-    h = min(step, dynamics.default_step(signal, params))
+    h = dynamics.default_step(signal, params)
     s_h, w_h = max_level(signal) * h, max_frequency(signal) * h
     g6_h7 = math.exp(s_h) * sum(c * s_h ** k * w_h ** (7 - k)
                                 for k, c in enumerate(_STIRLING_7, start=1))
@@ -195,7 +194,6 @@ def running_averages(
     tau_max: float,
     n_checkpoints: int = DEFAULT_CHECKPOINTS,
     checkpoints: np.ndarray | None = None,
-    grid: QuadratureSpec | None = None,
 ) -> RunningAverages:
     """Single forward pass recording running means at the checkpoints.
 
@@ -216,7 +214,7 @@ def running_averages(
         if checkpoints.size < 2 or np.any(np.diff(checkpoints) <= 0.0) or checkpoints[0] <= 0.0:
             raise dynamics.DomainError("checkpoints must be positive and increasing")
     x0 = dynamics._check_occupancy(x0)
-    states, cum_x, cum_s = _pass(signal, params, x0, checkpoints, grid)
+    states, cum_x, cum_s = _pass(signal, params, x0, checkpoints)
     window_start = checkpoints.size // 2
     sigma_bar_est = float(np.max((cum_s / checkpoints)[window_start:]))
     w_est = params.lam * float(np.max((cum_x / checkpoints)[window_start:]))
@@ -232,12 +230,8 @@ def running_averages(
     )
 
 
-def longrun_bound_check(
-    signal: InputSignal,
-    params: SystemParams,
-    ra: RunningAverages,
-    grid: QuadratureSpec | None = None,
-) -> BoundCheck:
+def longrun_bound_check(signal: InputSignal, params: SystemParams,
+                        ra: RunningAverages) -> BoundCheck:
     """Compare the estimated w of `ra` with the benchmark at its estimated mean inflow.
 
     A violation is flagged only when the margin is more negative than the
@@ -245,16 +239,13 @@ def longrun_bound_check(
     which bounds the margin from below (module docstring): tau* is the
     checkpoint where w_est is attained, and the certificate's correction
     there uses x* = s / (lam + s), s the running mean inflow at tau*.
-    `grid` must be the one `ra` was computed with.
     """
     lam = params.lam
     j = ra.window_start + int(np.argmax(ra.mean_state[ra.window_start:]))
     s = float(ra.cumulative_input[j] / ra.taus[j])
     correction = _certificate_terms(lam, s / (lam + s), ra.x0, ra.taus[j], ra.states[j],
                                     ra.cumulative_x[j], ra.cumulative_input[j])[2]
-    step = dynamics.numeric_step(signal, params, grid)
-    slack = (max(0.0, float(correction)) + quadrature_slack(signal, params, step)
-             + CERTIFICATE_TOL)
+    slack = max(0.0, float(correction)) + quadrature_slack(signal, params) + CERTIFICATE_TOL
     bound = constant_benchmark(ra.sigma_bar_est, params)
     margin = bound - ra.w_est
     return BoundCheck(
@@ -316,7 +307,6 @@ def solution_independence_check(
     x0_a: float,
     x0_b: float,
     tau: float,
-    grid: QuadratureSpec | None = None,
 ) -> IndependenceCheck:
     """Compare running means from two starts against |dx0| / (lam tau)."""
     if tau <= 0.0:
@@ -324,8 +314,8 @@ def solution_independence_check(
     x0_a = dynamics._check_occupancy(x0_a)
     x0_b = dynamics._check_occupancy(x0_b)
     times = np.asarray([tau])
-    _, cum_a, _ = _pass(signal, params, x0_a, times, grid)
-    _, cum_b, _ = _pass(signal, params, x0_b, times, grid)
+    _, cum_a, _ = _pass(signal, params, x0_a, times)
+    _, cum_b, _ = _pass(signal, params, x0_b, times)
     avg_diff = abs(float(cum_a[0]) - float(cum_b[0])) / tau
     bound = abs(x0_a - x0_b) / (params.lam * tau)
     return IndependenceCheck(x0_a=x0_a, x0_b=x0_b, tau=tau, avg_diff=avg_diff, bound=bound)

@@ -26,12 +26,7 @@ import sys
 import numpy as np
 
 from . import asymptotic, dynamics, optimize, periodic, suites
-from .signals import (
-    QuadratureSpec,
-    SignalError,
-    SystemParams,
-    signal_from_dict,
-)
+from .signals import SignalError, SystemParams, signal_from_dict
 
 __all__ = ["main", "ConfigError"]
 
@@ -43,7 +38,7 @@ BENCHMARK_EXCESS_TOL = 1e-9
 
 _ALLOWED_KEYS = {
     "simulate": {"signal", "lambda", "x0", "horizon", "step", "out"},
-    "periodic": {"signal", "lambda", "step", "out", "format"},
+    "periodic": {"signal", "lambda", "out", "format"},
     "verify": {"seed", "n_signals", "n_asymptotic", "tolerance", "out", "cases"},
     "asymptotic": {"signal", "lambda", "x0", "tau_max", "n_checkpoints", "out"},
     "optimize": {"family", "lambda", "mean", "resolution", "n_starts", "seed",
@@ -112,11 +107,6 @@ def _positive_float(value, name: str) -> float:
     return value
 
 
-def _step(cfg: dict) -> QuadratureSpec | None:
-    step = cfg.get("step")
-    return None if step is None else QuadratureSpec(step=_positive_float(step, "step"))
-
-
 @contextlib.contextmanager
 def _open_output(path: str | None):
     """The text stream for an `out` or `log` key: stdout for None or "-".
@@ -151,7 +141,9 @@ def _cmd_simulate(cfg: dict) -> int:
     params = SystemParams(lam=_positive_float(_require(cfg, "lambda", "simulate"), "lambda"))
     horizon = _positive_float(_require(cfg, "horizon", "simulate"), "horizon")
     x0 = _number(float, cfg.get("x0", 0.0), "x0")
-    traj = dynamics.simulate(signal, params, x0, horizon, _step(cfg))
+    step = cfg.get("step")
+    step = None if step is None else _positive_float(step, "step")
+    traj = dynamics.simulate(signal, params, x0, horizon, step=step)
     with _open_output(cfg.get("out")) as fh:
         dynamics.trajectory_to_csv(traj, signal, fh)
     print(f"simulated to t={horizon!r}: final x = {traj.final_state!r}", file=sys.stderr)
@@ -161,14 +153,13 @@ def _cmd_simulate(cfg: dict) -> int:
 def _cmd_periodic(cfg: dict) -> int:
     signal = _load_signal(_require(cfg, "signal", "periodic"), "periodic")
     params = SystemParams(lam=_positive_float(_require(cfg, "lambda", "periodic"), "lambda"))
-    grid = _step(cfg)
     fmt = cfg.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"periodic: unknown format {fmt!r} (expected json or csv)")
-    report = periodic.gap_report(signal, params, grid)
+    report = periodic.gap_report(signal, params)
     if fmt == "json":
         _write_json(cfg.get("out"), periodic.report_to_json_dict(
-            signal, params, report, dynamics.numeric_step(signal, params, grid)))
+            signal, params, report, dynamics.numeric_step(signal, params)))
     else:
         with _open_output(cfg.get("out")) as fh:
             periodic.reports_to_csv([(signal, params, report)], fh)

@@ -40,15 +40,16 @@ them one at a time in Python.
   int p are Gauss sums of the node states.
 
   The step is set by accuracy: `default_step` is
-  min(0.1/omega_max, 0.1/max sigma, 1/lam), and it caps every step, so a
-  user step only refines it: each gap between record times is split into
-  equal steps no larger than either. The 1/lam term keeps lam h <= 1,
-  where the six fitted end weights are positive (they turn negative past
-  lam h of about 8). The other two keep the interpolated forcing accurate
-  to rounding at the nodes too: a node state is the interpolant integrated
-  over only part of the step, so it errs by O(h^7), not the O(h^13) of the
-  step end, and at ten times the default step a state near 1 overshoots
-  it by up to 1e-7. `numeric_step` reports the step taken.
+  min(0.1/omega_max, 0.1/max sigma, 1/lam), and each gap between record
+  times is split into equal steps no larger than it. The 1/lam term keeps
+  lam h <= 1, where the six fitted end weights are positive (they turn
+  negative past lam h of about 8). The other two keep the interpolated
+  forcing accurate to rounding at the nodes too: a node state is the
+  interpolant integrated over only part of the step, so it errs by O(h^7),
+  not the O(h^13) of the step end, and at ten times the default step a
+  state near 1 overshoots it by up to 1e-7. The periodic and asymptotic
+  modules always take it (`numeric_step`); a `step` given to `simulate` or
+  `smooth_pass` can only refine it.
 
 States live in [0, 1] by the model's premise. The numeric path keeps them
 there up to rounding and clamps that rounding (`_clamp`); a larger
@@ -67,7 +68,6 @@ from .signals import (
     ClippedSinusoidSum,
     InputSignal,
     PiecewiseConstant,
-    QuadratureSpec,
     SignalError,
     SystemParams,
     _cut_at_clip_points,
@@ -146,7 +146,7 @@ def _check_occupancy(x0: float) -> float:
 def default_step(signal: InputSignal, params: SystemParams) -> float:
     """Step of the numeric path, set by accuracy: min(0.1/omega_max, 0.1/max sigma, 1/lam).
 
-    It is also the largest step the path takes, a user's too. A step resolves
+    It is also the largest step the path takes. A step resolves
     a tenth of a radian of the fastest term and moves int sigma by at most
     0.1, where six nodes interpolate the forcing to rounding at the nodes as
     well as at the step end; the 1/lam term keeps lam h <= 1, where the
@@ -163,18 +163,12 @@ def _step_bound(signal: InputSignal, lam: float) -> float:
     return min(0.1 / rate, 1.0 / lam) if rate > 0.0 else 1.0 / lam
 
 
-def numeric_step(
-    signal: InputSignal, params: SystemParams, grid: QuadratureSpec | None = None
-) -> float | None:
-    """Largest step the numeric path takes on this input: `default_step`, or
-    `grid.step` where that is smaller; steps are further cut at clip points.
-
-    None for piecewise-constant input, which is propagated exactly.
+def numeric_step(signal: InputSignal, params: SystemParams) -> float | None:
+    """Step the numeric path takes on this input, `default_step` (further
+    cut at clip points); None for piecewise-constant input, which is
+    propagated exactly.
     """
-    if not isinstance(signal, ClippedSinusoidSum):
-        return None
-    step = default_step(signal, params)
-    return step if grid is None or grid.step is None else min(grid.step, step)
+    return default_step(signal, params) if isinstance(signal, ClippedSinusoidSum) else None
 
 
 # ---------------------------------------------------------------------------
@@ -581,26 +575,26 @@ def simulate(
     params: SystemParams,
     x0: float,
     horizon: float,
-    grid: QuadratureSpec | None = None,
+    step: float | None = None,
 ) -> Trajectory:
     """Solve the model forward on [0, horizon] from occupancy x0.
 
     Piecewise-constant inflow is propagated exactly through the union of
-    segment boundaries and recording grid points; smooth inflow uses the
-    fixed-step numeric integrator (step from `numeric_step`).
+    segment boundaries and a recording grid of spacing `step` (default
+    horizon / 1000); smooth inflow is recorded at every step and node of
+    the numeric path, whose step is `default_step` or a smaller `step`.
     """
     x0 = _check_occupancy(x0)
     if horizon <= 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    grid = grid or QuadratureSpec()
-
-    step = numeric_step(signal, params, grid)
-    if step is not None:
-        scan = _smooth_scan(signal, params.lam, x0, [horizon], step, dense=True)
+    if step is not None and not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step!r}")
+    default = numeric_step(signal, params)
+    if default is not None:
+        scan = _smooth_scan(signal, params.lam, x0, [horizon], step or default, dense=True)
         return Trajectory(scan.t, scan.x, scan.int_x)
 
-    record_step = grid.resolve(horizon / _RECORD_POINTS)
-    times = _merge_record_grid(signal, horizon, record_step)
+    times = _merge_record_grid(signal, horizon, step or horizon / _RECORD_POINTS)
     states, cum_x, _ = exact_pass(signal, params, x0, times)
     return Trajectory(times, states, cum_x)
 

@@ -26,6 +26,7 @@ kernel's reverse sweep.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,23 +113,41 @@ def family_mean(family: WaveformFamily, point) -> float:
 # theta_i = (u_1 + ... + u_i - total) / i, let rho be the last i with
 # u_i > theta_i; the projection is max(v - theta_rho, 0). i = 1 qualifies
 # whenever total > 0 and is taken unconditionally, so total = 0 (and rounding
-# when u_1 >> total) still yields a shift. The row and scalar versions do the
-# same floating-point operations in the same order and agree bit for bit.
+# when u_1 >> total) still yields a shift. Every sum and difference involves
+# at most k + 2 of the values and total, so where one of them exceeds float max
+# times s = 2^-(bit length of k + 2), the projection runs on everything times s
+# (exact down to subnormals) and the result is divided by s. The row and scalar
+# versions do the same floating-point operations in the same order and agree
+# bit for bit.
+
+def _projection_scale(k: int) -> float:
+    """s of the comment above, for k values."""
+    return 2.0 ** -(k + 2).bit_length()
+
 
 def _project_simplex_rows(values: np.ndarray, total: float) -> np.ndarray:
     """Project every row of an (N, k) array; see the comment above."""
     n, k = values.shape
+    s = _projection_scale(k)
+    limit, scale = sys.float_info.max * s, 1.0
+    if max(values.max(initial=0.0), -values.min(initial=0.0), abs(total)) > limit:
+        largest = np.maximum(np.abs(values).max(axis=1), abs(total))
+        scale = np.where(largest > limit, s, 1.0)[:, None]
+        values, total = values * scale, total * scale
     u = -np.sort(-values, axis=1)
     theta = (np.cumsum(u, axis=1) - total) / np.arange(1, k + 1)
     keep = u > theta
     keep[:, 0] = True
     rho = k - 1 - np.argmax(keep[:, ::-1], axis=1)
     shift = theta[np.arange(n), rho]
-    return np.maximum(values - shift[:, None], 0.0)
+    return np.maximum(values - shift[:, None], 0.0) / scale
 
 
 def _project_simplex(values: list[float], total: float) -> list[float]:
     """Scalar twin of _project_simplex_rows for one short list of floats."""
+    s = _projection_scale(len(values))
+    if max(abs(total), max(values), -min(values)) > sys.float_info.max * s:
+        return [v / s for v in _project_simplex([v * s for v in values], total * s)]
     css = 0.0
     for i, u in enumerate(sorted(values, reverse=True), 1):
         css += u

@@ -47,7 +47,6 @@ import numpy as np
 from . import dynamics
 from .signals import (
     InputSignal,
-    QuadratureSpec,
     SignalError,
     SystemParams,
     require_period,
@@ -136,35 +135,27 @@ class PeriodicReport:
 # Poincare map and periodic solution
 # ---------------------------------------------------------------------------
 
-def poincare_map(
-    signal: InputSignal,
-    params: SystemParams,
-    grid: QuadratureSpec | None = None,
-) -> PoincareMap:
+def poincare_map(signal: InputSignal, params: SystemParams) -> PoincareMap:
     """Build the one-period map x(T) = a x(0) + b.
 
     On piecewise-constant inflow both R and b come from the closed-form
     period kernel; on smooth inflow both come from one scan (`_smooth_period`).
     """
     period = require_period(signal)
-    step = dynamics.numeric_step(signal, params, grid)
+    step = dynamics.numeric_step(signal, params)
     if step is None:
         kernel = _PeriodRows([signal.levels], [signal.durations], params.lam)
         return PoincareMap(rate=float(kernel.rate[0]), b=float(kernel.b[0]))
     return _smooth_period(signal, params, period, step)[0]
 
 
-def periodic_solution(
-    signal: InputSignal,
-    params: SystemParams,
-    grid: QuadratureSpec | None = None,
-) -> dynamics.Trajectory:
+def periodic_solution(signal: InputSignal, params: SystemParams) -> dynamics.Trajectory:
     """One period of the unique periodic solution, starting at its fixed point."""
     period = require_period(signal)
-    step = dynamics.numeric_step(signal, params, grid)
+    step = dynamics.numeric_step(signal, params)
     if step is None:
         x_p0 = poincare_map(signal, params).fixed_point
-        return dynamics.simulate(signal, params, x_p0, period, grid)
+        return dynamics.simulate(signal, params, x_p0, period)
     return _smooth_period(signal, params, period, step, dense=True)[1]
 
 
@@ -341,11 +332,7 @@ def _reports(sums) -> list[PeriodicReport]:
     return [PeriodicReport(*row) for row in zip(*(v.tolist() for v in columns))]
 
 
-def gap_report(
-    signal: InputSignal,
-    params: SystemParams,
-    grid: QuadratureSpec | None = None,
-) -> PeriodicReport:
+def gap_report(signal: InputSignal, params: SystemParams) -> PeriodicReport:
     """Full periodic report: averages, benchmark, gap, identity residuals.
 
     The gap and both moment integrals are evaluated independently of the
@@ -355,7 +342,7 @@ def gap_report(
     sigma_bar is its exact int sigma.
     """
     period = require_period(signal)
-    step = dynamics.numeric_step(signal, params, grid)
+    step = dynamics.numeric_step(signal, params)
     if step is None:
         kernel = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
         return _reports(kernel)[0]
@@ -433,7 +420,7 @@ def report_to_json_dict(
     report: PeriodicReport,
     grid_step: float | None = None,
 ) -> dict:
-    """JSON form of a report with provenance (inflow description, lam, grid)."""
+    """JSON form of a report with provenance (inflow description, lam, step used)."""
     return {
         "lam": params.lam,
         "signal": signal_to_dict(signal),

@@ -42,7 +42,6 @@ __all__ = [
     "SignalError",
     "NonPeriodicSignalError",
     "SystemParams",
-    "QuadratureSpec",
     "Constant",
     "PiecewiseConstant",
     "ClippedSinusoidSum",
@@ -104,23 +103,6 @@ class SystemParams:
         if lam <= 0.0:
             raise SignalError(f"lam must be strictly positive, got {lam}")
         object.__setattr__(self, "lam", lam)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Uniform integration step; `step=None` defers to per-operation defaults."""
-
-    step: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.step is not None:
-            step = _require_finite("step", self.step)
-            if step <= 0.0:
-                raise SignalError(f"step must be positive, got {step}")
-            object.__setattr__(self, "step", step)
-
-    def resolve(self, default: float) -> float:
-        return default if self.step is None else self.step
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bottleneck_lab.asymptotic import (
     CERTIFICATE_TOL,
@@ -15,13 +16,12 @@ from bottleneck_lab.asymptotic import (
     running_averages,
     solution_independence_check,
 )
-from bottleneck_lab.dynamics import DomainError, default_step
+from bottleneck_lab.dynamics import DomainError, default_step, smooth_pass
 from bottleneck_lab.periodic import constant_benchmark, gap_report
 from bottleneck_lab.signals import (
     ClippedSinusoidSum,
     Constant,
     PiecewiseConstant,
-    QuadratureSpec,
     SystemParams,
     evaluate_array,
 )
@@ -136,8 +136,7 @@ class TestLongrunBound:
         j = ra.window_start + int(np.argmax(ra.mean_state[ra.window_start:]))
         s = ra.mean_input[j]
         cert = finite_horizon_certificates(signal, params, ra, sigma_bar=s)[j]
-        step = default_step(signal, params) if isinstance(signal, ClippedSinusoidSum) else None
-        want = max(0.0, cert.correction) + quadrature_slack(signal, params, step) + CERTIFICATE_TOL
+        want = max(0.0, cert.correction) + quadrature_slack(signal, params) + CERTIFICATE_TOL
         assert chk.slack == pytest.approx(want, rel=1e-12, abs=0.0)
         assert not chk.violated
         assert -chk.slack <= chk.margin
@@ -158,8 +157,7 @@ class TestLongrunBound:
 
     def test_two_tone_margin_positive_past_transient(self):
         ra = running_averages(TWO_TONE, P1, 0.0, 2000.0)
-        step = default_step(TWO_TONE, P1)
-        quad = quadrature_slack(TWO_TONE, P1, step)
+        quad = quadrature_slack(TWO_TONE, P1)
         for tau, mi, ms in zip(ra.taus, ra.mean_input, ra.mean_state):
             if tau < 100.0:
                 continue
@@ -173,14 +171,34 @@ class TestLongrunBound:
         # h = min(0.01/lam, 0.01/(1 + max sigma)) = 1/300.
         step = default_step(TWO_TONE, P1)
         ra = running_averages(TWO_TONE, P1, 0.0, 2000.0)
-        fine = running_averages(TWO_TONE, P1, 0.0, 2000.0, grid=QuadratureSpec(step=step / 8))
-        slack = quadrature_slack(TWO_TONE, P1, step)
-        assert P1.lam * np.max(np.abs(ra.mean_state - fine.mean_state)) <= slack
+        _, fine_x, _ = smooth_pass(TWO_TONE, P1, 0.0, ra.taus, step / 8)
+        slack = quadrature_slack(TWO_TONE, P1)
+        assert P1.lam * np.max(np.abs(ra.mean_state - fine_x / ra.taus)) <= slack
         assert slack <= (1.0 / 300.0) ** 2 * (0.5 + 0.5 * math.sqrt(2.0) + 9.0) / 12.0
 
     def test_quadrature_slack_zero_for_piecewise(self):
-        assert quadrature_slack(TWO_LEVEL, P1, 0.01) == 0.0
-        assert quadrature_slack(TWO_TONE, P1, 0.01) > 0.0
+        assert quadrature_slack(TWO_LEVEL, P1) == 0.0
+        assert quadrature_slack(TWO_TONE, P1) > 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_random_piecewise_inputs_meet_the_bound(self, data):
+        # 1-8 segments of widths 1e-3..10, levels 0 or 1e-3..1e3, periodic
+        # or not; lam log-uniform on [1e-2, 1e2], x0 in {0, 1} or uniform
+        # and tau_max from 1 to 1e3.
+        k = data.draw(st.integers(1, 8))
+        widths = [10.0 ** e for e in data.draw(st.lists(st.floats(-3.0, 1.0), min_size=k,
+                                                         max_size=k))]
+        level = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+        levels = data.draw(st.lists(level, min_size=k, max_size=k))
+        signal = PiecewiseConstant(tuple(np.concatenate(([0.0], np.cumsum(widths))).tolist()),
+                                   tuple(levels), periodic=data.draw(st.booleans()))
+        params = SystemParams(lam=10.0 ** data.draw(st.floats(-2.0, 2.0)))
+        x0 = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        ra = running_averages(signal, params, x0, 10.0 ** data.draw(st.floats(0.0, 3.0)))
+        assert not longrun_bound_check(signal, params, ra).violated
+        certs = finite_horizon_certificates(signal, params, ra)
+        assert min(c.slack for c in certs) >= -CERTIFICATE_TOL
 
 
 class TestFiniteHorizonCertificates:

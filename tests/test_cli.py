@@ -83,6 +83,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{bad}:3:1" in err
 
+    def test_step_sets_the_spacing_or_refines_the_scan(self, tmp_path):
+        def times(signal, step=None):
+            cfg = {"signal": signal, "lambda": 1.0, "horizon": 1.0, "out": str(tmp_path / "t.csv")}
+            if step is not None:
+                cfg["step"] = step
+            assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 0
+            with open(tmp_path / "t.csv") as fh:
+                return [float(row["t"]) for row in csv.DictReader(fh)]
+
+        assert times(CONSTANT_SIG, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        # a start and six Gauss nodes per step, and the end
+        step = dynamics.default_step(signal_from_dict(SMOOTH_SIG), SystemParams(lam=1.0))
+        assert len(times(SMOOTH_SIG)) == 7 * math.ceil(1.0 / step) + 1
+        assert len(times(SMOOTH_SIG, step / 2)) == 7 * math.ceil(2.0 / step) + 1
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
             "signal": CONSTANT_SIG, "lambda": 1.0, "horizon": 1.0, "bogus": 1,
@@ -118,21 +133,25 @@ class TestPeriodicCommand:
         assert rep["w_sigma"] < rep["w_const"]
         assert rep["residuals"]["gap_identity"] <= 1e-8
 
-    @pytest.mark.parametrize("signal, step, expected", [
-        (TWO_LEVEL_SIG, None, None),
-        (TWO_LEVEL_SIG, 0.01, None),
-        pytest.param(SMOOTH_SIG, None, dynamics.default_step(signal_from_dict(SMOOTH_SIG),
-                                                             SystemParams(lam=3.0)),
-                     id="signal2-None-default"),
-        (SMOOTH_SIG, 2e-4, 2e-4),
+    @pytest.mark.parametrize("signal, expected", [
+        pytest.param(TWO_LEVEL_SIG, None, id="exact"),
+        pytest.param(SMOOTH_SIG, dynamics.default_step(signal_from_dict(SMOOTH_SIG),
+                                                       SystemParams(lam=3.0)), id="smooth"),
     ])
-    def test_grid_step_is_the_step_used(self, tmp_path, signal, step, expected):
-        # The numeric path's step, resolved; null where the walk is exact.
+    def test_grid_step_is_the_step_used(self, tmp_path, signal, expected):
+        # The numeric path's default step; null where the walk is exact.
         cfg = {"signal": signal, "lambda": 3.0, "out": str(tmp_path / "rep.json")}
-        if step is not None:
-            cfg["step"] = step
         assert main(["periodic", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 0
         assert json.loads((tmp_path / "rep.json").read_text())["grid_step"] == expected
+
+    def test_step_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "signal": SMOOTH_SIG, "lambda": 3.0, "step": 2e-4, "out": str(tmp_path / "rep.json"),
+        })
+        assert main(["periodic", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: unknown key(s) for 'periodic': ['step']")
+        assert not (tmp_path / "rep.json").exists()
 
     def test_overflowing_rate_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -365,6 +384,23 @@ class TestOptimizeCommand:
         assert not (tmp_path / "res.json").exists()
         assert not (tmp_path / "log.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mean_whose_projection_sums_overflow_stays_on_the_mean(self, tmp_path):
+        # Two levels of up to 1e308 sum past float max; the projection
+        # scales them down first, so every logged point has the mean.
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": {"kind": "piecewise_free", "period": 1.0, "n_segments": 2},
+            "lambda": 1.0, "mean": 5e307, "resolution": 4,
+            "out": str(tmp_path / "res.json"), "log": str(tmp_path / "log.csv"),
+        })
+        assert main(["optimize", "--config", cfg]) == 0
+        with open(tmp_path / "log.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == json.loads((tmp_path / "res.json").read_text())["evaluations_total"]
+        for row in rows:
+            mean = float(row["level_1"]) / 2 + float(row["level_2"]) / 2
+            assert abs(mean - 5e307) <= optimize.MEAN_TOL * 5e307
+
     def test_excess_gate_is_relative_below_a_unit_benchmark(self):
         family = optimize.BangBang(period=1.0)
         log = optimize.EvaluationLog(family, 1e-300, 1e-300)
@@ -434,7 +470,7 @@ class TestNonNumericConfig:
                       "lambda": 1.0, "mean": 1.0}, "n_segments"),
         ("simulate", {"signal": CONSTANT_SIG, "lambda": 1.0, "horizon": 1.0, "step": "fine"},
          "step"),
-        ("periodic", {"signal": CONSTANT_SIG, "lambda": 1.0, "step": {}}, "step"),
+        ("periodic", {"signal": CONSTANT_SIG, "lambda": 1.0, "step": {}}, "step"),  # unknown key
         ("verify", {"seed": "zero"}, "seed"),
         ("simulate", {"signal": {"kind": "constant", "level": "high"}, "lambda": 1.0,
                       "horizon": 1.0}, "level"),

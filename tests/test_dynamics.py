@@ -25,7 +25,6 @@ from bottleneck_lab.signals import (
     ClippedSinusoidSum,
     Constant,
     PiecewiseConstant,
-    QuadratureSpec,
     Sampled,
     SignalError,
     SystemParams,
@@ -166,12 +165,16 @@ class TestSimulate:
             simulate(Constant(1.0), P1, -0.2, 1.0)
         with pytest.raises(DomainError):
             simulate(Constant(1.0), P1, 0.0, -1.0)
+        for signal in (Constant(1.0), ClippedSinusoidSum(mean=1.0, terms=((0.5, 1.0, 0.0),))):
+            for step in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match="step must be positive and finite"):
+                    simulate(signal, P1, 0.0, 1.0, step)
 
     def test_smooth_matches_exact_on_constant_like_signal(self):
         # A sinusoid with zero amplitude is a constant; the numeric path must
         # agree with the closed form.
         smooth = ClippedSinusoidSum(mean=1.0, terms=((0.0, 1.0, 0.0),))
-        traj = simulate(smooth, P1, 0.0, 2.0, QuadratureSpec(step=1e-3))
+        traj = simulate(smooth, P1, 0.0, 2.0, 1e-3)
         expected = 0.5 * (1.0 - math.exp(-2.0 * 2.0))
         assert traj.final_state == pytest.approx(expected, abs=1e-12)
 
@@ -240,13 +243,14 @@ class TestInvariants:
 
     def test_step_past_the_lam_cap_is_split(self):
         # lam h = 10 is past where the fitted end weights stay positive, so
-        # the scan takes steps of 1/lam: the states stay in [0, 1] and match
-        # a run at an eighth of that step.
+        # the scan takes steps of 1/lam: the run is the one at 1/lam, its
+        # states stay in [0, 1] and match a run at an eighth of that step.
         stiff = SystemParams(lam=200.0)
         sig = ClippedSinusoidSum(mean=0.5, terms=((0.1, 1.0, 0.0),))
-        assert numeric_step(sig, stiff, QuadratureSpec(step=0.05)) == 1.0 / 200.0
+        assert numeric_step(sig, stiff) == 1.0 / 200.0
         times = np.linspace(0.01, 1.0, 12)
         got = np.array(smooth_pass(sig, stiff, 1.0, times, 0.05))
+        np.testing.assert_array_equal(got, smooth_pass(sig, stiff, 1.0, times, 1.0 / 200.0))
         want = np.array(smooth_pass(sig, stiff, 1.0, times, 1.0 / 1600.0))
         assert np.all((got[0] >= 0.0) & (got[0] <= 1.0))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -280,7 +284,7 @@ class TestAverageX:
     def test_charging_segment_average(self):
         # lam=1, c=1, x0=0 on [0, 0.5]: mean x = e^{-1}/2, checked against a
         # fine Riemann sum of the explicit solution.
-        traj = simulate(Constant(1.0), P1, 0.0, 1.0, QuadratureSpec(step=0.25))
+        traj = simulate(Constant(1.0), P1, 0.0, 1.0, 0.25)
         got = mean_x(traj, 0.0, 0.5)
         ts = np.linspace(0.0, 0.5, 2_000_001)
         oracle = float(np.trapezoid(0.5 * (1.0 - np.exp(-2.0 * ts)), ts)) / 0.5
@@ -400,7 +404,15 @@ def ivp_oracle(signal, lam, x0, times):
     """(x, int_0^t x, int_0^t sigma) at the sorted `times`, piece by piece
     between the clip points of sigma (sign changes of f on a fine grid,
     refined by brentq) and the times: closed-form decay where sigma is 0,
-    else scipy's DOP853 at rtol 1e-13 and atol 1e-30."""
+    else scipy's DOP853 at rtol 1e-13 and atol 1e-24.
+
+    The atol keeps the error relative down to states of 1e-11, and far below
+    the tests' 1e-15 floor under them. It must not be much smaller: a piece
+    that starts at a clip point can start from a state near 0, where sigma's
+    rounding (about eps max sigma) makes x' ragged, and DOP853 then needs
+    steps of about atol / (eps max sigma). At atol 1e-30 that fell below the
+    spacing of doubles near t = 35 (lam = 50, two-term signal) and the
+    integration stopped."""
     from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
 
@@ -422,8 +434,8 @@ def ivp_oracle(signal, lam, x0, times):
     for a, b in zip(cuts, cuts[1:]):
         if f(0.5 * (a + b)) < 0.0:      # sigma = 0: pure decay, in closed form
             y = y + [y[0] * math.expm1(-lam * (b - a)), -y[0] * math.expm1(-lam * (b - a)) / lam, 0.0]
-        else:                           # relative error control, down to tiny states
-            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-30)
+        else:
+            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-24)
             assert sol.success, f"oracle failed on [{a!r}, {b!r}]: {sol.message}"
             y = sol.y[:, -1]
         out[b] = tuple(y)
@@ -589,9 +601,13 @@ class TestPrefixScan:
     @pytest.mark.parametrize("signal", SIGNALS)
     @pytest.mark.parametrize("lam", [0.3, 50.0])
     def test_scan_matches_loop(self, signal, lam):
+        # 3000 steps cross a chunk boundary of the scan. The oracle runs once
+        # per start, at every state of the first 300 steps, every 100th
+        # after them and every record time.
         params = SystemParams(lam=lam)
         step = default_step(signal, params)
-        horizon = 300 * step
+        horizon = 3000 * step
+        assert 3000 > dynamics._CHUNK_STEPS
         record_lists = (
             np.array([horizon / 3, horizon]),
             np.geomspace(horizon / 1000, horizon, 64),      # as running_averages passes
@@ -600,17 +616,20 @@ class TestPrefixScan:
         )
         for x0 in (0.0, 0.45, 1.0):
             traj = simulate(signal, params, x0, horizon)
-            states = ivp_oracle(signal, lam, x0, traj.times)[0]
+            checked = (traj.times <= 300 * step) | (np.arange(traj.times.size) % 100 == 0)
+            times = np.unique(np.concatenate((traj.times[checked], *record_lists)))
+            oracle = ivp_oracle(signal, lam, x0, times)
             # The scheme's error scales with the forcing, not with the state:
             # at lam = 50 on the two-term signal, states of 5e-8 to 3e-4 just
             # after a clip point err by up to 3.6e-16 (a run at a sixteenth
-            # of the step matches the oracle there to 2e-17), hence the
+            # of the step matches the oracle there to 6e-17), hence the
             # absolute floor on states.
-            np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(traj.states[checked],
+                                       oracle[0, np.searchsorted(times, traj.times[checked])],
+                                       rtol=1e-12, atol=1e-15)
             for records in record_lists:
                 got = smooth_pass(signal, params, x0, records, step)
-                want = ivp_oracle(signal, lam, x0, np.unique(records))
-                want = want[:, np.searchsorted(np.unique(records), records)]
+                want = oracle[:, np.searchsorted(times, records)]
                 np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
                 np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0.0)
 
@@ -747,7 +766,7 @@ class TestFittedScheme:
         # the one at the default step.
         params = SystemParams(lam=lam)
         step = 100.0 * default_step(sig, params)
-        assert numeric_step(sig, params, QuadratureSpec(step=step)) == default_step(sig, params)
+        assert numeric_step(sig, params) == default_step(sig, params)
         overshoot = []
         clamp = dynamics._clamp
 
@@ -757,9 +776,11 @@ class TestFittedScheme:
 
         monkeypatch.setattr(dynamics, "_clamp", recording_clamp)
         times = np.linspace(0.0, 2000 * default_step(sig, params), 7)[1:]
-        traj = simulate(sig, params, 1.0, float(times[-1]), QuadratureSpec(step=step))
+        horizon = float(times[-1])
+        traj = simulate(sig, params, 1.0, horizon, step)
         assert max(overshoot) <= OVERSHOOT_TOL
         assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
+        np.testing.assert_array_equal(traj.states, simulate(sig, params, 1.0, horizon).states)
         got = smooth_pass(sig, params, 1.0, times, step)
         want = smooth_pass(sig, params, 1.0, times, default_step(sig, params))
         np.testing.assert_array_equal(got, want)

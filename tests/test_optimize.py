@@ -18,7 +18,12 @@ from bottleneck_lab.optimize import (
     perturbation_response,
     project_to_mean,
 )
-from bottleneck_lab.optimize import _CSV_CHUNK, _evaluate_rows, _project_simplex_rows
+from bottleneck_lab.optimize import (
+    _CSV_CHUNK,
+    _evaluate_rows,
+    _project_simplex,
+    _project_simplex_rows,
+)
 from bottleneck_lab.periodic import _PeriodRows, constant_benchmark, gap_report, output_for_levels
 from bottleneck_lab.signals import PiecewiseConstant, SignalError, SystemParams
 
@@ -86,6 +91,20 @@ class TestProjection:
                 np.testing.assert_allclose(got, oracle, atol=1e-12)
                 assert np.all(got >= 0.0)
                 assert abs(got.mean() - target) <= 1e-12
+
+    def test_sums_past_float_max_do_not_overflow(self):
+        # Values and totals near float max, where the sums of the sort-based
+        # rule overflow unscaled: both twins scale them by a power of two.
+        rng = np.random.default_rng(7)
+        for k in (1, 2, 5):
+            raws = rng.uniform(-1.0, 1.0, (20, k)) * 1.7e308
+            raws[0], total = 1e308, 1e308
+            rows = _project_simplex_rows(raws, total)
+            assert np.isfinite(rows).all() and np.all(rows >= 0.0)
+            np.testing.assert_allclose((rows / k).sum(axis=1), total / k, rtol=1e-12)
+            for raw, row in zip(raws, rows):
+                assert _project_simplex(raw.tolist(), total) == row.tolist()
+        assert _project_simplex([1e308, 1e308], 1e308) == [5e307, 5e307]
 
     def test_zero_target_gives_all_zeros(self):
         for k in (1, 3):

@@ -14,7 +14,7 @@ from bottleneck_lab.asymptotic import (
     solution_independence_check,
 )
 import bottleneck_lab.dynamics as dynamics
-from bottleneck_lab.dynamics import DomainError, exact_pass, simulate
+from bottleneck_lab.dynamics import DomainError, exact_pass, simulate, smooth_pass
 from bottleneck_lab.periodic import (
     _PeriodRows,
     PoincareMap,
@@ -33,7 +33,6 @@ from bottleneck_lab.signals import (
     Constant,
     NonPeriodicSignalError,
     PiecewiseConstant,
-    QuadratureSpec,
     SignalError,
     SystemParams,
     mean_over_period,
@@ -57,8 +56,8 @@ W_TWO_LEVEL = 0.46930125702397496
 W_TWO_LEVEL_BRUTE = 0.4693012570231294
 
 
-def moment_residuals(signal, params, grid=None):
-    report = gap_report(signal, params, grid)
+def moment_residuals(signal, params):
+    report = gap_report(signal, params)
     return report.residual_m1, report.residual_m2
 
 
@@ -153,16 +152,23 @@ class TestPeriodicSolution:
     def test_smooth_period_of_many_chunks(self, monkeypatch):
         import bottleneck_lab.dynamics as dynamics
 
+        # The map and orbit take 126 default steps, 18 chunks of 7; the
+        # orbit simulated at a step of 2e-3 from its start takes 150 chunks.
         signal = ClippedSinusoidSum(mean=0.7, terms=((1.2, 3.0, 0.4), (0.5, 6.0, 1.0)))
-        params, grid = SystemParams(lam=2.0), QuadratureSpec(step=2e-3)
-        whole = poincare_map(signal, params, grid), periodic_solution(signal, params, grid)
+        params = SystemParams(lam=2.0)
+
+        def runs():
+            pmap, orbit = poincare_map(signal, params), periodic_solution(signal, params)
+            return pmap, orbit, simulate(signal, params, orbit.states[0], signal.period, 2e-3)
+
+        whole = runs()
         monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
-        chunked = poincare_map(signal, params, grid), periodic_solution(signal, params, grid)
+        chunked = runs()
         assert chunked[0].rate == pytest.approx(whole[0].rate, rel=1e-13, abs=0.0)
         assert chunked[0].b == pytest.approx(whole[0].b, rel=1e-13, abs=0.0)
-        np.testing.assert_allclose(chunked[1].states, whole[1].states, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(chunked[1].cumulative_x, whole[1].cumulative_x,
-                                   rtol=1e-13, atol=0.0)
+        for got, want in zip(chunked[1:], whole[1:]):
+            np.testing.assert_allclose(got.states, want.states, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got.cumulative_x, want.cumulative_x, rtol=1e-13, atol=0.0)
 
     def test_burn_in_converges_to_same_cycle(self):
         # oracle: 50 periods of plain forward simulation from x0 = 0.5
@@ -322,7 +328,7 @@ class TestGapReport:
         # independent route: sub-sampled trapezoid of the gap integrand over
         # the dense exact trajectory, one smooth piece per segment (the
         # integrand jumps with sigma at the breakpoint)
-        traj = simulate(TWO_LEVEL, P1, XP0_TWO_LEVEL, 2.0, QuadratureSpec(step=2.0 / 40_000))
+        traj = simulate(TWO_LEVEL, P1, XP0_TWO_LEVEL, 2.0, 2.0 / 40_000)
         dev2 = (traj.states - 0.5) ** 2
         lo = traj.times <= 1.0
         hi = traj.times >= 1.0
@@ -378,12 +384,14 @@ class TestMomentIdentities:
 
     @pytest.mark.parametrize("step", [None, 2.0 * math.pi / 200, 2.0 * math.pi / 400],
                              ids=["default", "T/200", "T/400"])
-    def test_clip_active_residuals_at_rounding_at_any_step(self, step):
+    def test_clip_active_residuals_at_rounding_at_any_step(self, monkeypatch, step):
         # The clip points are step boundaries and int sigma is exact, so the
         # kink costs nothing: the identities hold to rounding at the default
-        # step and at finer ones alike.
+        # step and at finer ones alike (set here in place of the default).
         sig = ClippedSinusoidSum(mean=1.0, terms=((2.0, 1.0, 0.0),))
-        rep = gap_report(sig, P1, None if step is None else QuadratureSpec(step=step))
+        if step is not None:
+            monkeypatch.setattr(dynamics, "default_step", lambda signal, params: step)
+        rep = gap_report(sig, P1)
         assert max(rep.residual_gap, rep.residual_m1, rep.residual_m2) <= 1e-12
         assert rep.sigma_bar == pytest.approx(2.0 / 3.0 + math.sqrt(3.0) / math.pi, rel=1e-15)
 
@@ -392,16 +400,19 @@ class TestMomentIdentities:
         ClippedSinusoidSum(mean=0.5, terms=((1.0, 2.0 * math.pi, -math.pi / 6.0),)),  # f(0) ~ 1e-17
     ])
     def test_clip_point_at_the_period_boundary(self, signal):
-        # A clip point at t = 0 is also one at t = T. The period map, orbit
-        # and report match the same scan at an eighth of the step.
+        # A clip point at t = 0 is also one at t = T. The report matches a
+        # pass over the orbit at an eighth of the step: its w, and through
+        # the gap identity, its gap w_const - w.
         lam = SystemParams(lam=3.0)
         rep = gap_report(signal, lam)
         assert max(rep.residual_gap, rep.residual_m1, rep.residual_m2) <= 1e-12
         assert rep.sigma_bar == pytest.approx(mean_over_period(signal), rel=1e-14)
-        fine = gap_report(signal, lam, QuadratureSpec(step=dynamics.default_step(signal, lam) / 8))
-        assert rep.w_sigma == pytest.approx(fine.w_sigma, rel=1e-13)
-        assert rep.gap == pytest.approx(fine.gap, rel=1e-11)
         orbit = periodic_solution(signal, lam)
+        _, int_x, _ = smooth_pass(signal, lam, orbit.states[0], np.array([signal.period]),
+                                  dynamics.default_step(signal, lam) / 8)
+        fine_w = lam.lam * int_x[0] / signal.period
+        assert rep.w_sigma == pytest.approx(fine_w, rel=1e-13)
+        assert rep.gap == pytest.approx(rep.w_const - fine_w, rel=1e-11)
         assert abs(orbit.states[-1] - orbit.states[0]) <= 1e-14
 
 

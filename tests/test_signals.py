@@ -12,7 +12,6 @@ from bottleneck_lab.signals import (
     Constant,
     NonPeriodicSignalError,
     PiecewiseConstant,
-    QuadratureSpec,
     Sampled,
     SignalError,
     SystemParams,
@@ -69,12 +68,6 @@ class TestConstruction:
             ClippedSinusoidSum(mean=1.0, terms=((1.0, 0.0, 0.0),))
         with pytest.raises(SignalError):
             ClippedSinusoidSum(mean=1.0, terms=())
-
-    def test_quadrature_step_positive(self):
-        with pytest.raises(SignalError):
-            QuadratureSpec(step=0.0)
-        assert QuadratureSpec().resolve(0.5) == 0.5
-        assert QuadratureSpec(step=0.1).resolve(0.5) == 0.1
 
 
 class TestEvaluate:
