@@ -93,11 +93,23 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _number(kind, value, name: str):
-    """`kind(value)` for a numeric config value; anything else is a ConfigError."""
+    """`kind(value)` for a numeric config value; anything else is a ConfigError.
+    int() would read a bool as 0 or 1 and truncate a fraction: both are errors."""
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be int, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
+def _count(value, name: str) -> int:
+    """A non-negative int config value: a seed or a count."""
+    value = _number(int, value, name)
+    if value < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def _positive_float(value, name: str) -> float:
@@ -167,12 +179,14 @@ def _cmd_periodic(cfg: dict) -> int:
 
 
 def _cmd_verify(cfg: dict) -> int:
-    seed = _number(int, cfg.get("seed", 0), "seed")
-    n_signals = _number(int, cfg.get("n_signals", 500), "n_signals")
-    n_asymptotic = _number(int, cfg.get("n_asymptotic", 100), "n_asymptotic")
+    seed = _count(cfg.get("seed", 0), "seed")
+    n_signals = _count(cfg.get("n_signals", 500), "n_signals")
+    n_asymptotic = _count(cfg.get("n_asymptotic", 100), "n_asymptotic")
     for key, count in (("n_signals", n_signals), ("n_asymptotic", n_asymptotic)):
-        if count < 0:
-            raise ConfigError(f"verify: {key} must be non-negative, got {count}")
+        try:    # numpy refuses, or cannot reserve, rows for too many cases
+            np.empty((count, suites.MAX_SEGMENTS))
+        except (ValueError, MemoryError):
+            raise ConfigError(f"verify: {key} = {count} cases do not fit in memory") from None
     tolerances = suites.SuiteTolerances()
     if cfg.get("tolerance") is not None:
         tolerances = suites.SuiteTolerances(
@@ -279,11 +293,9 @@ def _cmd_optimize(cfg: dict) -> int:
     if not (0.0 <= mean < math.inf):
         raise ConfigError(f"optimize: mean must be non-negative and finite, got {mean}")
     resolution = _number(int, cfg.get("resolution", 9), "resolution")
-    n_starts = _number(int, cfg.get("n_starts", 5), "n_starts")
-    seed = _number(int, cfg.get("seed", 0), "seed")
+    n_starts = _count(cfg.get("n_starts", 5), "n_starts")
+    seed = _count(cfg.get("seed", 0), "seed")
     max_evals = _number(int, cfg.get("max_evals", optimize.DEFAULT_MAX_EVALS), "max_evals")
-    if n_starts < 0:
-        raise ConfigError(f"optimize: n_starts must be non-negative, got {n_starts}")
     if max_evals < 1:
         raise ConfigError(f"optimize: max_evals must be at least 1, got {max_evals}")
     rng = np.random.default_rng(seed)

@@ -483,6 +483,65 @@ class TestNonNumericConfig:
         assert not (tmp_path / "out").exists()
 
 
+BANG_BANG_OPTIMIZE = {"family": {"kind": "bang_bang"}, "lambda": 1.0, "mean": 1.0,
+                      "resolution": 3, "n_starts": 1}
+
+
+class TestIntegerConfig:
+    @pytest.mark.parametrize("command, cfg", [
+        ("verify", {"seed": -1, "n_signals": 2}),
+        ("optimize", {**BANG_BANG_OPTIMIZE, "seed": -3}),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, cfg):
+        path = write_json(tmp_path / "cfg.json", {**cfg, "out": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 2
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--seed", "-1", "--out", str(out)]) == 2
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("optimize", {**BANG_BANG_OPTIMIZE, "resolution": 4.9}, "resolution"),
+        ("optimize", {**BANG_BANG_OPTIMIZE, "n_starts": True}, "n_starts"),
+        ("optimize", {**BANG_BANG_OPTIMIZE,
+                      "family": {"kind": "piecewise_free", "n_segments": 2.5}}, "n_segments"),
+        ("verify", {"seed": 1.5, "n_signals": 2}, "seed"),
+        ("verify", {"seed": 1, "n_signals": True}, "n_signals"),
+        ("verify", {"n_signals": 2, "n_asymptotic": float("inf")}, "n_asymptotic"),
+        ("asymptotic", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "n_checkpoints": 8.5},
+         "n_checkpoints"),
+    ])
+    def test_non_integer_exits_2_and_names_the_key(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        # json.dumps writes inf as Infinity, which json.load reads back
+        path.write_text(json.dumps({**cfg, "out": str(tmp_path / "out")}))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"error: {key} must be int" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_the_integer(self, tmp_path):
+        outs = []
+        for name, cfg in (("int", {"seed": 2, "n_signals": 3, "n_asymptotic": 1}),
+                          ("float", {"seed": 2.0, "n_signals": 3.0, "n_asymptotic": 1.0})):
+            path = write_json(tmp_path / f"{name}.json", {**cfg, "out": str(tmp_path / name)})
+            assert main(["verify", "--config", path]) == 0
+            outs.append((tmp_path / name).read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["seed"] == 2
+
+    @pytest.mark.parametrize("key", ["n_signals", "n_asymptotic"])
+    def test_count_too_large_for_the_rows_exits_2(self, tmp_path, capsys, key):
+        # numpy refuses a (1e18, 20) array before allocating anything
+        path = write_json(tmp_path / "cfg.json", {key: 10**18, "out": str(tmp_path / "out")})
+        assert main(["verify", "--config", path]) == 2
+        assert f"error: verify: {key} = {10**18} cases do not fit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestNonListConfig:
     @pytest.mark.parametrize("command, cfg, key", [
         ("periodic", {"signal": {**TWO_LEVEL_SIG, "breakpoints": 5}, "lambda": 1.0},
