@@ -94,10 +94,11 @@ def _require(cfg: dict, key: str, where: str):
 
 def _number(kind, value, name: str):
     """`kind(value)` for a numeric config value; anything else is a ConfigError.
-    int() would read a bool as 0 or 1 and truncate a fraction: both are errors."""
-    if kind is int and (isinstance(value, bool)
-                        or isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be int, got {value!r}")
+    int() and float() would read a bool as 0 or 1, and int() would truncate
+    a fraction: both are errors."""
+    if (isinstance(value, (bool, np.bool_))
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

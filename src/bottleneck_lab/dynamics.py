@@ -12,12 +12,14 @@ them one at a time in Python.
       x(t0 + h) = x_inf + (x(t0) - x_inf) e^{-r h},
       int_{t0}^{t0+h} x = x_inf h + (x(t0) - x_inf) h phi(r h),
 
-  with phi(z) = (1 - e^{-z}) / z and phi(0) = 1. Nothing is walked: each
-  record time is a closed form of the period map (whole cycles), prefix
-  tables of the segment maps (whole segments) and one partial step,
-  vectorized over rows of signals, records and segments (`_exact_rows`).
-  Trajectories and running integrals are exact up to rounding, which is
-  what makes the identity residuals downstream meaningful.
+  with phi(z) = (1 - e^{-z}) / z and phi(0) = 1. One core, the prefix
+  tables of these maps over padded rows (`_SegmentTables`, which the
+  periodic module's kernel extends), gives every exact result. Nothing is
+  walked: each record time is a closed form of the period map (whole
+  cycles), the tables (whole segments) and one partial step, vectorized
+  over rows of signals, records and segments (`_exact_rows`). Trajectories
+  and running integrals are exact up to rounding, which is what makes the
+  identity residuals downstream meaningful.
 
 * Smooth inflow (clipped sinusoid sums) is integrated numerically, on
   steps split at every clip point of sigma = max(0, f), so that sigma is
@@ -175,21 +177,35 @@ def numeric_step(signal: InputSignal, params: SystemParams) -> float | None:
 # Exact path: closed form at every record time, rows of signals at once
 # ---------------------------------------------------------------------------
 
-class _Segments:
-    """Per-segment terms of an (N, k) batch of levels c and durations h.
+class _SegmentTables:
+    """The one exact propagation core: one period of each row of an (N, k)
+    batch of levels c and durations h, composed from the segment maps
+    x -> d x + x_inf g.
 
-    Padding segments (`signals._pad_rows`: level 0, width 0) are exact
-    identity maps. A finite level whose rate overflows raises SignalError,
-    as x_inf would silently read 0. As (k, N) columns: r = lam + c, x_inf = c / r,
-    g = 1 - e^{-r h} = -expm1(-r h), d = e^{-r h} and w = h phi(r h), with
-    phi(z) = (1 - e^{-z}) / z and phi(0) = 1. `lam` is a scalar or per row.
-    d is never 1 - g, whose absolute error of 1e-16 would spoil long decays.
+    Per segment, as (k, N) columns: r = lam + c (`lam` a scalar or per row;
+    a finite level whose rate overflows raises SignalError, as x_inf would
+    silently read 0), x_inf = c / r, g = 1 - e^{-r h} = -expm1(-r h),
+    d = e^{-r h} (never 1 - g, whose absolute error of 1e-16 would spoil long
+    decays) and w = h phi(r h), phi(z) = (1 - e^{-z}) / z, phi(0) = 1.
+    Padding segments (`signals._pad_rows`: level 0, width 0) are identity
+    maps after the row's end, its last segment of positive width (`end`, a
+    flat index into the (k + 1, N) tables).
+
+    P, Q: from x0 at the row's start, the state at each segment start is
+    P x0 + Q (`_affine_prefix`, whose entry i reads segments 0..i-1 of its
+    own column only, so no row depends on its batch). Read at the end: the
+    period map x -> a x + b, a = e^{-R}, R = sum r h (`rate`), b = Q[end];
+    x_p = b / (1 - a) with 1 - a = -expm1(-R) (`one_minus_a`), so x_p keeps
+    full relative precision however weak the contraction; the orbit's
+    deviations `delta` = P x_p + Q - x_inf at the segment starts; and, by
+    `_prefix_sums`, R, `period` = T and `i_p` = int_0^T x_p = sum x_inf h + delta w.
     """
 
     def __init__(self, levels, durations, lam) -> None:
         levels = np.asarray(levels, dtype=float)
         self.c = c = np.ascontiguousarray(levels.T)
-        self.h = h = np.ascontiguousarray(np.broadcast_to(durations, levels.shape).T)
+        self.h = h = np.empty_like(c)
+        h.T[...] = durations
         self.lam = lam = np.asarray(lam, dtype=float)
         with np.errstate(over="ignore"):
             self.r = r = lam + c
@@ -197,31 +213,22 @@ class _Segments:
             raise SignalError(f"lam + level overflows: lam={float(np.max(lam))!r}, "
                               f"level={float(c.max())!r}")
         self.rh = rh = r * h
-        self.x_inf = c / r
+        self.x_inf = x_inf = c / r
         self.g = g = -np.expm1(-rh)
-        self.w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
-        self.d = np.exp(-rh)
-
-
-class _SegmentTables(_Segments):
-    """Segments with (k + 1, N) tables at the segment starts, from the row's
-    start: the state P x0 + Q (`_affine_prefix` of the maps x -> d x + x_inf g),
-    int x = U + V x0 and int sigma = S. Entry i reads segments 0..i-1 of its
-    own column only, so no padding leaks into a row's first k + 1 entries.
-    """
-
-    def __init__(self, levels, durations, lam) -> None:
-        super().__init__(levels, durations, lam)
-        n = self.c.shape[1]
-
-        def at_starts(prefix, first=0.0):
-            return np.concatenate((np.full((1, n), first), prefix))
-
-        P, Q = _affine_prefix(self.d.copy(), self.x_inf * self.g)
-        self.P, self.Q = P, Q = at_starts(P, 1.0), at_starts(Q)
-        self.U = at_starts(np.cumsum(self.x_inf * self.h + (Q[:-1] - self.x_inf) * self.w, axis=0))
-        self.V = at_starts(np.cumsum(P[:-1] * self.w, axis=0))
-        self.S = at_starts(np.cumsum(self.c * self.h, axis=0))
+        self.w = w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
+        self.d = d = np.exp(-rh)
+        self.P, self.Q = P, Q = _affine_prefix(d, x_inf * g)
+        k, n = c.shape
+        self.padded = not h[-1].all()
+        last = np.max((h > 0.0) * np.arange(1, k + 1)[:, None], axis=0) if self.padded else k
+        self.end = end = last * n + np.arange(n)
+        self.b = Q.take(end)
+        self.rate, self.period = _prefix_sums(rh).take(end), _prefix_sums(h).take(end)
+        self.one_minus_a = -np.expm1(-self.rate)
+        # R is 0 only when every r h underflows, and then b is 0 too.
+        self.x_p = x_p = self.b / np.maximum(self.one_minus_a, math.ulp(0.0))
+        self.delta = delta = P[:-1] * x_p + Q[:-1] - x_inf
+        self.i_p = _prefix_sums(x_inf * h + delta * w).take(end)
 
 
 def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
@@ -232,32 +239,30 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
     (states, cumulative_x, cumulative_sigma), each (N, M). Time t lies in
     segment i of cycle c at the exact phase t - c*T (`signals._segment_index`;
     aperiodic rows have c = 0 and phase t), and every cycle has the nominal
-    widths, so one set of first-cycle tables serves every record. They give
-    the period map x -> a x + b, a = e^{-R}, its fixed point x_p = b / (1 - a),
-    1 - a = -expm1(-R), the orbit's integral I_p and the slope p of
-    int_0^T x in x0: cycle c starts at x_p + (x0 - x_p) a^c with
-    int x = c I_p + p (x0 - x_p)(1 - a^c)/(1 - a) and int sigma = c S. The
-    tables carry that to segment i, and one partial step of phase - t_i to t.
+    widths, so one set of first-cycle tables (`_SegmentTables`, with
+    int x = U + V x0 and int sigma = S at the segment starts) serves every
+    record. With the period map x -> a x + b, its fixed point x_p, the
+    orbit's integral I_p and the slope p = V[end] of int_0^T x in x0, cycle c
+    starts at x_p + (x0 - x_p) a^c with int x = c I_p + p (x0 - x_p)(1 - a^c)/(1 - a)
+    and int sigma = c S. The tables carry that to segment i, and one partial
+    step of phase - t_i to t.
     """
     lam, x0 = np.asarray(lam, dtype=float), np.asarray(x0, dtype=float)
     cycle, seg, phase = _segment_index(breakpoints, periodic, record_times)
     tab = _SegmentTables(levels, np.diff(breakpoints, axis=1), lam)
-    end = np.count_nonzero(tab.h > 0.0, axis=0), np.arange(len(levels))   # period ends
-    rate = np.cumsum(tab.rh, axis=0)[-1]
-    one_minus_a = -np.expm1(-rate)
-    # R is 0 only when every r h underflows, and then b is 0 too.
-    x_p = tab.Q[end] / np.maximum(one_minus_a, math.ulp(0.0))
-    p = tab.V[end]
-    i_p = tab.U[end] + p * x_p
+    U, V, S = np.zeros((3,) + tab.P.shape)
+    np.cumsum(tab.x_inf * tab.h + (tab.Q[:-1] - tab.x_inf) * tab.w, axis=0, out=U[1:])
+    np.cumsum(tab.P[:-1] * tab.w, axis=0, out=V[1:])
+    np.cumsum(tab.c * tab.h, axis=0, out=S[1:])
 
     c, i = cycle.ravel(), seg.ravel()
     row = np.repeat(np.arange(len(levels)), cycle.shape[1])
-    delta = (x0 - x_p)[row]
-    ratio = np.divide(-np.expm1(-c * rate[row]), one_minus_a[row], out=c.copy(),
-                      where=one_minus_a[row] > 0.0)
-    start_x = np.where(c > 0, x_p[row] + delta * np.exp(-c * rate[row]), x0[row])
+    x_p, rate, one_minus_a = tab.x_p[row], tab.rate[row], tab.one_minus_a[row]
+    delta = x0[row] - x_p
+    ratio = np.divide(-np.expm1(-c * rate), one_minus_a, out=c.copy(), where=one_minus_a > 0.0)
+    start_x = np.where(c > 0, x_p + delta * np.exp(-c * rate), x0[row])
     x = tab.P[i, row] * start_x + tab.Q[i, row]
-    int_x = c * i_p[row] + p[row] * delta * ratio + tab.U[i, row] + tab.V[i, row] * start_x
+    int_x = c * tab.i_p[row] + V.take(tab.end)[row] * delta * ratio + U[i, row] + V[i, row] * start_x
     span = phase.ravel() - breakpoints[row, i]
     x_inf = tab.x_inf[i, row]
     rs = tab.r[i, row] * span
@@ -265,7 +270,7 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
     w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
     out = (np.clip(x_inf + (x - x_inf) * np.exp(-rs), 0.0, 1.0),
            int_x + x_inf * span + (x - x_inf) * w,
-           c * tab.S[end][row] + tab.S[i, row] + tab.c[i, row] * span)
+           c * S.take(tab.end)[row] + S[i, row] + tab.c[i, row] * span)
     return tuple(a.reshape(cycle.shape) for a in out)
 
 
@@ -399,20 +404,34 @@ def _fitted_steps(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.
 
 
 def _affine_prefix(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix compositions of the maps x <- A[i] x + B[i], in place.
+    """Prefix compositions of the maps x <- A[i] x + B[i] along the first axis.
 
-    Works along the first axis, so 2-D (k, N) input composes N columns at
-    once. Returns (P, Q) with x_{i+1} = P[i] x_0 + Q[i], by Hillis-Steele
-    doubling: after the pass with offset d, entry i holds the composition
-    of steps i-2d+1 .. i, so log2(n) passes cover every prefix.
+    (k, N) input composes N columns at once. Returns (P, Q), one entry
+    longer than A, with x_i = P[i] x_0 + Q[i] (entry 0 is the identity), by
+    Hillis-Steele doubling: after the pass with offset d, entry i holds the
+    composition of steps i-2d .. i-1, so log2(k) passes cover every prefix,
+    and how entry i is grouped depends on i alone.
     """
-    P, Q = A, B
-    d = 1
-    while d < len(P):
-        Q[d:] += P[d:] * Q[:-d]
-        P[d:] *= P[:-d]
+    P, Q = np.empty((2, len(A) + 1) + np.shape(A)[1:])
+    P[0], P[1:], Q[0], Q[1:] = 1.0, A, 0.0, B
+    p, q, d = P[1:], Q[1:], 1
+    while d < len(p):
+        q[d:] += p[d:] * q[:-d]
+        p[d:] *= p[:-d]
         d *= 2
     return P, Q
+
+
+def _prefix_sums(X: np.ndarray) -> np.ndarray:
+    """The sums of X[:i] along the first axis, one entry longer than X,
+    grouped as `_affine_prefix` groups the maps x <- x + X[i]."""
+    S = np.empty((len(X) + 1,) + X.shape[1:])
+    S[0], S[1:] = 0.0, X
+    s, d = S[1:], 1
+    while d < len(s):
+        s[d:] += s[:-d]
+        d *= 2
+    return S
 
 
 # `_smooth_scan` at its kept points: the state x from x0, its slope p in x0
@@ -494,9 +513,9 @@ def _scan_chunk(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.nd
     the boundaries `tb`, and with `dense` the (8, 7 n) `_Scan` columns of
     each step's start and nodes, in time order (else None)."""
     h, decay, drive, sigma, S = _fitted_steps(signal, lam, tb, z)
-    P, Q = _affine_prefix(decay[:, -1].copy(), drive[:, -1].copy())
-    xb = _clamp(np.append(x, P * x + Q))
-    pb = np.append(p, P * p)
+    P, Q = _affine_prefix(decay[:, -1], drive[:, -1])
+    xb = _clamp(P * x + Q)
+    pb = P * p
     # The Gauss sum of a step's node states is alpha x(a) + beta.
     alpha, beta = h * (decay[:, :-1] @ _WEIGHTS), h * (drive[:, :-1] @ _WEIGHTS)
     ints = np.empty((3, tb.size))

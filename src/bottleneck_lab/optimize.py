@@ -20,7 +20,7 @@ coordinates (the exact sort-based simplex projection), never by penalty, so
 every evaluated waveform satisfies the constraint exactly and the benchmark
 comparison is fair at each point. Grids are evaluated as one batch of rows;
 a descent evaluates one row per point, with the exact gradient of w from the
-kernel's reverse sweep.
+kernel's reverse-mode pass.
 """
 
 from __future__ import annotations

@@ -23,13 +23,15 @@ identities feed the same bookkeeping:
 On piecewise-constant inflow every integral above has a per-segment closed
 form (x_p is a known exponential on each segment), so the reported residuals
 measure rounding only. All of them read one period kernel over padded
-(N, k) rows of levels and durations, `_PeriodRows`: the map's exponent
-R = int_0^T (lam + sigma), its offset b, the fixed point x_p(0) = b / (1 - a)
-with 1 - a = -expm1(-R) (never 1 - e^{-R} by subtraction, which loses every
-digit once R is below double precision, as at nanosecond periods), the
-per-segment integral weights and, on request, the moment integrals or the
-gradient of w in the levels and durations. Reports, one-period maps, the
-search's candidate waveforms and the verification suites are rows of it.
+(N, k) rows of levels and durations, `_PeriodRows`: the exact path's prefix
+tables of the segment maps (`dynamics._SegmentTables`), with the map's
+exponent R = int_0^T (lam + sigma), its offset b, the fixed point
+x_p(0) = b / (1 - a) with 1 - a = -expm1(-R) (never 1 - e^{-R} by
+subtraction, which loses every digit once R is below double precision, as
+at nanosecond periods), the orbit's deviations and I_p = int_0^T x_p, and
+on request the moment integrals or the gradient of w in the levels and
+durations. Reports, one-period maps, the contraction walk, the search's
+candidate waveforms and the verification suites are rows of it.
 On smooth inflow one scan of the period from 0 (`_smooth_period`) gives the
 map, the orbit and sigma at the Gauss nodes of every step; int sigma, and so
 sigma_bar, is exact, and every other integral is the Gauss sum on those
@@ -73,6 +75,9 @@ _MAP_TOL = 1e-12
 # Negative gap values above this floor are rounding dust and are clamped to 0;
 # anything more negative indicates a real bug and raises.
 _GAP_FLOOR = -1e-12
+
+# Segments per block of `output_for_level_rows`.
+_BLOCK_VALUES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -192,59 +197,25 @@ def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
 # Closed-form period integrals (piecewise-constant inflow)
 # ---------------------------------------------------------------------------
 
-def _segment_columns(*columns):
-    """Iterate (k, N) columns by segment; one row as Python floats, which run
-    the same IEEE operations as length-1 columns without numpy's call cost."""
-    if columns[0].shape[1] == 1:
-        return zip(*(col[:, 0].tolist() for col in columns))
-    return zip(*columns)
-
-
-class _PeriodRows(dynamics._Segments):
+class _PeriodRows(dynamics._SegmentTables):
     """One period of each row: the period kernel of the reports, maps and search.
 
-    Over one period the flow is x -> a x + b with a = e^{-R}, R = sum r h
-    (`rate`); b is summed as b <- x_inf g + b d, which does not cancel when
-    g is small, and 1 - a = -expm1(-R), so x_p = b / (1 - a), the periodic
-    orbit's start, keeps full relative precision however weak the
-    contraction. Also `i_p` = int_0^T x_p and `period` = T; with `moments`,
-    `s` = int_0^T sigma, `x_star` and the integrals of (lam + sigma) times
-    x_p (`m1`), x_p^2 (`m2`) and (x_p - x_star)^2 (`gap`); with `gradient`,
-    `dw_dc` and `dw_dh`, the gradient of w = lam i_p / T in each row's levels
-    and durations. Sums and recurrences run in segment order, so no row
-    depends on the batch or its padding.
+    The period map (`rate`, `b`), the orbit's start `x_p`, its deviations
+    `delta` and `i_p` = int_0^T x_p are the segment tables'. With `moments`,
+    also `s` = int_0^T sigma, `x_star` and the integrals of (lam + sigma)
+    times x_p (`m1`), x_p^2 (`m2`) and (x_p - x_star)^2 (`gap`); with
+    `gradient`, `dw_dc` and `dw_dh`, the gradient of w = lam i_p / T in each
+    row's levels and durations. The moments are summed in segment order
+    (`cumsum`), and no value of a row depends on its batch or its padding.
     """
 
     def __init__(self, levels, durations, lam, moments: bool = False,
                  gradient: bool = False) -> None:
         super().__init__(levels, durations, lam)
-        c, h, r, x_inf, g, d, w = self.c, self.h, self.r, self.x_inf, self.g, self.d, self.w
-        n = c.shape[1]
-        b = rate = 0.0
-        b_start = []        # b at each segment start, for the gradient
-        for x_inf_j, g_j, d_j, rh_j in _segment_columns(x_inf, g, d, self.rh):
-            if gradient:
-                b_start.append(b)
-            b = x_inf_j * g_j + b * d_j
-            rate += rh_j
-        self.b, self.rate = np.reshape(b, n), np.reshape(rate, n)
-        # x_p; R is 0 only when every r h underflows, and then b is 0 too.
-        one_minus_a = np.maximum(-np.expm1(-self.rate), math.ulp(0.0))
-        x = x_p = self.b / one_minus_a
-        x, i_p, period = (x.item() if n == 1 else x), 0.0, 0.0
-        delta = []          # x_p(segment start) - x_inf, per segment, for moments and gradient
-        for x_inf_j, h_j, w_j, d_j in _segment_columns(x_inf, h, w, d):
-            dx = x - x_inf_j
-            i_p += x_inf_j * h_j + dx * w_j
-            period += h_j
-            x = x_inf_j + dx * d_j
-            if moments or gradient:
-                delta.append(dx)
-        self.i_p, self.period = np.reshape(i_p, n), np.reshape(period, n)
         if gradient:
-            self._adjoint(x_p, one_minus_a, delta, b_start)
+            self._adjoint()
         if moments:
-            delta = np.reshape(delta, c.shape)
+            c, h, r, x_inf, g, delta = self.c, self.h, self.r, self.x_inf, self.g, self.delta
             self.s = np.cumsum(c * h, axis=0)[-1]
             sigma_bar = self.s / self.period
             self.x_star = x_star = sigma_bar / (self.lam + sigma_bar)
@@ -256,46 +227,43 @@ class _PeriodRows(dynamics._Segments):
             self.gap = np.cumsum(r * dev * dev * h + 2.0 * dev * delta * g
                                  + delta * delta * half_g2, axis=0)[-1]
 
-    def _adjoint(self, x_p, one_minus_a, delta, b_start) -> None:
-        """`dw_dc` and `dw_dh` by one reverse sweep of the value path, for
-        i_p / T and then times lam. `after` is the adjoint of the state after
-        a segment; `tail`, the product of the later d, carries that of b_k
-        back through b <- x_inf g + b d. Segments keep their terms without
-        the adjoints of b_k and R (a_*) and per unit of b_k's (b_*), as both
-        come from x_p = b_k / (1 - e^{-R}) after the sweep. Chain rules:
-        dg = d d(r h) = -dd, dw/dh = d, dw/dc = -h^2 psi(r h), dx_inf/dc = lam / r^2.
+    def _adjoint(self) -> None:
+        """`dw_dc` and `dw_dh` by reverse-mode differentiation of the value
+        path, for i_p / T and then times lam. From the row's end back, the
+        adjoint of the state after a segment obeys after <- d after + w / T,
+        and the product of the later d carries b's back through
+        b <- x_inf g + b d (`carry`): one `_affine_prefix` over each row's
+        segments reversed in place (padding stays at the end), whose full
+        prefix is x_p's adjoint, and x_p = b / (1 - e^{-R}) gives b's and R's.
+        m gathers the terms that dc and dh share. Chain rules: dg = d d(r h) = -dd,
+        dw/dh = d, dw/dc = -h^2 psi(r h), dx_inf/dc = lam / r^2.
         """
-        n = self.c.shape[1]
-        lam = self.lam.item() if n == 1 else self.lam
+        h, r, x_inf, g, d, w, delta = self.h, self.r, self.x_inf, self.g, self.d, self.w, self.delta
         ibar = 1.0 / self.period                        # d(i_p / T) / d i_p
         tbar = -(ibar * self.i_p) / self.period         # d(i_p / T) / dT
-        ibar, tbar = (ibar.item(), tbar.item()) if n == 1 else (ibar, tbar)
-        after, tail = 0.0, 1.0
-        a_c, b_c, a_h, b_h = [], [], [], []
+        rev = slice(None, None, -1)
+        if self.padded:     # each row reversed before its padding (an involution)
+            k, n = h.shape
+            last, at = self.end // n, np.arange(k)[:, None]
+            rev = np.where(at < last, last - 1 - at, at), np.arange(n)
+        A, B = dynamics._affine_prefix(d[rev], ibar * w[rev])
+        bbar = B.take(self.end) / np.maximum(self.one_minus_a, math.ulp(0.0))
+        rbar = -bbar * self.x_p * np.exp(-self.rate)
+        carry, after = bbar * A[:-1][rev], B[:-1][rev]
         # psi(z) = (1 - (1 + z) e^{-z}) / z^2 = (g / z - d) / z, and below
         # z = 0.02, where that cancels, its series
-        z, s = np.maximum(self.rh, 0.02), np.minimum(self.rh, 0.02)
-        series = np.polyval([1 / 5760, -1 / 840, 1 / 144, -1 / 30, 1 / 8, -1 / 3, 0.5], s)
-        psi = np.where(self.rh < 0.02, series, (self.g / z - self.d) / z)
-        segments = list(_segment_columns(self.h, self.r, self.x_inf, self.g, self.d, self.w,
-                                         psi))[::-1]
-        for (h, r, x_inf, g, d, w, psi), dx, b0 in zip(segments, delta[::-1], b_start[::-1]):
-            slope = lam / r / r                         # dx_inf / dc
-            a_c.append((ibar * (h - w) + after * g) * slope - after * dx * d * h
-                       - ibar * dx * h * h * psi)
-            b_c.append(tail * (g * slope + (x_inf - b0) * d * h))
-            a_h.append(ibar * x_inf + tbar - after * dx * d * r + ibar * dx * d)
-            b_h.append(tail * (x_inf - b0) * d * r)
-            after = ibar * w + after * d
-            tail = tail * d
-        # `after` is now the adjoint of x_p
-        bbar = after / one_minus_a
-        rbar = -bbar * x_p * np.exp(-self.rate)
-        bbar, rbar = (bbar.item(), rbar.item()) if n == 1 else (bbar, rbar)
-        self.dw_dc = np.reshape([lam * (a + bbar * b + rbar * seg[0])
-                                 for a, b, seg in zip(a_c, b_c, segments)][::-1], self.c.shape).T
-        self.dw_dh = np.reshape([lam * (a + bbar * b + rbar * seg[1])
-                                 for a, b, seg in zip(a_h, b_h, segments)][::-1], self.c.shape).T
+        z = np.maximum(self.rh, 0.02)
+        psi, small = (g / z - d) / z, self.rh < 0.02
+        if small.any():
+            s = self.rh[small]
+            psi[small] = 0.5 + s * (-1 / 3 + s * (1 / 8 + s * (-1 / 30 + s * (
+                1 / 144 + s * (-1 / 840 + s / 5760)))))
+        slope = self.lam / r / r                        # dx_inf / dc
+        dd = delta * d
+        m = carry * (x_inf - self.Q[:-1]) * d - after * dd + rbar
+        self.dw_dh = (self.lam * (ibar * (x_inf + dd) + tbar + r * m)).T
+        self.dw_dc = (self.lam * ((ibar * (h - w) + (after + carry) * g) * slope
+                                  + h * (m - ibar * delta * h * psi))).T
 
 
 def output_for_levels(levels, durations, lam: float) -> float:
@@ -306,10 +274,18 @@ def output_for_levels(levels, durations, lam: float) -> float:
 def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
     """Averaged output of each row of an (N, k) array of candidate waveforms.
 
-    `durations` is (N, k) or broadcasts to it.
+    `durations` is (N, k) or broadcasts to it. Rows run in blocks of
+    _BLOCK_VALUES segments, whose small temporaries the allocator reuses; a
+    4096 x 4 grid in one block faulted in a megabyte of fresh pages a call.
     """
-    kernel = _PeriodRows(levels, durations, lam)
-    return lam * kernel.i_p / kernel.period
+    levels = np.asarray(levels, dtype=float)
+    durations = np.broadcast_to(durations, levels.shape)
+    rows = max(1, _BLOCK_VALUES // max(1, levels.shape[1]))
+    out = np.empty(len(levels))
+    for i in range(0, len(levels), rows):
+        kernel = _PeriodRows(levels[i:i + rows], durations[i:i + rows], lam)
+        out[i:i + rows] = lam * kernel.i_p / kernel.period
+    return out
 
 
 def _reports(sums) -> list[PeriodicReport]:
@@ -376,19 +352,16 @@ def _period_states_rows(kernel: _PeriodRows, x0, n_periods: int) -> np.ndarray:
     """x at 0, T, ..., n_periods*T for every row of `kernel`, from x0.
 
     x0 broadcasts against the rows, so starts of shape (2, 1) walk two
-    starts per row at once. A step-by-step walk, one column pass x <- d x + x_inf g
-    per segment per period, never the period map: it is what the
-    contraction check observes. Returns an (n_periods + 1,) + broadcast
-    shape array.
+    starts per row at once. Each period is one step of the composed map
+    x <- P[end] x + Q[end], whose factor is the product of the segments'
+    e^{-r h}, never the closed form e^{-R} that the contraction check
+    compares against. Returns an (n_periods + 1,) + broadcast shape array.
     """
-    steps = list(_segment_columns(kernel.d, kernel.x_inf * kernel.g))
-    out = np.empty((n_periods + 1,) + np.broadcast(x0, kernel.b).shape)
+    a, b = kernel.P.take(kernel.end), kernel.b
+    out = np.empty((n_periods + 1,) + np.broadcast(x0, b).shape)
     out[0] = x0
-    x = out[0].item() if out[0].size == 1 else out[0].copy()
     for n in range(1, n_periods + 1):
-        for d, b in steps:
-            x = x * d + b
-        out[n] = x
+        out[n] = out[n - 1] * a + b
     return out
 
 

@@ -83,6 +83,8 @@ class NonPeriodicSignalError(SignalError):
 
 
 def _require_finite(name: str, value: float) -> float:
+    if isinstance(value, (bool, np.bool_)):     # float() would read it as 0 or 1
+        raise SignalError(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -135,6 +137,8 @@ class PiecewiseConstant:
             raise SignalError(f"levels must be non-negative: {lvls}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "levels", lvls)
+        if not isinstance(self.periodic, (bool, np.bool_)):   # bool("false") is True
+            raise SignalError(f"periodic must be a boolean, got {self.periodic!r}")
         object.__setattr__(self, "periodic", bool(self.periodic))
 
     @property

@@ -228,7 +228,8 @@ def _periodic_checks(rows: _Rows, tol: SuiteTolerances):
     """Periodic-regime checks of all rows at once: (reports, failures per case).
 
     One period kernel serves the reports and the one-period maps; the
-    contraction is observed by one row walk from both starts.
+    contraction is observed by walking each row's composed period map from
+    both starts.
     """
     if not len(rows.lam):
         return [], []

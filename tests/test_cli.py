@@ -542,6 +542,49 @@ class TestIntegerConfig:
         assert not (tmp_path / "out").exists()
 
 
+
+class TestBooleanConfig:
+    """A boolean is no number: float keys, signal numbers and `periodic`."""
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("periodic", {"signal": TWO_LEVEL_SIG, "lambda": True}, "lambda"),
+        ("asymptotic", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "x0": True}, "x0"),
+        ("asymptotic", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "tau_max": True}, "tau_max"),
+        ("optimize", {**BANG_BANG_OPTIMIZE, "mean": True}, "mean"),
+        ("optimize", {**BANG_BANG_OPTIMIZE, "family": {"kind": "bang_bang", "period": True}},
+         "period"),
+        ("verify", {"n_signals": 2, "tolerance": True}, "tolerance"),
+    ])
+    def test_boolean_float_key_exits_2(self, tmp_path, capsys, command, cfg, key):
+        path = write_json(tmp_path / "cfg.json", {**cfg, "out": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 2
+        assert f"error: {key} must be float, got True" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("signal", [
+        {**TWO_LEVEL_SIG, "levels": [0.0, True]},
+        {**TWO_LEVEL_SIG, "breakpoints": [0.0, 1.0, True]},
+        {"kind": "sampled", "step": True, "values": [1.0, 0.0]},
+        {"kind": "constant", "level": True},
+    ])
+    def test_boolean_signal_number_exits_2(self, tmp_path, capsys, signal):
+        path = write_json(tmp_path / "cfg.json",
+                          {"signal": signal, "lambda": 1.0, "out": str(tmp_path / "out")})
+        assert main(["periodic", "--config", path]) == 2
+        assert "must be a number, got True" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("signal", [
+        {**TWO_LEVEL_SIG, "periodic": "false"},
+        {"kind": "sampled", "step": 0.5, "values": [1.0, 0.0], "periodic": "false"},
+    ])
+    def test_non_boolean_periodic_exits_2(self, tmp_path, capsys, signal):
+        path = write_json(tmp_path / "cfg.json",
+                          {"signal": signal, "lambda": 1.0, "out": str(tmp_path / "out")})
+        assert main(["asymptotic", "--config", path]) == 2
+        assert "periodic must be a boolean, got 'false'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 class TestNonListConfig:
     @pytest.mark.parametrize("command, cfg, key", [
         ("periodic", {"signal": {**TWO_LEVEL_SIG, "breakpoints": 5}, "lambda": 1.0},

@@ -17,6 +17,7 @@ import bottleneck_lab.dynamics as dynamics
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate, smooth_pass
 from bottleneck_lab.periodic import (
     _PeriodRows,
+    _period_states_rows,
     PoincareMap,
     constant_benchmark,
     gap_report,
@@ -267,6 +268,110 @@ class TestGradient:
         np.testing.assert_allclose(kernel.dw_dc[0], (1.5 / 3.5) ** 2 * h / h.sum(),
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(kernel.dw_dh[0], 0.0, rtol=0.0, atol=1e-15)
+
+
+def sequential_period(kernel, n):
+    """The former period kernel, on row n of the kernel's own segment terms:
+    b <- x_inf g + b d and R summed one segment at a time, x_p = b / (1 - a),
+    then i_p and T summed along the orbit walked from x_p."""
+    x_inf, g, d, rh, h, w = (a[:, n].tolist() for a in (kernel.x_inf, kernel.g, kernel.d,
+                                                        kernel.rh, kernel.h, kernel.w))
+    b = rate = 0.0
+    for x_inf_j, g_j, d_j, rh_j in zip(x_inf, g, d, rh):
+        b = x_inf_j * g_j + b * d_j
+        rate += rh_j
+    x = x_p = b / max(-math.expm1(-rate), math.ulp(0.0))
+    i_p = period = 0.0
+    for x_inf_j, h_j, w_j, d_j in zip(x_inf, h, w, d):
+        dx = x - x_inf_j
+        i_p += x_inf_j * h_j + dx * w_j
+        period += h_j
+        x = x_inf_j + dx * d_j
+    return {"rate": rate, "b": b, "x_p": x_p, "i_p": i_p, "period": period}
+
+
+def walked_period_states(kernel, n, x0, n_periods):
+    """The former contraction walk: x <- d x + x_inf g one segment at a time."""
+    steps = list(zip(kernel.d[:, n].tolist(), (kernel.x_inf * kernel.g)[:, n].tolist()))
+    states = [x0]
+    for _ in range(n_periods):
+        for d, b in steps:
+            x0 = x0 * d + b
+        states.append(x0)
+    return np.array(states)
+
+
+class TestSequentialOracles:
+    """The prefix-table kernel and walk against the sequential recurrences
+    they replaced, at the extremes: nanosecond periods (R near 1e-9, where
+    1 - a must come from expm1), R > 745 (a underflows to 0) and moderate
+    rows, each with 1 and with 20 segments. Only the grouping of the same
+    operations differs, so they agree to a few roundings per segment."""
+
+    @staticmethod
+    def rows(regime, k, n=100):
+        rng = np.random.default_rng([k, len(regime)])
+        levels = rng.uniform(0.0, 3.0, (n, k)) * 10.0 ** rng.uniform(-2, 2, (n, 1))
+        lam = 10.0 ** rng.uniform(-2, 2, n)
+        durations = rng.uniform(0.1, 1.0, (n, k)) / k
+        if regime == "nanosecond":
+            durations *= 1e-9
+        elif regime == "underflow":
+            lam = 10.0 ** rng.uniform(3, 5, n)
+            durations += 1.0 / k
+        else:
+            durations *= 10.0 ** rng.uniform(-2, 1, (n, 1))
+        return levels, durations, lam
+
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("regime", ["nanosecond", "underflow", "moderate"])
+    def test_kernel_matches_the_recurrences(self, regime, k):
+        levels, durations, lam = self.rows(regime, k)
+        kernel = _PeriodRows(levels, durations, lam)
+        if regime == "nanosecond":
+            assert np.all(kernel.rate < 1e-6)
+        elif regime == "underflow":
+            assert np.all(kernel.rate > 745.0) and np.all(np.exp(-kernel.rate) == 0.0)
+        for n in range(len(lam)):
+            for name, want in sequential_period(kernel, n).items():
+                got = getattr(kernel, name)[n]
+                assert abs(got - want) <= 1e-14 * abs(want), (name, n, got, want)
+
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("regime", ["nanosecond", "underflow", "moderate"])
+    def test_walk_matches_the_segment_walk(self, regime, k):
+        levels, durations, lam = self.rows(regime, k)
+        kernel = _PeriodRows(levels, durations, lam)
+        x0 = np.random.default_rng(k).uniform(0.0, 1.0, len(lam))
+        states = _period_states_rows(kernel, x0, 20)
+        for n in range(len(lam)):
+            want = walked_period_states(kernel, n, x0[n], 20)
+            np.testing.assert_allclose(states[:, n], want, rtol=1e-13, atol=0.0)
+
+
+class TestSegmentCountGuard:
+    """The period kernel calls `_affine_prefix` a fixed number of times,
+    however many segments a row has: a per-segment Python loop would show
+    here as a count that grows with k, where a timing might not."""
+
+    def test_prefix_calls_independent_of_the_segment_count(self, monkeypatch):
+        calls = []
+        prefix = dynamics._affine_prefix
+
+        def counting(*args):
+            calls.append(1)
+            return prefix(*args)
+
+        monkeypatch.setattr(dynamics, "_affine_prefix", counting)
+        counts = []
+        for k in (10, 10_000):
+            rng = np.random.default_rng(k)
+            levels, durations = rng.uniform(0.0, 2.0, (3, k)), rng.uniform(0.1, 1.0, (3, k)) / k
+            calls.clear()
+            kernel = _PeriodRows(levels, durations, 1.3, moments=True, gradient=True)
+            assert np.all(np.isfinite(kernel.dw_dc)) and np.all(np.isfinite(kernel.gap))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestConstantBenchmark:

@@ -63,6 +63,32 @@ class TestConstruction:
         with pytest.raises(SignalError):
             SystemParams(lam=math.inf)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_boolean_numbers_rejected(self, value):
+        # float(True) is 1.0: a boolean level, width or rate is a schema error.
+        with pytest.raises(SignalError, match="must be a number"):
+            PiecewiseConstant((0.0, 1.0), (value,))
+        with pytest.raises(SignalError, match="must be a number"):
+            PiecewiseConstant((0.0, value), (1.0,))
+        with pytest.raises(SignalError, match="must be a number"):
+            SystemParams(lam=value)
+        with pytest.raises(SignalError, match="must be a number"):
+            ClippedSinusoidSum(mean=1.0, terms=((value, 1.0, 0.0),))
+        with pytest.raises(SignalError, match="must be a number"):
+            signal_from_dict({"kind": "sampled", "step": 0.5, "values": [1.0, value]})
+
+    @pytest.mark.parametrize("kind, data", [
+        ("piecewise_constant", {"breakpoints": [0.0, 1.0, 2.0], "levels": [0.0, 2.0]}),
+        ("sampled", {"step": 0.5, "values": [1.0, 0.0]}),
+    ])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_periodic_must_be_a_boolean(self, kind, data, value):
+        # bool("false") is True: only a JSON boolean says whether a signal repeats.
+        with pytest.raises(SignalError, match="periodic must be a boolean"):
+            signal_from_dict({"kind": kind, **data, "periodic": value})
+        for flag in (True, False, np.False_):
+            assert signal_from_dict({"kind": kind, **data, "periodic": flag}).periodic is bool(flag)
+
     def test_sinusoid_needs_positive_omega(self):
         with pytest.raises(SignalError):
             ClippedSinusoidSum(mean=1.0, terms=((1.0, 0.0, 0.0),))
