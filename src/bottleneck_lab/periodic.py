@@ -241,15 +241,16 @@ class _PeriodRows(dynamics._SegmentTables):
         h, r, x_inf, g, d, w, delta = self.h, self.r, self.x_inf, self.g, self.d, self.w, self.delta
         ibar = 1.0 / self.period                        # d(i_p / T) / d i_p
         tbar = -(ibar * self.i_p) / self.period         # d(i_p / T) / dT
-        rev = slice(None, None, -1)
+        rev = read = slice(None, None, -1)
         if self.padded:     # each row reversed before its padding (an involution)
             k, n = h.shape
             last, at = self.end // n, np.arange(k)[:, None]
             rev = np.where(at < last, last - 1 - at, at), np.arange(n)
+            read = np.where(at < last, last - 1 - at, 0), rev[1]    # nothing follows the end
         A, B = dynamics._affine_prefix(d[rev], ibar * w[rev])
         bbar = B.take(self.end) / np.maximum(self.one_minus_a, math.ulp(0.0))
         rbar = -bbar * self.x_p * np.exp(-self.rate)
-        carry, after = bbar * A[:-1][rev], B[:-1][rev]
+        carry, after = bbar * A[:-1][read], B[:-1][read]
         # psi(z) = (1 - (1 + z) e^{-z}) / z^2 = (g / z - d) / z, and below
         # z = 0.02, where that cancels, its series
         z = np.maximum(self.rh, 0.02)

@@ -251,6 +251,19 @@ class TestGradient:
                                        atol=1e-6 * np.abs(fd_c).max())
             np.testing.assert_allclose(kernel.dw_dh[0], fd_h, rtol=1e-6, atol=1e-6 * w / h.sum())
 
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_zero_width_segment_is_the_limit_of_a_vanishing_one(self, zero):
+        # A zero width is an identity map wherever it sits, also after the
+        # row's last positive width, and w is smooth in it: its gradient is
+        # that of a width of 1e-300, to rounding.
+        levels = np.array([[1.5, 0.2, 3.0]] * 2)
+        durations = np.array([[0.4, 0.9, 0.6]] * 2)
+        durations[0, zero], durations[1, zero] = 0.0, 1e-300
+        kernel = _PeriodRows(levels, durations, 0.8, gradient=True)
+        for name in ("dw_dc", "dw_dh"):
+            np.testing.assert_allclose(getattr(kernel, name)[0], getattr(kernel, name)[1],
+                                       rtol=1e-14, atol=1e-16)
+
     def test_gradient_leaves_the_values_unchanged(self):
         rng = np.random.default_rng(29)
         levels = rng.uniform(0.0, 4.0, (16, 5))
