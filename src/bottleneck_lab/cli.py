@@ -184,8 +184,8 @@ def _cmd_verify(cfg: dict) -> int:
     n_signals = _count(cfg.get("n_signals", 500), "n_signals")
     n_asymptotic = _count(cfg.get("n_asymptotic", 100), "n_asymptotic")
     for key, count in (("n_signals", n_signals), ("n_asymptotic", n_asymptotic)):
-        try:    # numpy refuses, or cannot reserve, rows for too many cases
-            np.empty((count, suites.MAX_SEGMENTS))
+        try:    # numpy refuses, or cannot reserve, the draw buffer for too many cases
+            np.empty((count, 2 * suites.MAX_SEGMENTS + 1))
         except (ValueError, MemoryError):
             raise ConfigError(f"verify: {key} = {count} cases do not fit in memory") from None
     tolerances = suites.SuiteTolerances()

@@ -95,13 +95,7 @@ class PoincareMap:
     b: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rate < math.inf):
-            raise SignalError(f"decay exponent must be positive and finite: rate={self.rate}")
-        one_minus_a = -math.expm1(-self.rate)
-        if self.b < -_MAP_TOL or self.b > one_minus_a + _MAP_TOL:
-            raise SignalError(f"offset out of range: a={self.a}, b={self.b}")
-        # Absorb sub-ulp rounding so the fixed point stays inside [0, 1].
-        object.__setattr__(self, "b", min(max(self.b, 0.0), one_minus_a))
+        object.__setattr__(self, "b", _map_columns([self.rate], [self.b])[1].item())
 
     @property
     def a(self) -> float:
@@ -110,6 +104,26 @@ class PoincareMap:
     @property
     def fixed_point(self) -> float:
         return self.b / -math.expm1(-self.rate)
+
+
+def _map_columns(rate, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, x_p) of rows of one-period maps, as `PoincareMap` checks and
+    clamps them: the first row with rate outside (0, inf), or b outside
+    [0, 1 - a] by more than _MAP_TOL, raises SignalError, and sub-ulp rounding
+    is absorbed. a and 1 - a are each row's math.exp and math.expm1."""
+    rate, b = np.asarray(rate, dtype=float), np.asarray(b, dtype=float)
+    valid = (0.0 < rate) & (rate < math.inf)
+    rates = np.where(valid, rate, math.nan).tolist()     # math.expm1(-rate) overflows below -709
+    one_minus_a = np.array([-math.expm1(-r) for r in rates])
+    bad = ~valid | (b < -_MAP_TOL) | (b > one_minus_a + _MAP_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if not valid[i]:
+            raise SignalError(f"decay exponent must be positive and finite: rate={rate[i].item()}")
+        raise SignalError(f"offset out of range: a={math.exp(-rates[i])}, b={b[i].item()}")
+    b = np.where(0.0 > b, 0.0, b)       # min(max(b, 0.0), 1 - a), in Python's comparison order
+    b = np.where(one_minus_a < b, one_minus_a, b)
+    return np.array([math.exp(-r) for r in rates]), b, b / one_minus_a
 
 
 @dataclass(frozen=True)
@@ -289,9 +303,10 @@ def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
     return out
 
 
-def _reports(sums) -> list[PeriodicReport]:
-    """One report per row of period integrals: a `_PeriodRows` built with
-    `moments`, or the Gauss sums of a smooth `gap_report`."""
+def _report_columns(sums) -> np.ndarray:
+    """The `PeriodicReport` fields of each row of period integrals, as an
+    (8, N) array in field order: a `_PeriodRows` built with `moments`, or
+    the Gauss sums of a smooth `gap_report`."""
     lam, period, x_star = sums.lam, sums.period, sums.x_star
     sigma_bar = sums.s / period
     w_const = lam * x_star
@@ -306,7 +321,7 @@ def _reports(sums) -> list[PeriodicReport]:
         np.abs(sums.m1 / period - sigma_bar),
         np.abs(sums.m2 / period - (sigma_bar - w_sigma)),
     )
-    return [PeriodicReport(*row) for row in zip(*(v.tolist() for v in columns))]
+    return np.array(columns)
 
 
 def gap_report(signal: InputSignal, params: SystemParams) -> PeriodicReport:
@@ -321,16 +336,17 @@ def gap_report(signal: InputSignal, params: SystemParams) -> PeriodicReport:
     period = require_period(signal)
     step = dynamics.numeric_step(signal, params)
     if step is None:
-        kernel = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
-        return _reports(kernel)[0]
-    _, traj, scan = _smooth_period(signal, params, period, step, dense=True)
-    lam, xp, s = params.lam, traj.states, scan.int_sigma[-1:]
-    x_star = (s / period) / (lam + s / period)
-    rate_w = (lam + scan.sigma) * scan.weight          # Gauss weights, 0 at step boundaries
-    dev = xp - x_star
-    m1, m2, gap = ((rate_w @ y)[None] for y in (xp, xp * xp, dev * dev))
-    return _reports(SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
-                                    i_p=traj.cumulative_x[-1:], m1=m1, m2=m2, gap=gap))[0]
+        sums = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
+    else:
+        _, traj, scan = _smooth_period(signal, params, period, step, dense=True)
+        lam, xp, s = params.lam, traj.states, scan.int_sigma[-1:]
+        x_star = (s / period) / (lam + s / period)
+        rate_w = (lam + scan.sigma) * scan.weight      # Gauss weights, 0 at step boundaries
+        dev = xp - x_star
+        m1, m2, gap = ((rate_w @ y)[None] for y in (xp, xp * xp, dev * dev))
+        sums = SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
+                               i_p=traj.cumulative_x[-1:], m1=m1, m2=m2, gap=gap)
+    return PeriodicReport(*_report_columns(sums)[:, 0].tolist())
 
 
 def period_states(

@@ -7,9 +7,11 @@ w[sigma] <= w[mean] plus strict gap positivity for genuinely two-valued
 signals, and the geometric contraction of the one-period map observed over
 20 periods. The asymptotic suite checks the solution-independence bound and
 the finite-horizon certificates on the same kind of signals. Each suite
-runs all its cases at once, as padded rows (`signals._pad_rows`);
+runs all its cases at once, as padded rows (`signals._pad_rows`), and its
+results are columns; failure texts are formatted for failing rows only.
 `check_periodic_case` and `check_asymptotic_case` are its one-row form.
-Generated cases are drawn straight into rows; only a failure builds a signal.
+Generated cases are drawn straight into rows, two generator calls per case;
+only a failure builds a signal.
 
 "Genuinely two-valued" is interpreted numerically: two level values
 separated by at least DISTINCT_LEVEL_SEPARATION, each holding at least 1%
@@ -102,28 +104,19 @@ class VerificationReport:
         }
 
 
-def _draw_segments(rng: np.random.Generator, max_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and durations of one random signal: a case's draws before its lam."""
-    n = int(rng.integers(1, max_segments + 1))
-    return rng.uniform(*LEVEL_RANGE, size=n), rng.uniform(*DURATION_RANGE, size=n)
-
-
-def _draw_lam(rng: np.random.Generator) -> float:
-    return float(10.0 ** rng.uniform(*_LOG_LAMBDA_RANGE))
-
-
 def random_piecewise_signal(rng: np.random.Generator,
                             max_segments: int = MAX_SEGMENTS) -> PiecewiseConstant:
     """Random periodic piecewise-constant inflow: up to `max_segments`
     segments, levels uniform in [0, 5], durations uniform in [0.05, 1]."""
-    levels, durations = _draw_segments(rng, max_segments)
+    n = int(rng.integers(1, max_segments + 1))
+    levels, durations = rng.uniform(*LEVEL_RANGE, size=n), rng.uniform(*DURATION_RANGE, size=n)
     breakpoints = np.concatenate(([0.0], np.cumsum(durations)))
     return PiecewiseConstant(tuple(breakpoints.tolist()), tuple(levels.tolist()), periodic=True)
 
 
 def random_system(rng: np.random.Generator) -> SystemParams:
     """lam log-uniform on [0.1, 10]."""
-    return SystemParams(lam=_draw_lam(rng))
+    return SystemParams(lam=float(10.0 ** rng.uniform(*_LOG_LAMBDA_RANGE)))
 
 
 class _Rows(NamedTuple):
@@ -140,21 +133,32 @@ class _Rows(NamedTuple):
                                  tuple(self.levels[i, :k].tolist()))
 
 
+def _uniform(u: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """Unit draws scaled as `Generator.uniform` scales its own."""
+    return bounds[0] + (bounds[1] - bounds[0]) * u
+
+
 def _random_rows(rng: np.random.Generator, count: int) -> _Rows:
     """`count` cases, drawn as `random_piecewise_signal` then `random_system`
-    draw them, straight into rows. One cumsum of the widths gives the
-    breakpoints, so a zero-width pad lands exactly on the period."""
-    levels, widths = np.zeros((2, count, MAX_SEGMENTS))
-    counts, lam = [], []
+    draw them, straight into rows: per case the count n, then 2n + 1 doubles
+    (levels, durations, lam's exponent) as one `random`, scaled afterwards.
+    lam is a Python-float pow per case (a vectorised 10 ** u changes its bits).
+    One cumsum of the widths gives the breakpoints, so a zero-width pad lands
+    exactly on the period."""
+    u = np.zeros((count, 2 * MAX_SEGMENTS + 1))      # no garbage to scale past a row's draws
+    counts = np.empty(count, dtype=np.intp)
     for i in range(count):
-        row_levels, row_widths = _draw_segments(rng, MAX_SEGMENTS)
-        counts.append(len(row_levels))
-        levels[i, :counts[-1]], widths[i, :counts[-1]] = row_levels, row_widths
-        lam.append(_draw_lam(rng))
-    k = max(counts, default=0)
+        counts[i] = n = rng.integers(1, MAX_SEGMENTS + 1)
+        rng.random(out=u[i, :2 * n + 1])
+    k = counts.max(initial=0)
+    real = np.arange(k) < counts[:, None]
+    levels = np.where(real, _uniform(u[:, :k], LEVEL_RANGE), 0.0)
+    widths = np.take_along_axis(u, counts[:, None] + np.arange(k), axis=1)
     breakpoints = np.zeros((count, k + 1))
-    np.cumsum(widths[:, :k], axis=1, out=breakpoints[:, 1:])
-    return _Rows(levels[:, :k], breakpoints, np.array(counts, dtype=np.intp), np.array(lam))
+    np.cumsum(np.where(real, _uniform(widths, DURATION_RANGE), 0.0), axis=1,
+              out=breakpoints[:, 1:])
+    exponent = _uniform(u[np.arange(count), 2 * counts], _LOG_LAMBDA_RANGE)
+    return _Rows(levels, breakpoints, counts, np.array([10.0 ** v for v in exponent.tolist()]))
 
 
 def _case_rows(cases) -> _Rows:
@@ -204,100 +208,88 @@ def has_distinct_levels(signal: PiecewiseConstant, separation: float = DISTINCT_
                               separation, min_duty)[0][0])
 
 
-def _report_failures(report: periodic.PeriodicReport, distinct: bool, all_equal: bool,
-                     tol: SuiteTolerances) -> list[str]:
-    failures = []
-    if report.residual_gap > tol.identity_residual:
-        failures.append(f"gap identity residual {report.residual_gap:.3e}")
-    if report.residual_m1 > tol.identity_residual:
-        failures.append(f"first moment residual {report.residual_m1:.3e}")
-    if report.residual_m2 > tol.identity_residual:
-        failures.append(f"second moment residual {report.residual_m2:.3e}")
-    if report.w_sigma > report.w_const + tol.benchmark_excess:
-        failures.append(f"output {report.w_sigma!r} exceeds benchmark {report.w_const!r}")
-    if report.gap < 0.0:
-        failures.append(f"negative gap {report.gap!r}")
-    if distinct and report.gap <= tol.gap_floor:
-        failures.append(f"gap {report.gap!r} not strictly positive for two-valued signal")
-    if report.gap < EQUALITY_GAP_CUTOFF and not all_equal:
-        failures.append(f"vanishing gap {report.gap!r} for a signal with unequal levels")
-    return failures
+def _failing(checks: np.ndarray, texts) -> dict[int, list[str]]:
+    """{row: failure texts} of the rows that fail any of `checks`, a (check,
+    row) mask, in row order; `texts(i)` formats every check's text for row i."""
+    return {i: [text for text, failed in zip(texts(i), checks[:, i].tolist()) if failed]
+            for i in np.flatnonzero(checks.any(axis=0)).tolist()}
 
 
 def _periodic_checks(rows: _Rows, tol: SuiteTolerances):
-    """Periodic-regime checks of all rows at once: (reports, failures per case).
-
+    """Periodic-regime checks of all rows at once: the report columns
+    (`periodic._report_columns`) and the failing rows' failures (`_failing`).
     One period kernel serves the reports and the one-period maps; the
     contraction is observed by walking each row's composed period map from
-    both starts.
-    """
+    both starts."""
     if not len(rows.lam):
-        return [], []
+        return np.empty((8, 0)), {}
     kernel = periodic._PeriodRows(rows.levels, np.diff(rows.breakpoints, axis=1), rows.lam,
                                   moments=True)
-    reports = periodic._reports(kernel)
-    maps = [periodic.PoincareMap(rate=rate, b=b)
-            for rate, b in zip(kernel.rate.tolist(), kernel.b.tolist())]
-    x_p0 = np.array([pm.fixed_point for pm in maps])
-    decay = np.cumprod(np.tile([pm.a for pm in maps], (CONTRACTION_PERIODS, 1)), axis=0)
+    columns = periodic._report_columns(kernel)
+    a, _, x_p0 = periodic._map_columns(kernel.rate, kernel.b)
+    decay = np.cumprod(np.tile(a, (CONTRACTION_PERIODS, 1)), axis=0)
     starts = np.array([[0.0], [1.0]])
     states = periodic._period_states_rows(kernel, starts, CONTRACTION_PERIODS)[1:]
     distance = np.abs(states - x_p0)                                # (period, start, case)
     limit = decay[:, None, :] * np.abs(starts - x_p0) + tol.contraction
     violated = distance > limit
-    first = violated.argmax(axis=0).tolist()          # (start, case): first violation
-    distinct, all_equal = (v.tolist() for v in _level_checks(*rows[:3]))
-    failures = []
-    for i, report in enumerate(reports):
-        found = _report_failures(report, distinct[i], all_equal[i], tol)
-        for j, x0 in enumerate(starts[:, 0].tolist()):
-            n = first[j][i]
-            if violated[n, j, i]:
-                found.append(
-                    f"contraction violated at period {n + 1} from x0={x0}: "
-                    f"|x - x_p| = {distance[n, j, i]:.3e} > "
-                    f"a^n dx0 + tol = {limit[n, j, i]:.3e}"
-                )
-        failures.append(found)
-    return reports, failures
+    first = violated.argmax(axis=0)                   # (start, case): first violation
+    distinct, all_equal = _level_checks(*rows[:3])
+    _, _, w_sigma, w_const, gap = columns[:5]
+    checks = np.array([
+        *(columns[5:] > tol.identity_residual),
+        w_sigma > w_const + tol.benchmark_excess,
+        gap < 0.0,
+        distinct & (gap <= tol.gap_floor),
+        (gap < EQUALITY_GAP_CUTOFF) & ~all_equal,
+        *violated.any(axis=0),
+    ])
+
+    def texts(i):
+        _, _, w_sigma, w_const, gap, *residuals = columns[:, i].tolist()
+        return [
+            *(f"{name} residual {value:.3e}" for name, value in
+              zip(("gap identity", "first moment", "second moment"), residuals)),
+            f"output {w_sigma!r} exceeds benchmark {w_const!r}",
+            f"negative gap {gap!r}",
+            f"gap {gap!r} not strictly positive for two-valued signal",
+            f"vanishing gap {gap!r} for a signal with unequal levels",
+            *(f"contraction violated at period {n + 1} from x0={x0}: "
+              f"|x - x_p| = {distance[n, j, i]:.3e} > a^n dx0 + tol = {limit[n, j, i]:.3e}"
+              for j, (x0, n) in enumerate(zip(starts[:, 0].tolist(), first[:, i].tolist()))),
+        ]
+    return columns, _failing(checks, texts)
 
 
-def _asymptotic_checks(rows: _Rows, tol: SuiteTolerances) -> list[list[str]]:
-    """Solution-independence and certificate checks of all rows at once.
-
-    One exact row pass per start, recorded at CERTIFICATE_TAUS; its last
-    horizon is INDEPENDENCE_TAU, so the independence check reads the same
-    two passes.
-    """
-    if not len(rows.lam):
-        return []
-    levels, breakpoints, _, lam = rows
-    starts = (0.0, 1.0)
-    passes = [dynamics._exact_rows(levels, breakpoints, np.ones(len(lam), dtype=bool), lam,
-                                   np.full(len(lam), x0), CERTIFICATE_TAUS)
-              for x0 in starts]
-    avg_diff = np.abs(passes[0][1][:, -1] - passes[1][1][:, -1]) / INDEPENDENCE_TAU
-    bound = abs(starts[0] - starts[1]) / (lam * INDEPENDENCE_TAU)
+def _asymptotic_checks(rows: _Rows, tol: SuiteTolerances) -> dict[int, list[str]]:
+    """Solution-independence and certificate checks of all rows at once: the
+    failing rows' failures (`_failing`). One exact pass over the rows tiled
+    twice, from x0 = 0 in the first half and 1 in the second, recorded at
+    CERTIFICATE_TAUS; its last horizon is INDEPENDENCE_TAU, so the
+    independence check reads the same pass. No row's bits depend on its
+    batch, so each half is that start's own pass."""
+    n = len(rows.lam)
+    if not n:
+        return {}
+    levels, breakpoints, _, lam = (np.concatenate((v, v)) for v in rows)
+    starts = np.repeat([0.0, 1.0], n)
+    states, cum_x, cum_s = dynamics._exact_rows(levels, breakpoints, np.ones(2 * n, dtype=bool),
+                                                lam, starts, CERTIFICATE_TAUS)
+    avg_diff = np.abs(cum_x[:n, -1] - cum_x[n:, -1]) / INDEPENDENCE_TAU
+    bound = 1.0 / (rows.lam * INDEPENDENCE_TAU)       # |dx0| = 1
     # Period means, summed segment by segment as mean_over_period sums them.
     sigma_bar = np.cumsum(levels * np.diff(breakpoints), axis=1)[:, -1] / breakpoints[:, -1]
     x_star = sigma_bar / (lam + sigma_bar)
-    worst = []
-    for x0, (states, cum_x, cum_s) in zip(starts, passes):
-        lhs, rhs, _ = asymptotic._certificate_terms(
-            lam[:, None], x_star[:, None], x0, CERTIFICATE_TAUS, states, cum_x, cum_s)
-        worst.append((rhs - lhs).min(axis=1))
-    failures = []
-    for i in range(len(lam)):
-        found = []
-        if avg_diff[i] > bound[i] + tol.independence:
-            found.append(
-                f"independence bound violated: {avg_diff[i].item()!r} > {bound[i].item()!r}"
-            )
-        for x0, slack in zip(starts, worst):
-            if slack[i] < -tol.certificate:
-                found.append(f"certificate slack {slack[i]:.3e} from x0={x0}")
-        failures.append(found)
-    return failures
+    lhs, rhs, _ = asymptotic._certificate_terms(lam[:, None], x_star[:, None], starts[:, None],
+                                                CERTIFICATE_TAUS, states, cum_x, cum_s)
+    slack = (rhs - lhs).min(axis=1).reshape(2, n)     # (start, case)
+    checks = np.array([avg_diff > bound + tol.independence, *(slack < -tol.certificate)])
+
+    def texts(i):
+        return [f"independence bound violated: {avg_diff[i].item()!r} > {bound[i].item()!r}",
+                *(f"certificate slack {s:.3e} from x0={x0}"
+                  for x0, s in zip((0.0, 1.0), slack[:, i].tolist()))]
+    return _failing(checks, texts)
 
 
 def check_periodic_case(signal: PiecewiseConstant, params: SystemParams,
@@ -308,14 +300,14 @@ def check_periodic_case(signal: PiecewiseConstant, params: SystemParams,
     the gap's sign and strictness, and the contraction of the one-period
     map observed over CONTRACTION_PERIODS periods from x0 = 0 and 1.
     """
-    [report], [failures] = _periodic_checks(_case_rows([(signal, params)]), tol)
-    return report, failures
+    columns, failures = _periodic_checks(_case_rows([(signal, params)]), tol)
+    return periodic.PeriodicReport(*columns[:, 0].tolist()), failures.get(0, [])
 
 
 def check_asymptotic_case(signal: PiecewiseConstant, params: SystemParams,
                           tol: SuiteTolerances) -> list[str]:
     """Solution-independence and certificate checks for one periodic signal."""
-    return _asymptotic_checks(_case_rows([(signal, params)]), tol)[0]
+    return _asymptotic_checks(_case_rows([(signal, params)]), tol).get(0, [])
 
 
 _HIST_EDGES = list(range(-18, 1))  # log10 residual buckets
@@ -341,29 +333,25 @@ def run_verification(
     periodic_rows = _random_rows(rng, n_periodic) if cases is None else _case_rows(cases)
     asymptotic_rows = _random_rows(rng, n_asymptotic) if cases is None else periodic_rows
 
-    residuals = []
-    max_res = {"gap_identity": 0.0, "moment_1": 0.0, "moment_2": 0.0}
-    reports, periodic_failures = _periodic_checks(periodic_rows, tol)
+    columns, periodic_failures = _periodic_checks(periodic_rows, tol)
     asymptotic_failures = _asymptotic_checks(asymptotic_rows, tol)
-    for rep in reports:
-        residuals.extend((rep.residual_gap, rep.residual_m1, rep.residual_m2))
-        max_res["gap_identity"] = max(max_res["gap_identity"], rep.residual_gap)
-        max_res["moment_1"] = max(max_res["moment_1"], rep.residual_m1)
-        max_res["moment_2"] = max(max_res["moment_2"], rep.residual_m2)
+    residuals = columns[5:]                           # gap identity, moment 1, moment 2
+    # fmax from 0 skips NaN, as a running Python max from 0 does
+    max_res = {name: np.fmax.reduce(column, initial=0.0).item()
+               for name, column in zip(("gap_identity", "moment_1", "moment_2"), residuals)}
     for suite, rows, suite_failures in (
         ("periodic", periodic_rows, periodic_failures),
         ("asymptotic", asymptotic_rows, asymptotic_failures),
     ):
-        for i, failures in enumerate(suite_failures):
-            if failures:
-                report.failures.append({
-                    "suite": suite,
-                    "signal": signal_to_dict(rows.signal(i)),
-                    "lam": rows.lam[i].item(),
-                    "failures": failures,
-                })
+        for i, failures in suite_failures.items():
+            report.failures.append({
+                "suite": suite,
+                "signal": signal_to_dict(rows.signal(i)),
+                "lam": rows.lam[i].item(),
+                "failures": failures,
+            })
 
-    log10 = np.log10(np.maximum(np.asarray(residuals), 1e-300))
+    log10 = np.log10(np.maximum(residuals, 1e-300))
     log10 = np.clip(log10, _HIST_EDGES[0], _HIST_EDGES[-1])
     counts, _ = np.histogram(log10, bins=_HIST_EDGES)
     report.max_residuals = max_res
