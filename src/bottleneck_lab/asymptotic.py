@@ -37,7 +37,9 @@ by a homogeneous solution, so their running averages differ by at most
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,18 +330,15 @@ def averages_to_csv(
 ) -> None:
     """Combined table: tau, mean_input, mean_state, lhs, rhs, slack.
 
-    Certificate columns are left empty when no certificate list is given or
-    when a certificate horizon does not match the running-average grid.
+    `certificates` is None, which leaves the certificate columns empty, or
+    the certificates at exactly the horizons of `ra`, in order.
     """
-    by_tau = {}
-    if certificates:
-        by_tau = {c.tau: c for c in certificates}
+    columns = ()
+    if certificates is not None:
+        fields = map(operator.attrgetter("tau", "lhs", "rhs", "slack"), certificates)
+        taus, *columns = np.fromiter(itertools.chain(*fields), np.float64).reshape(-1, 4).T
+        if not np.array_equal(taus, ra.taus):
+            raise ValueError("certificates must be at exactly the horizons of the running averages")
     fh.write("tau,mean_input,mean_state,lhs,rhs,slack\n")
-    for tau, mi, ms in zip(ra.taus.tolist(), ra.mean_input.tolist(),
-                           ra.mean_state.tolist()):
-        cert = by_tau.get(tau)
-        if cert is None:
-            fh.write(f"{tau!r},{mi!r},{ms!r},,,\n")
-        else:
-            fh.write(f"{tau!r},{mi!r},{ms!r},{cert.lhs!r},{cert.rhs!r},{cert.slack!r}\n")
-
+    dynamics._write_rows(fh, ra.taus, ra.mean_input, ra.mean_state, *columns,
+                         end=",,,\n" if certificates is None else "\n")

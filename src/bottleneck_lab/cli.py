@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import asymptotic, dynamics, optimize, periodic, suites
-from .signals import SignalError, SystemParams, signal_from_dict
+from .signals import SignalError, SystemParams, period_of, signal_from_dict
 
 __all__ = ["main", "ConfigError"]
 
@@ -120,6 +120,14 @@ def _positive_float(value, name: str) -> float:
     return value
 
 
+def _require_fits(what: str, shape) -> None:
+    """ConfigError "<what> do not fit in memory" if numpy refuses an array of shape `shape()`."""
+    try:
+        np.empty([max(0, math.ceil(n)) for n in shape()])
+    except (ValueError, OverflowError, MemoryError):
+        raise ConfigError(f"{what} do not fit in memory") from None
+
+
 @contextlib.contextmanager
 def _open_output(path: str | None):
     """The text stream for an `out` or `log` key: stdout for None or "-".
@@ -156,6 +164,8 @@ def _cmd_simulate(cfg: dict) -> int:
     x0 = _number(float, cfg.get("x0", 0.0), "x0")
     step = cfg.get("step")
     step = None if step is None else _positive_float(step, "step")
+    rows = horizon / min(step or math.inf, period_of(signal) or math.inf)  # rows recorded, at least
+    _require_fits(f"simulate: horizon / min(step, period) = {rows:.3g} rows", lambda: (rows + 1, 4))
     traj = dynamics.simulate(signal, params, x0, horizon, step=step)
     with _open_output(cfg.get("out")) as fh:
         dynamics.trajectory_to_csv(traj, signal, fh)
@@ -183,11 +193,8 @@ def _cmd_verify(cfg: dict) -> int:
     seed = _count(cfg.get("seed", 0), "seed")
     n_signals = _count(cfg.get("n_signals", 500), "n_signals")
     n_asymptotic = _count(cfg.get("n_asymptotic", 100), "n_asymptotic")
-    for key, count in (("n_signals", n_signals), ("n_asymptotic", n_asymptotic)):
-        try:    # numpy refuses, or cannot reserve, the draw buffer for too many cases
-            np.empty((count, 2 * suites.MAX_SEGMENTS + 1))
-        except (ValueError, MemoryError):
-            raise ConfigError(f"verify: {key} = {count} cases do not fit in memory") from None
+    for key, n in (("n_signals", n_signals), ("n_asymptotic", n_asymptotic)):
+        _require_fits(f"verify: {key} = {n} cases", lambda: (n, 2 * suites.MAX_SEGMENTS + 1))
     tolerances = suites.SuiteTolerances()
     if cfg.get("tolerance") is not None:
         tolerances = suites.SuiteTolerances(
@@ -234,6 +241,8 @@ def _cmd_asymptotic(cfg: dict) -> int:
                else _positive_float(tau_max, "tau_max"))
     n_checkpoints = _number(int, cfg.get("n_checkpoints", asymptotic.DEFAULT_CHECKPOINTS),
                             "n_checkpoints")
+    _require_fits(f"asymptotic: n_checkpoints = {n_checkpoints} checkpoints",
+                  lambda: (n_checkpoints,))
     ra = asymptotic.running_averages(signal, params, x0, tau_max, n_checkpoints)
     certs = asymptotic.finite_horizon_certificates(signal, params, ra)
     check = asymptotic.longrun_bound_check(signal, params, ra)
@@ -299,6 +308,9 @@ def _cmd_optimize(cfg: dict) -> int:
     max_evals = _number(int, cfg.get("max_evals", optimize.DEFAULT_MAX_EVALS), "max_evals")
     if max_evals < 1:
         raise ConfigError(f"optimize: max_evals must be at least 1, got {max_evals}")
+    axes = 2 if isinstance(family, optimize.BangBang) else family.n_segments
+    _require_fits(f"optimize: resolution**{axes} = {resolution}**{axes} grid points",
+                  lambda: (float(resolution) ** axes, axes))
     rng = np.random.default_rng(seed)
 
     benchmark = periodic.constant_benchmark(mean, params)
@@ -389,15 +401,12 @@ def main(argv=None) -> int:
             )
         return _COMMANDS[args.command](cfg)
     except (ConfigError, SignalError, dynamics.DomainError,
-            optimize.InfeasibleMeanError) as exc:
+            optimize.InfeasibleMeanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except dynamics.StepSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

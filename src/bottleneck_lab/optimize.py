@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _CSV_CHUNK, _write_rows  # noqa: F401  (_CSV_CHUNK stays importable here)
 from .signals import SignalError, SystemParams
 from .periodic import _PeriodRows, constant_benchmark, output_for_level_rows
 
@@ -191,11 +192,6 @@ def project_to_mean(family: WaveformFamily, point, target_mean: float):
 # Evaluation plumbing
 # ---------------------------------------------------------------------------
 
-# Rows per CSV chunk. The writer's temporaries (the chunk's float table, its
-# sorted bit patterns and their strings) scale with this, not with the log.
-_CSV_CHUNK = 512
-
-
 class EvaluationLog:
     """Append-only record of every waveform evaluation in one experiment.
 
@@ -257,23 +253,11 @@ class EvaluationLog:
         return self.max_output - self.benchmark
 
     def to_csv(self, fh) -> None:
-        """Stream one row per evaluation to the open text file `fh`.
-
-        Every field is the round-trip `repr` of its float. Each chunk of rows
-        is formatted as one table: every distinct bit pattern in it (so -0.0
-        and 0.0 stay apart) is formatted once and the strings are gathered
-        back into place.
-        """
+        """Stream one row per evaluation to the open text file `fh`, a block at a time."""
         fh.write(",".join(self.family.coordinate_names) + ",mean,w,benchmark,gap\n")
         for block in self._flush():
-            for start in range(0, len(block), _CSV_CHUNK):
-                rows = block[start:start + _CSV_CHUNK]
-                table = np.column_stack(
-                    (rows, np.full(len(rows), self.benchmark), self.benchmark - rows[:, -1]))
-                bits, inverse = np.unique(table.view(np.int64).ravel(), return_inverse=True)
-                text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-                lines = text[inverse].reshape(table.shape).tolist()
-                fh.write("\n".join(map(",".join, lines)) + "\n")
+            _write_rows(fh, *block.T, np.broadcast_to(self.benchmark, len(block)),
+                        self.benchmark - block[:, -1])
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ nodes, so the residuals stay at rounding level there too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -386,22 +386,15 @@ def _period_states_rows(kernel: _PeriodRows, x0, n_periods: int) -> np.ndarray:
 # Export
 # ---------------------------------------------------------------------------
 
-REPORT_CSV_HEADER = (
-    "lam,period,sigma_bar,x_star,w_sigma,w_const,gap,"
-    "residual_gap,residual_m1,residual_m2"
-)
+REPORT_CSV_HEADER = ",".join(("lam", "period", *(f.name for f in fields(PeriodicReport))))
 
 
 def reports_to_csv(rows, fh) -> None:
     """Write one CSV row per (signal, params, report) experiment."""
     fh.write(REPORT_CSV_HEADER + "\n")
-    for signal, params, report in rows:
-        period = require_period(signal)
-        fh.write(
-            f"{params.lam!r},{period!r},{report.sigma_bar!r},{report.x_star!r},"
-            f"{report.w_sigma!r},{report.w_const!r},{report.gap!r},"
-            f"{report.residual_gap!r},{report.residual_m1!r},{report.residual_m2!r}\n"
-        )
+    table = np.array([(params.lam, require_period(signal), *astuple(report))
+                      for signal, params, report in rows], dtype=np.float64)
+    dynamics._write_rows(fh, *table.reshape(-1, REPORT_CSV_HEADER.count(",") + 1).T)
 
 
 def report_to_json_dict(

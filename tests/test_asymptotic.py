@@ -278,6 +278,19 @@ class TestSolutionIndependence:
             assert check_asymptotic_case(sig, params, tol) == []
 
 
+def per_row_averages_csv(ra, certs=None):
+    """Reference writer: one f-string of field reprs per horizon."""
+    out = ["tau,mean_input,mean_state,lhs,rhs,slack\n"]
+    for i, (tau, mi, ms) in enumerate(zip(ra.taus.tolist(), ra.mean_input.tolist(),
+                                          ra.mean_state.tolist())):
+        if certs is None:
+            out.append(f"{tau!r},{mi!r},{ms!r},,,\n")
+        else:
+            c = certs[i]
+            out.append(f"{tau!r},{mi!r},{ms!r},{c.lhs!r},{c.rhs!r},{c.slack!r}\n")
+    return "".join(out)
+
+
 class TestExport:
     def test_combined_csv(self):
         ra = running_averages(TWO_LEVEL, P1, 0.0, 100.0, n_checkpoints=8)
@@ -293,3 +306,19 @@ class TestExport:
         ra = running_averages(Constant(1.0), P1, 0.0, 10.0, n_checkpoints=4)
         rows = list(csv.reader(io.StringIO(csv_text(ra))))
         assert rows[1][3:] == ["", "", ""]
+
+    @pytest.mark.parametrize("signal", [TWO_LEVEL, TWO_TONE])
+    @pytest.mark.parametrize("with_certificates", [True, False])
+    def test_matches_per_row_writer(self, signal, with_certificates):
+        ra = running_averages(signal, P1, 0.3, 200.0)
+        certs = finite_horizon_certificates(signal, P1, ra) if with_certificates else None
+        assert csv_text(ra, certs) == per_row_averages_csv(ra, certs)
+
+    def test_mismatched_certificates_raise(self):
+        ra = running_averages(TWO_LEVEL, P1, 0.0, 100.0, n_checkpoints=8)
+        certs = finite_horizon_certificates(TWO_LEVEL, P1, ra)
+        other = finite_horizon_certificates(
+            TWO_LEVEL, P1, running_averages(TWO_LEVEL, P1, 0.0, 90.0, n_checkpoints=8))
+        for bad in ([], certs[:-1], certs[::-1], other, certs + certs[-1:]):
+            with pytest.raises(ValueError, match="horizons"):
+                csv_text(ra, bad)

@@ -541,6 +541,30 @@ class TestIntegerConfig:
         assert f"error: verify: {key} = {10**18} cases do not fit" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Each byte count overflows int64, so numpy refuses the size before
+    # allocating anything.
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("asymptotic", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "n_checkpoints": 2**62},
+         "n_checkpoints"),
+        ("optimize", {**BANG_BANG_OPTIMIZE, "resolution": 1000,
+                      "family": {"kind": "piecewise_free", "n_segments": 30}}, "resolution"),
+        ("optimize", {**BANG_BANG_OPTIMIZE, "resolution": 2**62}, "resolution"),
+        ("simulate", {"signal": CONSTANT_SIG, "lambda": 1.0, "horizon": 1e300, "step": 1e-300},
+         "step"),
+        ("simulate", {"signal": CONSTANT_SIG, "lambda": 1.0, "horizon": 1e6, "step": 1e-12},
+         "step"),
+        ("simulate", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "horizon": 1e300}, "horizon"),
+    ])
+    def test_size_too_large_exits_2_and_names_the_key(self, tmp_path, capsys, command, cfg, key):
+        out, log = tmp_path / "out", tmp_path / "log"
+        extra = {"log": str(log)} if command == "optimize" else {}
+        path = write_json(tmp_path / "cfg.json", {**cfg, "out": str(out), **extra})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}: ") and key in err.split(" = ")[0]
+        assert err.endswith(" do not fit in memory\n") and "Traceback" not in err
+        assert not out.exists() and not log.exists()
+
 
 
 class TestBooleanConfig:

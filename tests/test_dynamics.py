@@ -316,6 +316,16 @@ class TestAverageX:
         assert got == pytest.approx((i1 + i2) / 2.0, abs=1e-9)
 
 
+def per_row_trajectory_csv(traj, signal):
+    """Reference writer: one f-string of field reprs per trajectory row."""
+    out = ["t,x,sigma,cumulative_x\n"]
+    sigma = evaluate_array(signal, traj.times).tolist()
+    for t, x, s, c in zip(traj.times.tolist(), traj.states.tolist(), sigma,
+                          traj.cumulative_x.tolist()):
+        out.append(f"{t!r},{x!r},{s!r},{c!r}\n")
+    return "".join(out)
+
+
 class TestCsvExport:
     def test_roundtrip_and_columns(self):
         traj = simulate(TWO_LEVEL, P1, 0.25, 3.0)
@@ -337,6 +347,17 @@ class TestCsvExport:
         assert by_t[0.0] == 0.0
         assert by_t[1.0] == 2.0
         assert by_t[2.0] == 0.0
+
+    @pytest.mark.parametrize("signal", [
+        PiecewiseConstant((0.0, 1e-3, 2e-3), (3.0, 0.0)),                    # exact path
+        ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0 * math.pi, 0.0),)),    # smooth, clipped
+    ])
+    def test_matches_per_row_writer_across_chunks(self, signal):
+        traj = simulate(signal, P1, 0.25, 3.0)
+        assert traj.times.size > 2 * dynamics._CSV_CHUNK
+        buf = io.StringIO()
+        trajectory_to_csv(traj, signal, buf)
+        assert buf.getvalue() == per_row_trajectory_csv(traj, signal)
 
     def test_sigma_column_is_the_level_the_walk_integrates(self):
         # Tiny period over a long horizon: the walk starts cycle c + 1 at

@@ -16,8 +16,10 @@ from bottleneck_lab.asymptotic import (
 import bottleneck_lab.dynamics as dynamics
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate, smooth_pass
 from bottleneck_lab.periodic import (
+    REPORT_CSV_HEADER,
     _PeriodRows,
     _period_states_rows,
+    PeriodicReport,
     PoincareMap,
     constant_benchmark,
     gap_report,
@@ -37,6 +39,7 @@ from bottleneck_lab.signals import (
     SignalError,
     SystemParams,
     mean_over_period,
+    require_period,
 )
 from bottleneck_lab.suites import (
     check_asymptotic_case,
@@ -656,6 +659,18 @@ class TestClosedFormAtExtremeScales:
         np.testing.assert_allclose(rows, [w], rtol=1e-14, atol=0.0)
 
 
+def per_row_reports_csv(rows):
+    """Reference writer: one f-string of field reprs per (signal, params, report)."""
+    out = ["lam,period,sigma_bar,x_star,w_sigma,w_const,gap,residual_gap,residual_m1,"
+           "residual_m2\n"]
+    for signal, params, r in rows:
+        out.append(
+            f"{params.lam!r},{require_period(signal)!r},{r.sigma_bar!r},{r.x_star!r},"
+            f"{r.w_sigma!r},{r.w_const!r},{r.gap!r},"
+            f"{r.residual_gap!r},{r.residual_m1!r},{r.residual_m2!r}\n")
+    return "".join(out)
+
+
 class TestExport:
     def test_csv_row(self):
         rep = gap_report(TWO_LEVEL, P1)
@@ -665,6 +680,25 @@ class TestExport:
         assert rows[0][:4] == ["lam", "period", "sigma_bar", "x_star"]
         assert float(rows[1][0]) == 1.0
         assert float(rows[1][4]) == rep.w_sigma
+
+    def test_rows_match_per_row_writer(self):
+        smooth = ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0 * math.pi, 0.0),))
+        edge = PeriodicReport(sigma_bar=-0.0, x_star=5e-324, w_sigma=1.7976931348623157e308,
+                              w_const=math.inf, gap=math.nan, residual_gap=0.0,
+                              residual_m1=-math.inf, residual_m2=-5e-324)
+        rows = [(TWO_LEVEL, P1, gap_report(TWO_LEVEL, P1)),
+                (smooth, SystemParams(lam=3.0), gap_report(smooth, SystemParams(lam=3.0))),
+                (TWO_LEVEL, SystemParams(lam=1e-300), edge),
+                (TWO_LEVEL, P1, gap_report(TWO_LEVEL, P1))]
+        buf = io.StringIO()
+        reports_to_csv(rows, buf)
+        assert buf.getvalue() == per_row_reports_csv(rows)
+        assert buf.getvalue().splitlines()[3].startswith("1e-300,2.0,-0.0,5e-324,")
+
+    def test_header_only_without_rows(self):
+        buf = io.StringIO()
+        reports_to_csv([], buf)
+        assert buf.getvalue() == per_row_reports_csv([]) == REPORT_CSV_HEADER + "\n"
 
     def test_json_provenance(self):
         rep = gap_report(TWO_LEVEL, P1)
