@@ -164,8 +164,12 @@ def _cmd_simulate(cfg: dict) -> int:
     x0 = _number(float, cfg.get("x0", 0.0), "x0")
     step = cfg.get("step")
     step = None if step is None else _positive_float(step, "step")
-    rows = horizon / min(step or math.inf, period_of(signal) or math.inf)  # rows recorded, at least
-    _require_fits(f"simulate: horizon / min(step, period) = {rows:.3g} rows", lambda: (rows + 1, 4))
+    # Rows recorded, at least; on smooth inflow the start and nodes of every step.
+    default = dynamics.numeric_step(signal, params)
+    cell = min(step or math.inf, default or period_of(signal) or math.inf)
+    rows, what = ((7.0 * np.ceil(horizon / cell), "7 ceil(horizon / min(step, default_step))")
+                  if default else (horizon / cell, "horizon / min(step, period)"))
+    _require_fits(f"simulate: {what} = {rows:.3g} rows", lambda: (rows + 1, 4))
     traj = dynamics.simulate(signal, params, x0, horizon, step=step)
     with _open_output(cfg.get("out")) as fh:
         dynamics.trajectory_to_csv(traj, signal, fh)

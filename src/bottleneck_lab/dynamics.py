@@ -38,8 +38,8 @@ them one at a time in Python.
   affine map of x(a). One chunked prefix scan of the end maps
   (`_smooth_scan`) steps the smooth path for `smooth_pass`, `simulate` and
   the periodic module; it carries the state and its slope in x0, so one
-  scan from 0 gives every start's solution. int sigma is exact; int x and
-  int p are Gauss sums of the node states.
+  scan from 0 gives every start's solution. int sigma is exact; int x, int
+  p and a report's sums are Gauss sums of node states, which only `simulate` keeps.
 
   The step is set by accuracy: `default_step` is
   min(0.1/omega_max, 0.1/max sigma, 1/lam), and each gap between record
@@ -434,10 +434,10 @@ def _prefix_sums(X: np.ndarray) -> np.ndarray:
     return S
 
 
-# `_smooth_scan` at its kept points: the state x from x0, its slope p in x0
-# (the product of the step factors), sigma, their running integrals from 0,
-# and each point's weight in the Gauss rule over the scan (0 at boundaries).
-_Scan = namedtuple("_Scan", "t x p sigma int_x int_p int_sigma weight")
+# `_smooth_scan` at its record times: x from x0, its slope p in x0, their
+# running integrals and sigma's from 0, and about a `center` c the Gauss sums
+# of (lam + sigma) h b_j times 1, u, p, u^2, u p, p^2, u = x + p (c - x0) - c.
+_Scan = namedtuple("_Scan", "x p int_x int_p int_sigma sums")
 
 
 def _clamp(states: np.ndarray) -> np.ndarray:
@@ -451,7 +451,7 @@ def _clamp(states: np.ndarray) -> np.ndarray:
 
 
 def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times,
-                 step: float, dense: bool = False) -> _Scan:
+                 step: float, dense: bool = False, center: float | None = None):
     """The one numeric integrator: a chunked prefix scan from t = 0 through the record times.
 
     Each gap between record times (from 0) takes max(1, ceil(gap / h))
@@ -461,8 +461,9 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
     one chunk of at most _CHUNK_STEPS base steps at a time, carrying x and p.
     int sigma is exact; int x and int p are Gauss sums of the node states.
     States are clamped to [0, 1], which acts at rounding level only. Returns
-    values at the record times or, with `dense`, at every step boundary and
-    node, in time order; unless `dense`, memory is bounded by _CHUNK_STEPS.
+    a `_Scan` at the record times, summed chunk by chunk about a `center`,
+    so memory is bounded by _CHUNK_STEPS; or, with `dense`, the (3, 7 n + 1)
+    columns t, x and int x at every step boundary and node, in time order.
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step!r}")
@@ -478,8 +479,8 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
     first = np.concatenate(([0], np.cumsum(counts)))           # node index of each end
     widths = np.append(np.divide(gaps, counts, out=np.zeros_like(gaps), where=counts > 0), 0.0)
     n = int(first[-1])
-    records, out, pieces = first[1:], np.zeros((8, gaps.size)), []
-    x, p, carry = x0, 1.0, np.zeros(3)
+    records, out, pieces = first[1:], np.zeros((5, gaps.size)), []
+    x, p, carry, sums = x0, 1.0, np.zeros(3), None if center is None else np.zeros(6)
     # With no step at all, one empty chunk still records the start node.
     for i0 in range(0, max(n, 1), _CHUNK_STEPS):
         i1 = min(i0 + _CHUNK_STEPS, n)
@@ -492,26 +493,27 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
         whole = np.diff(at) == 1                    # base steps that no clip point cut
         z[at[:-1][whole]] = lam * widths[k[:-1][whole]]
         del node, k, base, whole
-        xb, pb, ints, piece = _scan_chunk(signal, lam, tb, z, x, p, carry, dense)
+        xb, pb, ints, piece = _scan_chunk(signal, lam, tb, z, x, p, carry, dense, x0, center)
         lo, hi = np.searchsorted(records, [i0, i1 + 1])
         kept = at[records[lo:hi] - i0]
-        out[:7, lo:hi] = (tb[kept], xb[kept], pb[kept], evaluate_array(signal, tb[kept]),
-                          *ints[:, kept])
-        pieces.append(piece)
+        out[:, lo:hi] = (xb[kept], pb[kept], *ints[:, kept])
+        if dense:
+            pieces.append(piece)
+        elif center is not None:
+            sums += piece
         x, p, carry, t_end = xb[-1], pb[-1], ints[:, -1].copy(), tb[-1]
         del tb, at, z, xb, pb, ints, piece     # before the next chunk's arrays exist
     if dense:
-        end = [[t_end], [x], [p], evaluate_array(signal, [t_end]), *carry[:, None], [0.0]]
-        return _Scan(*np.column_stack(pieces + [np.array(end)]))
-    return _Scan(*out)
+        return np.column_stack(pieces + [np.array([t_end, x, carry[0]])])
+    return _Scan(*out, sums)
 
 
 def _scan_chunk(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.ndarray,
-                x: float, p: float, carry: np.ndarray, dense: bool):
+                x: float, p: float, carry: np.ndarray, dense: bool, x0: float, center):
     """One chunk of `_smooth_scan`, from x, p and the running integrals
     `carry` at tb[0]: the states, slopes and (3, n + 1) running integrals at
-    the boundaries `tb`, and with `dense` the (8, 7 n) `_Scan` columns of
-    each step's start and nodes, in time order (else None)."""
+    the boundaries `tb`, and the (3, 7 n) `dense` columns of each step's
+    start and nodes, or the chunk's `_Scan.sums` about `center`."""
     h, decay, drive, sigma, S = _fitted_steps(signal, lam, tb, z)
     P, Q = _affine_prefix(decay[:, -1], drive[:, -1])
     xb = _clamp(P * x + Q)
@@ -523,21 +525,21 @@ def _scan_chunk(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.nd
     np.cumsum(np.vstack((alpha * xb[:-1] + beta, alpha * pb[:-1], S[:, -1])),
               axis=1, out=ints[:, 1:])
     ints[:, 1:] += carry[:, None]
-    if not dense:
+    if not dense and center is None:
         return xb, pb, ints, None
-    piece = np.empty((8, len(h), 1 + _NODES.size))
-    start, nodes = piece[:, :, 0], piece[:, :, 1:]
-    start[:4] = tb[:-1], xb[:-1], pb[:-1], evaluate_array(signal, tb[:-1])
-    start[4:7], start[7] = ints[:, :-1], 0.0
-    nodes[0] = tb[:-1, None] + h[:, None] * _NODES
-    nodes[1] = _clamp(decay[:, :-1] * xb[:-1, None] + drive[:, :-1])
-    nodes[2] = decay[:, :-1] * pb[:-1, None]
-    nodes[3] = sigma
-    # int_a^{a + c_i h} of the interpolant through the node values
-    nodes[4:6] = ints[:2, :-1, None] + h[:, None] * (nodes[1:3] @ _MOMENTS[0, :-1].T)
-    nodes[6] = ints[2, :-1, None] + S[:, :-1]
-    nodes[7] = h[:, None] * _WEIGHTS
-    return xb, pb, ints, piece.reshape(8, -1)
+    nodes = _clamp(decay[:, :-1] * xb[:-1, None] + drive[:, :-1])
+    if dense:
+        piece = np.empty((3, len(h), 1 + _NODES.size))
+        piece[:, :, 0] = tb[:-1], xb[:-1], ints[0, :-1]
+        # the node times and states, and int_a^{a + c_i h} of their interpolant
+        piece[:, :, 1:] = (tb[:-1, None] + h[:, None] * _NODES, nodes,
+                           ints[0, :-1, None] + h[:, None] * (nodes @ _MOMENTS[0, :-1].T))
+        return xb, pb, ints, piece.reshape(3, -1)
+    slope = decay[:, :-1] * pb[:-1, None]
+    u = nodes + slope * (center - x0) - center
+    W = (lam + sigma) * (h[:, None] * _WEIGHTS)
+    terms = np.array((W, W * u, W * slope, W * u * u, W * u * slope, W * slope * slope))
+    return xb, pb, ints, terms.reshape(6, -1).sum(axis=1)      # pairwise sums
 
 
 def smooth_pass(
@@ -610,8 +612,8 @@ def simulate(
         raise DomainError(f"step must be positive and finite, got {step!r}")
     default = numeric_step(signal, params)
     if default is not None:
-        scan = _smooth_scan(signal, params.lam, x0, [horizon], step or default, dense=True)
-        return Trajectory(scan.t, scan.x, scan.int_x)
+        return Trajectory(*_smooth_scan(signal, params.lam, x0, [horizon], step or default,
+                                        dense=True))
 
     times = _merge_record_grid(signal, horizon, step or horizon / _RECORD_POINTS)
     states, cum_x, _ = exact_pass(signal, params, x0, times)

@@ -32,10 +32,10 @@ at nanosecond periods), the orbit's deviations and I_p = int_0^T x_p, and
 on request the moment integrals or the gradient of w in the levels and
 durations. Reports, one-period maps, the contraction walk, the search's
 candidate waveforms and the verification suites are rows of it.
-On smooth inflow one scan of the period from 0 (`_smooth_period`) gives the
-map, the orbit and sigma at the Gauss nodes of every step; int sigma, and so
-sigma_bar, is exact, and every other integral is the Gauss sum on those
-nodes, so the residuals stay at rounding level there too.
+On smooth inflow one chunked scan of the period from 0 gives the map and,
+summed about x_star (`gap_report`), every period integral as a Gauss sum on
+the nodes of its steps; int sigma, and so sigma_bar, is exact, so the
+residuals stay at rounding level there too.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .signals import (
     InputSignal,
     SignalError,
     SystemParams,
+    mean_over_period,
     require_period,
     signal_to_dict,
 )
@@ -158,37 +159,23 @@ def poincare_map(signal: InputSignal, params: SystemParams) -> PoincareMap:
     """Build the one-period map x(T) = a x(0) + b.
 
     On piecewise-constant inflow both R and b come from the closed-form
-    period kernel; on smooth inflow both come from one scan (`_smooth_period`).
+    period kernel. On smooth inflow b is the end state of one scan of the
+    period from 0 and R = lam T + its exact int sigma, not the step factors'
+    product, which underflows once R > 745, nor its -log.
     """
     period = require_period(signal)
     step = dynamics.numeric_step(signal, params)
     if step is None:
         kernel = _PeriodRows([signal.levels], [signal.durations], params.lam)
         return PoincareMap(rate=float(kernel.rate[0]), b=float(kernel.b[0]))
-    return _smooth_period(signal, params, period, step)[0]
+    scan = dynamics._smooth_scan(signal, params.lam, 0.0, [period], step)
+    return PoincareMap(rate=params.lam * period + float(scan.int_sigma[0]), b=float(scan.x[0]))
 
 
 def periodic_solution(signal: InputSignal, params: SystemParams) -> dynamics.Trajectory:
     """One period of the unique periodic solution, starting at its fixed point."""
-    period = require_period(signal)
-    step = dynamics.numeric_step(signal, params)
-    if step is None:
-        x_p0 = poincare_map(signal, params).fixed_point
-        return dynamics.simulate(signal, params, x_p0, period)
-    return _smooth_period(signal, params, period, step, dense=True)[1]
-
-
-def _smooth_period(signal, params: SystemParams, period: float, step: float, dense=False):
-    """One scan over [0, T] from x(0) = 0: (map, orbit, scan). b is its end
-    state, R = lam T + its exact integral of sigma: not the step factors'
-    product, which underflows once R > 745, nor its -log, which loses
-    precision when r h is tiny. The orbit is x + p x_p, at T or (`dense`) at
-    every step boundary and node."""
-    scan = dynamics._smooth_scan(signal, params.lam, 0.0, [period], step, dense)
-    pmap = PoincareMap(rate=params.lam * period + float(scan.int_sigma[-1]), b=float(scan.x[-1]))
-    x_p = pmap.fixed_point
-    states = dynamics._clamp(scan.x + scan.p * x_p)
-    return pmap, dynamics.Trajectory(scan.t, states, scan.int_x + scan.int_p * x_p), scan
+    x_p = poincare_map(signal, params).fixed_point
+    return dynamics.simulate(signal, params, x_p, require_period(signal))
 
 
 def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
@@ -330,22 +317,29 @@ def gap_report(signal: InputSignal, params: SystemParams) -> PeriodicReport:
     The gap and both moment integrals are evaluated independently of the
     averaged-output bookkeeping, so the residuals are genuine consistency
     checks, not algebraic rearrangements of each other. On smooth inflow
-    they are Gauss sums over the nodes of the one scan of the period, and
-    sigma_bar is its exact int sigma.
+    one scan of the period from 0 gives x_p = b / (1 - a), which keeps its
+    digits where x(T) - c from a start at c would not, and the `_Scan.sums`
+    about c = x_star (`mean_over_period`; the unclipped mean, far from it on
+    clipped inflow, would cancel as 0 does). The orbit is c + u + p (x_p - c)
+    at the nodes, so m1, m2 and the gap add terms of the deviations' size.
     """
     period = require_period(signal)
     step = dynamics.numeric_step(signal, params)
     if step is None:
         sums = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
     else:
-        _, traj, scan = _smooth_period(signal, params, period, step, dense=True)
-        lam, xp, s = params.lam, traj.states, scan.int_sigma[-1:]
+        lam, mean = params.lam, mean_over_period(signal)
+        c = mean / (lam + mean)
+        scan = dynamics._smooth_scan(signal, lam, 0.0, [period], step, center=c)
+        s = scan.int_sigma
+        x_p = PoincareMap(rate=lam * period + float(s[0]), b=float(scan.x[0])).fixed_point
         x_star = (s / period) / (lam + s / period)
-        rate_w = (lam + scan.sigma) * scan.weight      # Gauss weights, 0 at step boundaries
-        dev = xp - x_star
-        m1, m2, gap = ((rate_w @ y)[None] for y in (xp, xp * xp, dev * dev))
+        n, u, p, uu, up, pp = scan.sums
+        delta, d = x_p - c, c - x_star
+        v, vv = u + delta * p, uu + delta * (2.0 * up + delta * pp)
         sums = SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
-                               i_p=traj.cumulative_x[-1:], m1=m1, m2=m2, gap=gap)
+                               i_p=scan.int_x + scan.int_p * x_p, m1=c * n + v,
+                               m2=c * (c * n + 2.0 * v) + vv, gap=d * (d * n + 2.0 * v) + vv)
     return PeriodicReport(*_report_columns(sums)[:, 0].tolist())
 
 

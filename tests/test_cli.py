@@ -554,6 +554,9 @@ class TestIntegerConfig:
         ("simulate", {"signal": CONSTANT_SIG, "lambda": 1.0, "horizon": 1e6, "step": 1e-12},
          "step"),
         ("simulate", {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "horizon": 1e300}, "horizon"),
+        ("simulate", {"signal": SMOOTH_SIG, "lambda": 3.0, "horizon": 1e300}, "horizon"),
+        ("simulate", {"signal": SMOOTH_SIG, "lambda": 3.0, "horizon": 1.0, "step": 1e-300},
+         "step"),
     ])
     def test_size_too_large_exits_2_and_names_the_key(self, tmp_path, capsys, command, cfg, key):
         out, log = tmp_path / "out", tmp_path / "log"
@@ -564,6 +567,22 @@ class TestIntegerConfig:
         assert err.startswith(f"error: {command}: ") and key in err.split(" = ")[0]
         assert err.endswith(" do not fit in memory\n") and "Traceback" not in err
         assert not out.exists() and not log.exists()
+
+    def test_smooth_simulate_counts_every_step_and_node(self, tmp_path, capsys):
+        # Aperiodic smooth inflow with no step: the bound counts the default
+        # steps, 0.1 / max sigma = 0.1 / 2.1 here, 2.1e14 of them to t = 1e13,
+        # and the 7 rows each that simulate keeps.
+        quasi = {"kind": "clipped_sinusoid_sum", "mean": 1.0,
+                 "terms": [{"amplitude": 0.6, "omega": 1.0},
+                           {"amplitude": 0.5, "omega": 1.4142135623730951, "phase": 0.3}]}
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "cfg.json",
+                          {"signal": quasi, "lambda": 1.0, "horizon": 1e13, "out": str(out)})
+        assert main(["simulate", "--config", path]) == 2
+        assert capsys.readouterr().err == ("error: simulate: 7 ceil(horizon / min(step, "
+                                           "default_step)) = 1.47e+15 rows do not fit in "
+                                           "memory\n")
+        assert not out.exists()
 
 
 

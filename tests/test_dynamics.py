@@ -656,25 +656,27 @@ class TestPrefixScan:
 
     def test_long_block_is_chunked_without_changing_the_states(self, monkeypatch):
         # Every column the scan carries across a chunk boundary (x, p and
-        # the running integrals of x, p and sigma), densely and at records.
+        # the running integrals of x, p and sigma), densely through
+        # `simulate` and at records.
         import bottleneck_lab.dynamics as dynamics
 
-        signal, lam = self.SIGNALS[1], 2.0
+        signal, params = self.SIGNALS[1], SystemParams(lam=2.0)
         records = np.geomspace(5e-3, 5.0, 64)
 
         def scans():
-            return (dynamics._smooth_scan(signal, lam, 0.3, [5.0], 1e-3, dense=True),
-                    dynamics._smooth_scan(signal, lam, 0.3, records, 1e-3))
+            return (simulate(signal, params, 0.3, 5.0, 1e-3),
+                    dynamics._smooth_scan(signal, params.lam, 0.3, records, 1e-3))
 
         whole = scans()
         monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
         chunked = scans()
-        for got, want in zip(chunked, whole):
-            np.testing.assert_array_equal(got.t, want.t)
-            np.testing.assert_array_equal(got.weight, want.weight)
-            for field in ("x", "p", "sigma", "int_x", "int_p", "int_sigma"):
-                np.testing.assert_allclose(getattr(got, field), getattr(want, field),
-                                           rtol=1e-13, atol=0.0, err_msg=field)
+        np.testing.assert_array_equal(chunked[0].times, whole[0].times)
+        for field in ("states", "cumulative_x"):
+            np.testing.assert_allclose(getattr(chunked[0], field), getattr(whole[0], field),
+                                       rtol=1e-13, atol=0.0, err_msg=field)
+        for field in ("x", "p", "int_x", "int_p", "int_sigma"):
+            np.testing.assert_allclose(getattr(chunked[1], field), getattr(whole[1], field),
+                                       rtol=1e-13, atol=0.0, err_msg=field)
 
     def test_memory_is_bounded_by_the_chunk(self):
         # 2^20 steps and 64 records: the whole grid would take hundreds of
@@ -739,8 +741,7 @@ class TestFittedScheme:
 
     @staticmethod
     def dense_times(sig, lam=1.0, horizon=2.0 * math.pi):
-        return dynamics._smooth_scan(sig, lam, 0.0, [horizon], default_step(sig, SystemParams(lam)),
-                                     dense=True).t
+        return simulate(sig, SystemParams(lam), 0.0, horizon).times
 
     def test_tangent_touch_is_not_a_step_boundary(self):
         # 1 + sin t touches 0 at 3 pi / 2 without crossing: sigma stays

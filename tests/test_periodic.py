@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bottleneck_lab.dynamics import DomainError, exact_pass, simulate, smooth_pa
 from bottleneck_lab.periodic import (
     REPORT_CSV_HEADER,
     _PeriodRows,
+    _report_columns,
     _period_states_rows,
     PeriodicReport,
     PoincareMap,
@@ -38,6 +41,7 @@ from bottleneck_lab.signals import (
     PiecewiseConstant,
     SignalError,
     SystemParams,
+    evaluate_array,
     mean_over_period,
     require_period,
 )
@@ -143,8 +147,8 @@ class TestPeriodicSolution:
         (ClippedSinusoidSum(mean=2e4, terms=((1.5e4, 2.0 * math.pi / 0.012, 0.0),)), 1e4),
     ])
     def test_smooth_orbit_is_one_scan(self, signal, lam):
-        # One scan from 0 gives the map and the orbit x + p x_p; the two-pass
-        # construction, forward from the map's fixed point, is the oracle.
+        # The orbit is `simulate` forward from the map's fixed point, on
+        # either inflow kind, and closes after one period.
         params = SystemParams(lam=lam)
         traj = periodic_solution(signal, params)
         assert abs(traj.states[-1] - traj.states[0]) <= 1e-12
@@ -484,6 +488,77 @@ class TestGapReport:
         )
         with pytest.raises(NonPeriodicSignalError):
             gap_report(sig, P1)
+
+
+def dense_gauss_report(signal, params):
+    """The report as the smooth path once formed it from a dense scan: the
+    orbit at every step start and node (`periodic_solution`), sigma there,
+    Gauss weights h b_j at the nodes and 0 at step boundaries, and the sums
+    of (lam + sigma) weight times x_p, x_p^2 and (x_p - x_star)^2."""
+    period, lam = signal.period, params.lam
+    orbit = periodic_solution(signal, params)
+    t, xp = orbit.times, orbit.states
+    h = np.diff(np.append(t[:-1:7], t[-1]))        # each step's start, six nodes, then the end
+    weight = np.zeros_like(t)
+    weight[:-1].reshape(-1, 7)[:, 1:] = h[:, None] * dynamics._WEIGHTS
+    step = dynamics.default_step(signal, params)
+    s = smooth_pass(signal, params, 0.0, np.array([period]), step)[2]
+    x_star = (s / period) / (lam + s / period)
+    rate_w = (lam + evaluate_array(signal, t)) * weight
+    m1, m2, gap = ((rate_w @ y)[None] for y in (xp, xp * xp, (xp - x_star) ** 2))
+    sums = SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
+                           i_p=orbit.cumulative_x[-1:], m1=m1, m2=m2, gap=gap)
+    return PeriodicReport(*_report_columns(sums)[:, 0].tolist())
+
+
+SINUSOID = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
+TWO_TONE_CLIPPED = ClippedSinusoidSum(mean=0.7, terms=((1.2, 3.0, 0.4), (0.5, 6.0, 1.0)))
+# sigma_bar = 0.35 here: a sum centred on the unclipped mean 0 would cancel.
+ZERO_MEAN = ClippedSinusoidSum(mean=0.0,
+                               terms=((1.0, 3.0, 0.2), (0.7, 6.0, 1.0), (0.4, 9.0, 2.0)))
+
+
+class TestSmoothReport:
+    """A smooth `gap_report` is one chunked scan of the period whose sums
+    are kept about x_star; the dense Gauss sums over the orbit are its oracle."""
+
+    @pytest.mark.parametrize("signal", [SINUSOID, TWO_TONE_CLIPPED, ZERO_MEAN],
+                             ids=["unclipped", "clipped", "zero_mean"])
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 50.0, 1e4])
+    def test_matches_the_dense_gauss_sums(self, signal, lam):
+        params = SystemParams(lam=lam)
+        got, want = gap_report(signal, params), dense_gauss_report(signal, params)
+        for name in ("sigma_bar", "x_star", "w_sigma", "w_const", "gap"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
+        for name in ("residual_gap", "residual_m1", "residual_m2"):
+            assert getattr(got, name) <= 1e-14 and getattr(want, name) <= 1e-14, name
+
+    def test_report_of_many_chunks(self, monkeypatch):
+        # 126 default steps, 18 chunks of 7: the sums carried across chunk
+        # boundaries move the report by rounding only.
+        params = SystemParams(lam=2.0)
+        whole = astuple(gap_report(TWO_TONE_CLIPPED, params))
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
+        chunked = astuple(gap_report(TWO_TONE_CLIPPED, params))
+        assert chunked == pytest.approx(whole, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("lam", [1e4, 1e5])
+    def test_stiff_gap_follows_the_singular_perturbation_series(self, lam):
+        # For sigma = 1 + A sin(omega t) the orbit is x = sum_k a_k / lam^k
+        # up to e^{-lam T}, with a_1 = sigma and a_{k+1} = -sigma a_k - a_k'.
+        # Expanding (x - x_star)^2 (lam + sigma) and averaging gives
+        #   lam gap = <s^2> - (<s^2 sigma> + 2 sigma_bar <s^2>) / lam + c4 / lam^2
+        #             + c5 / lam^3 + O(lam^-4),   s = sigma - sigma_bar,
+        # here A^2/2 - 3 A^2 / (2 lam) + ..., with c4 = A^2 (3 A^2 - 4 omega^2 + 24) / 8
+        # and c5 = 5 A^2 (4 omega^2 - 3 A^2 - 8) / 8. So the O(lam^-2)
+        # remainder is c4 / lam^2 to within 2 |c5| / lam^3 for lam >= 1e4,
+        # where the next term, c6 / lam^4 with c6 = 118.4, is far smaller;
+        # 1e-15 is the rounding of lam gap near 0.125.
+        a, omega = 0.5, 2.0 * math.pi
+        c4 = a * a * (3.0 * a * a - 4.0 * omega * omega + 24.0) / 8.0
+        c5 = 5.0 * a * a * (4.0 * omega * omega - 3.0 * a * a - 8.0) / 8.0
+        remainder = lam * gap_report(SINUSOID, SystemParams(lam=lam)).gap - (0.125 - 0.375 / lam)
+        assert abs(remainder - c4 / lam**2) <= 2.0 * abs(c5) / lam**3 + 1e-15
 
 
 class TestMomentIdentities:
