@@ -315,17 +315,15 @@ def _cmd_optimize(cfg: dict) -> int:
     axes = 2 if isinstance(family, optimize.BangBang) else family.n_segments
     _require_fits(f"optimize: resolution**{axes} = {resolution}**{axes} grid points",
                   lambda: (float(resolution) ** axes, axes))
+    _require_fits(f"optimize: n_starts = {n_starts} starts", lambda: (n_starts, axes))
     rng = np.random.default_rng(seed)
 
     benchmark = periodic.constant_benchmark(mean, params)
     log = optimize.EvaluationLog(family, mean, benchmark)
     grid_result = optimize.grid_search(family, mean, params, resolution, log=log)
-    descents = []
-    for _ in range(n_starts):
-        start = _random_start(family, mean, rng)
-        descents.append(optimize.coordinate_descent(
-            family, mean, params, start, max_evals=max_evals, log=log,
-        ))
+    starts = [_random_start(family, mean, rng) for _ in range(n_starts)]
+    descents = optimize.coordinate_descents(family, mean, params, starts,
+                                            max_evals=max_evals, log=log)
 
     candidates = [grid_result] + descents
     best = max(candidates, key=lambda r: r.best_w)

@@ -623,15 +623,26 @@ def simulate(
 _CSV_CHUNK = 512     # rows per CSV chunk: the writer's temporaries scale with this
 
 
-def _write_rows(fh, *columns, end: str = "\n") -> None:
+def _write_rows(fh, *columns, end: str = "\n", memo: list | None = None) -> None:
     """Write the rows of the equal-length float `columns` to the text file `fh`,
     each ending in `end`: every CSV table goes through here. A field is the
-    round-trip `repr` of its float; each chunk formats every distinct bit pattern
-    in it once (so -0.0 and 0.0 stay apart) and gathers the strings into place."""
+    round-trip `repr` of its float; each chunk formats every distinct bit
+    pattern in it once (so -0.0 and 0.0 stay apart) and gathers the strings
+    into place. It takes those it shares with the chunk before from `memo[0]`,
+    that chunk's (sorted bit patterns, texts), and leaves its own there: a
+    caller writing one table in several calls passes each the same list."""
+    memo = memo or [None]
     for start in range(0, len(columns[0]), _CSV_CHUNK):
         table = np.array([c[start:start + _CSV_CHUNK] for c in columns], dtype=np.float64)
         bits, inverse = np.unique(table.view(np.int64).ravel(), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        if memo[0] is None:
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        else:
+            at = np.searchsorted(memo[0][0], bits)
+            new = memo[0][0].take(at, mode="clip") != bits
+            text = memo[0][1].take(at, mode="clip")
+            text[new] = list(map(repr, bits[new].view(np.float64).tolist()))
+        memo[0] = bits, text
         fields = text[inverse].reshape(table.shape).tolist()
         fh.write(end.join(map(",".join, zip(*fields))) + end)
 

@@ -19,8 +19,9 @@ The mean constraint is enforced by Euclidean projection in level
 coordinates (the exact sort-based simplex projection), never by penalty, so
 every evaluated waveform satisfies the constraint exactly and the benchmark
 comparison is fair at each point. Grids are evaluated as one batch of rows;
-a descent evaluates one row per point, with the exact gradient of w from the
-kernel's reverse-mode pass.
+the descents from all starts run in lockstep, a step evaluating their current
+points as one batch, with the exact gradient of w from the kernel's
+reverse-mode pass.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _CSV_CHUNK, _write_rows  # noqa: F401  (_CSV_CHUNK stays importable here)
+from .dynamics import _write_rows
 from .signals import SignalError, SystemParams
 from .periodic import _PeriodRows, constant_benchmark, output_for_level_rows
 
@@ -48,6 +49,7 @@ __all__ = [
     "project_to_mean",
     "grid_search",
     "coordinate_descent",
+    "coordinate_descents",
     "perturbation_response",
 ]
 
@@ -197,8 +199,7 @@ class EvaluationLog:
 
     The never-beats-benchmark invariant is checked over this log, not just
     over the returned optimum. Rows are kept as float64 blocks of
-    (coordinates, mean, w); single records wait in a list until the next
-    block or the next read.
+    (coordinates, mean, w), one block per `extend`.
     """
 
     def __init__(self, family: WaveformFamily, target_mean: float, benchmark: float):
@@ -207,30 +208,16 @@ class EvaluationLog:
         self.benchmark = benchmark
         self.max_output = -math.inf
         self._blocks: list[np.ndarray] = []
-        self._pending: list[tuple] = []
         self._count = 0
-
-    def record(self, point, mean: float, w: float) -> None:
-        self._pending.append((*point, mean, w))
-        self._count += 1
-        if w > self.max_output:
-            self.max_output = float(w)
 
     def extend(self, points: np.ndarray, means: np.ndarray, outputs: np.ndarray) -> None:
         """Record a batch of evaluations in row order, one row of `points` each."""
-        self._flush()
         self._blocks.append(np.column_stack((points, means, outputs)))
         self._count += len(outputs)
         self.max_output = float(np.max(outputs, initial=self.max_output))
 
-    def _flush(self) -> list[np.ndarray]:
-        if self._pending:
-            self._blocks.append(np.array(self._pending, dtype=np.float64))
-            self._pending = []
-        return self._blocks
-
     def _rows(self) -> list[list[float]]:
-        return [row for block in self._flush() for row in block.tolist()]
+        return [row for block in self._blocks for row in block.tolist()]
 
     @property
     def points(self) -> list[tuple]:
@@ -255,9 +242,10 @@ class EvaluationLog:
     def to_csv(self, fh) -> None:
         """Stream one row per evaluation to the open text file `fh`, a block at a time."""
         fh.write(",".join(self.family.coordinate_names) + ",mean,w,benchmark,gap\n")
-        for block in self._flush():
+        memo = [None]       # one writer memo across the blocks
+        for block in self._blocks:
             _write_rows(fh, *block.T, np.broadcast_to(self.benchmark, len(block)),
-                        self.benchmark - block[:, -1])
+                        self.benchmark - block[:, -1], memo=memo)
 
 
 @dataclass(frozen=True)
@@ -295,7 +283,7 @@ def _non_finite(family: WaveformFamily, target_mean: float, what="averaged outpu
 # ---------------------------------------------------------------------------
 
 # Rows evaluated per batch; bounds the (rows x k) temporaries on large grids.
-_GRID_CHUNK = 4096
+_GRID_CHUNK = 1024
 
 
 def _grid_array(family: WaveformFamily, target_mean: float, resolution: int) -> np.ndarray:
@@ -417,13 +405,12 @@ _STEP_BOUNDS = (1e-10, 1e10)        # of t size, a step's largest u-move
 
 
 class _Descent:
-    """A family's descent coordinates, and its logged, budgeted evaluations."""
+    """A family's descent coordinates, and one start's budgeted evaluations."""
 
-    def __init__(self, family: WaveformFamily, target_mean: float, lam: float,
-                 log: EvaluationLog, max_evals: int):
-        self.family, self.mean, self.lam, self.log = family, target_mean, lam, log
+    def __init__(self, family: WaveformFamily, target_mean: float, lam: float, max_evals: int):
+        self.family, self.mean, self.lam = family, target_mean, lam
         self.bang_bang = isinstance(family, BangBang)
-        self.max_evals, self.evaluations = max_evals, 0
+        self.max_evals, self.evaluations, self.records = max_evals, 0, []
 
     def scale(self, x: np.ndarray) -> np.ndarray:
         """D at x; BangBang's 1 / (1 - duty) keeps the residual in step with the level error."""
@@ -456,25 +443,29 @@ class _Descent:
             return 0.0
         return float(np.max(np.abs(self.move(x, grad, 1.0 / size)) / self.scale(x)))
 
-    def evaluate(self, point):
-        """(w, g, size) at a family point, logged. g is dw/dx less the mean of a
-        level gradient, which no move follows and which in g . move would scale
-        the rounding of the move's sum; size = max |mean dw/dc| > 0 at the optimum."""
+    def segments(self, point) -> tuple:
+        """(levels, durations) of a family point: its row of the period kernel."""
         T = self.family.period
-        if self.bang_bang:
-            p1, p2, duty = point
-            levels, durations = [p2, p1], [duty * T, (1.0 - duty) * T]
-        else:
-            levels, durations = point, [T / len(point)] * len(point)
-        kernel = _PeriodRows([levels], [durations], self.lam, gradient=True)
-        w = float(self.lam * kernel.i_p[0] / kernel.period[0])
+        if self.bang_bang:      # (p1, p2, duty): the high level p2 first
+            return [point[1], point[0]], [point[2] * T, (1.0 - point[2]) * T]
+        return point, [T / len(point)] * len(point)
+
+    def evaluate(self, point, kernel: _PeriodRows | None, row: int):
+        """(w, g, size) at a family point from its `row` of `kernel` (None: a
+        kernel of its own), recorded. g is dw/dx less the mean of a level
+        gradient, which no move follows and which in g . move would scale the
+        rounding of the move's sum; size = max |mean dw/dc| > 0 at the optimum."""
+        if kernel is None:
+            kernel, row = _PeriodRows(*zip(self.segments(point)), self.lam, gradient=True), 0
+        w = float(self.lam * kernel.i_p[row] / kernel.period[row])
         if not math.isfinite(w):
             raise _non_finite(self.family, self.mean)
-        self.log.record(point, family_mean(self.family, point), w)
+        self.records.append((point, family_mean(self.family, point), w))
         self.evaluations += 1
-        dw_dc, dw_dh = kernel.dw_dc[0], kernel.dw_dh[0]
+        dw_dc, dw_dh = kernel.dw_dc[row], kernel.dw_dh[row]
         size = float(np.max(np.abs(self.mean * dw_dc)))
         if self.bang_bang:
+            (p1, p2, duty), T = point, self.family.period
             grad = np.array([self.mean * (dw_dc[1] - dw_dc[0] * (1.0 - duty) / duty),
                              dw_dc[0] * (p1 - p2) / duty + (dw_dh[0] - dw_dh[1]) * T])
         else:
@@ -484,16 +475,17 @@ class _Descent:
         return w, grad, size
 
     def backtrack(self, x: np.ndarray, w: float, grad: np.ndarray, step: np.ndarray):
-        """(alpha, point, w, g, size) at the first alpha = 1, 1/2, ..., 2^-_BACKTRACKS
-        whose step raises w by _ARMIJO of its first-order gain up to rounding, else
-        at the best one that raises w above rounding; None if none does in budget."""
+        """Generator: (alpha, point, w, g, size) at the first alpha = 1, 1/2, ...,
+        2^-_BACKTRACKS whose step raises w by _ARMIJO of its first-order gain up to
+        rounding, else at the best one that raises w above rounding; None if none
+        does in budget. Yields each point to evaluate and is sent its (w, g, size)."""
         gain, rounding, max_evals = float(grad @ step), _W_ROUNDING * abs(w), self.max_evals
         alpha, best = 1.0, None
         for _ in range(_BACKTRACKS + 1):
             if gain <= 0.0 or self.evaluations >= max_evals:
                 break
             point = self.point(x + alpha * step)
-            found = (alpha, point, *self.evaluate(point))
+            found = (alpha, point, *(yield point))
             if found[2] >= w + _ARMIJO * alpha * gain - rounding:
                 return found
             if found[2] > w + rounding and (best is None or found[2] > best[2]):
@@ -501,61 +493,90 @@ class _Descent:
             alpha *= 0.5
         return best
 
+    def run(self, start, tol: float):
+        """Generator of the descent from `start` (see coordinate_descents): yields
+        each point to evaluate, is sent its (w, g, size), returns (point, w, capped)."""
+        if self.bang_bang:
+            start = (start[0], start[1], min(max(start[2], _DUTY_MIN), 1.0 - _DUTY_MIN))
+        point = project_to_mean(self.family, start, self.mean)
+        x = self.coords(point)
+        w, grad, size = yield point
+        residual = self.residual(x, grad, size)
+        t = 1.0 / size if size else 0.0
+        while residual > tol and self.evaluations < self.max_evals:
+            step = self.move(x, grad, t)
+            found = yield from self.backtrack(x, w, grad, step)
+            if found is None:
+                break
+            alpha, point, w, grad_new, size = found
+            x = self.coords(point)
+            scale = self.scale(x)
+            s, y, grad = alpha * step / scale, (grad - grad_new) * scale, grad_new
+            residual = self.residual(x, grad, size)
+            sy = float(s @ y)
+            t = float(s @ s) / sy if sy > 0.0 else 1.0 / size
+            t = min(max(t, _STEP_BOUNDS[0] / size), _STEP_BOUNDS[1] / size) if size else 0.0
+        return point, w, residual > tol
 
-def coordinate_descent(
-    family: WaveformFamily,
-    target_mean: float,
-    params: SystemParams,
-    start,
-    tol: float = 1e-10,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    log: EvaluationLog | None = None,
-) -> OptimizationResult:
-    """Projected-gradient ascent of w from `start` under the mean constraint.
+
+def coordinate_descents(family: WaveformFamily, target_mean: float, params: SystemParams,
+                        starts: list, tol: float = 1e-10, max_evals: int = DEFAULT_MAX_EVALS,
+                        log: EvaluationLog | None = None) -> list[OptimizationResult]:
+    """Projected-gradient ascent of w from each of `starts` under the mean constraint.
 
     Spectral steps with an Armijo backtrack on the kernel's exact gradient
-    (see the comment above); stops when the KKT residual is at most `tol`.
-    A result that stops short of it, because the budget ran out or no
-    backtrack raised w above rounding, is flagged `capped`. Every evaluated
-    point is logged. The search is local refinement; pair it with
-    grid_search for coverage.
+    (see the comment above); a descent stops when the KKT residual is at
+    most `tol`, or is flagged `capped` if the budget runs out or no backtrack
+    raises w above rounding first. Every evaluated point is logged. The
+    search is local refinement; pair it with grid_search for coverage. The
+    descents run in lockstep, a step evaluating every unfinished one's point
+    as a row of one kernel call (no value of a row depends on its batch):
+    the results, the log and any SignalError (the first failing start's, the
+    log holding the starts up to it) are those of the descents run one after
+    another.
     """
     if target_mean < 0.0:
         raise InfeasibleMeanError(f"target mean must be non-negative, got {target_mean}")
     benchmark = constant_benchmark(target_mean, params)
     if log is None:
         log = EvaluationLog(family, target_mean, benchmark)
-    descent = _Descent(family, target_mean, params.lam, log, max_evals)
+    descents = [_Descent(family, target_mean, params.lam, max_evals) for _ in starts]
+    runs = [d.run(start, tol) for d, start in zip(descents, starts)]
+    ends, failed, error = [None] * len(runs), len(runs), None
+    pending, kernel = [(i, None) for i in range(len(runs))], None
+    while pending:
+        wanted = []
+        for row, (i, point) in enumerate(pending):
+            if i > failed:          # a later start cannot change the outcome
+                break
+            try:
+                sent = None if point is None else descents[i].evaluate(point, kernel, row)
+                wanted.append((i, runs[i].send(sent)))
+            except StopIteration as stop:
+                ends[i] = stop.value
+            except SignalError as exc:
+                failed, error = i, exc
+        pending = [(i, point) for i, point in wanted if i < failed]
+        if pending:
+            rows = zip(*(descents[i].segments(point) for i, point in pending))
+            try:
+                kernel = _PeriodRows(*rows, params.lam, gradient=True)
+            except SignalError:     # a row's rates overflow: each row runs alone
+                kernel = None
+    records = [record for d in descents[:failed + 1] for record in d.records]
+    if records:
+        log.extend(*map(np.array, zip(*records)))
+    if error is not None:
+        raise error
+    return [OptimizationResult(point, w, benchmark, benchmark - w, d.evaluations, capped, log)
+            for d, (point, w, capped) in zip(descents, ends)]
 
-    if descent.bang_bang:
-        start = (start[0], start[1], min(max(start[2], _DUTY_MIN), 1.0 - _DUTY_MIN))
-    point = project_to_mean(family, start, target_mean)
-    x = descent.coords(point)
-    w, grad, size = descent.evaluate(point)
-    residual = descent.residual(x, grad, size)
-    t = 1.0 / size if size else 0.0
-    while residual > tol and descent.evaluations < max_evals:
-        step = descent.move(x, grad, t)
-        found = descent.backtrack(x, w, grad, step)
-        if found is None:
-            break
-        alpha, point, w, grad_new, size = found
-        x = descent.coords(point)
-        scale = descent.scale(x)
-        s, y, grad = alpha * step / scale, (grad - grad_new) * scale, grad_new
-        residual = descent.residual(x, grad, size)
-        sy = float(s @ y)
-        t = float(s @ s) / sy if sy > 0.0 else 1.0 / size
-        t = min(max(t, _STEP_BOUNDS[0] / size), _STEP_BOUNDS[1] / size) if size else 0.0
-    return OptimizationResult(
-        best_point=point,
-        best_w=w,
-        benchmark_w=benchmark,
-        optimality_gap=benchmark - w,
-        evaluations=descent.evaluations,
-        capped=residual > tol,
-        log=log,
-    )
+
+def coordinate_descent(family: WaveformFamily, target_mean: float, params: SystemParams,
+                       start, tol: float = 1e-10, max_evals: int = DEFAULT_MAX_EVALS,
+                       log: EvaluationLog | None = None) -> OptimizationResult:
+    """coordinate_descents from one start."""
+    return coordinate_descents(family, target_mean, params, [start], tol, max_evals, log)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -404,16 +404,16 @@ class TestOptimizeCommand:
     def test_excess_gate_is_relative_below_a_unit_benchmark(self):
         family = optimize.BangBang(period=1.0)
         log = optimize.EvaluationLog(family, 1e-300, 1e-300)
-        log.record((1e-300, 1e-300, 0.5), 1e-300, 1e-300)
+        log.extend([[1e-300, 1e-300, 0.5]], [1e-300], [1e-300])
         assert not _beats_benchmark(log)
         # an excess of the benchmark's own size, 1e-300, is far below 1e-9
-        log.record((0.0, 2e-300, 0.5), 1e-300, 2e-300)
+        log.extend([[0.0, 2e-300, 0.5]], [1e-300], [2e-300])
         assert _beats_benchmark(log)
         # above a unit benchmark the tolerance stays absolute
         log = optimize.EvaluationLog(family, 4.0, 2.0)
-        log.record((4.0, 4.0, 0.5), 4.0, 2.0 + 5e-10)
+        log.extend([[4.0, 4.0, 0.5]], [4.0], [2.0 + 5e-10])
         assert not _beats_benchmark(log)
-        log.record((4.0, 4.0, 0.5), 4.0, 2.0 + 2e-9)
+        log.extend([[4.0, 4.0, 0.5]], [4.0], [2.0 + 2e-9])
         assert _beats_benchmark(log)
 
     @pytest.mark.parametrize("family, mean, seed", [
@@ -557,6 +557,7 @@ class TestIntegerConfig:
         ("simulate", {"signal": SMOOTH_SIG, "lambda": 3.0, "horizon": 1e300}, "horizon"),
         ("simulate", {"signal": SMOOTH_SIG, "lambda": 3.0, "horizon": 1.0, "step": 1e-300},
          "step"),
+        ("optimize", {**BANG_BANG_OPTIMIZE, "n_starts": 2**62}, "n_starts"),
     ])
     def test_size_too_large_exits_2_and_names_the_key(self, tmp_path, capsys, command, cfg, key):
         out, log = tmp_path / "out", tmp_path / "log"

@@ -326,6 +326,28 @@ def per_row_trajectory_csv(traj, signal):
     return "".join(out)
 
 
+def recurring_columns(n_rows, seed):
+    """Three float columns for the writer: one value in every row, draws from
+    a pool of 3000 values (more than the 3 * _CSV_CHUNK of a chunk, so values
+    recur in chunks that are not adjacent) and fresh draws; 0.0 and -0.0, and
+    two NaN payloads, on opposite sides of chunk boundaries."""
+    rng = np.random.default_rng(seed)
+    pool = rng.uniform(-1.0, 1.0, 3000)
+    columns = np.stack([np.full(n_rows, 0.1), rng.choice(pool, n_rows), rng.normal(size=n_rows)])
+    nan_a, nan_b = np.array([0x7FF8000000000001, -0x0008000000000000]).view(np.float64)
+    chunk = dynamics._CSV_CHUNK
+    for row, column, value in ((chunk - 1, 1, 0.0), (chunk, 1, -0.0),
+                               (2 * chunk - 1, 2, -0.0), (2 * chunk, 2, 0.0),
+                               (3 * chunk - 1, 0, nan_a), (3 * chunk, 0, nan_b)):
+        columns[column, row] = value
+    return columns
+
+
+def per_row_csv(columns):
+    """Reference writer: the field reprs of each row, joined."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns.tolist()))
+
+
 class TestCsvExport:
     def test_roundtrip_and_columns(self):
         traj = simulate(TWO_LEVEL, P1, 0.25, 3.0)
@@ -358,6 +380,20 @@ class TestCsvExport:
         buf = io.StringIO()
         trajectory_to_csv(traj, signal, buf)
         assert buf.getvalue() == per_row_trajectory_csv(traj, signal)
+
+    def test_write_rows_reuses_texts_across_chunks_and_calls(self):
+        columns = recurring_columns(4 * dynamics._CSV_CHUNK + 100, seed=3)
+        assert len(np.unique(columns.view(np.int64))) > 3 * dynamics._CSV_CHUNK
+        want = per_row_csv(columns).splitlines()
+        buf = io.StringIO()
+        dynamics._write_rows(buf, *columns)
+        assert buf.getvalue().splitlines() == want
+        # One memo list carries from call to call, mid-chunk or not.
+        for cut in (700, 2 * dynamics._CSV_CHUNK):
+            buf, memo = io.StringIO(), [None]
+            dynamics._write_rows(buf, *columns[:, :cut], memo=memo)
+            dynamics._write_rows(buf, *columns[:, cut:], memo=memo)
+            assert buf.getvalue().splitlines() == want
 
     def test_sigma_column_is_the_level_the_walk_integrates(self):
         # Tiny period over a long horizon: the walk starts cycle c + 1 at

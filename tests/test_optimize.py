@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -13,13 +14,14 @@ from bottleneck_lab.optimize import (
     InfeasibleMeanError,
     PiecewiseConstantFree,
     coordinate_descent,
+    coordinate_descents,
     family_mean,
     grid_search,
     perturbation_response,
     project_to_mean,
 )
+from bottleneck_lab.dynamics import _CSV_CHUNK
 from bottleneck_lab.optimize import (
-    _CSV_CHUNK,
     _evaluate_rows,
     _project_simplex,
     _project_simplex_rows,
@@ -355,6 +357,97 @@ class TestCoordinateDescent:
             assert res.evaluations == 1 and not res.capped and res.best_w == 0.0
 
 
+def log_hex(log):
+    """Every logged row, each float as float.hex: equal only bit for bit."""
+    return [[float.hex(v) for v in (*point, mean, w)]
+            for point, mean, w in zip(log.points, log.means, log.outputs)]
+
+
+def result_hex(result):
+    """Every OptimizationResult field but the log, floats as float.hex."""
+    out = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if field.name == "best_point":
+            value = [float.hex(c) for c in value]
+        elif isinstance(value, float):
+            value = float.hex(value)
+        if field.name != "log":
+            out[field.name] = value
+    return out
+
+
+def one_after_another(family, mean, params, starts, **kwargs):
+    """(results, log, error) of coordinate_descent per start, in start order."""
+    log = EvaluationLog(family, mean, constant_benchmark(mean, params))
+    results = []
+    try:
+        for start in starts:
+            results.append(coordinate_descent(family, mean, params, start, log=log, **kwargs))
+    except SignalError as exc:
+        return results, log, exc
+    return results, log, None
+
+
+class TestLockstep:
+    # Over a period of 0.5 the starts leave the batch at different steps:
+    # the constant point after one evaluation, the others after 5 to 16.
+    BB_FAST, K4_FAST = BangBang(period=0.5), PiecewiseConstantFree(period=0.5, n_segments=4)
+    STARTS = {
+        BB_FAST: [(0.0, 2.0, 0.5), (1.0, 1.0, 0.5), (0.9, 1.3, 0.2), (0.1, 3.0, 0.3),
+                  (0.5, 1.5, 0.5)],
+        K4_FAST: [(0.0, 4.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (2.0, 0.0, 1.5, 0.5),
+                  (0.2, 0.3, 0.5, 3.0), (1.2, 0.8, 1.1, 0.9)],
+    }
+
+    @pytest.mark.parametrize("family", [BB_FAST, K4_FAST])
+    @pytest.mark.parametrize("mean, max_evals", [(1.0, 10_000), (1.0, 3), (0.0, 10_000)])
+    def test_batch_equals_one_start_at_a_time(self, family, mean, max_evals):
+        params = SystemParams(lam=2.0)
+        starts = [project_to_mean(family, s, mean) for s in self.STARTS[family]]
+        want, want_log, _ = one_after_another(family, mean, params, starts, max_evals=max_evals)
+        log = EvaluationLog(family, mean, constant_benchmark(mean, params))
+        got = coordinate_descents(family, mean, params, starts, max_evals=max_evals, log=log)
+        assert [result_hex(r) for r in got] == [result_hex(r) for r in want]
+        assert all(r.log is log for r in got)
+        assert log_hex(log) == log_hex(want_log)
+        assert log.max_output == want_log.max_output and len(log) == len(want_log)
+        evaluations = [r.evaluations for r in got]
+        if mean == 0.0:
+            assert evaluations == [1] * len(starts)
+        elif max_evals == 3:
+            assert evaluations == [3, 1, 3, 3, 3]
+            assert [r.capped for r in got] == [True, False, True, True, True]
+        else:
+            assert evaluations[1] == 1 and min(evaluations[:1] + evaluations[2:]) > 3
+            assert len(set(evaluations)) > 2 and not any(r.capped for r in got)
+
+    @pytest.mark.parametrize("family", [BB, K4])
+    def test_no_starts(self, family):
+        log = EvaluationLog(family, 1.0, constant_benchmark(1.0, P1))
+        assert coordinate_descents(family, 1.0, P1, [], log=log) == []
+        assert len(log) == 0
+
+    # Both starts at lam = mean = 2e307 fail: (0, 1e308, 0.2) after some
+    # steps, where w overflows near the constant, and (0, mean / 0.12, 0.12)
+    # at its first point, whose lam + level overflows. One after another,
+    # the first start's error is raised; in lockstep the second fails first.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_first_failing_start_in_start_order_raises(self, order):
+        mean, params, family = 2e307, SystemParams(lam=2e307), BangBang(period=40.0)
+        starts = [(0.0, 1e308, 0.2), (0.0, mean / 0.12, 0.12)]
+        starts = [starts[i] for i in order]
+        _, want_log, want = one_after_another(family, mean, params, starts)
+        assert want is not None
+        log = EvaluationLog(family, mean, constant_benchmark(mean, params))
+        with pytest.raises(SignalError) as got:
+            coordinate_descents(family, mean, params, starts, log=log)
+        assert str(got.value) == str(want)
+        assert ("not finite" if order == (0, 1) else "lam + level overflows") in str(want)
+        assert log_hex(log) == log_hex(want_log)
+
+
 class TestScaleConsistency:
     def test_nondimensional_output_invariant(self):
         # t -> alpha t with lam -> alpha lam and levels -> alpha levels keeps
@@ -444,8 +537,9 @@ class TestEvaluationLog:
 
 
 class TestCsvMatchesPerRowWriter:
-    # The free-family grid has 7**4 = 2401 rows, so its block spans five
-    # chunks; the descent rows after it form a block of their own.
+    # The free-family grid has 7**4 = 2401 rows, logged as three blocks of at
+    # most _GRID_CHUNK = 1024 rows and written in six chunks; the descent rows
+    # after it form a block of their own.
     @pytest.mark.parametrize("family, resolution, starts, min_chunks", [
         (BB, 9, [(0.0, 2.0, 0.5), (0.9, 1.3, 0.2)], 0),
         (K4, 7, [(0.0, 4.0, 0.0, 0.0), (2.0, 0.0, 1.5, 0.5)], 4),
@@ -472,15 +566,34 @@ class TestCsvMatchesPerRowWriter:
             ((math.nan, math.inf), -math.inf, 1e-5),
         ]
         log = EvaluationLog(fam, 0.5, 1e-5)
-        log.record(*rows[0])
-        block = rows[1:3]
-        log.extend(np.array([p for p, _, _ in block]), np.array([m for _, m, _ in block]),
-                   np.array([w for _, _, w in block]))
-        for row in rows[3:]:
-            log.record(*row)
+        for block in (rows[:1], rows[1:3], rows[3:4], rows[4:]):
+            log.extend(*map(np.array, zip(*block)))
         assert len(log) == len(rows)
         assert log.max_output == 1e16
         assert csv_text(log) == per_row_csv(fam, 1e-5, rows)
+
+    def test_values_recurring_across_chunks_and_blocks(self):
+        # One pool of 3000 values, more than one chunk's memo holds, feeds the
+        # levels and outputs of blocks of 700, 1, 900, 600 and 3 rows; -0.0 and
+        # 0.0, and two NaN payloads, sit on each side of a block's start, which
+        # is a chunk's start too.
+        rng = np.random.default_rng(11)
+        pool = rng.uniform(0.0, 2.0, 3000)
+        fam = PiecewiseConstantFree(period=1.0, n_segments=2)
+        log = EvaluationLog(fam, 1.0, 0.5)
+        rows = []
+        nan_a, nan_b = np.array([0x7FF8000000000001, -0x0008000000000000]).view(np.float64)
+        for i, n in enumerate((700, 1, 900, 600, 3)):
+            points = rng.choice(pool, (n, 2))
+            means, outputs = np.full(n, 1.0), rng.choice(pool, n)
+            if i == 2:
+                points[-1] = -0.0, nan_a
+            if i == 3:
+                points[0] = 0.0, nan_b
+            log.extend(points, means, outputs)
+            rows += zip(map(tuple, points.tolist()), means.tolist(), outputs.tolist())
+        assert len(log) == len(rows) > 4 * _CSV_CHUNK
+        assert csv_text(log).splitlines() == per_row_csv(fam, 0.5, rows).splitlines()
 
     def test_empty_log_writes_the_header_only(self):
         log = EvaluationLog(BB, 1.0, 0.5)
