@@ -40,7 +40,6 @@ from .periodic import (
     PoincareMap,
     constant_benchmark,
     gap_report,
-    periodic_solution,
     poincare_map,
 )
 from .asymptotic import (
@@ -57,11 +56,9 @@ from .optimize import (
     BangBang,
     EvaluationLog,
     OptimizationResult,
-    PerturbationFit,
     PiecewiseConstantFree,
     coordinate_descent,
     grid_search,
-    perturbation_response,
     project_to_mean,
 )
 
@@ -75,12 +72,11 @@ __all__ = [
     "DomainError", "StepSizeError", "Trajectory", "default_step",
     "simulate", "trajectory_to_csv",
     "PeriodicReport", "PoincareMap", "constant_benchmark",
-    "gap_report", "periodic_solution", "poincare_map",
+    "gap_report", "poincare_map",
     "BoundCheck", "FiniteTauCertificate", "IndependenceCheck",
     "RunningAverages", "finite_horizon_certificates", "longrun_bound_check",
     "running_averages", "solution_independence_check",
-    "BangBang", "EvaluationLog", "OptimizationResult", "PerturbationFit",
-    "PiecewiseConstantFree", "coordinate_descent", "grid_search",
-    "perturbation_response", "project_to_mean",
+    "BangBang", "EvaluationLog", "OptimizationResult", "PiecewiseConstantFree",
+    "coordinate_descent", "grid_search", "project_to_mean",
     "__version__",
 ]

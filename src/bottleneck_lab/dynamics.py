@@ -133,10 +133,6 @@ class Trajectory:
     def final_state(self) -> float:
         return float(self.states[-1])
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
-
 
 def _check_occupancy(x0: float) -> float:
     x0 = float(x0)

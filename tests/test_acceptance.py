@@ -23,12 +23,12 @@ from bottleneck_lab.optimize import (
     PiecewiseConstantFree,
     coordinate_descent,
     grid_search,
-    perturbation_response,
     project_to_mean,
 )
 from bottleneck_lab.periodic import (
     constant_benchmark,
     gap_report,
+    output_for_level_rows,
     period_states,
     poincare_map,
 )
@@ -39,7 +39,8 @@ from bottleneck_lab.signals import (
     SystemParams,
 )
 from bottleneck_lab.suites import (
-    has_distinct_levels,
+    _case_rows,
+    _level_checks,
     random_piecewise_signal,
     random_system,
 )
@@ -96,10 +97,12 @@ def test_c3_benchmark_inequality_with_strict_gap():
     worst_excess = -math.inf
     min_distinct_gap = math.inf
     n_distinct = 0
-    for sig, params in _suite_cases():
+    cases = _suite_cases()
+    distinct = _level_checks(*_case_rows(cases)[:3])[0]
+    for (sig, params), two_valued in zip(cases, distinct.tolist()):
         rep = gap_report(sig, params)
         worst_excess = max(worst_excess, rep.w_sigma - rep.w_const)
-        if has_distinct_levels(sig):
+        if two_valued:
             n_distinct += 1
             min_distinct_gap = min(min_distinct_gap, rep.gap)
     record(
@@ -208,8 +211,11 @@ def test_c7_waveform_search_never_beats_constant():
 
 
 def test_c8_quadratic_perturbation_law():
+    # deficit(eps) = w[constant 1] - w[1 + eps * direction] ~ kappa eps^2 for a
+    # zero-mean direction on an equal partition of a period of 2
     rng = np.random.default_rng(88)
     params = SystemParams(lam=1.0)
+    eps = np.array([0.1, 0.05, 0.025])
     slopes = []
     for _ in range(20):
         k = int(rng.integers(2, 7))
@@ -220,10 +226,11 @@ def test_c8_quadratic_perturbation_law():
             direction = np.array([1.0, -1.0])
         else:
             direction /= scale
-        fit = perturbation_response(
-            1.0, params, direction, (0.1, 0.05, 0.025), period=2.0
-        )
-        slopes.append(fit.loglog_slope)
+        levels = 1.0 + np.multiply.outer(eps, direction)
+        deficits = constant_benchmark(1.0, params) - output_for_level_rows(
+            levels, 2.0 / direction.size, params.lam)
+        positive = deficits > 0.0
+        slopes.append(float(np.polyfit(np.log(eps[positive]), np.log(deficits[positive]), 1)[0]))
     lo, hi = min(slopes), max(slopes)
     record(
         "criterion 8 (quadratic perturbation law)",

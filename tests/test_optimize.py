@@ -9,7 +9,6 @@ import pytest
 
 from bottleneck_lab.optimize import (
     BangBang,
-    ClippingActiveError,
     EvaluationLog,
     InfeasibleMeanError,
     PiecewiseConstantFree,
@@ -17,7 +16,6 @@ from bottleneck_lab.optimize import (
     coordinate_descents,
     family_mean,
     grid_search,
-    perturbation_response,
     project_to_mean,
 )
 from bottleneck_lab.dynamics import _CSV_CHUNK
@@ -26,7 +24,13 @@ from bottleneck_lab.optimize import (
     _project_simplex,
     _project_simplex_rows,
 )
-from bottleneck_lab.periodic import _PeriodRows, constant_benchmark, gap_report, output_for_levels
+from bottleneck_lab.periodic import (
+    _PeriodRows,
+    constant_benchmark,
+    gap_report,
+    output_for_level_rows,
+    output_for_levels,
+)
 from bottleneck_lab.signals import PiecewiseConstant, SignalError, SystemParams
 
 P1 = SystemParams(lam=1.0)
@@ -38,6 +42,14 @@ def csv_text(log):
     buf = io.StringIO()
     log.to_csv(buf)
     return buf.getvalue()
+
+
+def log_columns(log):
+    """(points, means, outputs) of the logged rows, parsed back from `to_csv`,
+    which writes each float as its round-trip repr: the values are exact."""
+    k = len(log.family.coordinate_names)
+    rows = [[float(v) for v in line.split(",")] for line in csv_text(log).splitlines()[1:]]
+    return [tuple(row[:k]) for row in rows], [row[k] for row in rows], [row[k + 1] for row in rows]
 
 
 def per_row_csv(family, benchmark, rows):
@@ -142,9 +154,10 @@ class TestFamilyPlumbing:
         point = (0.5, 2.0, 0.25)
         assert family_mean(BB, point) == pytest.approx(0.875)
         res = coordinate_descent(BB, 0.875, P1, point, max_evals=1)
-        assert res.log.points == [point]
+        points, _, outputs = log_columns(res.log)
+        assert points == [point]
         want = gap_report(PiecewiseConstant((0.0, 0.5, 2.0), (2.0, 0.5)), P1).w_sigma
-        assert res.log.outputs[0] == pytest.approx(want, abs=1e-14)
+        assert outputs[0] == pytest.approx(want, abs=1e-14)
 
     def test_family_signal_output_matches_periodic_module(self):
         w_direct = output_for_levels([3.25, 0.25], [0.5, 1.5], P1.lam)
@@ -167,12 +180,13 @@ class TestGridSearch:
         assert abs(res.optimality_gap) <= 1e-12
         assert res.log.max_excess <= 1e-9
         # every strictly two-valued point loses output
-        for point, w in zip(res.log.points, res.log.outputs):
+        points, _, outputs = log_columns(res.log)
+        for point, w in zip(points, outputs):
             if point[0] < 1.0 - 1e-9:
                 assert w < 0.5 - 1e-12
         # output increases toward the constant limit along fixed duty
         by_duty = {}
-        for point, w in zip(res.log.points, res.log.outputs):
+        for point, w in zip(points, outputs):
             by_duty.setdefault(point[2], []).append((point[0], w))
         for duty, rows in by_duty.items():
             rows.sort()
@@ -187,7 +201,7 @@ class TestGridSearch:
 
     def test_every_evaluated_mean_is_exact(self):
         res = grid_search(K4, 1.0, P1, 5)
-        for mean in res.log.means:
+        for mean in log_columns(res.log)[1]:
             assert abs(mean - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("family, resolution", [
@@ -197,11 +211,12 @@ class TestGridSearch:
     def test_batch_matches_point_by_point_loop(self, family, resolution):
         points, outputs, best_index = _reference_grid_search(family, 1.0, P1, resolution)
         res = grid_search(family, 1.0, P1, resolution)
-        assert res.log.points == points
-        np.testing.assert_allclose(res.log.outputs, outputs, rtol=1e-14, atol=0.0)
+        logged, _, logged_outputs = log_columns(res.log)
+        assert logged == points
+        np.testing.assert_allclose(logged_outputs, outputs, rtol=1e-14, atol=0.0)
         assert res.evaluations == len(points)
         assert res.best_point == points[best_index]
-        assert res.log.points.index(res.best_point) == best_index
+        assert logged.index(res.best_point) == best_index
         # the best w is tied: on bang_bang the constant point is reached at
         # every duty, at distance 0, and the first of those rows must win
         assert outputs.count(outputs[best_index]) > 1
@@ -329,7 +344,7 @@ class TestCoordinateDescent:
         with pytest.raises(SignalError, match=r"not finite at mean 2e\+307 on BangBang"):
             coordinate_descent(family, 2e307, params, (0.0, 1e308, 0.2), log=log)
         assert len(log) >= 1
-        assert all(math.isfinite(w) for w in log.outputs)
+        assert all(math.isfinite(w) for w in log_columns(log)[2])
 
     @pytest.mark.parametrize("family", [BB, K4, PiecewiseConstantFree(period=0.5, n_segments=7)])
     def test_returns_a_kkt_point_or_capped(self, family):
@@ -348,7 +363,8 @@ class TestCoordinateDescent:
                 residual = kkt_residual(family, mean, lam, res.best_point)
                 assert residual <= 1e-10 or res.capped, (lam, mean, residual)
                 assert res.evaluations == len(res.log) <= max_evals
-                assert res.best_w == res.log.outputs[res.log.points.index(res.best_point)]
+                points, _, outputs = log_columns(res.log)
+                assert res.best_w == outputs[points.index(res.best_point)]
                 assert res.log.max_excess <= 1e-9 * min(1.0, res.benchmark_w)
 
     def test_mean_zero_is_one_evaluation(self):
@@ -359,8 +375,7 @@ class TestCoordinateDescent:
 
 def log_hex(log):
     """Every logged row, each float as float.hex: equal only bit for bit."""
-    return [[float.hex(v) for v in (*point, mean, w)]
-            for point, mean, w in zip(log.points, log.means, log.outputs)]
+    return [[float.hex(v) for v in (*point, mean, w)] for point, mean, w in zip(*log_columns(log))]
 
 
 def result_hex(result):
@@ -467,35 +482,34 @@ class TestScaleConsistency:
 
 
 class TestPerturbationResponse:
+    # The output deficit along 1 + eps * direction, for a zero-mean direction
+    # on an equal partition, read from the public row kernel.
+    @staticmethod
+    def deficits(direction, epsilons, period=2.0):
+        levels = 1.0 + np.multiply.outer(epsilons, direction)
+        return constant_benchmark(1.0, P1) - output_for_level_rows(
+            levels, period / len(direction), P1.lam)
+
     def test_zero_direction_is_flat(self):
-        fit = perturbation_response(1.0, P1, [0.0, 0.0], [0.1, 0.05])
-        assert fit.deficits == (0.0, 0.0)
-        assert fit.kappa == 0.0
+        assert self.deficits([0.0, 0.0], [0.1, 0.05]).tolist() == [0.0, 0.0]
 
     def test_two_level_direction_slope(self):
-        fit = perturbation_response(
-            1.0, P1, [1.0, -1.0], [0.1, 0.05, 0.025], period=2.0
-        )
-        assert fit.loglog_slope == pytest.approx(2.0, abs=0.05)
-        assert fit.kappa > 0.0
-        assert fit.r_squared > 0.999
+        eps = np.array([0.1, 0.05, 0.025])
+        deficits = self.deficits([1.0, -1.0], eps)
+        assert (deficits > 0.0).all()
+        log_e, log_d = np.log(eps), np.log(deficits)
+        slope, intercept = np.polyfit(log_e, log_d, 1)
+        residual = log_d - (slope * log_e + intercept)
+        assert slope == pytest.approx(2.0, abs=0.05)
+        assert 1.0 - residual @ residual / np.sum((log_d - log_d.mean()) ** 2) > 0.999
 
     def test_fast_switching_flattens_response(self):
-        kappas = []
-        for T in (4.0, 2.0, 1.0, 0.5):
-            fit = perturbation_response(
-                1.0, P1, [1.0, -1.0], [0.1, 0.05], period=T
-            )
-            kappas.append(fit.kappa)
+        # kappa, the least-squares fit of deficit = kappa eps^2, falls as the
+        # switching speeds up
+        eps = np.array([0.1, 0.05])
+        kappas = [self.deficits([1.0, -1.0], eps, T) @ eps**2 / np.sum(eps**4)
+                  for T in (4.0, 2.0, 1.0, 0.5)]
         assert all(b < a for a, b in zip(kappas, kappas[1:]))
-
-    def test_clipping_rejected_with_guidance(self):
-        with pytest.raises(ClippingActiveError, match="below"):
-            perturbation_response(1.0, P1, [1.0, -1.0], [1.5])
-
-    def test_zero_mean_required(self):
-        with pytest.raises(Exception, match="zero mean"):
-            perturbation_response(1.0, P1, [1.0, 0.0], [0.1])
 
 
 class TestEvaluationLog:
@@ -519,7 +533,7 @@ class TestEvaluationLog:
         assert len(log) == n_grid + sum(r.evaluations for r in descents)
         assert log.max_excess <= 1e-9
         # the mean constraint holds for every evaluation, not just optima
-        assert all(abs(m - 1.0) <= 1e-10 for m in log.means)
+        assert all(abs(m - 1.0) <= 1e-10 for m in log_columns(log)[1])
 
     @pytest.mark.parametrize("family, start", [
         (BB, (0.0, 2.0, 0.5)),
@@ -545,13 +559,19 @@ class TestCsvMatchesPerRowWriter:
         (K4, 7, [(0.0, 4.0, 0.0, 0.0), (2.0, 0.0, 1.5, 0.5)], 4),
     ])
     def test_grid_and_descents(self, family, resolution, starts, min_chunks):
-        log = EvaluationLog(family, 1.0, constant_benchmark(1.0, P1))
+        rows = []
+
+        class RecordingLog(EvaluationLog):      # keeps each extended row as floats
+            def extend(self, points, means, outputs):
+                super().extend(points, means, outputs)
+                rows.extend(zip(map(tuple, points.tolist()), means.tolist(), outputs.tolist()))
+
+        log = RecordingLog(family, 1.0, constant_benchmark(1.0, P1))
         grid_search(family, 1.0, P1, resolution, log=log)
         for start in starts:
             coordinate_descent(family, 1.0, P1, start, log=log)
-        rows = list(zip(log.points, log.means, log.outputs))
         assert len(rows) == len(log) > min_chunks * _CSV_CHUNK
-        assert log.max_output == max(log.outputs)
+        assert log.max_output == max(w for _, _, w in rows)
         text = csv_text(log)
         assert text == per_row_csv(family, log.benchmark, rows)
         assert text.count("\n") == len(log) + 1
@@ -598,4 +618,4 @@ class TestCsvMatchesPerRowWriter:
     def test_empty_log_writes_the_header_only(self):
         log = EvaluationLog(BB, 1.0, 0.5)
         assert csv_text(log) == "p1,p2,duty,mean,w,benchmark,gap\n"
-        assert len(log) == 0 and log.points == [] and log.max_excess == -math.inf
+        assert len(log) == 0 and log_columns(log)[0] == [] and log.max_excess == -math.inf

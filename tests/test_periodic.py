@@ -29,7 +29,6 @@ from bottleneck_lab.periodic import (
     output_for_level_rows,
     output_for_levels,
     period_states,
-    periodic_solution,
     poincare_map,
     report_to_json_dict,
     reports_to_csv,
@@ -62,6 +61,12 @@ TWO_LEVEL = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0))
 XP0_TWO_LEVEL = 0.6452942644799433
 W_TWO_LEVEL = 0.46930125702397496
 W_TWO_LEVEL_BRUTE = 0.4693012570231294
+
+
+def periodic_orbit(signal, params):
+    """One period of the periodic solution: `simulate` from the map's fixed point."""
+    x_p = poincare_map(signal, params).fixed_point
+    return simulate(signal, params, x_p, require_period(signal))
 
 
 def moment_residuals(signal, params):
@@ -129,15 +134,15 @@ class TestPoincareMap:
 class TestPeriodicSolution:
     def test_constant_is_steady_state(self):
         c = 2.0
-        traj = periodic_solution(Constant(c, period=1.5), P1)
+        traj = periodic_orbit(Constant(c, period=1.5), P1)
         np.testing.assert_allclose(traj.states, c / (1.0 + c), rtol=0, atol=1e-14)
 
     def test_zero_signal(self):
-        traj = periodic_solution(Constant(0.0, period=1.0), P1)
+        traj = periodic_orbit(Constant(0.0, period=1.0), P1)
         np.testing.assert_allclose(traj.states, 0.0, rtol=0, atol=1e-15)
 
     def test_closes_after_one_period(self):
-        traj = periodic_solution(TWO_LEVEL, P1)
+        traj = periodic_orbit(TWO_LEVEL, P1)
         assert abs(traj.states[-1] - traj.states[0]) <= 1e-10
         assert traj.states[0] == pytest.approx(XP0_TWO_LEVEL, abs=1e-14)
 
@@ -147,15 +152,16 @@ class TestPeriodicSolution:
         (ClippedSinusoidSum(mean=2e4, terms=((1.5e4, 2.0 * math.pi / 0.012, 0.0),)), 1e4),
     ])
     def test_smooth_orbit_is_one_scan(self, signal, lam):
-        # The orbit is `simulate` forward from the map's fixed point, on
-        # either inflow kind, and closes after one period.
+        # The orbit from the map's fixed point closes after one period, and
+        # its dense record ends where one pass over the period does.
         params = SystemParams(lam=lam)
-        traj = periodic_solution(signal, params)
+        traj = periodic_orbit(signal, params)
         assert abs(traj.states[-1] - traj.states[0]) <= 1e-12
-        oracle = simulate(signal, params, poincare_map(signal, params).fixed_point, signal.period)
-        np.testing.assert_array_equal(traj.times, oracle.times)
-        np.testing.assert_allclose(traj.states, oracle.states, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(traj.cumulative_x, oracle.cumulative_x, rtol=1e-12, atol=0.0)
+        assert traj.times[0] == 0.0 and traj.times[-1] == signal.period
+        x, int_x, _ = smooth_pass(signal, params, traj.states[0], np.array([signal.period]),
+                                  dynamics.default_step(signal, params))
+        assert traj.states[-1] == pytest.approx(x[0], rel=1e-12, abs=0.0)
+        assert traj.cumulative_x[-1] == pytest.approx(int_x[0], rel=1e-12, abs=0.0)
 
     def test_smooth_period_of_many_chunks(self, monkeypatch):
         import bottleneck_lab.dynamics as dynamics
@@ -166,7 +172,7 @@ class TestPeriodicSolution:
         params = SystemParams(lam=2.0)
 
         def runs():
-            pmap, orbit = poincare_map(signal, params), periodic_solution(signal, params)
+            pmap, orbit = poincare_map(signal, params), periodic_orbit(signal, params)
             return pmap, orbit, simulate(signal, params, orbit.states[0], signal.period, 2e-3)
 
         whole = runs()
@@ -492,11 +498,11 @@ class TestGapReport:
 
 def dense_gauss_report(signal, params):
     """The report as the smooth path once formed it from a dense scan: the
-    orbit at every step start and node (`periodic_solution`), sigma there,
+    orbit at every step start and node (`periodic_orbit`), sigma there,
     Gauss weights h b_j at the nodes and 0 at step boundaries, and the sums
     of (lam + sigma) weight times x_p, x_p^2 and (x_p - x_star)^2."""
     period, lam = signal.period, params.lam
-    orbit = periodic_solution(signal, params)
+    orbit = periodic_orbit(signal, params)
     t, xp = orbit.times, orbit.states
     h = np.diff(np.append(t[:-1:7], t[-1]))        # each step's start, six nodes, then the end
     weight = np.zeros_like(t)
@@ -603,7 +609,7 @@ class TestMomentIdentities:
         rep = gap_report(signal, lam)
         assert max(rep.residual_gap, rep.residual_m1, rep.residual_m2) <= 1e-12
         assert rep.sigma_bar == pytest.approx(mean_over_period(signal), rel=1e-14)
-        orbit = periodic_solution(signal, lam)
+        orbit = periodic_orbit(signal, lam)
         _, int_x, _ = smooth_pass(signal, lam, orbit.states[0], np.array([signal.period]),
                                   dynamics.default_step(signal, lam) / 8)
         fine_w = lam.lam * int_x[0] / signal.period

@@ -17,7 +17,6 @@ from bottleneck_lab.suites import (
     _case_rows,
     _level_checks,
     _random_rows,
-    has_distinct_levels,
     random_piecewise_signal,
     random_system,
     run_verification,
@@ -309,7 +308,7 @@ def test_row_level_checks_agree_with_the_dict_form(batch):
         assert distinct.tolist() == [dict_has_distinct_levels(s, min_duty=min_duty)
                                      for s in batch]
         assert equal.tolist() == [dict_all_levels_equal(signal) for signal in batch]
-    assert [has_distinct_levels(signal) for signal in batch] == \
+    assert _level_checks(*rows[:3])[0].tolist() == \
         [dict_has_distinct_levels(signal) for signal in batch]
 
 
@@ -323,4 +322,4 @@ def test_duty_and_separation_boundaries(levels, widths, distinct):
     signal = PiecewiseConstant(tuple(np.concatenate(([0.0], np.cumsum(widths))).tolist()),
                                levels)
     assert dict_has_distinct_levels(signal) is distinct
-    assert has_distinct_levels(signal) is distinct
+    assert _level_checks(*_case_rows([(signal, SystemParams(1.0))])[:3])[0].tolist() == [distinct]
