@@ -44,7 +44,7 @@ from .periodic import (
 )
 from .asymptotic import (
     BoundCheck,
-    FiniteTauCertificate,
+    Certificates,
     IndependenceCheck,
     RunningAverages,
     finite_horizon_certificates,
@@ -73,7 +73,7 @@ __all__ = [
     "simulate", "trajectory_to_csv",
     "PeriodicReport", "PoincareMap", "constant_benchmark",
     "gap_report", "poincare_map",
-    "BoundCheck", "FiniteTauCertificate", "IndependenceCheck",
+    "BoundCheck", "Certificates", "IndependenceCheck",
     "RunningAverages", "finite_horizon_certificates", "longrun_bound_check",
     "running_averages", "solution_independence_check",
     "BangBang", "EvaluationLog", "OptimizationResult", "PiecewiseConstantFree",

@@ -37,9 +37,8 @@ by a homogeneous solution, so their running averages differ by at most
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ from .periodic import constant_benchmark
 __all__ = [
     "RunningAverages",
     "BoundCheck",
-    "FiniteTauCertificate",
+    "Certificates",
     "IndependenceCheck",
     "running_averages",
     "longrun_bound_check",
@@ -121,15 +120,10 @@ class BoundCheck:
     violated: bool
 
 
-@dataclass(frozen=True)
-class FiniteTauCertificate:
-    """Pre-limit inequality at one horizon; slack >= 0 up to rounding."""
-
-    tau: float
-    lhs: float
-    rhs: float
-    slack: float
-    correction: float  # the two 1/tau terms alone, for decay-rate studies
+# The pre-limit inequality as columns, one entry per horizon: tau, lhs, rhs,
+# slack = rhs - lhs (>= 0 up to rounding) and correction, the two 1/tau terms
+# alone, for decay-rate studies.
+Certificates = namedtuple("Certificates", "tau lhs rhs slack correction")
 
 
 @dataclass(frozen=True)
@@ -265,8 +259,9 @@ def finite_horizon_certificates(
     params: SystemParams,
     ra: RunningAverages,
     sigma_bar: float | None = None,
-) -> list[FiniteTauCertificate]:
-    """Evaluate the pre-limit inequality at each horizon of `ra`.
+) -> Certificates:
+    """The pre-limit inequality at the horizons of `ra`: `_certificate_terms`'
+    arrays as `Certificates` columns, with no per-horizon objects.
 
     The reference x_star is built from `sigma_bar` when given, from the
     exact period mean for periodic signals, or from the final running mean
@@ -274,7 +269,6 @@ def finite_horizon_certificates(
     how tight the certificates are.
     """
     lam = params.lam
-    x0 = ra.x0
     if sigma_bar is None:
         if is_periodic(signal):
             sigma_bar = mean_over_period(signal)
@@ -283,12 +277,8 @@ def finite_horizon_certificates(
     x_star = sigma_bar / (lam + sigma_bar) if sigma_bar > 0.0 else 0.0
 
     lhs, rhs, correction = _certificate_terms(
-        lam, x_star, x0, ra.taus, ra.states, ra.cumulative_x, ra.cumulative_input)
-    return [
-        FiniteTauCertificate(tau=tau, lhs=left, rhs=right, slack=right - left, correction=corr)
-        for tau, left, right, corr in zip(ra.taus.tolist(), lhs.tolist(), rhs.tolist(),
-                                          correction.tolist())
-    ]
+        lam, x_star, ra.x0, ra.taus, ra.states, ra.cumulative_x, ra.cumulative_input)
+    return Certificates(ra.taus, lhs, rhs, rhs - lhs, correction)
 
 
 def _certificate_terms(lam, x_star, x0, taus, states, cumulative_x, cumulative_input):
@@ -325,20 +315,19 @@ def solution_independence_check(
 
 def averages_to_csv(
     ra: RunningAverages,
-    certificates: list[FiniteTauCertificate] | None,
+    certificates: Certificates | None,
     fh,
 ) -> None:
     """Combined table: tau, mean_input, mean_state, lhs, rhs, slack.
 
     `certificates` is None, which leaves the certificate columns empty, or
-    the certificates at exactly the horizons of `ra`, in order.
+    `Certificates` at exactly the horizons of `ra`, whose arrays are written.
     """
     columns = ()
     if certificates is not None:
-        fields = map(operator.attrgetter("tau", "lhs", "rhs", "slack"), certificates)
-        taus, *columns = np.fromiter(itertools.chain(*fields), np.float64).reshape(-1, 4).T
-        if not np.array_equal(taus, ra.taus):
+        if not np.array_equal(certificates.tau, ra.taus):
             raise ValueError("certificates must be at exactly the horizons of the running averages")
+        columns = certificates.lhs, certificates.rhs, certificates.slack
     fh.write("tau,mean_input,mean_state,lhs,rhs,slack\n")
     dynamics._write_rows(fh, ra.taus, ra.mean_input, ra.mean_state, *columns,
                          end=",,,\n" if certificates is None else "\n")

@@ -257,8 +257,7 @@ def _cmd_asymptotic(cfg: dict) -> int:
         f"bound = {check.bound!r}, margin = {check.margin!r} (slack {check.slack!r})",
         file=sys.stderr,
     )
-    worst_slack = min(c.slack for c in certs)
-    if check.violated or worst_slack < -asymptotic.CERTIFICATE_TOL:
+    if check.violated or certs.slack.min() < -asymptotic.CERTIFICATE_TOL:
         print("asymptotic: long-run bound or certificate violated", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK

@@ -17,11 +17,11 @@ periodicity detection and exact period averages. A periodic
 phase (`_segment_index`), so every cycle has the nominal segment widths,
 however far out in time it lies. A clipped sum is smooth
 between its clip points, the zeros of f = mean + sum A sin(omega t + phi):
-`_cut_at_clip_points` cuts time at them and `_unclipped_integral`
-integrates f in closed form, so the period mean and the numeric path's
-inflow integrals read the same pieces. Waveforms are immutable and fully
-validated at construction, so evaluation and the downstream integrators
-never re-check anything.
+`_cut_at_clip_points` cuts time at them, with no search where the sum
+cannot reach 0, and `_unclipped_integral` integrates f in closed form, so
+the period mean and the numeric path's inflow integrals read the same
+pieces. Waveforms are immutable and fully validated at construction, so
+evaluation and the downstream integrators never re-check anything.
 
 Serialization: `signal_to_dict` / `signal_from_dict` define the on-disk
 schema consumed by the command line tools (a "kind" discriminator plus
@@ -62,8 +62,11 @@ _MAX_RATIO_DENOMINATOR = 1000
 _RATIO_TOL = 1e-9
 
 # Clip points are searched on grids no coarser than this many radians of the
-# fastest term, so that a cell holds at most one extremum of f.
+# fastest term, so that a cell holds at most one extremum of f; a period is
+# searched in cells of at most _CLIP_CHUNK grid points (`mean_over_period`).
 CLIP_SEARCH_RADIANS = 0.05
+_CLIP_CHUNK = 1 << 16
+_EPS = float(np.finfo(float).eps)
 
 # Cap on the safeguarded Newton iterations that refine a clip point; a
 # simple zero takes about four, a near-double one up to about 55 halvings.
@@ -394,13 +397,26 @@ def _clip_points(signal: ClippedSinusoidSum, ts: np.ndarray) -> np.ndarray:
 def _cut_at_clip_points(signal: ClippedSinusoidSum, base: np.ndarray) -> np.ndarray:
     """The sorted times `base` with the clip points between its entries, each
     time once. Each base cell is searched (`_clip_points`) on a grid of at most
-    half the cell and at most CLIP_SEARCH_RADIANS of the fastest term."""
+    half the cell and at most CLIP_SEARCH_RADIANS of the fastest term.
+
+    No search runs where m = mean - sum |A_i| exceeds 8 (n + 1) eps M, with
+    n terms and M = mean + sum |A_i|; the result is then `base`, each time
+    once. `_unclipped` adds n rounded terms fl(A_i sin), each at most
+    |A_i| (1 + 4 eps) with numpy's sine a few ulp from [-1, 1], to mean,
+    which errs by at most about n (eps/2) M (recursive summation; Higham
+    2002, section 4.2). So the computed f is at least m - (n/2 + 4) eps M > 0
+    at every grid and refinement point, and rounding the test moves m by
+    less than (n + 2) eps M: a search would find no sign change and no dip.
+    """
     if base.size < 2:
         return base
-    h = np.diff(base)
-    q = max(2, math.ceil(float(h.max()) * max_frequency(signal) / CLIP_SEARCH_RADIANS))
-    grid = np.append((base[:-1, None] + h[:, None] * (np.arange(q) / q)).ravel(), base[-1])
-    times = np.sort(np.concatenate((base, _clip_points(signal, grid))))
+    amplitude = sum(abs(a) for a, _, _ in signal.terms)
+    times = base
+    if signal.mean - amplitude <= 8.0 * (len(signal.terms) + 1) * _EPS * (signal.mean + amplitude):
+        h = np.diff(base)
+        q = max(2, math.ceil(float(h.max()) * max_frequency(signal) / CLIP_SEARCH_RADIANS))
+        grid = np.append((base[:-1, None] + h[:, None] * (np.arange(q) / q)).ravel(), base[-1])
+        times = np.sort(np.concatenate((base, _clip_points(signal, grid))))
     return times[np.append(True, times[1:] > times[:-1])]
 
 
@@ -439,7 +455,9 @@ def mean_over_period(signal: InputSignal) -> float:
     Piecewise-constant waveforms sum their segments. A clipped sinusoid sum
     is cut at its clip points in [0, T] (`_cut_at_clip_points`), and each
     piece adds max(0, int f) in closed form (`_unclipped_integral`), as the
-    numeric path does.
+    numeric path does. So that memory does not grow with T, [0, T] is cut
+    into equal cells (one or more, as T omega_max >= 2 pi) of at most
+    _CLIP_CHUNK search-grid points each, and their pieces are summed cell by cell.
     """
     period = require_period(signal)
     if isinstance(signal, PiecewiseConstant):
@@ -447,9 +465,13 @@ def mean_over_period(signal: InputSignal) -> float:
         for level, dt in zip(signal.levels, signal.durations):
             total += level * dt
         return total / period
-    ends = _cut_at_clip_points(signal, np.array([0.0, period]))
-    pieces = _unclipped_integral(signal, ends[:-1], np.diff(ends))
-    return float(np.maximum(pieces, 0.0).sum()) / period
+    cells = math.ceil(period * max_frequency(signal) / (CLIP_SEARCH_RADIANS * _CLIP_CHUNK))
+    total = 0.0
+    for i in range(cells):
+        ends = _cut_at_clip_points(signal, period * (np.arange(i, i + 2) / cells))
+        pieces = _unclipped_integral(signal, ends[:-1], np.diff(ends))
+        total += float(np.maximum(pieces, 0.0).sum())
+    return total / period
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,13 @@ def test_c6_finite_horizon_certificates_and_decay_rate():
     for sig, params in _suite_cases(n=100, seed=SUITE_SEED + 2):
         for x0 in (0.0, 1.0):
             certs = _certificates(sig, params, x0, taus)
-            worst_slack = min(worst_slack, min(c.slack for c in certs))
+            worst_slack = min(worst_slack, certs.slack.min())
     # decay of the correction terms: two-level signal probed at whole
     # periods so the boundary state is phase-locked
     sig = PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0))
     ns = np.unique(np.round(np.geomspace(5, 5000, 24)).astype(int))
     certs = _certificates(sig, SystemParams(lam=1.0), 0.0, 2.0 * ns)
-    corr = np.array([abs(c.correction) for c in certs])
+    corr = np.abs(certs.correction)
     slope = float(np.polyfit(np.log(2.0 * ns), np.log(corr), 1)[0])
     record(
         "criterion 6 (finite-horizon certificates)",

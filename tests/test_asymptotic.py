@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from bottleneck_lab.asymptotic import (
     CERTIFICATE_TOL,
+    Certificates,
+    _certificate_terms,
     averages_to_csv,
     default_tau_max,
     finite_horizon_certificates,
@@ -24,6 +26,7 @@ from bottleneck_lab.signals import (
     PiecewiseConstant,
     SystemParams,
     evaluate_array,
+    mean_over_period,
 )
 from bottleneck_lab.suites import check_asymptotic_case, random_piecewise_signal, \
     random_system, SuiteTolerances
@@ -135,8 +138,8 @@ class TestLongrunBound:
         chk = longrun_bound_check(signal, params, ra)
         j = ra.window_start + int(np.argmax(ra.mean_state[ra.window_start:]))
         s = ra.mean_input[j]
-        cert = finite_horizon_certificates(signal, params, ra, sigma_bar=s)[j]
-        want = max(0.0, cert.correction) + quadrature_slack(signal, params) + CERTIFICATE_TOL
+        correction = finite_horizon_certificates(signal, params, ra, sigma_bar=s).correction[j]
+        want = max(0.0, correction) + quadrature_slack(signal, params) + CERTIFICATE_TOL
         assert chk.slack == pytest.approx(want, rel=1e-12, abs=0.0)
         assert not chk.violated
         assert -chk.slack <= chk.margin
@@ -198,27 +201,26 @@ class TestLongrunBound:
         ra = running_averages(signal, params, x0, 10.0 ** data.draw(st.floats(0.0, 3.0)))
         assert not longrun_bound_check(signal, params, ra).violated
         certs = finite_horizon_certificates(signal, params, ra)
-        assert min(c.slack for c in certs) >= -CERTIFICATE_TOL
+        assert certs.slack.min() >= -CERTIFICATE_TOL
 
 
 class TestFiniteHorizonCertificates:
     def test_constant_at_steady_state_is_tight(self):
         # sigma = 1, x0 = x* = 1/2: every correction vanishes and lhs = rhs
         certs = certificates(Constant(1.0), P1, 0.5, [1.0, 5.0, 50.0])
-        for c in certs:
-            assert abs(c.slack) <= 1e-15
-            assert abs(c.correction) <= 1e-16
+        assert np.abs(certs.slack).max() <= 1e-15
+        assert np.abs(certs.correction).max() <= 1e-16
 
     def test_two_level_positive_slack(self):
         certs = certificates(TWO_LEVEL, P1, 0.0, [1.0, 2.0])
-        assert certs[-1].tau == 2.0
-        assert certs[-1].slack > 0.01
+        assert certs.tau[-1] == 2.0
+        assert certs.slack[-1] > 0.01
 
     def test_correction_terms_decay_like_one_over_tau(self):
         ns = np.unique(np.round(np.geomspace(5, 5000, 24)).astype(int))
         taus = 2.0 * ns  # whole periods in [10, 10^4]
         certs = certificates(TWO_LEVEL, P1, 0.0, taus)
-        corr = np.array([abs(c.correction) for c in certs])
+        corr = np.abs(certs.correction)
         slope = np.polyfit(np.log(taus), np.log(corr), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
 
@@ -230,13 +232,13 @@ class TestFiniteHorizonCertificates:
             params = random_system(rng)
             for x0 in (0.0, 1.0):
                 certs = certificates(sig, params, x0, taus)
-                assert min(c.slack for c in certs) >= -1e-9
+                assert certs.slack.min() >= -1e-9
 
     def test_any_reference_occupancy_is_valid(self):
         # the inequality is identity-plus-square for every x_star choice
         for sb in (0.2, 1.0, 4.0):
             certs = certificates(TWO_LEVEL, P1, 0.0, [1.0, 10.0, 100.0], sigma_bar=sb)
-            assert min(c.slack for c in certs) >= -1e-12
+            assert certs.slack.min() >= -1e-12
 
     def test_validation(self):
         # the horizons are those of the pass, which validates them
@@ -281,13 +283,13 @@ class TestSolutionIndependence:
 def per_row_averages_csv(ra, certs=None):
     """Reference writer: one f-string of field reprs per horizon."""
     out = ["tau,mean_input,mean_state,lhs,rhs,slack\n"]
-    for i, (tau, mi, ms) in enumerate(zip(ra.taus.tolist(), ra.mean_input.tolist(),
-                                          ra.mean_state.tolist())):
+    rows = zip(ra.taus.tolist(), ra.mean_input.tolist(), ra.mean_state.tolist())
+    for i, (tau, mi, ms) in enumerate(rows):
         if certs is None:
             out.append(f"{tau!r},{mi!r},{ms!r},,,\n")
         else:
-            c = certs[i]
-            out.append(f"{tau!r},{mi!r},{ms!r},{c.lhs!r},{c.rhs!r},{c.slack!r}\n")
+            lhs, rhs, slack = (float(column[i]) for column in (certs.lhs, certs.rhs, certs.slack))
+            out.append(f"{tau!r},{mi!r},{ms!r},{lhs!r},{rhs!r},{slack!r}\n")
     return "".join(out)
 
 
@@ -319,6 +321,38 @@ class TestExport:
         certs = finite_horizon_certificates(TWO_LEVEL, P1, ra)
         other = finite_horizon_certificates(
             TWO_LEVEL, P1, running_averages(TWO_LEVEL, P1, 0.0, 90.0, n_checkpoints=8))
-        for bad in ([], certs[:-1], certs[::-1], other, certs + certs[-1:]):
+        cut = Certificates(*(column[:0] for column in certs))
+        short = Certificates(*(column[:-1] for column in certs))
+        reversed_ = Certificates(*(column[::-1] for column in certs))
+        longer = Certificates(*(np.append(column, column[-1]) for column in certs))
+        for bad in (cut, short, reversed_, other, longer):
             with pytest.raises(ValueError, match="horizons"):
                 csv_text(ra, bad)
+
+
+class TestCertificateColumns:
+    @pytest.mark.parametrize("signal", [
+        TWO_LEVEL, Constant(1.0), ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0, 0.3),))])
+    @pytest.mark.parametrize("x0", [0.0, 0.3, 1.0])
+    def test_columns_are_the_certificate_terms(self, signal, x0):
+        # The columns are _certificate_terms' arrays, bit for bit, with
+        # slack = rhs - lhs and the pass's horizons as tau.
+        ra = running_averages(signal, P1, x0, 300.0)
+        certs = finite_horizon_certificates(signal, P1, ra)
+        sigma_bar = mean_over_period(signal)
+        x_star = sigma_bar / (P1.lam + sigma_bar)
+        lhs, rhs, correction = _certificate_terms(P1.lam, x_star, x0, ra.taus, ra.states,
+                                                  ra.cumulative_x, ra.cumulative_input)
+        assert isinstance(certs, Certificates)
+        assert certs.tau.tobytes() == ra.taus.tobytes()
+        for got, want in ((certs.lhs, lhs), (certs.rhs, rhs), (certs.slack, rhs - lhs),
+                          (certs.correction, correction)):
+            assert got.dtype == np.float64 and got.shape == ra.taus.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_aperiodic_reference_is_the_final_running_mean(self):
+        signal = PiecewiseConstant((0.0, 0.5, 3.0), (4.0, 0.0), periodic=False)
+        ra = running_averages(signal, P1, 0.2, 50.0)
+        s = float(ra.cumulative_input[-1] / ra.taus[-1])
+        assert (finite_horizon_certificates(signal, P1, ra).slack.tobytes()
+                == finite_horizon_certificates(signal, P1, ra, sigma_bar=s).slack.tobytes())

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import itertools
 import json
@@ -441,6 +442,38 @@ class TestConstantBenchmark:
             gap_report(Constant(1.7e308), SystemParams(lam=1e308))
 
 
+def decimal_gap(breakpoints, levels, lam):
+    """(1/T) int_0^T (x_p - x_star)^2 (lam + sigma) of a piecewise-constant
+    signal, from its per-segment closed form in 60-digit decimal arithmetic.
+
+    On a segment of level c and width d, with r = lam + c and e = c / r,
+    x = e + v e^{-r t}, so the integral is
+    r ((e - x*)^2 d + 2 (e - x*) v (1 - E) / r + v^2 (1 - E^2) / (2 r)),
+    E = e^{-r d}; x_p(0) = b / (1 - a) for the period map x -> a x + b.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lam = D(lam)
+        segments = []
+        for c, t0, t1 in zip(levels, breakpoints, breakpoints[1:]):
+            c, d = D(c), D(t1) - D(t0)
+            r = lam + c
+            segments.append((r, c / r, d, (-r * d).exp()))
+        period = D(breakpoints[-1])
+        mean = sum(r * e * d for r, e, d, _ in segments) / period
+        x_star = mean / (lam + mean)
+        a, b = D(1), D(0)
+        for _, e, _, E in segments:
+            a, b = a * E, e + (b - e) * E
+        x, total = b / (1 - a), D(0)
+        for r, e, d, E in segments:
+            u, v = e - x_star, x - e
+            total += r * (u * u * d + 2 * u * v * (1 - E) / r + v * v * (1 - E * E) / (2 * r))
+            x = e + v * E
+        return +(total / period)
+
+
 class TestGapReport:
     def test_constant_has_no_gap(self):
         rep = gap_report(Constant(1.3, period=2.0), P1)
@@ -479,6 +512,18 @@ class TestGapReport:
             gaps.append(gap_report(sig, P1).gap)
         slope = np.polyfit(np.log(epsilons), np.log(gaps), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
+
+    def test_near_equal_levels_against_sixty_digit_closed_form(self):
+        # The `verify` case of seed 1307079116 whose levels differ by 4.6e-5
+        # relative: its gap, 6.07e-13, lies below the suite's fixed
+        # vanishing-gap cutoff. Against the closed form evaluated with 60
+        # digits it agrees to 2.1e-11 relative, so the kernel is right there.
+        levels = (4.335012696212654, 4.33481342079484)
+        breakpoints = (0.0, 0.8329308942274195, 1.21316328258257)
+        lam = 0.1424064749736547
+        rep = gap_report(PiecewiseConstant(breakpoints, levels), SystemParams(lam))
+        want = decimal_gap(breakpoints, levels, lam)
+        assert abs(decimal.Decimal(rep.gap) - want) <= decimal.Decimal("1e-10") * want
 
     def test_smooth_residuals_at_default_grid(self):
         sig = ClippedSinusoidSum(mean=1.0, terms=((0.5, 2.0 * math.pi, 0.0),))
@@ -684,7 +729,7 @@ class TestRandomizedInvariants:
             for x0, failure in zip((0.0, 1.0), failures[1:]):
                 taus = np.geomspace(1.0, 100.0, 16)
                 ra = running_averages(signal, params, x0, 100.0, checkpoints=taus)
-                worst = min(c.slack for c in finite_horizon_certificates(signal, params, ra))
+                worst = finite_horizon_certificates(signal, params, ra).slack.min()
                 assert failure == f"certificate slack {worst:.3e} from x0={x0}"
 
     def test_contraction_observed_directly(self):

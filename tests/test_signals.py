@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bottleneck_lab.signals as signals
 from bottleneck_lab.signals import (
+    CLIP_SEARCH_RADIANS,
     ClippedSinusoidSum,
     Constant,
     NonPeriodicSignalError,
@@ -16,7 +18,11 @@ from bottleneck_lab.signals import (
     SignalError,
     SystemParams,
     evaluate_array,
+    _clip_points,
+    _cut_at_clip_points,
+    _unclipped,
     is_periodic,
+    max_frequency,
     max_level,
     mean_over_period,
     period_of,
@@ -232,6 +238,152 @@ class TestMeanOverPeriod:
             mean_over_period(sig)
         with pytest.raises(NonPeriodicSignalError):
             mean_over_period(PiecewiseConstant((0.0, 1.0), (1.0,), periodic=False))
+
+
+def search_grid(signal, base):
+    """The grid `_cut_at_clip_points` searches between the entries of `base`."""
+    h = np.diff(base)
+    q = max(2, math.ceil(float(h.max()) * max_frequency(signal) / CLIP_SEARCH_RADIANS))
+    return np.append((base[:-1, None] + h[:, None] * (np.arange(q) / q)).ravel(), base[-1])
+
+
+def searched_cut(signal, base):
+    """`_cut_at_clip_points` with the search always run: base and clip points, sorted, once."""
+    times = np.sort(np.concatenate((base, _clip_points(signal, search_grid(signal, base)))))
+    return times[np.append(True, times[1:] > times[:-1])]
+
+
+def rounding_margin(signal):
+    """The margin of `_cut_at_clip_points`: 8 (n + 1) eps (mean + sum |A_i|)."""
+    return 8.0 * (len(signal.terms) + 1) * np.finfo(float).eps * max_level(signal)
+
+
+def cannot_clip(signal):
+    """Whether mean - sum |A_i| exceeds the rounding margin, so no search runs."""
+    return 2.0 * signal.mean - max_level(signal) > rounding_margin(signal)
+
+
+def random_terms(rng, touch_at=None):
+    """One to three terms; with `touch_at`, each term is at its minimum there."""
+    n = int(rng.integers(1, 4))
+    amps = rng.uniform(0.05, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    omegas = rng.uniform(0.1, 50.0, n)
+    if touch_at is None:
+        phases = rng.uniform(0.0, 2.0 * math.pi, n)
+    else:
+        phases = np.where(amps > 0.0, -0.5, 0.5) * math.pi - omegas * touch_at
+    return tuple(zip(amps.tolist(), omegas.tolist(), phases.tolist()))
+
+
+def random_base(rng):
+    """A sorted base grid on [0, 20] with a repeated entry."""
+    base = np.sort(rng.uniform(0.0, 20.0, int(rng.integers(2, 60))))
+    return np.sort(np.append(base, base[int(rng.integers(0, base.size))]))
+
+
+@pytest.fixture
+def clip_searches(monkeypatch):
+    """The grid size of every `_clip_points` call made while the test runs."""
+    sizes, search = [], signals._clip_points
+
+    def spy(signal, ts):
+        sizes.append(ts.size)
+        return search(signal, ts)
+
+    monkeypatch.setattr(signals, "_clip_points", spy)
+    return sizes
+
+
+class TestClipSearchShortcut:
+    def test_no_search_where_inflow_cannot_clip(self, clip_searches):
+        # mean - sum |A| from 1e-13.5 to 3 times sum |A|: above the rounding
+        # margin, so the result is the base with each time once, and no
+        # search runs; a forced search on the same grid finds nothing.
+        rng = np.random.default_rng(2201)
+        for _ in range(200):
+            terms = random_terms(rng)
+            amplitude = sum(abs(a) for a, _, _ in terms)
+            sig = ClippedSinusoidSum(amplitude * (1.0 + 10.0 ** rng.uniform(-13.5, 0.5)), terms)
+            assert cannot_clip(sig)
+            base = random_base(rng)
+            got = _cut_at_clip_points(sig, base)
+            assert clip_searches == []
+            assert got.tobytes() == np.unique(base).tobytes()
+            grid = search_grid(sig, base)
+            assert _clip_points(sig, grid).size == 0
+            assert _unclipped(sig, grid).min() > 0.0
+
+    @pytest.mark.parametrize("excess", [0.0, 0.5])
+    def test_sums_at_the_bound_still_search(self, clip_searches, excess):
+        # Every term at its minimum at one time t0, and mean = sum |A| plus
+        # `excess` rounding margins: f touches 0 at t0 up to rounding, which
+        # can dip the computed f below 0. The search runs, and the result is
+        # that of the search.
+        rng = np.random.default_rng(2202)
+        found = 0
+        for _ in range(100):
+            terms = random_terms(rng, touch_at=rng.uniform(0.0, 20.0))
+            amplitude = sum(abs(a) for a, _, _ in terms)
+            sig = ClippedSinusoidSum(amplitude, terms)
+            sig = ClippedSinusoidSum(amplitude + excess * rounding_margin(sig), terms)
+            assert not cannot_clip(sig)
+            base = random_base(rng)
+            before = len(clip_searches)
+            got = _cut_at_clip_points(sig, base)
+            assert len(clip_searches) == before + 1
+            assert got.tobytes() == searched_cut(sig, base).tobytes()
+            found += got.size > np.unique(base).size
+        if excess == 0.0:
+            assert found > 0     # rounding dips found as clip-point pairs
+
+
+class TestChunkedPeriodMean:
+    # 1 + 0.6 sin t + 0.5 sin(99.01 t + 0.3) clips; its period is 200 pi
+    # and its search grid has about 1.2e6 points.
+    LONG = ClippedSinusoidSum(mean=1.0, terms=((0.6, 1.0, 0.0), (0.5, 99.01, 0.3)))
+
+    def test_long_period_is_searched_in_bounded_cells(self, clip_searches, monkeypatch):
+        whole = mean_over_period(self.LONG)
+        cells = math.ceil(200.0 * math.pi * 99.01 / CLIP_SEARCH_RADIANS / signals._CLIP_CHUNK)
+        assert len(clip_searches) == cells > 1
+        assert max(clip_searches) <= signals._CLIP_CHUNK + 2
+        clip_searches.clear()
+        monkeypatch.setattr(signals, "_CLIP_CHUNK", 1 << 12)
+        finer = mean_over_period(self.LONG)
+        assert len(clip_searches) >= 16 * cells
+        assert max(clip_searches) <= (1 << 12) + 2
+        assert finer == pytest.approx(whole, rel=1e-14)
+
+    def test_one_cell_is_the_whole_period_search(self, clip_searches):
+        # A period whose grid fits one cell: one search of [0, T], as before.
+        sig = ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0, 0.3), (0.4, 6.0, 1.0)))
+        period = sig.period
+        ends = searched_cut(sig, np.array([0.0, period]))
+        pieces = signals._unclipped_integral(sig, ends[:-1], np.diff(ends))
+        want = float(np.maximum(pieces, 0.0).sum()) / period
+        assert mean_over_period(sig) == want
+        assert clip_searches == [search_grid(sig, np.array([0.0, period])).size]
+
+    def test_inflow_that_cannot_clip_is_never_searched(self, clip_searches, monkeypatch):
+        sig = ClippedSinusoidSum(mean=1.2, terms=((0.6, 1.0, 0.0), (0.5, 99.01, 0.3)))
+        whole = mean_over_period(sig)
+        assert whole == pytest.approx(1.2, rel=1e-14)
+        monkeypatch.setattr(signals, "_CLIP_CHUNK", 1 << 8)
+        assert mean_over_period(sig) == pytest.approx(whole, rel=1e-14)
+        assert clip_searches == []
+
+    def test_memory_is_bounded_by_the_cell(self):
+        # A search of the whole grid of [0, T] at once peaks at 50 MB (traced);
+        # a cell holds _CLIP_CHUNK points.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            mean_over_period(self.LONG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * signals._CLIP_CHUNK
 
 
 class TestSerialization:
