@@ -18,10 +18,11 @@ Two families are searched, both with exactly prescribed mean:
 The mean constraint is enforced by Euclidean projection in level
 coordinates (the exact sort-based simplex projection), never by penalty, so
 every evaluated waveform satisfies the constraint exactly and the benchmark
-comparison is fair at each point. Grids are evaluated as one batch of rows;
-the descents from all starts run in lockstep, a step evaluating their current
-points as one batch, with the exact gradient of w from the kernel's
-reverse-mode pass.
+comparison is fair at each point. Projections and kernel segments are
+formed as rows: grids are evaluated as one batch of rows; the descents from
+all starts run in lockstep, a step evaluating their current points as one
+batch with the exact gradient of w from the kernel's reverse-mode pass, and
+projecting its move and KKT residual as two rows of one call.
 """
 
 from __future__ import annotations
@@ -111,19 +112,13 @@ def family_mean(family: WaveformFamily, point) -> float:
 # when u_1 >> total) still yields a shift. Every sum and difference involves
 # at most k + 2 of the values and total, so where one of them exceeds float max
 # times s = 2^-(bit length of k + 2), the projection runs on everything times s
-# (exact down to subnormals) and the result is divided by s. The row and scalar
-# versions do the same floating-point operations in the same order and agree
-# bit for bit.
-
-def _projection_scale(k: int) -> float:
-    """s of the comment above, for k values."""
-    return 2.0 ** -(k + 2).bit_length()
-
+# (exact down to subnormals) and the result is divided by s. Every projection
+# here, of a grid chunk, of a descent's moves or of one point, is a row of it.
 
 def _project_simplex_rows(values: np.ndarray, total: float) -> np.ndarray:
     """Project every row of an (N, k) array; see the comment above."""
     n, k = values.shape
-    s = _projection_scale(k)
+    s = 2.0 ** -(k + 2).bit_length()
     limit, scale = sys.float_info.max * s, 1.0
     if max(values.max(initial=0.0), -values.min(initial=0.0), abs(total)) > limit:
         largest = np.maximum(np.abs(values).max(axis=1), abs(total))
@@ -138,32 +133,20 @@ def _project_simplex_rows(values: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(values - shift[:, None], 0.0) / scale
 
 
-# Descent moves use this twin: 2.5-3.5 us on 4 levels against 19.5-27 us as a row (2-vCPU VM).
-def _project_simplex(values: list[float], total: float) -> list[float]:
-    """Scalar twin of _project_simplex_rows for one short list of floats."""
-    s = _projection_scale(len(values))
-    if max(abs(total), max(values), -min(values)) > sys.float_info.max * s:
-        return [v / s for v in _project_simplex([v * s for v in values], total * s)]
-    css = 0.0
-    for i, u in enumerate(sorted(values, reverse=True), 1):
-        css += u
-        t = (css - total) / i
-        if i == 1 or u > t:
-            theta = t
-    return [max(v - theta, 0.0) for v in values]
-
-
 def project_to_mean(family: WaveformFamily, point, target_mean: float):
     """Nearest family point (Euclidean in level coordinates) with the target mean.
 
     For BangBang the duty is held fixed and only (p1, p2) move; for the free
     piecewise family all levels move. Levels stay non-negative via the exact
-    sort-based simplex projection.
+    sort-based simplex projection. Non-finite input raises SignalError.
     """
     if target_mean < 0.0:
         raise InfeasibleMeanError(f"target mean must be non-negative, got {target_mean}")
+    coords = [float(c) for c in point]
+    if not all(map(math.isfinite, (*coords, target_mean))):
+        raise SignalError(f"cannot project {coords!r} onto mean {target_mean!r}: not finite")
     if isinstance(family, BangBang):
-        p1, p2, duty = float(point[0]), float(point[1]), float(point[2])
+        p1, p2, duty = coords
         if duty <= 0.0:
             return (target_mean, max(p2, target_mean), duty)
         if duty >= 1.0:
@@ -179,8 +162,8 @@ def project_to_mean(family: WaveformFamily, point, target_mean: float):
         elif q1 > q2:
             q1 = q2 = target_mean
         return (q1, q2, duty)
-    levels = [float(c) for c in point]
-    return tuple(_project_simplex(levels, family.n_segments * target_mean))
+    total = family.n_segments * target_mean
+    return tuple(_project_simplex_rows(np.array([coords]), total)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +270,14 @@ def _grid_array(family: WaveformFamily, target_mean: float, resolution: int) -> 
     return grid
 
 
+def _segment_rows(family: WaveformFamily, rows: np.ndarray) -> tuple:
+    """(levels, durations) of each row of family points: its row of the period kernel."""
+    if isinstance(family, BangBang):    # (p1, p2, duty): the high level p2 first
+        p1, p2, duty = rows.T
+        return np.column_stack((p2, p1)), np.column_stack((duty, 1.0 - duty)) * family.period
+    return rows, family.period / family.n_segments
+
+
 def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float, lam: float):
     """(mean, w, distance to constant) of each row of feasible family points.
 
@@ -296,20 +287,16 @@ def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float,
     """
     if isinstance(family, BangBang):
         p1, p2, duty = rows.T
-        levels = np.column_stack((p2, p1))
-        durations = np.column_stack((duty, 1.0 - duty)) * family.period
         means = duty * p2 + (1.0 - duty) * p1
         dev = rows[:, :2] - target_mean
     else:
-        levels = rows
-        durations = family.period / family.n_segments
         means = rows.sum(axis=1) / family.n_segments
         dev = rows - target_mean
     if target_mean > 0.0:
         dev /= target_mean
     distance = np.sqrt(np.sum(dev * dev, axis=1))
     del dev     # not kept beside the kernel's working arrays
-    return means, output_for_level_rows(levels, durations, lam), distance
+    return means, output_for_level_rows(*_segment_rows(family, rows), lam), distance
 
 
 def grid_search(
@@ -374,7 +361,8 @@ def grid_search(
 # move of length t is P(x + t D^2 g) - x, P the projection onto the feasible
 # set. Spectral (Barzilai-Borwein) lengths, halved until w rises by _ARMIJO
 # of the first-order gain up to rounding, give the steps; the KKT residual
-# is the largest u-move at t = 1 / size, 0 at a stationary point.
+# is the largest u-move at t = 1 / size, 0 at a stationary point. A length or
+# move that is not finite (mean > 0, size 0 or below 1 / float max) ends it, capped.
 
 _ARMIJO = 1e-4
 _BACKTRACKS = 20
@@ -409,24 +397,24 @@ class _Descent:
             return (p1, max(p1, (self.mean - (1.0 - duty) * p1) / duty), duty)
         return tuple(x.tolist())
 
-    def move(self, x: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
-        scale = self.scale(x)
-        moved = x + scale * (t * (scale * grad))
-        if self.bang_bang:
-            return np.clip(moved, (0.0, _DUTY_MIN), (1.0, 1.0 - _DUTY_MIN)) - x
-        return np.array(_project_simplex(moved.tolist(), self.family.n_segments * self.mean)) - x
-
-    def residual(self, x: np.ndarray, grad: np.ndarray, size: float) -> float:
+    def moves(self, x: np.ndarray, grad: np.ndarray, size: float, t: float):
+        """(residual, step) at x from one 2-row projection: the KKT residual,
+        the largest u-move at t = 1 / size, and the move at t. At mean 0, the
+        one feasible point, both are 0; None where a length or a move is not
+        finite (see the comment above)."""
         if not size:
-            return 0.0
-        return float(np.max(np.abs(self.move(x, grad, 1.0 / size)) / self.scale(x)))
-
-    def segments(self, point) -> tuple:
-        """(levels, durations) of a family point: its row of the period kernel."""
-        T = self.family.period
-        if self.bang_bang:      # (p1, p2, duty): the high level p2 first
-            return [point[1], point[0]], [point[2] * T, (1.0 - point[2]) * T]
-        return point, [T / len(point)] * len(point)
+            return None if self.mean else (0.0, np.zeros_like(x))
+        scale = self.scale(x)
+        with np.errstate(over="ignore", invalid="ignore"):     # a non-finite move is read below
+            moved = x + scale * (np.array([[1.0 / size], [t]]) * (scale * grad))
+        if not np.isfinite(moved).all():
+            return None
+        if self.bang_bang:
+            moved = np.clip(moved, (0.0, _DUTY_MIN), (1.0, 1.0 - _DUTY_MIN))
+        else:
+            moved = _project_simplex_rows(moved, self.family.n_segments * self.mean)
+        residual, step = moved - x
+        return float(np.max(np.abs(residual) / scale)), step
 
     def evaluate(self, point, kernel: _PeriodRows | None, row: int):
         """(w, g, size) at a family point from its `row` of `kernel` (None: a
@@ -434,7 +422,8 @@ class _Descent:
         gradient, which no move follows and which in g . move would scale the
         rounding of the move's sum; size = max |mean dw/dc| > 0 at the optimum."""
         if kernel is None:
-            kernel, row = _PeriodRows(*zip(self.segments(point)), self.lam, gradient=True), 0
+            rows = _segment_rows(self.family, np.array([point]))
+            kernel, row = _PeriodRows(*rows, self.lam, gradient=True), 0
         w = float(self.lam * kernel.i_p[row] / kernel.period[row])
         if not math.isfinite(w):
             raise _non_finite(self.family, self.mean)
@@ -479,10 +468,11 @@ class _Descent:
         point = project_to_mean(self.family, start, self.mean)
         x = self.coords(point)
         w, grad, size = yield point
-        residual = self.residual(x, grad, size)
         t = 1.0 / size if size else 0.0
-        while residual > tol and self.evaluations < self.max_evals:
-            step = self.move(x, grad, t)
+        while (moves := self.moves(x, grad, size, t)) is not None:
+            residual, step = moves
+            if residual <= tol or self.evaluations >= self.max_evals:
+                return point, w, residual > tol
             found = yield from self.backtrack(x, w, grad, step)
             if found is None:
                 break
@@ -490,11 +480,11 @@ class _Descent:
             x = self.coords(point)
             scale = self.scale(x)
             s, y, grad = alpha * step / scale, (grad - grad_new) * scale, grad_new
-            residual = self.residual(x, grad, size)
             sy = float(s @ y)
-            t = float(s @ s) / sy if sy > 0.0 else 1.0 / size
-            t = min(max(t, _STEP_BOUNDS[0] / size), _STEP_BOUNDS[1] / size) if size else 0.0
-        return point, w, residual > tol
+            if size:        # else the next moves ends the descent
+                t = float(s @ s) / sy if sy > 0.0 else 1.0 / size
+                t = min(max(t, _STEP_BOUNDS[0] / size), _STEP_BOUNDS[1] / size)
+        return point, w, True
 
 
 def coordinate_descents(family: WaveformFamily, target_mean: float, params: SystemParams,
@@ -504,8 +494,9 @@ def coordinate_descents(family: WaveformFamily, target_mean: float, params: Syst
 
     Spectral steps with an Armijo backtrack on the kernel's exact gradient
     (see the comment above); a descent stops when the KKT residual is at
-    most `tol`, or is flagged `capped` if the budget runs out or no backtrack
-    raises w above rounding first. Every evaluated point is logged. The
+    most `tol`, or is flagged `capped` if the budget runs out, no backtrack
+    raises w above rounding, or a step length overflows first (see the
+    comment above). Every evaluated point is logged. The
     search is local refinement; pair it with grid_search for coverage. The
     descents run in lockstep, a step evaluating every unfinished one's point
     as a row of one kernel call (no value of a row depends on its batch):
@@ -536,7 +527,7 @@ def coordinate_descents(family: WaveformFamily, target_mean: float, params: Syst
                 failed, error = i, exc
         pending = [(i, point) for i, point in wanted if i < failed]
         if pending:
-            rows = zip(*(descents[i].segments(point) for i, point in pending))
+            rows = _segment_rows(family, np.array([point for _, point in pending]))
             try:
                 kernel = _PeriodRows(*rows, params.lam, gradient=True)
             except SignalError:     # a row's rates overflow: each row runs alone

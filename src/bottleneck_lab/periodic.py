@@ -315,25 +315,33 @@ def gap_report(signal: InputSignal, params: SystemParams) -> PeriodicReport:
     about c = x_star (`mean_over_period`; the unclipped mean, far from it on
     clipped inflow, would cancel as 0 does). The orbit is c + u + p (x_p - c)
     at the nodes, so m1, m2 and the gap add terms of the deviations' size.
+    A period integral past float max raises SignalError.
     """
     period = require_period(signal)
     step = dynamics.numeric_step(signal, params)
     if step is None:
-        sums = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
+        with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
+            sums = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
     else:
         lam, mean = params.lam, mean_over_period(signal)
         c = mean / (lam + mean)
         scan = dynamics._smooth_scan(signal, lam, 0.0, [period], step, center=c)
         s = scan.int_sigma
-        x_p = PoincareMap(rate=lam * period + float(s[0]), b=float(scan.x[0])).fixed_point
+        rate = lam * period + float(s[0])
+        x_p = PoincareMap(rate=rate, b=float(scan.x[0])).fixed_point
         x_star = (s / period) / (lam + s / period)
         n, u, p, uu, up, pp = scan.sums
         delta, d = x_p - c, c - x_star
         v, vv = u + delta * p, uu + delta * (2.0 * up + delta * pp)
-        sums = SimpleNamespace(lam=lam, period=period, s=s, x_star=x_star,
+        sums = SimpleNamespace(lam=lam, period=period, rate=rate, s=s, x_star=x_star,
                                i_p=scan.int_x + scan.int_p * x_p, m1=c * n + v,
                                m2=c * (c * n + 2.0 * v) + vv, gap=d * (d * n + 2.0 * v) + vv)
-    return PeriodicReport(*_report_columns(sums)[:, 0].tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns, rate = _report_columns(sums)[:, 0], float(np.max(sums.rate))
+    if not (math.isfinite(rate) and np.isfinite(columns).all()):
+        raise SignalError(f"a period integral overflows double precision: "
+                          f"int_0^T (lam + sigma) dt = {rate!r} at lam={params.lam!r}")
+    return PeriodicReport(*columns.tolist())
 
 
 def period_states(

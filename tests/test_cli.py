@@ -162,6 +162,18 @@ class TestPeriodicCommand:
         assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_period_integral_exits_2(self, tmp_path, capsys, fmt):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "signal": {"kind": "piecewise_constant", "breakpoints": [0.0, 1e300, 1.7e308],
+                       "levels": [1.0, 2.0]},
+            "lambda": 1.0, "format": fmt, "out": str(tmp_path / f"rep.{fmt}"),
+        })
+        assert main(["periodic", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: a period integral overflows double precision")
+        assert not (tmp_path / f"rep.{fmt}").exists()
+
     def test_csv_report(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {
             "signal": TWO_LEVEL_SIG,
@@ -364,6 +376,23 @@ class TestOptimizeCommand:
         res = json.loads(out.read_text())
         assert res["best"]["optimality_gap"] >= -1e-9
         assert res["max_excess_over_benchmark"] <= 1e-9
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "piecewise_free", "n_segments": 3}, {"kind": "bang_bang"},
+    ])
+    @pytest.mark.parametrize("lam, mean", [(1e-300, 1.0), (1.0, 1e-310)])
+    def test_overflowed_step_length_ends_capped(self, tmp_path, capsys, family, lam, mean):
+        # t = 1 / size overflows at these starts: the free family recursed
+        # without end (exit 1), BangBang warned and read NaN as converged.
+        out = tmp_path / "res.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": family, "lambda": lam, "mean": mean, "resolution": 4, "n_starts": 2,
+            "out": str(out),
+        })
+        assert main(["optimize", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        descents = json.loads(out.read_text())["descents"]
+        assert descents[0]["capped"] and descents[0]["evaluations"] == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family, name", [

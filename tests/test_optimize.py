@@ -19,11 +19,7 @@ from bottleneck_lab.optimize import (
     project_to_mean,
 )
 from bottleneck_lab.dynamics import _CSV_CHUNK
-from bottleneck_lab.optimize import (
-    _evaluate_rows,
-    _project_simplex,
-    _project_simplex_rows,
-)
+from bottleneck_lab.optimize import _evaluate_rows, _project_simplex_rows
 from bottleneck_lab.periodic import (
     _PeriodRows,
     constant_benchmark,
@@ -99,7 +95,7 @@ class TestProjection:
             rows = _project_simplex_rows(raws, k * target)
             for raw, row in zip(raws, rows):
                 got = np.asarray(project_to_mean(fam, raw, target))
-                # the scalar and row projections do the same arithmetic
+                # a point projects as a row of its own: no row depends on its batch
                 np.testing.assert_array_equal(got, row)
                 oracle = simplex_projection(raw, k * target)
                 np.testing.assert_allclose(got, oracle, atol=1e-12)
@@ -108,7 +104,7 @@ class TestProjection:
 
     def test_sums_past_float_max_do_not_overflow(self):
         # Values and totals near float max, where the sums of the sort-based
-        # rule overflow unscaled: both twins scale them by a power of two.
+        # rule overflow unscaled: the rows are scaled by a power of two.
         rng = np.random.default_rng(7)
         for k in (1, 2, 5):
             raws = rng.uniform(-1.0, 1.0, (20, k)) * 1.7e308
@@ -116,9 +112,25 @@ class TestProjection:
             rows = _project_simplex_rows(raws, total)
             assert np.isfinite(rows).all() and np.all(rows >= 0.0)
             np.testing.assert_allclose((rows / k).sum(axis=1), total / k, rtol=1e-12)
-            for raw, row in zip(raws, rows):
-                assert _project_simplex(raw.tolist(), total) == row.tolist()
-        assert _project_simplex([1e308, 1e308], 1e308) == [5e307, 5e307]
+        assert _project_simplex_rows(np.array([[1e308, 1e308]]), 1e308).tolist() == \
+            [[5e307, 5e307]]
+        fam = PiecewiseConstantFree(period=1.0, n_segments=2)
+        assert project_to_mean(fam, (1e308, 1e308), 5e307) == (5e307, 5e307)
+
+    @pytest.mark.parametrize("family, point", [
+        (BB, (math.inf, 1.0, 0.5)),
+        (BB, (1.0, 1.0, math.nan)),
+        (PiecewiseConstantFree(period=1.0, n_segments=3), (math.nan, 1.0, 1.0)),
+        (PiecewiseConstantFree(period=1.0, n_segments=3), (math.inf, 1.0, 1.0)),
+        (PiecewiseConstantFree(period=1.0, n_segments=3), (1.0, -math.inf, 1.0)),
+    ])
+    def test_non_finite_coordinates_raise(self, family, point):
+        # inf once recursed without end in the scaled retry, and NaN or inf
+        # came back as NaN or -inf levels
+        with pytest.raises(SignalError, match="cannot project"):
+            project_to_mean(family, point, 1.0)
+        with pytest.raises(SignalError, match="cannot project"):
+            project_to_mean(family, (1.0,) * len(point), math.nan)
 
     def test_zero_target_gives_all_zeros(self):
         for k in (1, 3):
@@ -366,6 +378,30 @@ class TestCoordinateDescent:
                 points, _, outputs = log_columns(res.log)
                 assert res.best_w == outputs[points.index(res.best_point)]
                 assert res.log.max_excess <= 1e-9 * min(1.0, res.benchmark_w)
+
+    @pytest.mark.parametrize("family, start", [
+        (BB, (0.5, 2.0, 0.25)),
+        (PiecewiseConstantFree(period=1.0, n_segments=3), (1.5, 1.0, 0.5)),
+    ])
+    @pytest.mark.parametrize("lam, mean", [(1e-300, 1.0), (1.0, 1e-310)])
+    def test_overflowed_step_length_ends_capped(self, family, start, lam, mean):
+        # size = max |mean dw/dc| is below 1 / float max, so t = 1 / size is
+        # inf and inf * 0 NaN: the free family recursed without end, and
+        # BangBang read NaN > tol as converged, each with a RuntimeWarning.
+        units = (mean, mean, 1.0) if isinstance(family, BangBang) else (mean,) * 3
+        start = tuple(c * u for c, u in zip(start, units))
+        res = coordinate_descent(family, mean, SystemParams(lam=lam), start)
+        assert res.capped and res.evaluations == len(res.log) == 1
+        assert math.isfinite(res.best_w)
+        assert res.log.max_excess <= 1e-9 * min(1.0, res.benchmark_w)
+
+    @pytest.mark.parametrize("family, start", [
+        (BB, (math.nan, 1.0, 0.5)),
+        (K4, (math.nan, 1.0, 1.0, 1.0)),
+    ])
+    def test_non_finite_start_raises(self, family, start):
+        with pytest.raises(SignalError, match="cannot project"):
+            coordinate_descent(family, 1.0, P1, start)
 
     def test_mean_zero_is_one_evaluation(self):
         for family, start in ((BB, (0.0, 0.0, 0.5)), (K4, (0.0,) * 4)):

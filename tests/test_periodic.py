@@ -441,6 +441,13 @@ class TestConstantBenchmark:
         with pytest.raises(SignalError, match="overflows"):
             gap_report(Constant(1.7e308), SystemParams(lam=1e308))
 
+    def test_overflowing_period_integral_raises(self):
+        # Every rate is finite, but int sigma and R pass float max: the report
+        # read sigma_bar inf and gap NaN, with RuntimeWarnings on the way.
+        signal = PiecewiseConstant((0.0, 1e300, 1.7e308), (1.0, 2.0))
+        with pytest.raises(SignalError, match=r"period integral overflows.* = inf at lam=1\.0"):
+            gap_report(signal, P1)
+
 
 def decimal_gap(breakpoints, levels, lam):
     """(1/T) int_0^T (x_p - x_star)^2 (lam + sigma) of a piecewise-constant
