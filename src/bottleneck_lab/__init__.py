@@ -20,7 +20,6 @@ from .signals import (
     SignalError,
     SystemParams,
     evaluate_array,
-    is_periodic,
     max_level,
     mean_over_period,
     period_of,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClippedSinusoidSum", "Constant", "InputSignal", "NonPeriodicSignalError",
     "PiecewiseConstant", "Sampled", "SignalError", "SystemParams",
-    "evaluate_array", "is_periodic", "max_level", "mean_over_period",
+    "evaluate_array", "max_level", "mean_over_period",
     "period_of", "signal_from_dict", "signal_to_dict",
     "DomainError", "StepSizeError", "Trajectory", "default_step",
     "simulate", "trajectory_to_csv",

@@ -15,8 +15,8 @@ at the checkpoint tau* where the estimate of w is attained and
 x* = s / (lam + s), the certificate below gives
 lam <x>_tau* - B(s) <= correction(tau*), and B increases in s, so the
 margin B(sigma_bar_est) - w_est is at least -max(0, correction(tau*)), less
-the quadrature error bound on the numeric path and CERTIFICATE_TOL for
-rounding.
+the quadrature error bound on the numeric path and, for rounding,
+CERTIFICATE_TOL or a bound relative to the terms compared (`_allowance`).
 
 The finite-horizon certificate is the pre-limit form of the bound: for any
 horizon tau and any reference occupancy x_star,
@@ -48,10 +48,8 @@ from .signals import (
     ClippedSinusoidSum,
     InputSignal,
     SystemParams,
-    is_periodic,
     max_frequency,
     max_level,
-    mean_over_period,
     period_of,
 )
 from .periodic import constant_benchmark
@@ -183,32 +181,20 @@ def quadrature_slack(signal: InputSignal, params: SystemParams) -> float:
     return eps_g * (1.0 + 2.0 * params.lam * h)
 
 
-def running_averages(
-    signal: InputSignal,
-    params: SystemParams,
-    x0: float,
-    tau_max: float,
-    n_checkpoints: int = DEFAULT_CHECKPOINTS,
-    checkpoints: np.ndarray | None = None,
-) -> RunningAverages:
-    """Single forward pass recording running means at the checkpoints.
+def running_averages(signal: InputSignal, params: SystemParams, x0: float, tau_max: float,
+                     n_checkpoints: int = DEFAULT_CHECKPOINTS) -> RunningAverages:
+    """Single forward pass recording running means at n_checkpoints
+    log-spaced horizons on [tau_max/1000, tau_max].
 
-    Checkpoints default to n_checkpoints log-spaced horizons on
-    [tau_max/1000, tau_max]. The limsup estimates are the maxima of the
-    running means over the last half of the checkpoint list (tail-max).
-    The bound check and the certificates read the returned pass instead of
-    walking again.
+    The limsup estimates are the maxima of the running means over the last
+    half of the checkpoint list (tail-max). The bound check and the
+    certificates read the returned pass instead of walking again.
     """
     if tau_max <= 0.0:
         raise dynamics.DomainError(f"tau_max must be positive, got {tau_max}")
-    if checkpoints is None:
-        if n_checkpoints < 2:
-            raise dynamics.DomainError("need at least two checkpoints")
-        checkpoints = np.geomspace(tau_max / 1000.0, tau_max, n_checkpoints)
-    else:
-        checkpoints = np.asarray(checkpoints, dtype=float)
-        if checkpoints.size < 2 or np.any(np.diff(checkpoints) <= 0.0) or checkpoints[0] <= 0.0:
-            raise dynamics.DomainError("checkpoints must be positive and increasing")
+    if n_checkpoints < 2:
+        raise dynamics.DomainError("need at least two checkpoints")
+    checkpoints = np.geomspace(tau_max / 1000.0, tau_max, n_checkpoints)
     x0 = dynamics._check_occupancy(x0)
     states, cum_x, cum_s = _pass(signal, params, x0, checkpoints)
     window_start = checkpoints.size // 2
@@ -231,8 +217,8 @@ def longrun_bound_check(signal: InputSignal, params: SystemParams,
     """Compare the estimated w of `ra` with the benchmark at its estimated mean inflow.
 
     A violation is flagged only when the margin is more negative than the
-    slack max(0, correction(tau*)) + quadrature bound + CERTIFICATE_TOL,
-    which bounds the margin from below (module docstring): tau* is the
+    slack max(0, correction(tau*)) + quadrature bound + `_allowance`, which
+    bounds the margin from below (module docstring), or is NaN: tau* is the
     checkpoint where w_est is attained, and the certificate's correction
     there uses x* = s / (lam + s), s the running mean inflow at tau*.
     """
@@ -241,44 +227,44 @@ def longrun_bound_check(signal: InputSignal, params: SystemParams,
     s = float(ra.cumulative_input[j] / ra.taus[j])
     correction = _certificate_terms(lam, s / (lam + s), ra.x0, ra.taus[j], ra.states[j],
                                     ra.cumulative_x[j], ra.cumulative_input[j])[2]
-    slack = max(0.0, float(correction)) + quadrature_slack(signal, params) + CERTIFICATE_TOL
     bound = constant_benchmark(ra.sigma_bar_est, params)
     margin = bound - ra.w_est
+    slack = (max(0.0, float(correction)) + quadrature_slack(signal, params)
+             + float(_allowance(bound, ra.w_est)))
     return BoundCheck(
         sigma_bar_est=ra.sigma_bar_est,
         w_est=ra.w_est,
         bound=bound,
         margin=margin,
         slack=slack,
-        violated=margin < -slack,
+        violated=not margin >= -slack,
     )
 
 
-def finite_horizon_certificates(
-    signal: InputSignal,
-    params: SystemParams,
-    ra: RunningAverages,
-    sigma_bar: float | None = None,
-) -> Certificates:
+def finite_horizon_certificates(params: SystemParams, ra: RunningAverages) -> Certificates:
     """The pre-limit inequality at the horizons of `ra`: `_certificate_terms`'
     arrays as `Certificates` columns, with no per-horizon objects.
 
-    The reference x_star is built from `sigma_bar` when given, from the
-    exact period mean for periodic signals, or from the final running mean
-    otherwise; the inequality holds for any choice, so this only affects
-    how tight the certificates are.
+    The reference is x_star = s / (lam + s), s the final running mean
+    inflow of the pass, for every input. The inequality holds for any
+    x_star, so the choice only sets how tight the certificates are, and
+    the pass already holds s.
     """
     lam = params.lam
-    if sigma_bar is None:
-        if is_periodic(signal):
-            sigma_bar = mean_over_period(signal)
-        else:
-            sigma_bar = float(ra.cumulative_input[-1] / ra.taus[-1])
-    x_star = sigma_bar / (lam + sigma_bar) if sigma_bar > 0.0 else 0.0
-
+    s = float(ra.cumulative_input[-1] / ra.taus[-1])
     lhs, rhs, correction = _certificate_terms(
-        lam, x_star, ra.x0, ra.taus, ra.states, ra.cumulative_x, ra.cumulative_input)
+        lam, s / (lam + s), ra.x0, ra.taus, ra.states, ra.cumulative_x, ra.cumulative_input)
     return Certificates(ra.taus, lhs, rhs, rhs - lhs, correction)
+
+
+def _allowance(*terms):
+    """CERTIFICATE_TOL, or where larger 16 u (u = 2^-53) of the summed
+    magnitudes of the terms a gate compares, elementwise. With X and S from
+    the pass to 8 u, a certificate's slack rounds by at most 14 u of its
+    terms (lam X / tau 2 u, (1 - x*)^2 S / tau 4, lam x*^2 2, two sums), any
+    rounding of x* aside, and the bound check's margin by 12 u of
+    |B| + |w_est| (B 3 u and its mean 1 u, lam X / tau 2 u)."""
+    return np.maximum(CERTIFICATE_TOL, 16 * 2.0 ** -53 * sum(np.abs(t) for t in terms))
 
 
 def _certificate_terms(lam, x_star, x0, taus, states, cumulative_x, cumulative_input):
@@ -313,21 +299,11 @@ def solution_independence_check(
     return IndependenceCheck(x0_a=x0_a, x0_b=x0_b, tau=tau, avg_diff=avg_diff, bound=bound)
 
 
-def averages_to_csv(
-    ra: RunningAverages,
-    certificates: Certificates | None,
-    fh,
-) -> None:
-    """Combined table: tau, mean_input, mean_state, lhs, rhs, slack.
-
-    `certificates` is None, which leaves the certificate columns empty, or
-    `Certificates` at exactly the horizons of `ra`, whose arrays are written.
-    """
-    columns = ()
-    if certificates is not None:
-        if not np.array_equal(certificates.tau, ra.taus):
-            raise ValueError("certificates must be at exactly the horizons of the running averages")
-        columns = certificates.lhs, certificates.rhs, certificates.slack
+def averages_to_csv(ra: RunningAverages, certificates: Certificates, fh) -> None:
+    """Combined table: tau, mean_input, mean_state, lhs, rhs, slack, from
+    `ra` and its `Certificates`, which must be at exactly its horizons."""
+    if not np.array_equal(certificates.tau, ra.taus):
+        raise ValueError("certificates must be at exactly the horizons of the running averages")
     fh.write("tau,mean_input,mean_state,lhs,rhs,slack\n")
-    dynamics._write_rows(fh, ra.taus, ra.mean_input, ra.mean_state, *columns,
-                         end=",,,\n" if certificates is None else "\n")
+    dynamics._write_rows(fh, ra.taus, ra.mean_input, ra.mean_state,
+                         certificates.lhs, certificates.rhs, certificates.slack)

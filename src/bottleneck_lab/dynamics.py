@@ -182,7 +182,8 @@ class _SegmentTables:
     a finite level whose rate overflows raises SignalError, as x_inf would
     silently read 0), x_inf = c / r, g = 1 - e^{-r h} = -expm1(-r h),
     d = e^{-r h} (never 1 - g, whose absolute error of 1e-16 would spoil long
-    decays) and w = h phi(r h), phi(z) = (1 - e^{-z}) / z, phi(0) = 1.
+    decays) and w = h phi(r h), phi(z) = (1 - e^{-z}) / z, phi(0) = 1
+    (`_decay`: an r h past float max is a full decay, d = 0 and w = 1 / r).
     Padding segments (`signals._pad_rows`: level 0, width 0) are identity
     maps after the row's end, its last segment of positive width (`end`, a
     flat index into the (k + 1, N) tables).
@@ -205,13 +206,11 @@ class _SegmentTables:
         self.lam = lam = np.asarray(lam, dtype=float)
         with np.errstate(over="ignore"):
             self.r = r = lam + c
-        if not np.isfinite(r).all() and (np.isinf(r) & np.isfinite(c)).any():
-            raise SignalError(f"lam + level overflows: lam={float(np.max(lam))!r}, "
-                              f"level={float(c.max())!r}")
-        self.rh = rh = r * h
+            if not np.isfinite(r).all() and (np.isinf(r) & np.isfinite(c)).any():
+                raise SignalError(f"lam + level overflows: lam={float(np.max(lam))!r}, "
+                                  f"level={float(c.max())!r}")
+            self.rh, self.g, self.w = rh, g, w = _decay(r, h)
         self.x_inf = x_inf = c / r
-        self.g = g = -np.expm1(-rh)
-        self.w = w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
         self.d = d = np.exp(-rh)
         self.P, self.Q = P, Q = _affine_prefix(d, x_inf * g)
         k, n = c.shape
@@ -227,6 +226,15 @@ class _SegmentTables:
         self.i_p = _prefix_sums(x_inf * h + delta * w).take(end)
 
 
+def _decay(r, h):
+    """(r h, g, w) of segments of rate r and width h (see `_SegmentTables`);
+    an r h that overflows, with overflow ignored, is a full decay."""
+    rh = r * h
+    g = -np.expm1(-rh)
+    w = h * np.divide(g, rh, out=np.ones_like(g), where=rh > 0.0)
+    return rh, g, np.divide(1.0, r, out=w, where=np.isinf(rh))
+
+
 def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
     """Exact states and running integrals of x and sigma at the record times.
 
@@ -234,7 +242,8 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
     each; `record_times` is (M,), shared by the rows, or (N, M). Returns
     (states, cumulative_x, cumulative_sigma), each (N, M). Time t lies in
     segment i of cycle c at the exact phase t - c*T (`signals._segment_index`;
-    aperiodic rows have c = 0 and phase t), and every cycle has the nominal
+    aperiodic rows have c = 0 and phase t, where the whole-cycle terms are 0
+    even if R overflowed), and every cycle has the nominal
     widths, so one set of first-cycle tables (`_SegmentTables`, with
     int x = U + V x0 and int sigma = S at the segment starts) serves every
     record. With the period map x -> a x + b, its fixed point x_p, the
@@ -255,15 +264,15 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
     row = np.repeat(np.arange(len(levels)), cycle.shape[1])
     x_p, rate, one_minus_a = tab.x_p[row], tab.rate[row], tab.one_minus_a[row]
     delta = x0[row] - x_p
-    ratio = np.divide(-np.expm1(-c * rate), one_minus_a, out=c.copy(), where=one_minus_a > 0.0)
-    start_x = np.where(c > 0, x_p + delta * np.exp(-c * rate), x0[row])
+    span = phase.ravel() - breakpoints[row, i]
+    with np.errstate(over="ignore"):    # c R is 0 in the first cycle, where R may be inf
+        cr = np.multiply(c, rate, out=np.zeros_like(c), where=c > 0)
+        rs, _, w = _decay(tab.r[i, row], span)
+    ratio = np.divide(-np.expm1(-cr), one_minus_a, out=c.copy(), where=one_minus_a > 0.0)
+    start_x = np.where(c > 0, x_p + delta * np.exp(-cr), x0[row])
     x = tab.P[i, row] * start_x + tab.Q[i, row]
     int_x = c * tab.i_p[row] + V.take(tab.end)[row] * delta * ratio + U[i, row] + V[i, row] * start_x
-    span = phase.ravel() - breakpoints[row, i]
     x_inf = tab.x_inf[i, row]
-    rs = tab.r[i, row] * span
-    g = -np.expm1(-rs)
-    w = span * np.divide(g, rs, out=np.ones_like(g), where=rs > 0.0)   # s phi(r s)
     out = (np.clip(x_inf + (x - x_inf) * np.exp(-rs), 0.0, 1.0),
            int_x + x_inf * span + (x - x_inf) * w,
            c * S.take(tab.end)[row] + S[i, row] + tab.c[i, row] * span)
@@ -619,9 +628,9 @@ def simulate(
 _CSV_CHUNK = 512     # rows per CSV chunk: the writer's temporaries scale with this
 
 
-def _write_rows(fh, *columns, end: str = "\n", memo: list | None = None) -> None:
+def _write_rows(fh, *columns, memo: list | None = None) -> None:
     """Write the rows of the equal-length float `columns` to the text file `fh`,
-    each ending in `end`: every CSV table goes through here. A field is the
+    one line each: every CSV table goes through here. A field is the
     round-trip `repr` of its float; each chunk formats every distinct bit
     pattern in it once (so -0.0 and 0.0 stay apart) and gathers the strings
     into place. It takes those it shares with the chunk before from `memo[0]`,
@@ -640,7 +649,7 @@ def _write_rows(fh, *columns, end: str = "\n", memo: list | None = None) -> None
             text[new] = list(map(repr, bits[new].view(np.float64).tolist()))
         memo[0] = bits, text
         fields = text[inverse].reshape(table.shape).tolist()
-        fh.write(end.join(map(",".join, zip(*fields))) + end)
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def trajectory_to_csv(traj: Trajectory, signal: InputSignal, fh) -> None:

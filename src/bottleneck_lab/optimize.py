@@ -368,6 +368,7 @@ _ARMIJO = 1e-4
 _BACKTRACKS = 20
 _W_ROUNDING = 2.0 ** -44            # relative; a change of w below it is none
 _STEP_BOUNDS = (1e-10, 1e10)        # of t size, a step's largest u-move
+_TOL = 1e-10                        # a descent stops at a KKT residual at most this
 
 
 class _Descent:
@@ -460,7 +461,7 @@ class _Descent:
             alpha *= 0.5
         return best
 
-    def run(self, start, tol: float):
+    def run(self, start):
         """Generator of the descent from `start` (see coordinate_descents): yields
         each point to evaluate, is sent its (w, g, size), returns (point, w, capped)."""
         if self.bang_bang:
@@ -471,8 +472,8 @@ class _Descent:
         t = 1.0 / size if size else 0.0
         while (moves := self.moves(x, grad, size, t)) is not None:
             residual, step = moves
-            if residual <= tol or self.evaluations >= self.max_evals:
-                return point, w, residual > tol
+            if residual <= _TOL or self.evaluations >= self.max_evals:
+                return point, w, residual > _TOL
             found = yield from self.backtrack(x, w, grad, step)
             if found is None:
                 break
@@ -488,13 +489,13 @@ class _Descent:
 
 
 def coordinate_descents(family: WaveformFamily, target_mean: float, params: SystemParams,
-                        starts: list, tol: float = 1e-10, max_evals: int = DEFAULT_MAX_EVALS,
+                        starts: list, max_evals: int = DEFAULT_MAX_EVALS,
                         log: EvaluationLog | None = None) -> list[OptimizationResult]:
     """Projected-gradient ascent of w from each of `starts` under the mean constraint.
 
     Spectral steps with an Armijo backtrack on the kernel's exact gradient
     (see the comment above); a descent stops when the KKT residual is at
-    most `tol`, or is flagged `capped` if the budget runs out, no backtrack
+    most _TOL, or is flagged `capped` if the budget runs out, no backtrack
     raises w above rounding, or a step length overflows first (see the
     comment above). Every evaluated point is logged. The
     search is local refinement; pair it with grid_search for coverage. The
@@ -510,7 +511,7 @@ def coordinate_descents(family: WaveformFamily, target_mean: float, params: Syst
     if log is None:
         log = EvaluationLog(family, target_mean, benchmark)
     descents = [_Descent(family, target_mean, params.lam, max_evals) for _ in starts]
-    runs = [d.run(start, tol) for d, start in zip(descents, starts)]
+    runs = [d.run(start) for d, start in zip(descents, starts)]
     ends, failed, error = [None] * len(runs), len(runs), None
     pending, kernel = [(i, None) for i in range(len(runs))], None
     while pending:
@@ -542,8 +543,8 @@ def coordinate_descents(family: WaveformFamily, target_mean: float, params: Syst
 
 
 def coordinate_descent(family: WaveformFamily, target_mean: float, params: SystemParams,
-                       start, tol: float = 1e-10, max_evals: int = DEFAULT_MAX_EVALS,
+                       start, max_evals: int = DEFAULT_MAX_EVALS,
                        log: EvaluationLog | None = None) -> OptimizationResult:
     """coordinate_descents from one start."""
-    return coordinate_descents(family, target_mean, params, [start], tol, max_evals, log)[0]
+    return coordinate_descents(family, target_mean, params, [start], max_evals, log)[0]
 

@@ -279,7 +279,8 @@ def output_for_level_rows(levels, durations, lam: float) -> np.ndarray:
     out = np.empty(len(levels))
     for i in range(0, len(levels), rows):
         kernel = _PeriodRows(levels[i:i + rows], durations[i:i + rows], lam)
-        out[i:i + rows] = lam * kernel.i_p / kernel.period
+        with np.errstate(over="ignore"):    # an overflowed w reads inf
+            out[i:i + rows] = lam * kernel.i_p / kernel.period
     return out
 
 

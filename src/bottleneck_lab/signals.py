@@ -49,7 +49,6 @@ __all__ = [
     "InputSignal",
     "evaluate_array",
     "period_of",
-    "is_periodic",
     "max_level",
     "mean_over_period",
     "signal_to_dict",
@@ -236,10 +235,6 @@ def period_of(signal: InputSignal) -> float | None:
     if isinstance(signal, PiecewiseConstant):
         return signal.duration if signal.periodic else None
     return signal.period
-
-
-def is_periodic(signal: InputSignal) -> bool:
-    return period_of(signal) is not None
 
 
 def require_period(signal: InputSignal) -> float:

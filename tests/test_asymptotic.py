@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -10,6 +11,7 @@ from bottleneck_lab.asymptotic import (
     CERTIFICATE_TOL,
     Certificates,
     _certificate_terms,
+    _pass,
     averages_to_csv,
     default_tau_max,
     finite_horizon_certificates,
@@ -26,7 +28,6 @@ from bottleneck_lab.signals import (
     PiecewiseConstant,
     SystemParams,
     evaluate_array,
-    mean_over_period,
 )
 from bottleneck_lab.suites import check_asymptotic_case, random_piecewise_signal, \
     random_system, SuiteTolerances
@@ -39,12 +40,19 @@ TWO_TONE = ClippedSinusoidSum(
 
 
 def certificates(signal, params, x0, taus, sigma_bar=None):
-    """Certificates at `taus`, from one pass recorded there."""
-    ra = running_averages(signal, params, x0, taus[-1], checkpoints=taus)
-    return finite_horizon_certificates(signal, params, ra, sigma_bar)
+    """Certificates at the horizons `taus`, from one pass recorded there, with
+    x* = sigma_bar / (lam + sigma_bar); sigma_bar defaults to the final
+    running mean inflow, as in `finite_horizon_certificates`."""
+    taus = np.asarray(taus, dtype=float)
+    states, cum_x, cum_s = _pass(signal, params, x0, taus)
+    if sigma_bar is None:
+        sigma_bar = cum_s[-1] / taus[-1]
+    lhs, rhs, correction = _certificate_terms(params.lam, sigma_bar / (params.lam + sigma_bar),
+                                              x0, taus, states, cum_x, cum_s)
+    return Certificates(taus, lhs, rhs, rhs - lhs, correction)
 
 
-def csv_text(ra, certs=None):
+def csv_text(ra, certs):
     buf = io.StringIO()
     averages_to_csv(ra, certs, buf)
     return buf.getvalue()
@@ -92,8 +100,6 @@ class TestRunningAverages:
         with pytest.raises(DomainError):
             running_averages(Constant(1.0), P1, 0.0, -1.0)
         with pytest.raises(DomainError):
-            running_averages(Constant(1.0), P1, 0.0, 10.0, checkpoints=[2.0, 1.0])
-        with pytest.raises(DomainError):
             running_averages(Constant(1.0), P1, 0.0, 10.0, n_checkpoints=1)
 
     def test_default_tau_max(self):
@@ -107,8 +113,8 @@ class TestLongrunBound:
         # exact periodic output at the 1/(lam tau) rate
         w_exact = gap_report(TWO_LEVEL, P1).w_sigma
         taus = 2.0 * np.arange(1, 101)
-        ra = running_averages(TWO_LEVEL, P1, 0.25, 200.0, checkpoints=taus)
-        w_last = P1.lam * float(ra.mean_state[-1])
+        _, cum_x, _ = _pass(TWO_LEVEL, P1, 0.25, taus)
+        w_last = P1.lam * float(cum_x[-1] / taus[-1])
         assert abs(w_last - w_exact) <= 2.0 / (P1.lam * 200.0)
         assert w_last <= constant_benchmark(1.0, P1) + 1e-9
 
@@ -138,7 +144,8 @@ class TestLongrunBound:
         chk = longrun_bound_check(signal, params, ra)
         j = ra.window_start + int(np.argmax(ra.mean_state[ra.window_start:]))
         s = ra.mean_input[j]
-        correction = finite_horizon_certificates(signal, params, ra, sigma_bar=s).correction[j]
+        correction = _certificate_terms(lam, s / (lam + s), 1.0, ra.taus[j], ra.states[j],
+                                        ra.cumulative_x[j], ra.cumulative_input[j])[2]
         want = max(0.0, correction) + quadrature_slack(signal, params) + CERTIFICATE_TOL
         assert chk.slack == pytest.approx(want, rel=1e-12, abs=0.0)
         assert not chk.violated
@@ -152,6 +159,20 @@ class TestLongrunBound:
         chk = longrun_bound_check(Constant(2.0), params, ra)
         assert chk.margin < 0.0
         assert not chk.violated
+
+    def test_rounding_allowance_at_large_scale(self):
+        # Constant inflow 1e300 at lam = 1e300: the margin is rounding of
+        # terms near 5e299, allowed up to 16 u of |bound| + |w_est|; a margin
+        # past the slack, or NaN, is a violation.
+        params, signal = SystemParams(lam=1e300), Constant(1e300)
+        ra = running_averages(signal, params, 0.0, 100.0)
+        chk = longrun_bound_check(signal, params, ra)
+        assert not chk.violated
+        assert chk.slack >= 16 * 2.0 ** -53 * (chk.bound + chk.w_est) > CERTIFICATE_TOL
+        # (w_est moves in ulps of 7e283, about a 24th of the slack)
+        for factor, violated in ((0.9, False), (1.1, True), (math.nan, True)):
+            moved = dataclasses.replace(ra, w_est=chk.bound + factor * chk.slack)
+            assert longrun_bound_check(signal, params, moved).violated is violated
 
     def test_two_tone_never_violates_beyond_slack(self):
         chk = longrun_bound_check(TWO_TONE, P1, running_averages(TWO_TONE, P1, 0.0, 2000.0))
@@ -200,7 +221,7 @@ class TestLongrunBound:
         x0 = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
         ra = running_averages(signal, params, x0, 10.0 ** data.draw(st.floats(0.0, 3.0)))
         assert not longrun_bound_check(signal, params, ra).violated
-        certs = finite_horizon_certificates(signal, params, ra)
+        certs = finite_horizon_certificates(params, ra)
         assert certs.slack.min() >= -CERTIFICATE_TOL
 
 
@@ -241,13 +262,11 @@ class TestFiniteHorizonCertificates:
             assert certs.slack.min() >= -1e-12
 
     def test_validation(self):
-        # the horizons are those of the pass, which validates them
+        # the horizons and the start are those of the pass, which validates them
         with pytest.raises(DomainError):
-            running_averages(TWO_LEVEL, P1, 0.0, 3.0, checkpoints=[])
+            running_averages(TWO_LEVEL, P1, 0.0, 0.0)
         with pytest.raises(DomainError):
-            running_averages(TWO_LEVEL, P1, 0.0, 3.0, checkpoints=[3.0, 1.0])
-        with pytest.raises(DomainError):
-            running_averages(TWO_LEVEL, P1, 1.5, 3.0, checkpoints=[1.0, 3.0])
+            running_averages(TWO_LEVEL, P1, 1.5, 3.0)
 
 
 class TestSolutionIndependence:
@@ -280,23 +299,20 @@ class TestSolutionIndependence:
             assert check_asymptotic_case(sig, params, tol) == []
 
 
-def per_row_averages_csv(ra, certs=None):
+def per_row_averages_csv(ra, certs):
     """Reference writer: one f-string of field reprs per horizon."""
     out = ["tau,mean_input,mean_state,lhs,rhs,slack\n"]
     rows = zip(ra.taus.tolist(), ra.mean_input.tolist(), ra.mean_state.tolist())
     for i, (tau, mi, ms) in enumerate(rows):
-        if certs is None:
-            out.append(f"{tau!r},{mi!r},{ms!r},,,\n")
-        else:
-            lhs, rhs, slack = (float(column[i]) for column in (certs.lhs, certs.rhs, certs.slack))
-            out.append(f"{tau!r},{mi!r},{ms!r},{lhs!r},{rhs!r},{slack!r}\n")
+        lhs, rhs, slack = (float(column[i]) for column in (certs.lhs, certs.rhs, certs.slack))
+        out.append(f"{tau!r},{mi!r},{ms!r},{lhs!r},{rhs!r},{slack!r}\n")
     return "".join(out)
 
 
 class TestExport:
     def test_combined_csv(self):
         ra = running_averages(TWO_LEVEL, P1, 0.0, 100.0, n_checkpoints=8)
-        certs = finite_horizon_certificates(TWO_LEVEL, P1, ra)
+        certs = finite_horizon_certificates(P1, ra)
         rows = list(csv.reader(io.StringIO(csv_text(ra, certs))))
         assert rows[0] == ["tau", "mean_input", "mean_state", "lhs", "rhs", "slack"]
         assert len(rows) == 9
@@ -304,23 +320,17 @@ class TestExport:
         assert tau == ra.taus[-1]
         assert slack == pytest.approx(rhs - lhs, abs=1e-15)
 
-    def test_csv_without_certificates(self):
-        ra = running_averages(Constant(1.0), P1, 0.0, 10.0, n_checkpoints=4)
-        rows = list(csv.reader(io.StringIO(csv_text(ra))))
-        assert rows[1][3:] == ["", "", ""]
-
     @pytest.mark.parametrize("signal", [TWO_LEVEL, TWO_TONE])
-    @pytest.mark.parametrize("with_certificates", [True, False])
-    def test_matches_per_row_writer(self, signal, with_certificates):
+    def test_matches_per_row_writer(self, signal):
         ra = running_averages(signal, P1, 0.3, 200.0)
-        certs = finite_horizon_certificates(signal, P1, ra) if with_certificates else None
+        certs = finite_horizon_certificates(P1, ra)
         assert csv_text(ra, certs) == per_row_averages_csv(ra, certs)
 
     def test_mismatched_certificates_raise(self):
         ra = running_averages(TWO_LEVEL, P1, 0.0, 100.0, n_checkpoints=8)
-        certs = finite_horizon_certificates(TWO_LEVEL, P1, ra)
+        certs = finite_horizon_certificates(P1, ra)
         other = finite_horizon_certificates(
-            TWO_LEVEL, P1, running_averages(TWO_LEVEL, P1, 0.0, 90.0, n_checkpoints=8))
+            P1, running_averages(TWO_LEVEL, P1, 0.0, 90.0, n_checkpoints=8))
         cut = Certificates(*(column[:0] for column in certs))
         short = Certificates(*(column[:-1] for column in certs))
         reversed_ = Certificates(*(column[::-1] for column in certs))
@@ -330,19 +340,24 @@ class TestExport:
                 csv_text(ra, bad)
 
 
+APERIODIC = PiecewiseConstant((0.0, 0.5, 3.0), (4.0, 0.0), periodic=False)
+
+
 class TestCertificateColumns:
     @pytest.mark.parametrize("signal", [
-        TWO_LEVEL, Constant(1.0), ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0, 0.3),))])
+        TWO_LEVEL, Constant(1.0), ClippedSinusoidSum(mean=1.0, terms=((1.5, 2.0, 0.3),)),
+        APERIODIC])
     @pytest.mark.parametrize("x0", [0.0, 0.3, 1.0])
     def test_columns_are_the_certificate_terms(self, signal, x0):
-        # The columns are _certificate_terms' arrays, bit for bit, with
-        # slack = rhs - lhs and the pass's horizons as tau.
+        # The columns are _certificate_terms' arrays at the public reference
+        # x* = s / (lam + s), s the final running mean inflow, bit for bit,
+        # with slack = rhs - lhs and the pass's horizons as tau.
         ra = running_averages(signal, P1, x0, 300.0)
-        certs = finite_horizon_certificates(signal, P1, ra)
-        sigma_bar = mean_over_period(signal)
-        x_star = sigma_bar / (P1.lam + sigma_bar)
-        lhs, rhs, correction = _certificate_terms(P1.lam, x_star, x0, ra.taus, ra.states,
-                                                  ra.cumulative_x, ra.cumulative_input)
+        certs = finite_horizon_certificates(P1, ra)
+        s = ra.cumulative_input[-1] / ra.taus[-1]
+        lhs, rhs, correction = _certificate_terms(P1.lam, s / (P1.lam + s), x0, ra.taus,
+                                                  ra.states, ra.cumulative_x,
+                                                  ra.cumulative_input)
         assert isinstance(certs, Certificates)
         assert certs.tau.tobytes() == ra.taus.tobytes()
         for got, want in ((certs.lhs, lhs), (certs.rhs, rhs), (certs.slack, rhs - lhs),
@@ -351,8 +366,11 @@ class TestCertificateColumns:
             assert got.tobytes() == want.tobytes()
 
     def test_aperiodic_reference_is_the_final_running_mean(self):
-        signal = PiecewiseConstant((0.0, 0.5, 3.0), (4.0, 0.0), periodic=False)
-        ra = running_averages(signal, P1, 0.2, 50.0)
+        # Not the tail-max estimate sigma_bar_est, which differs here.
+        ra = running_averages(APERIODIC, P1, 0.2, 50.0)
         s = float(ra.cumulative_input[-1] / ra.taus[-1])
-        assert (finite_horizon_certificates(signal, P1, ra).slack.tobytes()
-                == finite_horizon_certificates(signal, P1, ra, sigma_bar=s).slack.tobytes())
+        assert ra.sigma_bar_est != s
+        slack = finite_horizon_certificates(P1, ra).slack
+        assert slack.tobytes() == certificates(APERIODIC, P1, 0.2, ra.taus, s).slack.tobytes()
+        assert slack.tobytes() != certificates(APERIODIC, P1, 0.2, ra.taus,
+                                               ra.sigma_bar_est).slack.tobytes()

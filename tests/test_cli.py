@@ -8,7 +8,9 @@ import threading
 
 import pytest
 
-from bottleneck_lab import dynamics, optimize
+import numpy as np
+
+from bottleneck_lab import asymptotic, dynamics, optimize, periodic, signals
 from bottleneck_lab.cli import _beats_benchmark, _open_output, main
 from bottleneck_lab.signals import SystemParams, signal_from_dict
 
@@ -82,6 +84,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:3:1" in err
+
+    def test_unreadable_json_files_exit_2_naming_path_and_reason(self, tmp_path, capsys):
+        # One reader serves the config and a signal file: a syntax error is
+        # anchored at path:line:col, anything else names the path and why.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "constant",\n "level": }')
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"kind": "constant", "level": 1.0, "name": "\xe9"}')
+        missing = tmp_path / "missing.json"
+        gone, undecodable = "No such file or directory", "codec can't decode byte 0xe9"
+        for argv, want, reason in (
+                (["--config", str(missing)], f"error: cannot read {missing}: ", gone),
+                (["--signal", str(missing)], f"error: simulate: cannot read {missing}: ", gone),
+                (["--signal", str(bad)], f"error: simulate: {bad}:2:11: ", "Expecting value"),
+                (["--config", str(latin)], f"error: cannot read {latin}: ", undecodable),
+                (["--signal", str(latin)], f"error: simulate: cannot read {latin}: ",
+                 undecodable)):
+            assert main(["simulate", *argv, "--lambda", "1.0", "--horizon", "1.0"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(want) and reason in err and err.count("\n") == 1, err
 
     def test_step_sets_the_spacing_or_refines_the_scan(self, tmp_path):
         def times(signal, step=None):
@@ -311,6 +333,20 @@ class TestAsymptoticCommand:
         })
         assert main(["asymptotic", "--config", cfg]) == 0
         assert len(calls) == 1
+
+    def test_periodic_clipped_sum_needs_no_period_mean(self, tmp_path, monkeypatch):
+        # The certificates' reference is the pass's final running mean, so no
+        # clip-point search over the period runs.
+        def refuse(signal):
+            raise AssertionError("mean_over_period called")
+
+        for module in (signals, periodic):
+            monkeypatch.setattr(module, "mean_over_period", refuse)
+        clipped = {"kind": "clipped_sinusoid_sum", "mean": 1.0,
+                   "terms": [{"amplitude": 1.5, "omega": 6.283185307179586}]}
+        cfg = write_json(tmp_path / "cfg.json", {"signal": clipped, "lambda": 1.0,
+                                                 "tau_max": 50.0, "out": str(tmp_path / "t.csv")})
+        assert main(["asymptotic", "--config", cfg]) == 0
 
     def test_stdout_gets_the_same_bytes_as_a_file(self, tmp_path, capsys):
         base = {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "tau_max": 20.0, "n_checkpoints": 8}
@@ -745,6 +781,122 @@ class TestUsage:
             assert built == [1]
         finally:
             cli._build_parser.cache_clear()
+
+
+class TestOverflowedDecay:
+    """Level 2 at lambda = 1e300 on pieces of 1e9: r h overflows, a full decay."""
+
+    SIG = {"kind": "piecewise_constant", "breakpoints": [0, 1e9], "levels": [2.0],
+           "periodic": False}
+
+    def test_simulate_is_finite_and_at_the_closed_form(self, tmp_path):
+        out = tmp_path / "t.csv"
+        cfg = write_json(tmp_path / "cfg.json", {"signal": self.SIG, "lambda": 1e300,
+                                                 "horizon": 10, "out": str(out)})
+        assert main(["simulate", "--config", cfg]) == 0
+        with open(out) as fh:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        assert len(rows) == 1001 and rows[0]["cumulative_x"] == 0.0
+        x_inf = 2.0 / (1e300 + 2.0)
+        for row in rows[1:]:
+            assert row["x"] == x_inf
+            # int_0^t x = x_inf (t - 1 / r), and x_inf / r underflows
+            assert row["cumulative_x"] == pytest.approx(x_inf * row["t"], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_asymptotic_exits_0_with_finite_columns(self, tmp_path, capsys, repeats):
+        out = tmp_path / "t.csv"
+        cfg = write_json(tmp_path / "cfg.json", {"signal": {**self.SIG, "periodic": repeats},
+                                                 "lambda": 1e300, "tau_max": 10,
+                                                 "out": str(out)})
+        assert main(["asymptotic", "--config", cfg]) == 0
+        assert "nan" not in capsys.readouterr().err
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert "nan" not in out.read_text()
+        for row in rows:
+            # lam <x>_tau = lam x_inf (1 - 1 / (r tau)) = 2 to rounding
+            assert float(row["lhs"]) == pytest.approx(2.0, rel=1e-15)
+            assert float(row["slack"]) >= -asymptotic.CERTIFICATE_TOL
+
+    @pytest.mark.parametrize("command, config, code", [
+        ("optimize", {"family": {"kind": "piecewise_free", "period": 1e300, "n_segments": 2},
+                      "lambda": 1e10, "mean": 1.0, "resolution": 4, "n_starts": 2}, 0),
+        ("optimize", {"family": {"kind": "bang_bang", "period": 1e300}, "lambda": 1e300,
+                      "mean": 1e300, "resolution": 4, "n_starts": 2}, 2),
+        ("asymptotic", {"signal": {"kind": "piecewise_constant", "breakpoints": [0, 1],
+                                   "levels": [1], "periodic": False},
+                        "lambda": 1.0, "tau_max": 1e308}, 0),
+    ])
+    def test_overflowed_products_warn_nothing(self, tmp_path, capsys, command, config, code):
+        # RuntimeWarnings are errors here, as in CI: each run keeps the exit
+        # code it has with warnings off.
+        out = tmp_path / "out"
+        cfg = write_json(tmp_path / "cfg.json", {**config, "out": str(out)})
+        assert main([command, "--config", cfg]) == code
+        assert "nan" not in capsys.readouterr().err
+        assert code or "nan" not in out.read_text().lower()
+
+
+class TestGatesAtLargeScale:
+    """Both gates floor their allowance at a rounding bound of what they compare."""
+
+    U = 2.0 ** -53
+
+    def test_optimize_one_ulp_excess_exits_0(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": {"kind": "bang_bang"}, "lambda": 12772253065.987864,
+            "mean": 24231146.47637637, "resolution": 6, "n_starts": 2, "seed": 11,
+            "out": str(tmp_path / "res.json")})
+        assert main(["optimize", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        res = json.loads((tmp_path / "res.json").read_text())
+        assert res["max_excess_over_benchmark"] > 1e-9     # above the old allowance
+
+    @pytest.mark.parametrize("family, k", [
+        (optimize.BangBang(period=1.0), 2),
+        (optimize.PiecewiseConstantFree(period=1.0, n_segments=20), 20),
+    ])
+    def test_optimize_excess_above_the_rounding_bound_fires(self, family, k):
+        benchmark = 24185000.0
+        allowance = (4 * k + 8) * self.U * benchmark
+        # (the output moves in ulps of B, an eighth of the allowance or less)
+        for factor, fires in ((0.9, False), (1.1, True)):
+            log = optimize.EvaluationLog(family, 1.0, benchmark)
+            log.extend([[0.0] * len(family.coordinate_names)], [1.0],
+                       [benchmark + factor * allowance])
+            assert _beats_benchmark(log) is fires
+
+    def test_optimize_nan_output_fires(self):
+        log = optimize.EvaluationLog(optimize.BangBang(period=1.0), 1.0, 0.5)
+        log.extend([[1.0, 1.0, 0.5]], [1.0], [math.nan])
+        assert _beats_benchmark(log)
+
+    CONSTANT = {"signal": {"kind": "constant", "level": 1e300}, "lambda": 1e300}
+
+    def test_asymptotic_one_ulp_slack_exits_0(self, tmp_path):
+        out = tmp_path / "t.csv"
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONSTANT, "out": str(out)})
+        assert main(["asymptotic", "--config", cfg]) == 0
+        with open(out) as fh:
+            assert min(float(row["slack"]) for row in csv.DictReader(fh)) < -1e-9
+
+    @pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 1), (math.nan, 1)])
+    def test_asymptotic_slack_past_the_rounding_bound_fires(self, tmp_path, monkeypatch,
+                                                            factor, code):
+        # The certificate gate allows 16 u of the magnitude of the
+        # inequality's terms: lhs, rhs without its correction, the correction.
+        public = asymptotic.finite_horizon_certificates
+
+        def shifted(params, ra):
+            c = public(params, ra)
+            scale = c.lhs + (c.rhs - c.correction) + np.abs(c.correction)
+            return c._replace(slack=-factor * np.maximum(1e-9, 16 * self.U * scale))
+
+        monkeypatch.setattr(asymptotic, "finite_horizon_certificates", shifted)
+        cfg = write_json(tmp_path / "cfg.json", {**self.CONSTANT,
+                                                 "out": str(tmp_path / "t.csv")})
+        assert main(["asymptotic", "--config", cfg]) == code
 
 
 class TestTinyPeriods:

@@ -499,6 +499,38 @@ def ivp_oracle(signal, lam, x0, times):
     return np.array([out[t] for t in times]).T
 
 
+class TestOverflowedDecay:
+    """r h past float max is a full decay: g = 1 and int x over the piece is
+    x_inf h + (x - x_inf) / r, in the first cycle and in later ones."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_against_the_closed_form(self, periodic):
+        # r = 1e300 on pieces of 1e9: r h overflows on every whole segment
+        # and on the partial steps past t = 1.8e8 / 1e300 of a segment start.
+        lam = 1e300
+        sig = PiecewiseConstant((0.0, 1e9, 2e9), (2.0, 0.0), periodic=periodic)
+        times = np.array([0.0, 1.0, 1e9, 1.5e9, 2.5e9])
+        states, cum_x, cum_s = exact_pass(sig, SystemParams(lam=lam), 1.0, times)
+        x_inf = 2.0 / (lam + 2.0)
+        # from x0 = 1 toward x_inf on [0, 1e9], then toward 0, then (periodic) x_inf again
+        first = x_inf * 1e9 + (1.0 - x_inf) / lam
+        last = (x_inf, first + x_inf * 0.5e9) if periodic else (0.0, first)
+        want_x = [1.0, x_inf, x_inf, 0.0, last[0]]
+        want_int = [0.0, x_inf + (1.0 - x_inf) / lam, first, first, last[1]]
+        np.testing.assert_allclose(states, want_x, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(cum_x, want_int, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(cum_s, [0.0, 2.0, 2e9, 2e9, 3e9 if periodic else 2e9],
+                                   rtol=1e-15, atol=0.0)
+
+    def test_zero_inflow_keeps_the_decay_integral(self):
+        # x = e^{-lam t} integrates to 1 / lam, all of int x here; reading an
+        # overflowed r h as w = 0 would drop it.
+        lam = 1e300
+        sig = PiecewiseConstant((0.0, 1e9), (0.0,), periodic=False)
+        _, cum_x, _ = exact_pass(sig, SystemParams(lam=lam), 1.0, np.array([10.0, 2e9]))
+        np.testing.assert_allclose(cum_x, 1.0 / lam, rtol=1e-15, atol=0.0)
+
+
 class TestPeriodJumps:
     """exact_pass jumps whole cycles in closed form; the walk is the oracle."""
 

@@ -21,7 +21,6 @@ from bottleneck_lab.signals import (
     _clip_points,
     _cut_at_clip_points,
     _unclipped,
-    is_periodic,
     max_frequency,
     max_level,
     mean_over_period,
@@ -171,7 +170,6 @@ class TestPeriodicity:
             mean=1.0, terms=((0.5, 1.0, 0.0), (0.5, math.sqrt(2.0), 0.0))
         )
         assert period_of(sig) is None
-        assert not is_periodic(sig)
 
     def test_period_bookkeeping(self):
         assert period_of(Constant(1.0, period=3.0)) == 3.0
