@@ -188,7 +188,9 @@ def running_averages(signal: InputSignal, params: SystemParams, x0: float, tau_m
 
     The limsup estimates are the maxima of the running means over the last
     half of the checkpoint list (tail-max). The bound check and the
-    certificates read the returned pass instead of walking again.
+    certificates read the returned pass instead of walking again. A nonzero
+    running integral below the least normal double has lost its digits, so
+    where the checks could misread it, it raises DomainError instead.
     """
     if tau_max <= 0.0:
         raise dynamics.DomainError(f"tau_max must be positive, got {tau_max}")
@@ -197,6 +199,19 @@ def running_averages(signal: InputSignal, params: SystemParams, x0: float, tau_m
     checkpoints = np.geomspace(tau_max / 1000.0, tau_max, n_checkpoints)
     x0 = dynamics._check_occupancy(x0)
     states, cum_x, cum_s = _pass(signal, params, x0, checkpoints)
+    # A nonzero integral below the least normal double may err by up to half
+    # its value. The gates read lam X / tau and S / tau; below their floor
+    # CERTIFICATE_TOL that error cannot turn them.
+    cum = np.array((cum_x, cum_s))
+    with np.errstate(over="ignore"):
+        read = np.array((params.lam * (cum_x / checkpoints), cum_s / checkpoints))
+    lost = ((0.0 < cum) & (cum < np.finfo(float).tiny) & (read >= CERTIFICATE_TOL)).any(axis=0)
+    if lost.any():
+        j = lost.nonzero()[0][-1]
+        raise dynamics.DomainError(
+            f"the running integrals underflow double precision by tau = "
+            f"{float(checkpoints[j])!r}: int_0^tau x = {float(cum_x[j])!r}, "
+            f"int_0^tau sigma = {float(cum_s[j])!r}")
     window_start = checkpoints.size // 2
     sigma_bar_est = float(np.max((cum_s / checkpoints)[window_start:]))
     w_est = params.lam * float(np.max((cum_x / checkpoints)[window_start:]))

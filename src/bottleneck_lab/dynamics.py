@@ -273,9 +273,10 @@ def _exact_rows(levels, breakpoints, periodic, lam, x0, record_times):
     x = tab.P[i, row] * start_x + tab.Q[i, row]
     int_x = c * tab.i_p[row] + V.take(tab.end)[row] * delta * ratio + U[i, row] + V[i, row] * start_x
     x_inf = tab.x_inf[i, row]
+    with np.errstate(over="ignore"):    # an int sigma past float max reads inf; callers reject it
+        int_sigma = c * S.take(tab.end)[row] + S[i, row] + tab.c[i, row] * span
     out = (np.clip(x_inf + (x - x_inf) * np.exp(-rs), 0.0, 1.0),
-           int_x + x_inf * span + (x - x_inf) * w,
-           c * S.take(tab.end)[row] + S[i, row] + tab.c[i, row] * span)
+           int_x + x_inf * span + (x - x_inf) * w, int_sigma)
     return tuple(a.reshape(cycle.shape) for a in out)
 
 
@@ -440,8 +441,9 @@ def _prefix_sums(X: np.ndarray) -> np.ndarray:
 
 
 # `_smooth_scan` at its record times: x from x0, its slope p in x0, their
-# running integrals and sigma's from 0, and about a `center` c the Gauss sums
-# of (lam + sigma) h b_j times 1, u, p, u^2, u p, p^2, u = x + p (c - x0) - c.
+# running integrals and sigma's from 0, and the Gauss sums of (lam + sigma)
+# h b_j times 1, u, p, u^2, u p, p^2, u = x + p (c - x0) - c, about the
+# scan's final center c = m / (lam + m), m = int_0^t sigma / t at its end.
 _Scan = namedtuple("_Scan", "x p int_x int_p int_sigma sums")
 
 
@@ -456,7 +458,7 @@ def _clamp(states: np.ndarray) -> np.ndarray:
 
 
 def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times,
-                 step: float, dense: bool = False, center: float | None = None):
+                 step: float, dense: bool = False, sums: bool = False):
     """The one numeric integrator: a chunked prefix scan from t = 0 through the record times.
 
     Each gap between record times (from 0) takes max(1, ceil(gap / h))
@@ -466,9 +468,12 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
     one chunk of at most _CHUNK_STEPS base steps at a time, carrying x and p.
     int sigma is exact; int x and int p are Gauss sums of the node states.
     States are clamped to [0, 1], which acts at rounding level only. Returns
-    a `_Scan` at the record times, summed chunk by chunk about a `center`,
-    so memory is bounded by _CHUNK_STEPS; or, with `dense`, the (3, 7 n + 1)
-    columns t, x and int x at every step boundary and node, in time order.
+    a `_Scan` at the record times, with `sums` its Gauss sums, so memory is
+    bounded by _CHUNK_STEPS; or, with `dense`, the (3, 7 n + 1) columns t, x
+    and int x at every step boundary and node, in time order. Each chunk
+    sums about the running x* of its own end (`_scan_chunk`), and the totals
+    so far move to it exactly (`_recentered`), so they end about the x* of
+    the scan's exact int sigma, as a period report wants them.
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step!r}")
@@ -485,7 +490,7 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
     widths = np.append(np.divide(gaps, counts, out=np.zeros_like(gaps), where=counts > 0), 0.0)
     n = int(first[-1])
     records, out, pieces = first[1:], np.zeros((5, gaps.size)), []
-    x, p, carry, sums = x0, 1.0, np.zeros(3), None if center is None else np.zeros(6)
+    x, p, carry, center, totals = x0, 1.0, np.zeros(3), 0.0, np.zeros(6)
     # With no step at all, one empty chunk still records the start node.
     for i0 in range(0, max(n, 1), _CHUNK_STEPS):
         i1 = min(i0 + _CHUNK_STEPS, n)
@@ -498,27 +503,41 @@ def _smooth_scan(signal: ClippedSinusoidSum, lam: float, x0: float, record_times
         whole = np.diff(at) == 1                    # base steps that no clip point cut
         z[at[:-1][whole]] = lam * widths[k[:-1][whole]]
         del node, k, base, whole
-        xb, pb, ints, piece = _scan_chunk(signal, lam, tb, z, x, p, carry, dense, x0, center)
+        xb, pb, ints, piece = _scan_chunk(signal, lam, tb, z, x, p, carry, dense, x0, sums)
         lo, hi = np.searchsorted(records, [i0, i1 + 1])
         kept = at[records[lo:hi] - i0]
         out[:, lo:hi] = (xb[kept], pb[kept], *ints[:, kept])
         if dense:
             pieces.append(piece)
-        elif center is not None:
-            sums += piece
+        elif sums:
+            if i0:
+                totals = _recentered(totals, piece[0] - center)
+            center = piece[0]
+            totals += piece[1]
         x, p, carry, t_end = xb[-1], pb[-1], ints[:, -1].copy(), tb[-1]
         del tb, at, z, xb, pb, ints, piece     # before the next chunk's arrays exist
     if dense:
         return np.column_stack(pieces + [np.array([t_end, x, carry[0]])])
-    return _Scan(*out, sums)
+    return _Scan(*out, totals if sums else None)
+
+
+def _recentered(sums: np.ndarray, shift: float) -> np.ndarray:
+    """`_Scan.sums` about c moved to c + shift, exactly in real arithmetic:
+    each node's u moves by shift (p - 1). Python floats, so an overflow
+    reads inf, and a NaN shift NaN, with no warning."""
+    n, u, p, uu, up, pp = sums.tolist()
+    return np.array((n, u + shift * (p - n), p,
+                     uu + 2.0 * shift * (up - u) + shift * shift * (pp - 2.0 * p + n),
+                     up + shift * (pp - p), pp))
 
 
 def _scan_chunk(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.ndarray,
-                x: float, p: float, carry: np.ndarray, dense: bool, x0: float, center):
+                x: float, p: float, carry: np.ndarray, dense: bool, x0: float, sums: bool):
     """One chunk of `_smooth_scan`, from x, p and the running integrals
     `carry` at tb[0]: the states, slopes and (3, n + 1) running integrals at
     the boundaries `tb`, and the (3, 7 n) `dense` columns of each step's
-    start and nodes, or the chunk's `_Scan.sums` about `center`."""
+    start and nodes, or with `sums` the chunk's center c = m / (lam + m),
+    m = int_0^t sigma / t at its end t = tb[-1], and its `_Scan.sums` about c."""
     h, decay, drive, sigma, S = _fitted_steps(signal, lam, tb, z)
     P, Q = _affine_prefix(decay[:, -1], drive[:, -1])
     xb = _clamp(P * x + Q)
@@ -530,7 +549,7 @@ def _scan_chunk(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.nd
     np.cumsum(np.vstack((alpha * xb[:-1] + beta, alpha * pb[:-1], S[:, -1])),
               axis=1, out=ints[:, 1:])
     ints[:, 1:] += carry[:, None]
-    if not dense and center is None:
+    if not (dense or sums):
         return xb, pb, ints, None
     nodes = _clamp(decay[:, :-1] * xb[:-1, None] + drive[:, :-1])
     if dense:
@@ -540,11 +559,13 @@ def _scan_chunk(signal: ClippedSinusoidSum, lam: float, tb: np.ndarray, z: np.nd
         piece[:, :, 1:] = (tb[:-1, None] + h[:, None] * _NODES, nodes,
                            ints[0, :-1, None] + h[:, None] * (nodes @ _MOMENTS[0, :-1].T))
         return xb, pb, ints, piece.reshape(3, -1)
+    m = float(ints[2, -1]) / float(tb[-1])
+    center = m / (lam + m)
     slope = decay[:, :-1] * pb[:-1, None]
     u = nodes + slope * (center - x0) - center
     W = (lam + sigma) * (h[:, None] * _WEIGHTS)
     terms = np.array((W, W * u, W * slope, W * u * u, W * u * slope, W * slope * slope))
-    return xb, pb, ints, terms.reshape(6, -1).sum(axis=1)      # pairwise sums
+    return xb, pb, ints, (center, terms.reshape(6, -1).sum(axis=1))      # pairwise sums
 
 
 def smooth_pass(

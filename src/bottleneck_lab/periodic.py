@@ -35,7 +35,9 @@ candidate waveforms and the verification suites are rows of it.
 On smooth inflow one chunked scan of the period from 0 gives the map and,
 summed about x_star (`gap_report`), every period integral as a Gauss sum on
 the nodes of its steps; int sigma, and so sigma_bar, is exact, so the
-residuals stay at rounding level there too.
+residuals stay at rounding level there too. The scan forms x_star itself,
+from its own int sigma, so no separate search for the clip points of the
+period runs.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .signals import (
     InputSignal,
     SignalError,
     SystemParams,
-    mean_over_period,
     require_period,
     signal_to_dict,
 )
@@ -313,9 +314,12 @@ def gap_report(signal: InputSignal, params: SystemParams) -> PeriodicReport:
     checks, not algebraic rearrangements of each other. On smooth inflow
     one scan of the period from 0 gives x_p = b / (1 - a), which keeps its
     digits where x(T) - c from a start at c would not, and the `_Scan.sums`
-    about c = x_star (`mean_over_period`; the unclipped mean, far from it on
-    clipped inflow, would cancel as 0 does). The orbit is c + u + p (x_p - c)
-    at the nodes, so m1, m2 and the gap add terms of the deviations' size.
+    about c = x_star: the scan centers each chunk at the x* of its own exact
+    int sigma so far and ends at the period's, the same operations on the
+    same values as x_star here (the unclipped mean, far from it on clipped
+    inflow, would cancel as 0 does). The orbit is c + u + p (x_p - c) at the
+    nodes, so m1, m2 and the gap add terms of the deviations' size, and the
+    gap is the sum of (u + p (x_p - c))^2 alone.
     A period integral past float max raises SignalError.
     """
     period = require_period(signal)
@@ -324,19 +328,18 @@ def gap_report(signal: InputSignal, params: SystemParams) -> PeriodicReport:
         with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
             sums = _PeriodRows([signal.levels], [signal.durations], params.lam, moments=True)
     else:
-        lam, mean = params.lam, mean_over_period(signal)
-        c = mean / (lam + mean)
-        scan = dynamics._smooth_scan(signal, lam, 0.0, [period], step, center=c)
+        lam = params.lam
+        scan = dynamics._smooth_scan(signal, lam, 0.0, [period], step, sums=True)
         s = scan.int_sigma
         rate = lam * period + float(s[0])
         x_p = PoincareMap(rate=rate, b=float(scan.x[0])).fixed_point
-        x_star = (s / period) / (lam + s / period)
+        x_star = (s / period) / (lam + s / period)      # the scan's final center, bit for bit
         n, u, p, uu, up, pp = scan.sums
-        delta, d = x_p - c, c - x_star
+        delta = x_p - x_star
         v, vv = u + delta * p, uu + delta * (2.0 * up + delta * pp)
         sums = SimpleNamespace(lam=lam, period=period, rate=rate, s=s, x_star=x_star,
-                               i_p=scan.int_x + scan.int_p * x_p, m1=c * n + v,
-                               m2=c * (c * n + 2.0 * v) + vv, gap=d * (d * n + 2.0 * v) + vv)
+                               i_p=scan.int_x + scan.int_p * x_p, m1=x_star * n + v,
+                               m2=x_star * (x_star * n + 2.0 * v) + vv, gap=vv)
     with np.errstate(over="ignore", invalid="ignore"):
         columns, rate = _report_columns(sums)[:, 0], float(np.max(sums.rate))
     if not (math.isfinite(rate) and np.isfinite(columns).all()):

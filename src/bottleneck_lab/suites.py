@@ -269,9 +269,9 @@ def _asymptotic_checks(rows: _Rows, tol: SuiteTolerances) -> dict[int, list[str]
                                                 lam, starts, CERTIFICATE_TAUS)
     avg_diff = np.abs(cum_x[:n, -1] - cum_x[n:, -1]) / INDEPENDENCE_TAU
     bound = 1.0 / (rows.lam * INDEPENDENCE_TAU)       # |dx0| = 1
-    # Period means, summed segment by segment as mean_over_period sums them.
-    sigma_bar = np.cumsum(levels * np.diff(breakpoints), axis=1)[:, -1] / breakpoints[:, -1]
-    x_star = sigma_bar / (lam + sigma_bar)
+    # The reference of `asymptotic`: x* at each pass's final running mean inflow.
+    s = cum_s[:, -1] / INDEPENDENCE_TAU
+    x_star = s / (lam + s)
     lhs, rhs, _ = asymptotic._certificate_terms(lam[:, None], x_star[:, None], starts[:, None],
                                                 CERTIFICATE_TAUS, states, cum_x, cum_s)
     slack = (rhs - lhs).min(axis=1).reshape(2, n)     # (start, case)

@@ -102,6 +102,21 @@ class TestRunningAverages:
         with pytest.raises(DomainError):
             running_averages(Constant(1.0), P1, 0.0, 10.0, n_checkpoints=1)
 
+    def test_subnormal_running_integrals_raise(self):
+        # At lam = 1.05e221 the default tau_max is 1000 / lam, and int_0^tau x
+        # falls below the least normal double, where its digits are gone: the
+        # pass is refused rather than read as a violation of the bound.
+        signal = PiecewiseConstant((0.0, 1.0), (5.333599740784907e+117,), periodic=False)
+        params = SystemParams(lam=1.0458543718017758e+221)
+        with pytest.raises(DomainError, match="underflow double precision"):
+            running_averages(signal, params, 0.0, default_tau_max(signal, params))
+        # A subnormal int x whose mean the gates' floor CERTIFICATE_TOL
+        # absorbs is kept: zero inflow from a subnormal start.
+        zero = PiecewiseConstant((0.0, 1.0), (0.0,), periodic=False)
+        ra = running_averages(zero, P1, 2.225073858507e-311, 1.0)
+        assert 0.0 < ra.cumulative_x[-1] < 2.2e-308
+        assert not longrun_bound_check(zero, P1, ra).violated
+
     def test_default_tau_max(self):
         assert default_tau_max(Constant(1.0, period=50.0), P1) == 5000.0
         assert default_tau_max(TWO_TONE, SystemParams(lam=0.5)) == 2000.0

@@ -341,12 +341,28 @@ class TestAsymptoticCommand:
             raise AssertionError("mean_over_period called")
 
         for module in (signals, periodic):
-            monkeypatch.setattr(module, "mean_over_period", refuse)
+            monkeypatch.setattr(module, "mean_over_period", refuse, raising=False)
         clipped = {"kind": "clipped_sinusoid_sum", "mean": 1.0,
                    "terms": [{"amplitude": 1.5, "omega": 6.283185307179586}]}
         cfg = write_json(tmp_path / "cfg.json", {"signal": clipped, "lambda": 1.0,
                                                  "tau_max": 50.0, "out": str(tmp_path / "t.csv")})
         assert main(["asymptotic", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("config", [
+        {"signal": {"kind": "constant", "level": 1e300}, "lambda": 1.0, "tau_max": 1e10},
+        {"signal": {"kind": "piecewise_constant", "breakpoints": [0, 1],
+                    "levels": [5.333599740784907e+117], "periodic": False},
+         "lambda": 1.0458543718017758e+221},
+    ], ids=["int_sigma_past_float_max", "int_x_subnormal"])
+    def test_unrepresentable_running_integrals_exit_2(self, tmp_path, capsys, config):
+        # RuntimeWarnings are errors here, as in CI: the run exits 2 with one
+        # message and writes no table.
+        out = tmp_path / "t.csv"
+        cfg = write_json(tmp_path / "cfg.json", {**config, "out": str(out)})
+        assert main(["asymptotic", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "nan" not in err
+        assert not out.exists()
 
     def test_stdout_gets_the_same_bytes_as_a_file(self, tmp_path, capsys):
         base = {"signal": TWO_LEVEL_SIG, "lambda": 1.0, "tau_max": 20.0, "n_checkpoints": 8}

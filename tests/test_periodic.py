@@ -17,6 +17,8 @@ from bottleneck_lab.asymptotic import (
     solution_independence_check,
 )
 import bottleneck_lab.dynamics as dynamics
+import bottleneck_lab.periodic as periodic
+import bottleneck_lab.signals as signals
 from bottleneck_lab.dynamics import DomainError, exact_pass, simulate, smooth_pass
 from bottleneck_lab.periodic import (
     REPORT_CSV_HEADER,
@@ -578,7 +580,7 @@ ZERO_MEAN = ClippedSinusoidSum(mean=0.0,
 
 class TestSmoothReport:
     """A smooth `gap_report` is one chunked scan of the period whose sums
-    are kept about x_star; the dense Gauss sums over the orbit are its oracle."""
+    end about x_star; the dense Gauss sums over the orbit are its oracle."""
 
     @pytest.mark.parametrize("signal", [SINUSOID, TWO_TONE_CLIPPED, ZERO_MEAN],
                              ids=["unclipped", "clipped", "zero_mean"])
@@ -599,6 +601,31 @@ class TestSmoothReport:
         monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
         chunked = astuple(gap_report(TWO_TONE_CLIPPED, params))
         assert chunked == pytest.approx(whole, rel=1e-13, abs=1e-15)
+
+    def test_clipped_report_needs_no_period_mean(self, monkeypatch):
+        # x_star comes from the scan's own int sigma, so no second clip-point
+        # search of the period runs.
+        def refuse(signal):
+            raise AssertionError("mean_over_period called")
+
+        for module in (signals, periodic):
+            monkeypatch.setattr(module, "mean_over_period", refuse, raising=False)
+        rep = gap_report(TWO_TONE_CLIPPED, SystemParams(lam=2.0))
+        assert max(rep.residual_gap, rep.residual_m1, rep.residual_m2) <= 1e-13
+        assert rep.gap > 0.0
+
+    @pytest.mark.parametrize("lam", [0.01, 100.0])
+    def test_sixteen_step_chunks_move_the_gap_by_rounding(self, monkeypatch, lam):
+        # 2325 default steps: two chunks by default, 146 of 16 steps. Each
+        # chunk sums about the running x* at its end and the totals so far
+        # move to it exactly, so the gap moves by rounding only.
+        signal = ClippedSinusoidSum(mean=1.0, terms=((1.5, 1.0, 0.0), (0.5, 37.0, 1.0)))
+        params = SystemParams(lam=lam)
+        whole = gap_report(signal, params)
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 16)
+        chunked = gap_report(signal, params)
+        assert chunked.gap == pytest.approx(whole.gap, rel=1e-12)
+        assert max(chunked.residual_gap, chunked.residual_m1, chunked.residual_m2) < 1e-13
 
     @pytest.mark.parametrize("lam", [1e4, 1e5])
     def test_stiff_gap_follows_the_singular_perturbation_series(self, lam):
@@ -734,11 +761,13 @@ class TestRandomizedInvariants:
             assert failures[0] == (f"independence bound violated: "
                                    f"{chk.avg_diff!r} > {chk.bound!r}")
             for x0, failure in zip((0.0, 1.0), failures[1:]):
-                # the suite's reference: x* at the period mean
+                # the suite's reference, as `asymptotic`'s: x* at the pass's
+                # final running mean inflow
                 taus = np.geomspace(1.0, 100.0, 16)
-                sigma_bar = mean_over_period(signal)
-                lhs, rhs, _ = _certificate_terms(params.lam, sigma_bar / (params.lam + sigma_bar),
-                                                 x0, taus, *_pass(signal, params, x0, taus))
+                states, cum_x, cum_s = _pass(signal, params, x0, taus)
+                s = cum_s[-1] / taus[-1]
+                lhs, rhs, _ = _certificate_terms(params.lam, s / (params.lam + s),
+                                                 x0, taus, states, cum_x, cum_s)
                 worst = (rhs - lhs).min()
                 assert failure == f"certificate slack {worst:.3e} from x0={x0}"
 
