@@ -331,6 +331,16 @@ def _cmd_optimize(cfg: dict) -> int:
     descents = optimize.coordinate_descents(family, mean, params, starts,
                                             max_evals=max_evals, log=log)
 
+    beats = _beats_benchmark(log)
+    x_star = mean / (params.lam + mean)
+    if beats and mean > 0.0 and x_star < sys.float_info.min:
+        # A subnormal x* (or one rounded to 0) carries absolute, not relative,
+        # rounding: the excess can reach many of its ulps, which no bound covers.
+        raise dynamics.DomainError(
+            f"optimize: an evaluation exceeds the constant benchmark by "
+            f"{log.max_excess!r} where x* = mean / (lambda + mean) = {x_star!r} "
+            "is below the least normal double: double precision cannot resolve "
+            "the comparison there")
     candidates = [grid_result] + descents
     best = max(candidates, key=lambda r: r.best_w)
     payload = {
@@ -348,7 +358,7 @@ def _cmd_optimize(cfg: dict) -> int:
     if cfg.get("log") is not None:
         with _open_output(cfg["log"]) as fh:
             log.to_csv(fh)
-    if _beats_benchmark(log):
+    if beats:
         print(
             f"optimize: an evaluation beat the constant benchmark by "
             f"{log.max_excess!r}",

@@ -649,15 +649,19 @@ def simulate(
 _CSV_CHUNK = 512     # rows per CSV chunk: the writer's temporaries scale with this
 
 
-def _write_rows(fh, *columns, memo: list | None = None) -> None:
+def _write_rows(fh, *columns, memo: list | None = None,
+                order: np.ndarray | None = None) -> None:
     """Write the rows of the equal-length float `columns` to the text file `fh`,
     one line each: every CSV table goes through here. A field is the
     round-trip `repr` of its float; each chunk formats every distinct bit
     pattern in it once (so -0.0 and 0.0 stay apart) and gathers the strings
     into place. It takes those it shares with the chunk before from `memo[0]`,
     that chunk's (sorted bit patterns, texts), and leaves its own there: a
-    caller writing one table in several calls passes each the same list."""
+    caller writing one table in several calls passes each the same list.
+    With the integer array `order`, the rows are formatted once each and the
+    lines written are rows order[0], order[1], ..., a chunk at a time."""
     memo = memo or [None]
+    lines = []
     for start in range(0, len(columns[0]), _CSV_CHUNK):
         table = np.array([c[start:start + _CSV_CHUNK] for c in columns], dtype=np.float64)
         bits, inverse = np.unique(table.view(np.int64).ravel(), return_inverse=True)
@@ -670,7 +674,14 @@ def _write_rows(fh, *columns, memo: list | None = None) -> None:
             text[new] = list(map(repr, bits[new].view(np.float64).tolist()))
         memo[0] = bits, text
         fields = text[inverse].reshape(table.shape).tolist()
-        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        if order is None:
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        else:
+            lines += map(",".join, zip(*fields))
+    if order is not None:
+        lines = np.array(lines, dtype=object)
+        for start in range(0, len(order), _CSV_CHUNK):
+            fh.write("\n".join(lines[order[start:start + _CSV_CHUNK]].tolist()) + "\n")
 
 
 def trajectory_to_csv(traj: Trajectory, signal: InputSignal, fh) -> None:

@@ -19,10 +19,12 @@ The mean constraint is enforced by Euclidean projection in level
 coordinates (the exact sort-based simplex projection), never by penalty, so
 every evaluated waveform satisfies the constraint exactly and the benchmark
 comparison is fair at each point. Projections and kernel segments are
-formed as rows: grids are evaluated as one batch of rows; the descents from
-all starts run in lockstep, a step evaluating their current points as one
-batch with the exact gradient of w from the kernel's reverse-mode pass, and
-projecting its move and KKT residual as two rows of one call.
+formed as rows: grids are evaluated as one batch of rows, the free grid
+once per projection class (points that differ by the same amount on every
+level project alike); the descents from all starts run in lockstep, a step
+evaluating their current points as one batch with the exact gradient of w
+from the kernel's reverse-mode pass, and projecting its move and KKT
+residual as two rows of one call.
 """
 
 from __future__ import annotations
@@ -175,7 +177,8 @@ class EvaluationLog:
 
     The never-beats-benchmark invariant is checked over this log, not just
     over the returned optimum. Rows are kept as float64 blocks of
-    (coordinates, mean, w), one block per `extend`.
+    (coordinates, mean, w), one block per `extend`, each with its row order
+    (None: one row per evaluation, in block order).
     """
 
     def __init__(self, family: WaveformFamily, target_mean: float, benchmark: float):
@@ -183,13 +186,16 @@ class EvaluationLog:
         self.target_mean = target_mean
         self.benchmark = benchmark
         self.max_output = -math.inf
-        self._blocks: list[np.ndarray] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray | None]] = []
         self._count = 0
 
-    def extend(self, points: np.ndarray, means: np.ndarray, outputs: np.ndarray) -> None:
-        """Record a batch of evaluations in row order, one row of `points` each."""
-        self._blocks.append(np.column_stack((points, means, outputs)))
-        self._count += len(outputs)
+    def extend(self, points: np.ndarray, means: np.ndarray, outputs: np.ndarray,
+               order: np.ndarray | None = None) -> None:
+        """Record a batch of evaluations, one row of `points` each. With `order`,
+        the rows are distinct values and the evaluations are rows order[0],
+        order[1], ...: every row must occur in it."""
+        self._blocks.append((np.column_stack((points, means, outputs)), order))
+        self._count += len(outputs) if order is None else len(order)
         self.max_output = float(np.max(outputs, initial=self.max_output))
 
     def __len__(self) -> int:
@@ -201,12 +207,13 @@ class EvaluationLog:
         return self.max_output - self.benchmark
 
     def to_csv(self, fh) -> None:
-        """Stream one row per evaluation to the open text file `fh`, a block at a time."""
+        """Stream one row per evaluation to the open text file `fh`, a block at a
+        time; a block's distinct rows are formatted once and written in its order."""
         fh.write(",".join(self.family.coordinate_names) + ",mean,w,benchmark,gap\n")
         memo = [None]       # one writer memo across the blocks
-        for block in self._blocks:
+        for block, order in self._blocks:
             _write_rows(fh, *block.T, np.broadcast_to(self.benchmark, len(block)),
-                        self.benchmark - block[:, -1], memo=memo)
+                        self.benchmark - block[:, -1], memo=memo, order=order)
 
 
 @dataclass(frozen=True)
@@ -247,11 +254,19 @@ def _non_finite(family: WaveformFamily, target_mean: float, what="averaged outpu
 _GRID_CHUNK = 1024
 
 
-def _grid_array(family: WaveformFamily, target_mean: float, resolution: int) -> np.ndarray:
-    """All grid points, one row each, in itertools.product order.
+def _grid_array(family: WaveformFamily, target_mean: float, resolution: int):
+    """(rows, order): the rows to evaluate, in itertools.product order, and
+    each grid point's row (None: one row per point).
 
-    BangBang rows are feasible (p1, p2, duty) points; free-family rows are raw
-    levels that still have to be projected onto the target mean.
+    BangBang rows are all the feasible (p1, p2, duty) points. A free-family
+    point is a raw level vector i * step (i the index vector, step = k mean /
+    (r - 1)) still to be projected onto the target mean. The projection
+    P(v + c 1) = P(v) for every c, since sum x is fixed on the feasible set,
+    so points whose index vectors differ by a multiple of (1, ..., 1) share
+    one waveform: the rows are one raw point per such class, its member with
+    smallest index 0 (the first in product order), r^k - (r - 1)^k of the
+    r^k points. Flat index f, with smallest index low(f), has representative
+    f - low(f) (r^k - 1) / (r - 1), the strides' sum.
     """
     with np.errstate(over="ignore", invalid="ignore"):     # overflow is caught below
         if isinstance(family, BangBang):
@@ -260,14 +275,32 @@ def _grid_array(family: WaveformFamily, target_mean: float, resolution: int) -> 
             duty, p1 = (a.ravel() for a in np.meshgrid(duties, lows, indexing="ij"))
             p2 = (target_mean - (1.0 - duty) * p1) / duty
             # p2 >= p1 holds exactly for p1 <= mean; shave rounding dust
-            grid = np.column_stack((p1, np.maximum(p1, p2), duty))
+            grid, order = np.column_stack((p1, np.maximum(p1, p2), duty)), None
         else:
             axis = np.linspace(0.0, family.n_segments * target_mean, resolution)
-            mesh = np.meshgrid(*[axis] * family.n_segments, indexing="ij")
-            grid = np.column_stack([a.ravel() for a in mesh])
+            r, k = resolution, family.n_segments
+            first, order = _projection_classes(r, k)
+            grid = axis[first[:, None] // r ** np.arange(k - 1, -1, -1) % r]
     if not np.isfinite(grid).all():
         raise _non_finite(family, target_mean)
-    return grid
+    return grid, order
+
+
+def _projection_classes(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, order) over the r^k free-grid points in product order: the flat
+    index of each class's first point, and each point's class (see _grid_array).
+    Built from flat indices, with no (r^k, k) array of index vectors."""
+    n = r ** k
+    flat = np.arange(n)
+    low, rest = flat % r, flat // r
+    for _ in range(k - 1):          # smallest index, axis by axis
+        np.minimum(low, rest % r, out=low)
+        rest //= r
+    del rest
+    first = low == 0
+    low *= (n - 1) // (r - 1)
+    flat -= low                     # each point's representative
+    return np.flatnonzero(first), (np.cumsum(first) - 1)[flat]
 
 
 def _segment_rows(family: WaveformFamily, rows: np.ndarray) -> tuple:
@@ -309,10 +342,13 @@ def grid_search(
     """Evaluate a full grid of feasible family points and return the best.
 
     The grid is evaluated as one batch of rows, in fixed-size chunks, and
-    every point is logged in grid order. Ties are broken toward the point
-    closest (Euclidean, level coordinates) to the constant waveform, then
-    toward the first point, keeping runs deterministic when the optimum is
-    approached along a boundary.
+    every point is logged in grid order. On the free family the points of a
+    projection class share one waveform (see _grid_array): each class is
+    projected, evaluated and logged once, as the row of its first point, and
+    the log's row order repeats it for every member. Ties are broken toward
+    the point closest (Euclidean, level coordinates) to the constant
+    waveform, then toward the first point, keeping runs deterministic when
+    the optimum is approached along a boundary.
     """
     if resolution < 2:
         raise SignalError(f"resolution must be at least 2, got {resolution}")
@@ -322,7 +358,8 @@ def grid_search(
     if log is None:
         log = EvaluationLog(family, target_mean, benchmark)
 
-    grid = _grid_array(family, target_mean, resolution)
+    grid, order = _grid_array(family, target_mean, resolution)
+    chunks = []
     best_point = None
     best_w = -math.inf
     best_dist = math.inf
@@ -333,18 +370,19 @@ def grid_search(
         means, w, dist = _evaluate_rows(family, rows, target_mean, params.lam)
         if not np.isfinite(w).all():
             raise _non_finite(family, target_mean)
-        log.extend(rows, means, w)
+        chunks.append((rows, means, w))
         top = np.flatnonzero(w == w.max())
         i = top[np.argmin(dist[top])]
         if w[i] > best_w or (w[i] == best_w and dist[i] < best_dist):
             best_point = tuple(rows[i].tolist())
             best_w, best_dist = float(w[i]), float(dist[i])
+    log.extend(*map(np.concatenate, zip(*chunks)), order=order)
     return OptimizationResult(
         best_point=best_point,
         best_w=best_w,
         benchmark_w=benchmark,
         optimality_gap=benchmark - best_w,
-        evaluations=len(grid),
+        evaluations=len(grid) if order is None else len(order),
         capped=False,
         log=log,
     )

@@ -482,6 +482,29 @@ class TestOptimizeCommand:
             mean = float(row["level_1"]) / 2 + float(row["level_2"]) / 2
             assert abs(mean - 5e307) <= 1e-12 * 5e307
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family, lam, mean, resolution, seed", [
+        ({"kind": "piecewise_free", "period": 2.0, "n_segments": 3}, 1.0, 5e-324, 3, 0),
+        ({"kind": "piecewise_free", "period": 2.0, "n_segments": 3}, 1000.0, 1e-315, 4, 3),
+        ({"kind": "bang_bang", "period": 2.0}, 1000.0, 1e-315, 4, 3),
+    ])
+    def test_excess_at_a_subnormal_x_star_exits_2_before_writing(
+            self, tmp_path, capsys, family, lam, mean, resolution, seed):
+        # x* = mean / (lam + mean) below the least normal double: w and the
+        # benchmark carry absolute rounding of many subnormal ulps, which read
+        # as an excess no relative bound covers (exit 1 before).
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": family, "lambda": lam, "mean": mean, "resolution": resolution,
+            "n_starts": 2, "seed": seed,
+            "out": str(tmp_path / "res.json"), "log": str(tmp_path / "log.csv"),
+        })
+        assert main(["optimize", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: optimize: an evaluation exceeds the constant benchmark")
+        assert "double precision cannot resolve the comparison" in err
+        assert not (tmp_path / "res.json").exists()
+        assert not (tmp_path / "log.csv").exists()
+
     def test_excess_gate_is_relative_below_a_unit_benchmark(self):
         family = optimize.BangBang(period=1.0)
         log = optimize.EvaluationLog(family, 1e-300, 1e-300)

@@ -233,6 +233,34 @@ class TestGridSearch:
         # every duty, at distance 0, and the first of those rows must win
         assert outputs.count(outputs[best_index]) > 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [2, 5, 8])
+    def test_free_grid_evaluates_each_projection_class_once(self, k, r):
+        # A non-dyadic mean: members of one class project to rows that differ
+        # in their last bits, so the log shows which member was projected.
+        mean = 0.7354426844383339
+        family = PiecewiseConstantFree(period=2.0, n_segments=k)
+        points, outputs, _ = _reference_grid_search(family, mean, P1, r)
+        axis = np.linspace(0.0, k * mean, r)
+        res = grid_search(family, mean, P1, r)
+        logged, _, logged_outputs = log_columns(res.log)
+        assert res.evaluations == len(res.log) == len(logged) == r ** k
+        assert len(set(logged)) <= r ** k - (r - 1) ** k
+        ulps = 4.0 * np.spacing(k * mean)
+        for index, row, own in zip(itertools.product(range(r), repeat=k), logged, points):
+            first = np.array(index) - min(index)
+            representative = project_to_mean(family, tuple(axis[first].tolist()), mean)
+            assert np.array_equal(np.array(row).view(np.int64),
+                                  np.array(representative).view(np.int64))
+            assert np.max(np.abs(np.subtract(row, own))) <= ulps
+        np.testing.assert_allclose(logged_outputs, outputs, rtol=1e-14, atol=0.0)
+        # the best point: the first class in product order with the largest
+        # w, then the smallest distance to the constant waveform
+        _, w, dist = _evaluate_rows(family, np.array(logged), mean, P1.lam)
+        top = np.flatnonzero(w == w.max())
+        assert res.best_point == logged[top[np.argmin(dist[top])]]
+        assert res.best_w == w.max()
+
     def test_resolution_validated(self):
         with pytest.raises(Exception):
             grid_search(BB, 1.0, P1, 1)
@@ -587,9 +615,10 @@ class TestEvaluationLog:
 
 
 class TestCsvMatchesPerRowWriter:
-    # The free-family grid has 7**4 = 2401 rows, logged as three blocks of at
-    # most _GRID_CHUNK = 1024 rows and written in six chunks; the descent rows
-    # after it form a block of their own.
+    # The free-family grid has 7**4 = 2401 points in 7**4 - 6**4 = 1105
+    # projection classes, logged as one block of 1105 rows with a row order
+    # and written in five chunks; the descent rows after it form a block of
+    # their own.
     @pytest.mark.parametrize("family, resolution, starts, min_chunks", [
         (BB, 9, [(0.0, 2.0, 0.5), (0.9, 1.3, 0.2)], 0),
         (K4, 7, [(0.0, 4.0, 0.0, 0.0), (2.0, 0.0, 1.5, 0.5)], 4),
@@ -597,10 +626,11 @@ class TestCsvMatchesPerRowWriter:
     def test_grid_and_descents(self, family, resolution, starts, min_chunks):
         rows = []
 
-        class RecordingLog(EvaluationLog):      # keeps each extended row as floats
-            def extend(self, points, means, outputs):
-                super().extend(points, means, outputs)
-                rows.extend(zip(map(tuple, points.tolist()), means.tolist(), outputs.tolist()))
+        class RecordingLog(EvaluationLog):      # keeps each evaluation's row as floats
+            def extend(self, points, means, outputs, order=None):
+                super().extend(points, means, outputs, order)
+                block = list(zip(map(tuple, points.tolist()), means.tolist(), outputs.tolist()))
+                rows.extend(block if order is None else [block[i] for i in order.tolist()])
 
         log = RecordingLog(family, 1.0, constant_benchmark(1.0, P1))
         grid_search(family, 1.0, P1, resolution, log=log)
@@ -627,6 +657,27 @@ class TestCsvMatchesPerRowWriter:
         assert len(log) == len(rows)
         assert log.max_output == 1e16
         assert csv_text(log) == per_row_csv(fam, 1e-5, rows)
+
+    def test_hand_recorded_edge_values_in_row_order(self):
+        # Distinct rows written in a row order that repeats them out of order,
+        # across more than one chunk, between two blocks without an order.
+        fam = PiecewiseConstantFree(period=1.0, n_segments=2)
+        rows = [
+            ((-0.0, 0.0), 0.0, -0.0),
+            ((5e-324, 1e16), 1e-5, 9999999999999998.0),
+            ((1e-5, -0.0), 5e-324, 1e16),
+            ((9999999999999998.0, 1e16), -0.0, 5e-324),
+        ]
+        order = np.random.default_rng(5).integers(0, len(rows), _CSV_CHUNK + 300)
+        order[:4] = 3, 0, 2, 1
+        log = EvaluationLog(fam, 0.5, 1e-5)
+        log.extend(*map(np.array, zip(*rows[1:2])))
+        log.extend(*map(np.array, zip(*rows)), order=order)
+        log.extend(*map(np.array, zip(*rows[:1])))
+        expected = rows[1:2] + [rows[i] for i in order.tolist()] + rows[:1]
+        assert len(log) == len(expected)
+        assert log.max_output == 1e16
+        assert csv_text(log) == per_row_csv(fam, 1e-5, expected)
 
     def test_values_recurring_across_chunks_and_blocks(self):
         # One pool of 3000 values, more than one chunk's memo holds, feeds the

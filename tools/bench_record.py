@@ -11,8 +11,10 @@ kept, with each side's median and quartiles, and, per metric, the pairs the
 change won and lost (ties count for neither). The directions and regression
 bounds come from the change's BENCHMARK.json. A gain counts as shown when the
 change wins at least nine tenths of the pairs and the medians differ by more
-than the parent's quartile spread. `--trace` adds one `--trace 1` run per side
-on seed `seed + pairs`, whose per-layer metrics are stored as they come.
+than the parent's quartile spread. `--trace` adds three `--trace 1` runs per
+side, alternating as the pairs do, on seeds `seed + pairs` onward: one traced
+run cannot tell a layer's move from the machine's drift. Every metric of the
+traced runs is stored per side as its median and its runs.
 
 Results are merged into `--out` under `workloads.<KEY>`, the workload's name
 unless `--name` gives another, so one file can hold several workloads (and,
@@ -49,6 +51,20 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "environment": {k: env.get(k) for k in ("python", "numpy", "nproc", "cpu_model")},
     }
+
+
+_TRACED_RUNS = 3     # traced runs per side under --trace
+
+
+def _pairs(args, first_seed: int, count: int, seconds: float, trace: int):
+    """Generator of (i, side, first, run) over `count` alternating pairs on
+    seeds `first_seed` onward: the parent first in even pairs, the change
+    first in odd ones."""
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = _run(getattr(args, side), args.workload, first_seed + i, seconds, trace)
+            yield i, side, side == order[0], run
 
 
 def _summary(values: list[float]) -> dict:
@@ -93,14 +109,10 @@ def main(argv=None) -> int:
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     specs, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            run = _run(getattr(args, side), args.workload, seed, seconds, 0)
-            runs[side].append({**run, "first": side == order[0]})
-            print(f"{args.workload} pair {i} {side}: wall_s {run['metrics']['wall_s']:.4f} "
-                  f"correct {run['correct']} failed {run['failed']}", file=sys.stderr)
+    for i, side, first, run in _pairs(args, args.seed, args.pairs, seconds, 0):
+        runs[side].append({**run, "first": first})
+        print(f"{args.workload} pair {i} {side}: wall_s {run['metrics']['wall_s']:.4f} "
+              f"correct {run['correct']} failed {run['failed']}", file=sys.stderr)
 
     record = {
         "seconds": seconds,
@@ -114,10 +126,17 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     if args.trace:
-        seed = args.seed + args.pairs
-        record["traced"] = {"seed": seed, **{
-            side: _run(getattr(args, side), args.workload, seed, seconds, 1)["metrics"]
-            for side in ("parent", "change")}}
+        first = args.seed + args.pairs
+        traced = {"parent": [], "change": []}
+        for _, side, _, run in _pairs(args, first, _TRACED_RUNS, seconds, 1):
+            traced[side].append(run["metrics"])
+        record["traced"] = {
+            "seeds": list(range(first, first + _TRACED_RUNS)),
+            "metrics": {name: {side: {"median": statistics.median(r[name] for r in side_runs),
+                                      "runs": [r[name] for r in side_runs]}
+                               for side, side_runs in traced.items()}
+                        for name in traced["change"][0]},
+        }
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     data["workloads"][args.name or args.workload] = record
