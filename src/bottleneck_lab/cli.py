@@ -286,23 +286,20 @@ def _family_from_dict(data, where: str):
 
 
 def _random_start(family, mean: float, rng: np.random.Generator):
-    if isinstance(family, optimize.BangBang):
-        raw = (rng.uniform(0.0, 2.0 * mean), rng.uniform(0.0, 2.0 * mean),
-               rng.uniform(0.05, 0.95))
-    else:
-        raw = tuple(rng.uniform(0.0, 2.0 * mean, size=family.n_segments))
+    raw = tuple(rng.uniform(0.0, 2.0 * mean, size=family.n_levels))
+    if isinstance(family, optimize.BangBang):       # and a duty
+        raw += (rng.uniform(0.05, 0.95),)
     return optimize.project_to_mean(family, raw, mean)
 
 
 def _beats_benchmark(log: optimize.EvaluationLog) -> bool:
     """Whether some evaluation beat the benchmark B by more than
     BENCHMARK_EXCESS_TOL, relative to a B below 1, or where larger by more
-    than (4k + 8) u B, u = eps / 2, the rounding of w = lam I / T and B on k
-    segments (sums I and T (k - 1) u each, a term of I 4 u and its orbit
-    deviation (k + 1) u, lam I / T 2 u, the point's mean (k - 1) u, B 3 u);
-    or NaN."""
-    k = 2 if isinstance(log.family, optimize.BangBang) else log.family.n_segments
-    rounding = (2 * k + 4) * sys.float_info.epsilon * log.benchmark
+    than (4k + 8) u B, u = eps / 2, the rounding of w = lam I / T and B on the
+    family's k = n_levels segments (sums I and T (k - 1) u each, a term of I
+    4 u and its orbit deviation (k + 1) u, lam I / T 2 u, the point's mean
+    (k - 1) u, B 3 u); or NaN."""
+    rounding = (2 * log.family.n_levels + 4) * sys.float_info.epsilon * log.benchmark
     return not log.max_excess <= max(BENCHMARK_EXCESS_TOL * min(1.0, log.benchmark), rounding)
 
 
@@ -318,7 +315,7 @@ def _cmd_optimize(cfg: dict) -> int:
     max_evals = _number(int, cfg.get("max_evals", optimize.DEFAULT_MAX_EVALS), "max_evals")
     if max_evals < 1:
         raise ConfigError(f"optimize: max_evals must be at least 1, got {max_evals}")
-    axes = 2 if isinstance(family, optimize.BangBang) else family.n_segments
+    axes = family.n_levels      # BangBang's grid axes are p1 and the duty
     _require_fits(f"optimize: resolution**{axes} = {resolution}**{axes} grid points",
                   lambda: (float(resolution) ** axes, axes))
     _require_fits(f"optimize: n_starts = {n_starts} starts", lambda: (n_starts, axes))

@@ -19,9 +19,10 @@ The mean constraint is enforced by Euclidean projection in level
 coordinates (the exact sort-based simplex projection), never by penalty, so
 every evaluated waveform satisfies the constraint exactly and the benchmark
 comparison is fair at each point. Projections and kernel segments are
-formed as rows: grids are evaluated as one batch of rows, the free grid
-once per projection class (points that differ by the same amount on every
-level project alike); the descents from all starts run in lockstep, a step
+formed as rows: a grid is evaluated in one call, the free grid once per
+projection class (points that differ by the same amount on every level
+project alike), and the log forms each row's mean from its coordinates as
+it writes; the descents from all starts run in lockstep, a step
 evaluating their current points as one batch with the exact gradient of w
 from the kernel's reverse-mode pass, and projecting its move and KKT
 residual as two rows of one call.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_rows
-from .signals import SignalError, SystemParams
+from .signals import SignalError, SystemParams, _require_finite
 from .periodic import _PeriodRows, constant_benchmark, output_for_level_rows
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "InfeasibleMeanError",
     "EvaluationLog",
     "OptimizationResult",
-    "family_mean",
     "project_to_mean",
     "grid_search",
     "coordinate_descent",
@@ -61,17 +61,28 @@ class InfeasibleMeanError(ValueError):
     """The target mean cannot be reached with non-negative levels."""
 
 
+def _set_period(family) -> None:
+    period = _require_finite("period", family.period)
+    if period <= 0.0:
+        raise SignalError(f"period must be positive, got {period}")
+    object.__setattr__(family, "period", period)
+
+
 @dataclass(frozen=True)
 class BangBang:
-    """Two-level periodic waveform; point coordinates are (p1, p2, duty)."""
+    """Two-level periodic waveform; point coordinates are (p1, p2, duty), levels (p1, p2)."""
 
     period: float
+    coordinate_names = ("p1", "p2", "duty")
+    n_levels = 2
 
     def __post_init__(self) -> None:
-        if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise SignalError(f"period must be positive, got {self.period}")
+        _set_period(self)
 
-    coordinate_names = ("p1", "p2", "duty")
+    @staticmethod
+    def means(points: np.ndarray) -> np.ndarray:
+        p1, p2, duty = points.T
+        return duty * p2 + (1.0 - duty) * p1
 
 
 @dataclass(frozen=True)
@@ -82,24 +93,24 @@ class PiecewiseConstantFree:
     n_segments: int
 
     def __post_init__(self) -> None:
-        if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise SignalError(f"period must be positive, got {self.period}")
-        if self.n_segments < 1:
-            raise SignalError(f"need at least one segment, got {self.n_segments}")
+        _set_period(self)
+        n = self.n_segments
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise SignalError(f"need a whole number of segments, at least one, got {n!r}")
 
     @property
     def coordinate_names(self) -> tuple[str, ...]:
         return tuple(f"level_{i + 1}" for i in range(self.n_segments))
 
+    @property
+    def n_levels(self) -> int:
+        return self.n_segments
+
+    def means(self, points: np.ndarray) -> np.ndarray:
+        return points.sum(axis=1) / self.n_segments
+
 
 WaveformFamily = BangBang | PiecewiseConstantFree
-
-
-def family_mean(family: WaveformFamily, point) -> float:
-    if isinstance(family, BangBang):
-        p1, p2, duty = point
-        return duty * p2 + (1.0 - duty) * p1
-    return math.fsum(point) / family.n_segments
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +146,33 @@ def _project_simplex_rows(values: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(values - shift[:, None], 0.0) / scale
 
 
+def _coordinates(family: WaveformFamily, point) -> list[float]:
+    coords, n = [float(c) for c in point], len(family.coordinate_names)
+    if len(coords) != n:
+        raise SignalError(f"{family!r} points have {n} coordinates, got {len(coords)}")
+    return coords
+
+
 def project_to_mean(family: WaveformFamily, point, target_mean: float):
     """Nearest family point (Euclidean in level coordinates) with the target mean.
 
-    For BangBang the duty is held fixed and only (p1, p2) move; for the free
-    piecewise family all levels move. Levels stay non-negative via the exact
-    sort-based simplex projection. Non-finite input raises SignalError.
+    For BangBang the duty, which must lie in [0, 1], is held fixed and only
+    (p1, p2) move; for the free family all levels move, kept non-negative by
+    the exact sort-based simplex projection. A point without one finite
+    number per coordinate raises SignalError.
     """
     if target_mean < 0.0:
         raise InfeasibleMeanError(f"target mean must be non-negative, got {target_mean}")
-    coords = [float(c) for c in point]
+    coords = _coordinates(family, point)
     if not all(map(math.isfinite, (*coords, target_mean))):
         raise SignalError(f"cannot project {coords!r} onto mean {target_mean!r}: not finite")
     if isinstance(family, BangBang):
         p1, p2, duty = coords
-        if duty <= 0.0:
+        if not 0.0 <= duty <= 1.0:
+            raise SignalError(f"duty must lie in [0, 1], got {duty!r}")
+        if duty == 0.0:
             return (target_mean, max(p2, target_mean), duty)
-        if duty >= 1.0:
+        if duty == 1.0:
             return (min(p1, target_mean), target_mean, duty)
         w1, w2 = 1.0 - duty, duty
         shift = (target_mean - (w1 * p1 + w2 * p2)) / (w1 * w1 + w2 * w2)
@@ -177,8 +198,9 @@ class EvaluationLog:
 
     The never-beats-benchmark invariant is checked over this log, not just
     over the returned optimum. Rows are kept as float64 blocks of
-    (coordinates, mean, w), one block per `extend`, each with its row order
-    (None: one row per evaluation, in block order).
+    (coordinates, w), one block per `extend`, each with its row order (None:
+    one row per evaluation, in block order); `to_csv` forms each row's mean
+    from its coordinates.
     """
 
     def __init__(self, family: WaveformFamily, target_mean: float, benchmark: float):
@@ -186,15 +208,16 @@ class EvaluationLog:
         self.target_mean = target_mean
         self.benchmark = benchmark
         self.max_output = -math.inf
-        self._blocks: list[tuple[np.ndarray, np.ndarray | None]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
         self._count = 0
 
-    def extend(self, points: np.ndarray, means: np.ndarray, outputs: np.ndarray,
+    def extend(self, points: np.ndarray, outputs: np.ndarray,
                order: np.ndarray | None = None) -> None:
         """Record a batch of evaluations, one row of `points` each. With `order`,
         the rows are distinct values and the evaluations are rows order[0],
         order[1], ...: every row must occur in it."""
-        self._blocks.append((np.column_stack((points, means, outputs)), order))
+        points, outputs = np.asarray(points, dtype=float), np.asarray(outputs, dtype=float)
+        self._blocks.append((points, outputs, order))
         self._count += len(outputs) if order is None else len(order)
         self.max_output = float(np.max(outputs, initial=self.max_output))
 
@@ -211,9 +234,10 @@ class EvaluationLog:
         time; a block's distinct rows are formatted once and written in its order."""
         fh.write(",".join(self.family.coordinate_names) + ",mean,w,benchmark,gap\n")
         memo = [None]       # one writer memo across the blocks
-        for block, order in self._blocks:
-            _write_rows(fh, *block.T, np.broadcast_to(self.benchmark, len(block)),
-                        self.benchmark - block[:, -1], memo=memo, order=order)
+        for points, w, order in self._blocks:
+            _write_rows(fh, *points.T, self.family.means(points), w,
+                        np.broadcast_to(self.benchmark, len(w)), self.benchmark - w,
+                        memo=memo, order=order)
 
 
 @dataclass(frozen=True)
@@ -250,13 +274,13 @@ def _non_finite(family: WaveformFamily, target_mean: float, what="averaged outpu
 # Grid search
 # ---------------------------------------------------------------------------
 
-# Rows evaluated per batch; bounds the (rows x k) temporaries on large grids.
+# Free-grid rows projected per call; bounds the projection's (rows x k) temporaries.
 _GRID_CHUNK = 1024
 
 
 def _grid_array(family: WaveformFamily, target_mean: float, resolution: int):
-    """(rows, order): the rows to evaluate, in itertools.product order, and
-    each grid point's row (None: one row per point).
+    """(rows, order): the feasible rows to evaluate, in itertools.product
+    order, and each grid point's row (None: one row per point).
 
     BangBang rows are all the feasible (p1, p2, duty) points. A free-family
     point is a raw level vector i * step (i the index vector, step = k mean /
@@ -266,7 +290,8 @@ def _grid_array(family: WaveformFamily, target_mean: float, resolution: int):
     one waveform: the rows are one raw point per such class, its member with
     smallest index 0 (the first in product order), r^k - (r - 1)^k of the
     r^k points. Flat index f, with smallest index low(f), has representative
-    f - low(f) (r^k - 1) / (r - 1), the strides' sum.
+    f - low(f) (r^k - 1) / (r - 1), the strides' sum. The rows are projected
+    in place, _GRID_CHUNK at a time; a row that is not finite stays so.
     """
     with np.errstate(over="ignore", invalid="ignore"):     # overflow is caught below
         if isinstance(family, BangBang):
@@ -281,6 +306,9 @@ def _grid_array(family: WaveformFamily, target_mean: float, resolution: int):
             r, k = resolution, family.n_segments
             first, order = _projection_classes(r, k)
             grid = axis[first[:, None] // r ** np.arange(k - 1, -1, -1) % r]
+            for i in range(0, len(grid), _GRID_CHUNK):
+                grid[i:i + _GRID_CHUNK] = _project_simplex_rows(grid[i:i + _GRID_CHUNK],
+                                                                k * target_mean)
     if not np.isfinite(grid).all():
         raise _non_finite(family, target_mean)
     return grid, order
@@ -312,24 +340,18 @@ def _segment_rows(family: WaveformFamily, rows: np.ndarray) -> tuple:
 
 
 def _evaluate_rows(family: WaveformFamily, rows: np.ndarray, target_mean: float, lam: float):
-    """(mean, w, distance to constant) of each row of feasible family points.
+    """(w, distance to constant) of each row of feasible family points.
 
-    The distance is Euclidean in level coordinates (duty excluded for
-    BangBang), in units of the target mean, so squaring cannot overflow for
-    huge means; dividing by a positive constant keeps the ranking.
+    The distance is Euclidean in the family's n_levels level coordinates
+    (the first ones), in units of the target mean, so squaring cannot
+    overflow for huge means; dividing by a positive constant keeps the ranking.
     """
-    if isinstance(family, BangBang):
-        p1, p2, duty = rows.T
-        means = duty * p2 + (1.0 - duty) * p1
-        dev = rows[:, :2] - target_mean
-    else:
-        means = rows.sum(axis=1) / family.n_segments
-        dev = rows - target_mean
+    dev = rows[:, :family.n_levels] - target_mean
     if target_mean > 0.0:
         dev /= target_mean
-    distance = np.sqrt(np.sum(dev * dev, axis=1))
+    distance = np.sqrt(np.square(dev, out=dev).sum(axis=1))
     del dev     # not kept beside the kernel's working arrays
-    return means, output_for_level_rows(*_segment_rows(family, rows), lam), distance
+    return output_for_level_rows(*_segment_rows(family, rows), lam), distance
 
 
 def grid_search(
@@ -341,14 +363,14 @@ def grid_search(
 ) -> OptimizationResult:
     """Evaluate a full grid of feasible family points and return the best.
 
-    The grid is evaluated as one batch of rows, in fixed-size chunks, and
-    every point is logged in grid order. On the free family the points of a
-    projection class share one waveform (see _grid_array): each class is
-    projected, evaluated and logged once, as the row of its first point, and
-    the log's row order repeats it for every member. Ties are broken toward
-    the point closest (Euclidean, level coordinates) to the constant
-    waveform, then toward the first point, keeping runs deterministic when
-    the optimum is approached along a boundary.
+    The grid is evaluated in one call, and every point is logged in grid
+    order. On the free family the points of a projection class share one
+    waveform (see _grid_array): each class is projected, evaluated and
+    logged once, as the row of its first point, and the log's row order
+    repeats it for every member. Ties are broken toward the point closest
+    (Euclidean, level coordinates) to the constant waveform, then toward the
+    first point, keeping runs deterministic when the optimum is approached
+    along a boundary.
     """
     if resolution < 2:
         raise SignalError(f"resolution must be at least 2, got {resolution}")
@@ -359,33 +381,15 @@ def grid_search(
         log = EvaluationLog(family, target_mean, benchmark)
 
     grid, order = _grid_array(family, target_mean, resolution)
-    chunks = []
-    best_point = None
-    best_w = -math.inf
-    best_dist = math.inf
-    for start in range(0, len(grid), _GRID_CHUNK):
-        rows = grid[start:start + _GRID_CHUNK]
-        if isinstance(family, PiecewiseConstantFree):
-            rows = _project_simplex_rows(rows, family.n_segments * target_mean)
-        means, w, dist = _evaluate_rows(family, rows, target_mean, params.lam)
-        if not np.isfinite(w).all():
-            raise _non_finite(family, target_mean)
-        chunks.append((rows, means, w))
-        top = np.flatnonzero(w == w.max())
-        i = top[np.argmin(dist[top])]
-        if w[i] > best_w or (w[i] == best_w and dist[i] < best_dist):
-            best_point = tuple(rows[i].tolist())
-            best_w, best_dist = float(w[i]), float(dist[i])
-    log.extend(*map(np.concatenate, zip(*chunks)), order=order)
-    return OptimizationResult(
-        best_point=best_point,
-        best_w=best_w,
-        benchmark_w=benchmark,
-        optimality_gap=benchmark - best_w,
-        evaluations=len(grid) if order is None else len(order),
-        capped=False,
-        log=log,
-    )
+    w, dist = _evaluate_rows(family, grid, target_mean, params.lam)
+    if not np.isfinite(w).all():
+        raise _non_finite(family, target_mean)
+    top = np.flatnonzero(w == w.max())
+    best = top[np.argmin(dist[top])]
+    log.extend(grid, w, order=order)
+    best_w = float(w[best])
+    return OptimizationResult(tuple(grid[best].tolist()), best_w, benchmark, benchmark - best_w,
+                              len(grid) if order is None else len(order), False, log)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +430,6 @@ class _Descent:
     def coords(self, point) -> np.ndarray:
         if self.bang_bang:
             return np.array([point[0] / self.mean if self.mean else 0.0, point[2]])
-        if len(point) != self.family.n_segments:
-            raise SignalError(f"expected {self.family.n_segments} levels, got {len(point)}")
         return np.array(point, dtype=float)
 
     def point(self, x: np.ndarray) -> tuple:
@@ -466,7 +468,7 @@ class _Descent:
         w = float(self.lam * kernel.i_p[row] / kernel.period[row])
         if not math.isfinite(w):
             raise _non_finite(self.family, self.mean)
-        self.records.append((point, family_mean(self.family, point), w))
+        self.records.append((point, w))
         self.evaluations += 1
         dw_dc, dw_dh = kernel.dw_dc[row], kernel.dw_dh[row]
         size = float(np.max(np.abs(self.mean * dw_dc)))
@@ -503,7 +505,8 @@ class _Descent:
         """Generator of the descent from `start` (see coordinate_descents): yields
         each point to evaluate, is sent its (w, g, size), returns (point, w, capped)."""
         if self.bang_bang:
-            start = (start[0], start[1], min(max(start[2], _DUTY_MIN), 1.0 - _DUTY_MIN))
+            p1, p2, duty = _coordinates(self.family, start)
+            start = (p1, p2, min(max(duty, _DUTY_MIN), 1.0 - _DUTY_MIN))
         point = project_to_mean(self.family, start, self.mean)
         x = self.coords(point)
         w, grad, size = yield point

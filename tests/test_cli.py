@@ -508,16 +508,16 @@ class TestOptimizeCommand:
     def test_excess_gate_is_relative_below_a_unit_benchmark(self):
         family = optimize.BangBang(period=1.0)
         log = optimize.EvaluationLog(family, 1e-300, 1e-300)
-        log.extend([[1e-300, 1e-300, 0.5]], [1e-300], [1e-300])
+        log.extend([[1e-300, 1e-300, 0.5]], [1e-300])
         assert not _beats_benchmark(log)
         # an excess of the benchmark's own size, 1e-300, is far below 1e-9
-        log.extend([[0.0, 2e-300, 0.5]], [1e-300], [2e-300])
+        log.extend([[0.0, 2e-300, 0.5]], [2e-300])
         assert _beats_benchmark(log)
         # above a unit benchmark the tolerance stays absolute
         log = optimize.EvaluationLog(family, 4.0, 2.0)
-        log.extend([[4.0, 4.0, 0.5]], [4.0], [2.0 + 5e-10])
+        log.extend([[4.0, 4.0, 0.5]], [2.0 + 5e-10])
         assert not _beats_benchmark(log)
-        log.extend([[4.0, 4.0, 0.5]], [4.0], [2.0 + 2e-9])
+        log.extend([[4.0, 4.0, 0.5]], [2.0 + 2e-9])
         assert _beats_benchmark(log)
 
     @pytest.mark.parametrize("family, mean, seed", [
@@ -902,13 +902,12 @@ class TestGatesAtLargeScale:
         # (the output moves in ulps of B, an eighth of the allowance or less)
         for factor, fires in ((0.9, False), (1.1, True)):
             log = optimize.EvaluationLog(family, 1.0, benchmark)
-            log.extend([[0.0] * len(family.coordinate_names)], [1.0],
-                       [benchmark + factor * allowance])
+            log.extend([[0.0] * len(family.coordinate_names)], [benchmark + factor * allowance])
             assert _beats_benchmark(log) is fires
 
     def test_optimize_nan_output_fires(self):
         log = optimize.EvaluationLog(optimize.BangBang(period=1.0), 1.0, 0.5)
-        log.extend([[1.0, 1.0, 0.5]], [1.0], [math.nan])
+        log.extend([[1.0, 1.0, 0.5]], [math.nan])
         assert _beats_benchmark(log)
 
     CONSTANT = {"signal": {"kind": "constant", "level": 1e300}, "lambda": 1e300}

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bottleneck_lab import optimize
 from bottleneck_lab.optimize import (
     BangBang,
     EvaluationLog,
@@ -14,7 +15,6 @@ from bottleneck_lab.optimize import (
     PiecewiseConstantFree,
     coordinate_descent,
     coordinate_descents,
-    family_mean,
     grid_search,
     project_to_mean,
 )
@@ -48,10 +48,25 @@ def log_columns(log):
     return [tuple(row[:k]) for row in rows], [row[k] for row in rows], [row[k + 1] for row in rows]
 
 
+def row_mean(family, point):
+    """A point's mean, from its coordinates one at a time."""
+    if isinstance(family, BangBang):
+        p1, p2, duty = point
+        return duty * p2 + (1.0 - duty) * p1
+    return sum(point) / len(point)
+
+
+def extend_rows(log, rows, order=None):
+    """Log (point, w) rows as one block."""
+    points, outputs = zip(*rows)
+    log.extend(np.array(points), np.array(outputs), order=order)
+
+
 def per_row_csv(family, benchmark, rows):
-    """Reference writer: one f-string of field reprs per (point, mean, w) row."""
+    """Reference writer: one f-string of field reprs per (point, w) row."""
     out = [",".join(family.coordinate_names) + ",mean,w,benchmark,gap\n"]
-    for point, mean, w in rows:
+    for point, w in rows:
+        mean = row_mean(family, point)
         coords = ",".join(map(repr, point))
         out.append(f"{coords},{mean!r},{w!r},{benchmark!r},{benchmark - w!r}\n")
     return "".join(out)
@@ -158,16 +173,62 @@ class TestProjection:
         with pytest.raises(InfeasibleMeanError):
             project_to_mean(K4, (1.0, 1.0, 1.0, 1.0), -0.5)
 
+    @pytest.mark.parametrize("family, point", [
+        (K4, (1.0, 1.0, 1.0)),
+        (K4, (1.0,) * 5),
+        (BB, (1.0, 1.0)),
+        (BB, (1.0, 1.0, 0.5, 0.5)),
+    ])
+    def test_wrong_number_of_coordinates_raises(self, family, point):
+        # (1, 1, 1) on four segments came back as three levels of mean 4/3;
+        # two on BangBang raised a ValueError, and through the descent an
+        # IndexError
+        with pytest.raises(SignalError, match="coordinates"):
+            project_to_mean(family, point, 1.0)
+        with pytest.raises(SignalError, match="coordinates"):
+            coordinate_descent(family, 1.0, P1, point)
+
+    @pytest.mark.parametrize("duty", [1.5, -0.5, 1.0 + 2.0 ** -52, -5e-324])
+    def test_bang_bang_duty_outside_the_unit_interval_raises(self, duty):
+        # duty 1.5 came back with mean 1.35, and -0.5 with mean 0.5
+        with pytest.raises(SignalError, match="duty"):
+            project_to_mean(BB, (0.3, 2.0, duty), 1.0)
+
+
+class TestFamilyConstructors:
+    @pytest.mark.parametrize("n_segments", [2.0, 2.5, True, np.bool_(True), "2", None, 0, -1])
+    def test_segment_count_must_be_a_positive_integer(self, n_segments):
+        # 2.0, 2.5 and True constructed, then failed in range() or read True as 1
+        with pytest.raises(SignalError, match="segments"):
+            PiecewiseConstantFree(period=1.0, n_segments=n_segments)
+
+    @pytest.mark.parametrize("period", [True, np.bool_(False), None, "x", 0.0, -1.0,
+                                        math.inf, math.nan])
+    @pytest.mark.parametrize("make", [
+        lambda period: BangBang(period=period),
+        lambda period: PiecewiseConstantFree(period=period, n_segments=2),
+    ])
+    def test_period_must_be_a_positive_number(self, make, period):
+        with pytest.raises(SignalError, match="period"):
+            make(period)
+
+    def test_level_count_is_derived_from_the_family(self):
+        family = PiecewiseConstantFree(period=2, n_segments=np.int64(3))
+        assert type(family.period) is float and family.period == 2.0
+        assert family.n_levels == family.n_segments == 3
+        assert "n_levels" not in {f.name for f in dataclasses.fields(family)}
+        assert BangBang(period=np.float64(0.5)).n_levels == 2
+
 
 class TestFamilyPlumbing:
     def test_bang_bang_signal_layout(self):
         # One evaluation of a family point: the logged output is that of the
         # two-level signal with the high level first on [0, duty * T).
         point = (0.5, 2.0, 0.25)
-        assert family_mean(BB, point) == pytest.approx(0.875)
         res = coordinate_descent(BB, 0.875, P1, point, max_evals=1)
-        points, _, outputs = log_columns(res.log)
+        points, means, outputs = log_columns(res.log)
         assert points == [point]
+        assert means == [pytest.approx(0.875)]
         want = gap_report(PiecewiseConstant((0.0, 0.5, 2.0), (2.0, 0.5)), P1).w_sigma
         assert outputs[0] == pytest.approx(want, abs=1e-14)
 
@@ -256,10 +317,34 @@ class TestGridSearch:
         np.testing.assert_allclose(logged_outputs, outputs, rtol=1e-14, atol=0.0)
         # the best point: the first class in product order with the largest
         # w, then the smallest distance to the constant waveform
-        _, w, dist = _evaluate_rows(family, np.array(logged), mean, P1.lam)
+        w, dist = _evaluate_rows(family, np.array(logged), mean, P1.lam)
         top = np.flatnonzero(w == w.max())
         assert res.best_point == logged[top[np.argmin(dist[top])]]
         assert res.best_w == w.max()
+
+    @pytest.mark.parametrize("family, resolution", [
+        (PiecewiseConstantFree(period=2.0, n_segments=3), 5),
+        (BangBang(period=2.0), 40),
+    ])
+    def test_grid_across_projection_chunks_matches_point_by_point_loop(
+            self, monkeypatch, family, resolution):
+        # 5**3 - 4**3 = 61 free-grid classes projected 7 at a time, on an
+        # axis where each class projects to the same bits from every member,
+        # so the log equals the loop's (at r = 6 or 7 members differ in their
+        # last bits: see the class test above); 1,600
+        # bang_bang rows, which the grid once evaluated as two chunks
+        whole = grid_search(family, 1.0, P1, resolution)
+        monkeypatch.setattr(optimize, "_GRID_CHUNK", 7)
+        res = grid_search(family, 1.0, P1, resolution)
+        assert csv_text(res.log) == csv_text(whole.log)
+        assert (res.best_point, res.best_w) == (whole.best_point, whole.best_w)
+        points, outputs, best_index = _reference_grid_search(family, 1.0, P1, resolution)
+        logged, _, logged_outputs = log_columns(res.log)
+        assert logged == points
+        np.testing.assert_allclose(logged_outputs, outputs, rtol=1e-14, atol=0.0)
+        assert res.best_point == points[best_index]
+        assert logged.index(res.best_point) == best_index
+        assert outputs.count(outputs[best_index]) > 1
 
     def test_resolution_validated(self):
         with pytest.raises(Exception):
@@ -273,7 +358,7 @@ class TestGridSearch:
         mean = 1e200
         family = PiecewiseConstantFree(period=1.0, n_segments=3)
         rows = np.array([[2.5, 0.25, 0.25], [1.2, 0.9, 0.9]]) * mean
-        _, w, dist = _evaluate_rows(family, rows, mean, 1.0)
+        w, dist = _evaluate_rows(family, rows, mean, 1.0)
         assert w[0] == w[1] == 1.0
         assert np.isfinite(dist).all() and np.argmin(dist) == 1
         assert grid_search(family, mean, P1, 5).best_point == (mean, mean, mean)
@@ -627,9 +712,9 @@ class TestCsvMatchesPerRowWriter:
         rows = []
 
         class RecordingLog(EvaluationLog):      # keeps each evaluation's row as floats
-            def extend(self, points, means, outputs, order=None):
-                super().extend(points, means, outputs, order)
-                block = list(zip(map(tuple, points.tolist()), means.tolist(), outputs.tolist()))
+            def extend(self, points, outputs, order=None):
+                super().extend(points, outputs, order)
+                block = list(zip(map(tuple, points.tolist()), outputs.tolist()))
                 rows.extend(block if order is None else [block[i] for i in order.tolist()])
 
         log = RecordingLog(family, 1.0, constant_benchmark(1.0, P1))
@@ -637,7 +722,7 @@ class TestCsvMatchesPerRowWriter:
         for start in starts:
             coordinate_descent(family, 1.0, P1, start, log=log)
         assert len(rows) == len(log) > min_chunks * _CSV_CHUNK
-        assert log.max_output == max(w for _, _, w in rows)
+        assert log.max_output == max(w for _, w in rows)
         text = csv_text(log)
         assert text == per_row_csv(family, log.benchmark, rows)
         assert text.count("\n") == len(log) + 1
@@ -645,15 +730,16 @@ class TestCsvMatchesPerRowWriter:
     def test_hand_recorded_edge_values_in_order(self):
         fam = PiecewiseConstantFree(period=1.0, n_segments=2)
         rows = [
-            ((-0.0, 0.0), 0.0, -0.0),
-            ((5e-324, 1e16), 1e-5, 9999999999999998.0),
-            ((1e-5, -0.0), 5e-324, 1e16),
-            ((9999999999999998.0, 1e16), -0.0, 5e-324),
-            ((math.nan, math.inf), -math.inf, 1e-5),
+            ((-0.0, 0.0), -0.0),
+            ((5e-324, 1e16), 9999999999999998.0),
+            ((1e-5, -0.0), 1e16),
+            ((9999999999999998.0, 1e16), 5e-324),
+            ((math.nan, math.inf), 1e-5),
+            ((-math.inf, 5e-324), -math.inf),
         ]
         log = EvaluationLog(fam, 0.5, 1e-5)
         for block in (rows[:1], rows[1:3], rows[3:4], rows[4:]):
-            log.extend(*map(np.array, zip(*block)))
+            extend_rows(log, block)
         assert len(log) == len(rows)
         assert log.max_output == 1e16
         assert csv_text(log) == per_row_csv(fam, 1e-5, rows)
@@ -663,17 +749,17 @@ class TestCsvMatchesPerRowWriter:
         # across more than one chunk, between two blocks without an order.
         fam = PiecewiseConstantFree(period=1.0, n_segments=2)
         rows = [
-            ((-0.0, 0.0), 0.0, -0.0),
-            ((5e-324, 1e16), 1e-5, 9999999999999998.0),
-            ((1e-5, -0.0), 5e-324, 1e16),
-            ((9999999999999998.0, 1e16), -0.0, 5e-324),
+            ((-0.0, 0.0), -0.0),
+            ((5e-324, 1e16), 9999999999999998.0),
+            ((1e-5, -0.0), 1e16),
+            ((9999999999999998.0, 1e16), 5e-324),
         ]
         order = np.random.default_rng(5).integers(0, len(rows), _CSV_CHUNK + 300)
         order[:4] = 3, 0, 2, 1
         log = EvaluationLog(fam, 0.5, 1e-5)
-        log.extend(*map(np.array, zip(*rows[1:2])))
-        log.extend(*map(np.array, zip(*rows)), order=order)
-        log.extend(*map(np.array, zip(*rows[:1])))
+        extend_rows(log, rows[1:2])
+        extend_rows(log, rows, order=order)
+        extend_rows(log, rows[:1])
         expected = rows[1:2] + [rows[i] for i in order.tolist()] + rows[:1]
         assert len(log) == len(expected)
         assert log.max_output == 1e16
@@ -692,13 +778,13 @@ class TestCsvMatchesPerRowWriter:
         nan_a, nan_b = np.array([0x7FF8000000000001, -0x0008000000000000]).view(np.float64)
         for i, n in enumerate((700, 1, 900, 600, 3)):
             points = rng.choice(pool, (n, 2))
-            means, outputs = np.full(n, 1.0), rng.choice(pool, n)
+            outputs = rng.choice(pool, n)
             if i == 2:
                 points[-1] = -0.0, nan_a
             if i == 3:
                 points[0] = 0.0, nan_b
-            log.extend(points, means, outputs)
-            rows += zip(map(tuple, points.tolist()), means.tolist(), outputs.tolist())
+            log.extend(points, outputs)
+            rows += zip(map(tuple, points.tolist()), outputs.tolist())
         assert len(log) == len(rows) > 4 * _CSV_CHUNK
         assert csv_text(log).splitlines() == per_row_csv(fam, 0.5, rows).splitlines()
 
