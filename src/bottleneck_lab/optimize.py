@@ -20,8 +20,8 @@ coordinates (the exact sort-based simplex projection), never by penalty, so
 every evaluated waveform satisfies the constraint exactly and the benchmark
 comparison is fair at each point. Projections and kernel segments are
 formed as rows: a grid is evaluated in one call, the free grid once per
-projection class (points that differ by the same amount on every level
-project alike), and the log forms each row's mean from its coordinates as
+distinct exact projection (its rows built once per grid shape in integer
+arithmetic), and the log forms each row's mean from its coordinates as
 it writes; the descents from all starts run in lockstep, a step
 evaluating their current points as one batch with the exact gradient of w
 from the kernel's reverse-mode pass, and projecting its move and KKT
@@ -30,6 +30,7 @@ residual as two rows of one call.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -125,8 +126,9 @@ WaveformFamily = BangBang | PiecewiseConstantFree
 # when u_1 >> total) still yields a shift. Every sum and difference involves
 # at most k + 2 of the values and total, so where one of them exceeds float max
 # times s = 2^-(bit length of k + 2), the projection runs on everything times s
-# (exact down to subnormals) and the result is divided by s. Every projection
-# here, of a grid chunk, of a descent's moves or of one point, is a row of it.
+# (exact down to subnormals) and the result is divided by s. Every float
+# projection here, of a descent's moves or of one point, is a row of it; the
+# free grid's are the same steps in integers (see _free_grid).
 
 def _project_simplex_rows(values: np.ndarray, total: float) -> np.ndarray:
     """Project every row of an (N, k) array; see the comment above."""
@@ -274,24 +276,14 @@ def _non_finite(family: WaveformFamily, target_mean: float, what="averaged outpu
 # Grid search
 # ---------------------------------------------------------------------------
 
-# Free-grid rows projected per call; bounds the projection's (rows x k) temporaries.
-_GRID_CHUNK = 1024
-
-
 def _grid_array(family: WaveformFamily, target_mean: float, resolution: int):
     """(rows, order): the feasible rows to evaluate, in itertools.product
     order, and each grid point's row (None: one row per point).
 
-    BangBang rows are all the feasible (p1, p2, duty) points. A free-family
-    point is a raw level vector i * step (i the index vector, step = k mean /
-    (r - 1)) still to be projected onto the target mean. The projection
-    P(v + c 1) = P(v) for every c, since sum x is fixed on the feasible set,
-    so points whose index vectors differ by a multiple of (1, ..., 1) share
-    one waveform: the rows are one raw point per such class, its member with
-    smallest index 0 (the first in product order), r^k - (r - 1)^k of the
-    r^k points. Flat index f, with smallest index low(f), has representative
-    f - low(f) (r^k - 1) / (r - 1), the strides' sum. The rows are projected
-    in place, _GRID_CHUNK at a time; a row that is not finite stays so.
+    BangBang rows are all the feasible (p1, p2, duty) points. Free-family
+    rows are the grid's distinct exact projections (see _free_grid), the
+    levels of a row n / d of k mean each, formed as n (k mean / d); a row
+    that is not finite stays so.
     """
     with np.errstate(over="ignore", invalid="ignore"):     # overflow is caught below
         if isinstance(family, BangBang):
@@ -302,33 +294,55 @@ def _grid_array(family: WaveformFamily, target_mean: float, resolution: int):
             # p2 >= p1 holds exactly for p1 <= mean; shave rounding dust
             grid, order = np.column_stack((p1, np.maximum(p1, p2), duty)), None
         else:
-            axis = np.linspace(0.0, family.n_segments * target_mean, resolution)
-            r, k = resolution, family.n_segments
-            first, order = _projection_classes(r, k)
-            grid = axis[first[:, None] // r ** np.arange(k - 1, -1, -1) % r]
-            for i in range(0, len(grid), _GRID_CHUNK):
-                grid[i:i + _GRID_CHUNK] = _project_simplex_rows(grid[i:i + _GRID_CHUNK],
-                                                                k * target_mean)
+            k = family.n_segments
+            numerators, denominators, order = _free_grid(resolution, k)
+            grid = numerators * ((k * target_mean) / denominators)[:, None]
     if not np.isfinite(grid).all():
         raise _non_finite(family, target_mean)
     return grid, order
 
 
-def _projection_classes(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first, order) over the r^k free-grid points in product order: the flat
-    index of each class's first point, and each point's class (see _grid_array).
-    Built from flat indices, with no (r^k, k) array of index vectors."""
+@functools.lru_cache(maxsize=4)
+def _free_grid(r: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, d, order), read-only, built once per grid shape: the distinct exact
+    projections of the r^k free-grid points as rows n / d of k mean, in
+    product order of their first point, and each point's row.
+
+    Point i (its index vector) projects to q k mean / (r - 1), q the
+    projection of i onto {q >= 0, sum q = r - 1} in integers: with u the
+    indices in descending order and S_j = u_1 + ... + u_j, rho counts the j
+    with j u_j > S_j - (r - 1), and q = max(rho i - S_rho + r - 1, 0) / rho.
+    n / d is q / (r - 1) in lowest terms, so a level is at most three
+    roundings from exact, and the constant row (n / d = 1 / k) is the mean
+    itself when k is a power of two. Points that differ by a multiple of
+    (1, ..., 1) project alike, so only those with smallest index 0 are
+    projected; two of those project alike exactly when they clip the same
+    levels and their other indices differ by a constant, which keys the
+    rows ((r + 1)^k fits in int64 for any grid that fits in memory).
+    """
     n = r ** k
-    flat = np.arange(n)
-    low, rest = flat % r, flat // r
-    for _ in range(k - 1):          # smallest index, axis by axis
-        np.minimum(low, rest % r, out=low)
-        rest //= r
-    del rest
+    index = np.indices((r,) * k, dtype=np.min_scalar_type(r)).reshape(k, n)
+    low = index.min(axis=0)
     first = low == 0
-    low *= (n - 1) // (r - 1)
-    flat -= low                     # each point's representative
-    return np.flatnonzero(first), (np.cumsum(first) - 1)[flat]
+    # point f less low (1, ..., 1) is f - low (r^k - 1) / (r - 1), the strides' sum
+    classes = (np.cumsum(first) - 1)[np.arange(n) - low.astype(np.intp) * ((n - 1) // (r - 1))]
+    i = index[:, first].astype(np.intp)
+    del index, low, first
+    u = np.sort(i, axis=0)[::-1]
+    excess = np.cumsum(u, axis=0) - (r - 1)
+    rho = (u * np.arange(1, k + 1)[:, None] > excess).sum(axis=0)
+    num = np.maximum(rho * i - np.take_along_axis(excess, rho[None] - 1, axis=0), 0)
+    kept = num > 0
+    key = (r + 1) ** np.arange(k) @ np.where(kept, i - np.where(kept, i, r).min(axis=0), r)
+    _, firsts, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_first = np.argsort(firsts)
+    rank, rows = np.argsort(by_first), firsts[by_first]
+    num, den = num[:, rows].T, rho[rows] * (r - 1)
+    common = np.gcd(np.gcd.reduce(num, axis=1), den)
+    arrays = (num / common[:, None], den / common, rank[inverse][classes])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _segment_rows(family: WaveformFamily, rows: np.ndarray) -> tuple:
@@ -364,13 +378,13 @@ def grid_search(
     """Evaluate a full grid of feasible family points and return the best.
 
     The grid is evaluated in one call, and every point is logged in grid
-    order. On the free family the points of a projection class share one
-    waveform (see _grid_array): each class is projected, evaluated and
-    logged once, as the row of its first point, and the log's row order
-    repeats it for every member. Ties are broken toward the point closest
-    (Euclidean, level coordinates) to the constant waveform, then toward the
-    first point, keeping runs deterministic when the optimum is approached
-    along a boundary.
+    order. On the free family many points project to one waveform (see
+    _free_grid): each distinct exact projection is evaluated and logged
+    once, as a row in product order of its first point, and the log's row
+    order repeats it for every such point. Ties are broken toward the point
+    closest (Euclidean, level coordinates) to the constant waveform, then
+    toward the first point, keeping runs deterministic when the optimum is
+    approached along a boundary.
     """
     if resolution < 2:
         raise SignalError(f"resolution must be at least 2, got {resolution}")

@@ -43,6 +43,7 @@ period runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, fields
 from types import SimpleNamespace
 
@@ -173,8 +174,11 @@ def poincare_map(signal: InputSignal, params: SystemParams) -> PoincareMap:
 
 
 def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
-    """Averaged output of constant inflow at rate sigma_bar: lam s / (lam + s),
-    or lam (s / (lam + s)) where lam s overflows; SignalError if lam + s does."""
+    """Averaged output of constant inflow at rate sigma_bar: lam s / (lam + s)
+    where lam s is a finite normal number; else a (b / (lam + s)), a and b the
+    smaller and larger of lam and s, whose quotient lies in [1/2, 1], so an
+    overflowed or underflowed lam s costs nothing; SignalError if lam + s
+    overflows."""
     if sigma_bar < 0.0:
         raise dynamics.DomainError(f"mean inflow must be non-negative, got {sigma_bar}")
     if sigma_bar == 0.0:
@@ -183,9 +187,10 @@ def constant_benchmark(sigma_bar: float, params: SystemParams) -> float:
     if not math.isfinite(lam + sigma_bar):
         raise SignalError(f"lam + mean inflow overflows: lam={lam!r}, mean={sigma_bar!r}")
     product = lam * sigma_bar
-    if math.isfinite(product):
+    if sys.float_info.min <= product < math.inf:
         return product / (lam + sigma_bar)
-    return lam * (sigma_bar / (lam + sigma_bar))
+    small, large = sorted((lam, sigma_bar))
+    return small * (large / (lam + sigma_bar))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -311,6 +312,18 @@ class TestAsymptoticCommand:
         assert {"tau", "mean_input", "mean_state", "lhs", "rhs", "slack"} <= set(rows[0])
         assert all(float(r["slack"]) >= -1e-9 for r in rows)
 
+    def test_underflowed_benchmark_product_bound(self, tmp_path, capsys):
+        # constant 1e-310 at lambda 1e-300: lam s underflows, and the bound
+        # read 0.0; it is lam s / (lam + s), about 9.999999999e-311.
+        cfg = write_json(tmp_path / "cfg.json", {
+            "signal": {"kind": "constant", "level": 1e-310}, "lambda": 1e-300,
+            "out": str(tmp_path / "table.csv"),
+        })
+        assert main(["asymptotic", "--config", cfg]) == 0
+        bound = float(re.search(r"bound = ([^,]+),", capsys.readouterr().err).group(1))
+        exact = Fraction(1e-300) * Fraction(1e-310) / (Fraction(1e-300) + Fraction(1e-310))
+        assert abs(Fraction(bound) - exact) <= 2 ** -1074      # a subnormal ulp
+
 
     @pytest.mark.parametrize("signal", [
         TWO_LEVEL_SIG,
@@ -504,6 +517,23 @@ class TestOptimizeCommand:
         assert "double precision cannot resolve the comparison" in err
         assert not (tmp_path / "res.json").exists()
         assert not (tmp_path / "log.csv").exists()
+
+    @pytest.mark.parametrize("family, lam, mean, resolution", [
+        ({"kind": "bang_bang", "period": 2.0}, 1e-300, 1e-310, 5),
+        ({"kind": "piecewise_free", "period": 2.0, "n_segments": 3}, 1e-200, 1e-200, 4),
+    ])
+    def test_underflowed_benchmark_product_exits_0(self, tmp_path, family, lam, mean, resolution):
+        # lam mean underflows to 0.0, and so did the benchmark, which is about
+        # the smaller of lam and mean: every evaluation beat it (exit 1).
+        out = tmp_path / "res.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "family": family, "lambda": lam, "mean": mean, "resolution": resolution,
+            "n_starts": 2, "seed": 3, "out": str(out),
+        })
+        assert main(["optimize", "--config", cfg]) == 0
+        result = json.loads(out.read_text())
+        exact = Fraction(lam) * Fraction(mean) / (Fraction(lam) + Fraction(mean))
+        assert abs(Fraction(result["benchmark_w"]) - exact) <= exact * 2 ** -51 + 2 ** -1074
 
     def test_excess_gate_is_relative_below_a_unit_benchmark(self):
         family = optimize.BangBang(period=1.0)

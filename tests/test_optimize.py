@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,47 +298,88 @@ class TestGridSearch:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [2, 5, 8])
     def test_free_grid_evaluates_each_projection_class_once(self, k, r):
-        # A non-dyadic mean: members of one class project to rows that differ
-        # in their last bits, so the log shows which member was projected.
+        # A non-dyadic mean: float projections of the points of one waveform
+        # differ in their last bits, while the grid logs one row for each.
         mean = 0.7354426844383339
         family = PiecewiseConstantFree(period=2.0, n_segments=k)
         points, outputs, _ = _reference_grid_search(family, mean, P1, r)
-        axis = np.linspace(0.0, k * mean, r)
         res = grid_search(family, mean, P1, r)
         logged, _, logged_outputs = log_columns(res.log)
         assert res.evaluations == len(res.log) == len(logged) == r ** k
-        assert len(set(logged)) <= r ** k - (r - 1) ** k
+        exact = {exact_projection(index, r) for index in itertools.product(range(r), repeat=k)}
+        assert len(set(logged)) == len(exact) <= r ** k - (r - 1) ** k
         ulps = 4.0 * np.spacing(k * mean)
-        for index, row, own in zip(itertools.product(range(r), repeat=k), logged, points):
-            first = np.array(index) - min(index)
-            representative = project_to_mean(family, tuple(axis[first].tolist()), mean)
-            assert np.array_equal(np.array(row).view(np.int64),
-                                  np.array(representative).view(np.int64))
+        for row, own in zip(logged, points):
             assert np.max(np.abs(np.subtract(row, own))) <= ulps
         np.testing.assert_allclose(logged_outputs, outputs, rtol=1e-14, atol=0.0)
-        # the best point: the first class in product order with the largest
+        # the best point: the first row in product order with the largest
         # w, then the smallest distance to the constant waveform
         w, dist = _evaluate_rows(family, np.array(logged), mean, P1.lam)
         top = np.flatnonzero(w == w.max())
         assert res.best_point == logged[top[np.argmin(dist[top])]]
         assert res.best_w == w.max()
 
+    @pytest.mark.parametrize("r, k", [(r, k) for r in range(2, 10) for k in range(1, 6)
+                                      if r ** k <= 10_000])
+    def test_free_grid_rows_are_exact_projections(self, r, k):
+        # Each level of a logged row is three roundings from the exact
+        # projection of the row's own grid point: of k mean, of its quotient
+        # by the row's denominator and of the product with a numerator. No
+        # level at these means is subnormal, so the bound is relative. Rows
+        # and exact projections pair one to one.
+        exact = [exact_projection(index, r) for index in itertools.product(range(r), repeat=k)]
+        ids = {}
+        exact_ids = [ids.setdefault(fractions, len(ids)) for fractions in exact]
+        distinct = list(ids)
+        family = PiecewiseConstantFree(period=2.0, n_segments=k)
+        bound = (1 + Fraction(2) ** -53) ** 3 - 1
+        for mean in [1e-300, 0.7354426844383339, 1.3, 1e300] + [5e307] * (k == 2):
+            logged = log_columns(grid_search(family, mean, P1, r).log)[0]
+            assert len(logged) == r ** k
+            pairs = set(zip(logged, exact_ids))
+            assert len(pairs) == len(set(logged)) == len(ids)
+            for row, i in pairs:
+                for level, q in zip(row, distinct[i]):
+                    want = q * k * Fraction(mean)
+                    assert abs(Fraction(level) - want) <= bound * want, (mean, row)
+
+    @pytest.mark.parametrize("r", [4, 6, 8])
+    def test_constant_row_is_the_mean_itself(self, r):
+        # The constant waveform is 1 / 4 of 4 mean in lowest terms, so its
+        # levels are the mean with no rounding; as 7 / 28 of it at r = 8 they
+        # would be 7 (4 mean / 28), which misses the mean for about 1 mean in 10.
+        family = PiecewiseConstantFree(period=2.0, n_segments=4)
+        for mean in np.random.default_rng(r).uniform(0.1, 10.0, 50).tolist():
+            assert grid_search(family, mean, P1, r).best_point == (mean,) * 4
+
+    @pytest.mark.parametrize("r, k, rows", [(8, 4, 533), (9, 4, 729), (5, 3, 43)])
+    def test_free_grid_is_built_once_per_shape_read_only(self, r, k, rows):
+        optimize._free_grid.cache_clear()
+        built = optimize._free_grid(r, k)
+        assert optimize._free_grid(r, k) is built
+        numerators, denominators, order = built
+        assert (len(numerators), len(denominators), len(order)) == (rows, rows, r ** k)
+        assert np.array_equal(np.unique(order), np.arange(rows))
+        for array in built:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
     @pytest.mark.parametrize("family, resolution", [
         (PiecewiseConstantFree(period=2.0, n_segments=3), 5),
         (BangBang(period=2.0), 40),
     ])
-    def test_grid_across_projection_chunks_matches_point_by_point_loop(
-            self, monkeypatch, family, resolution):
-        # 5**3 - 4**3 = 61 free-grid classes projected 7 at a time, on an
-        # axis where each class projects to the same bits from every member,
-        # so the log equals the loop's (at r = 6 or 7 members differ in their
-        # last bits: see the class test above); 1,600
-        # bang_bang rows, which the grid once evaluated as two chunks
-        whole = grid_search(family, 1.0, P1, resolution)
-        monkeypatch.setattr(optimize, "_GRID_CHUNK", 7)
+    def test_grid_across_projection_chunks_matches_point_by_point_loop(self, family, resolution):
+        # A cold call, which builds the free grid's rows, and a warm one, which
+        # reads them from the cache, write the same bytes. The 5**3 points
+        # project to 43 exact rows whose levels are all dyadic, which the
+        # loop's float projections hit exactly; 1,600 bang_bang rows, which
+        # the grid once evaluated as two chunks.
+        optimize._free_grid.cache_clear()
+        cold = grid_search(family, 1.0, P1, resolution)
         res = grid_search(family, 1.0, P1, resolution)
-        assert csv_text(res.log) == csv_text(whole.log)
-        assert (res.best_point, res.best_w) == (whole.best_point, whole.best_w)
+        assert csv_text(res.log) == csv_text(cold.log)
+        assert (res.best_point, res.best_w) == (cold.best_point, cold.best_w)
         points, outputs, best_index = _reference_grid_search(family, 1.0, P1, resolution)
         logged, _, logged_outputs = log_columns(res.log)
         assert logged == points
@@ -362,6 +404,16 @@ class TestGridSearch:
         assert w[0] == w[1] == 1.0
         assert np.isfinite(dist).all() and np.argmin(dist) == 1
         assert grid_search(family, mean, P1, 5).best_point == (mean, mean, mean)
+
+
+def exact_projection(index, r):
+    """The projection of an index vector onto {q >= 0, sum q = r - 1}, in
+    fractions of its sum (Held, Wolfe & Crowder 1974): a free-grid point's
+    exact levels, in units of k mean."""
+    u, total = sorted(index, reverse=True), r - 1
+    rho = max(j for j in range(1, len(u) + 1) if j * u[j - 1] > sum(u[:j]) - total)
+    theta = Fraction(sum(u[:rho]) - total, rho)
+    return tuple(max(i - theta, 0) / total for i in index)
 
 
 def _reference_grid_search(family, mean, params, resolution):
@@ -700,9 +752,9 @@ class TestEvaluationLog:
 
 
 class TestCsvMatchesPerRowWriter:
-    # The free-family grid has 7**4 = 2401 points in 7**4 - 6**4 = 1105
-    # projection classes, logged as one block of 1105 rows with a row order
-    # and written in five chunks; the descent rows after it form a block of
+    # The free-family grid has 7**4 = 2401 points with 375 distinct exact
+    # projections, logged as one block of 375 rows with a row order and
+    # written in five chunks; the descent rows after it form a block of
     # their own.
     @pytest.mark.parametrize("family, resolution, starts, min_chunks", [
         (BB, 9, [(0.0, 2.0, 0.5), (0.9, 1.3, 0.2)], 0),

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from dataclasses import astuple
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -435,6 +436,20 @@ class TestConstantBenchmark:
         assert constant_benchmark(1e300, SystemParams(lam=1e9)) == pytest.approx(1e9, rel=1e-15)
         with pytest.raises(SignalError, match="overflows"):
             constant_benchmark(1.7e308, SystemParams(lam=1e308))
+
+    @pytest.mark.parametrize("s, lam", [
+        (1e-310, 1e-300), (1e-300, 1e-310), (1e-200, 1e-200), (5e-324, 1.0), (1e-320, 1e10),
+        (1e-315, 1000.0), (2.2e-308, 1.0), (3e-300, 2e10), (0.3, 1.7), (1e150, 1e150),
+        (1e300, 1e9), (1e9, 1e300), (1.7e308, 1e-300), (1e-320, 1e300),
+    ])
+    def test_within_three_roundings_of_exact(self, s, lam):
+        # lam s / (lam + s) over the rationals: three roundings relative, and
+        # half the least subnormal absolute for a subnormal result. In the
+        # first three cases lam s underflows to 0.0, and so did the benchmark.
+        got = Fraction(constant_benchmark(s, SystemParams(lam=lam)))
+        exact = Fraction(lam) * Fraction(s) / (Fraction(lam) + Fraction(s))
+        u = Fraction(1, 2 ** 53)
+        assert abs(got - exact) <= ((1 + u) ** 3 - 1) * exact + Fraction(1, 2 ** 1075)
 
     def test_overflowing_rate_raises(self):
         # lam + c overflows, so x_inf = c / r would read 0 and w come out 0.0
